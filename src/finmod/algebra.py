@@ -66,6 +66,22 @@ def _is_chain(orders) -> bool:
     return all(b % a == 0 for a, b in zip(orders, orders[1:]))
 
 
+def _cache_hash(obj, key) -> int:
+    """Store the hash of a frozen ring or module on it, so that dict lookups
+    keyed by modules do not rehash every action matrix."""
+    h = hash(key)
+    object.__setattr__(obj, "_hash", h)
+    return h
+
+
+def _state_without_hash(obj):
+    # Labels are strings, whose hash depends on PYTHONHASHSEED, so a cached
+    # hash must not cross a process boundary.
+    state = dict(obj.__dict__)
+    state.pop("_hash", None)
+    return state
+
+
 @dataclass(frozen=True)
 class FiniteRing:
     """Finite associative unital ring.
@@ -127,6 +143,13 @@ class FiniteRing:
 
     def basis_label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"b{i}"
+
+    def __hash__(self):
+        return self.__dict__.get("_hash") or _cache_hash(
+            self, (self.add_orders, self.struct, self.unit, self.labels)
+        )
+
+    __getstate__ = _state_without_hash
 
     def __repr__(self):
         return f"FiniteRing({self.name}, orders={list(self.add_orders)})"
@@ -450,6 +473,13 @@ class FiniteModule:
 
     def generator_label(self, j: int) -> str:
         return self.labels[j] if self.labels else f"g{j}"
+
+    def __hash__(self):
+        return self.__dict__.get("_hash") or _cache_hash(
+            self, (self.ring, self.inv_factors, self.actions, self.labels)
+        )
+
+    __getstate__ = _state_without_hash
 
     def __repr__(self):
         return f"FiniteModule({self.name} over {self.ring.name}, inv={list(self.inv_factors)})"

@@ -2,6 +2,18 @@
 congruence systems, and canonical representations of subgroups of finite
 abelian groups.
 
+A subgroup of prod Z/m_j is stored as the row Hermite normal form of its
+preimage lattice in Z^n, which always contains every m_j*e_j.  One modular
+insertion kernel (``_full_hnf``; Domich, Kannan & Trotter, Math. Oper. Res.
+12, 1987; Cohen, GTM 138, Sec. 2.4.2) builds every such form: it starts from
+diag(m) or from an existing full HNF and inserts each generator with one
+extended-gcd sweep down the diagonal.  Because every m_j*e_j stays in the
+lattice, each entry right of the diagonal, in the inserted vector and in the
+basis rows, may be kept reduced modulo its column modulus, so entries never
+grow.  Meets and congruence kernels are lower-right blocks of one larger
+insertion HNF: the rows (a, a) and (b, 0) give the meet of <a> and <b>, and
+the rows (B[:, j], e_j) give {x : Bx = 0}.
+
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of a Smith reduction can exceed machine words even for small inputs.
 Every routine is deterministic (fixed pivot rules, no randomization), so equal
@@ -55,12 +67,6 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self.at(i, j) for i in range(self.rows)] for j in range(self.cols)],
-            self.rows,
-        )
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -285,30 +291,94 @@ def hnf_canonical(generators: IntMatrix, moduli) -> IntMatrix:
     """
     moduli = tuple(moduli)
     full = _full_hnf(generators.to_rows(), moduli)
-    basis = _reduced_basis(full, moduli)
-    return IntMatrix.from_rows(basis, len(moduli))
+    return IntMatrix.from_rows(_basis(full, moduli), len(moduli))
 
 
-def _full_hnf(gen_rows, moduli):
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _full_hnf(gen_rows, moduli, start=None):
+    """Row HNF of the lattice spanned by ``gen_rows`` and every
+    moduli[j]*e_j, as n lists with pivots on the diagonal.
+
+    ``start`` is the full HNF of a lattice that already contains every
+    moduli[j]*e_j (default diag(moduli)); the rows are inserted into it.
+    Each row takes one sweep down the diagonal: at column i an extended-gcd
+    step replaces (h_i, v) by (s*h_i + t*v, (b/g)*h_i - (a/g)*v), which is
+    unimodular and clears v[i].  Rows below i still span every m_j*e_j with
+    j > i, so the entries right of the diagonal are kept mod m_j.  Entries
+    above each pivot are reduced into [0, pivot) once at the end.
+    """
     n = len(moduli)
-    rows = [[x % moduli[j] for j, x in enumerate(r)] for r in gen_rows]
-    for j, mj in enumerate(moduli):
-        rel = [0] * n
-        rel[j] = mj
-        rows.append(rel)
-    full = hnf_rows(rows, n)
-    if len(full) != n:  # the moduli rows force full rank
-        raise AssertionError("modular lattice not full rank")
-    return full
+    if start is None:
+        h = [[0] * n for _ in range(n)]
+        for j, mj in enumerate(moduli):
+            h[j][j] = mj
+    else:
+        h = [list(r) for r in start]
+    changed = False
+    for row in gen_rows:
+        v = [x % m for x, m in zip(row, moduli)]
+        if not any(v):
+            continue
+        for i in range(n):
+            b = v[i]
+            if not b:
+                continue
+            hi = h[i]
+            a = hi[i]
+            q, r = divmod(b, a)
+            if not r:
+                for k in range(i + 1, n):
+                    if hi[k]:
+                        v[k] = (v[k] - q * hi[k]) % moduli[k]
+                continue
+            changed = True
+            g, s, t = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            new = [0] * n
+            new[i] = g
+            for k in range(i + 1, n):
+                x, y = hi[k], v[k]
+                if x or y:
+                    mk = moduli[k]
+                    new[k] = (s * x + t * y) % mk
+                    v[k] = (bg * x - ag * y) % mk
+            h[i] = new
+    if changed:
+        for i in range(1, n):
+            hi = h[i]
+            p = hi[i]
+            for k in range(i):
+                hk = h[k]
+                q = hk[i] // p
+                if q:
+                    for c in range(i, n):
+                        hk[c] -= q * hi[c]
+    return h
 
 
-def _reduced_basis(full, moduli):
-    basis = []
-    for r in full:
-        red = tuple(x % m for x, m in zip(r, moduli))
-        if any(red):
-            basis.append(red)
-    return basis
+def _basis(full, moduli):
+    """Nonzero rows of a reduced full HNF, read mod the moduli: entries above
+    a pivot are already below it, and a pivot equal to its modulus makes
+    its row m_i*e_i, which is zero."""
+    return [r for i, r in enumerate(full) if r[i] != moduli[i]]
+
+
+def _lower_block(rows, top_moduli, moduli):
+    """Full HNF over ``moduli`` of {x : (0, x) in the span of ``rows``} inside
+    prod Z/top_moduli x prod Z/moduli: the lower-right block of the HNF."""
+    k = len(top_moduli)
+    full = _full_hnf(rows, tuple(top_moduli) + tuple(moduli))
+    return [r[k:] for r in full[k:]]
 
 
 class CanonicalSubgroup:
@@ -320,16 +390,17 @@ class CanonicalSubgroup:
 
     __slots__ = ("moduli", "full_hnf", "basis", "order", "_smith")
 
-    def __init__(self, moduli, generator_rows):
+    def __init__(self, moduli, generator_rows, hnf=None):
+        """``hnf``, when given, is the full HNF of a subgroup over the same
+        moduli; the generator rows are inserted into it."""
         moduli = tuple(moduli)
-        for m in moduli:
-            if m < 1:
-                raise ValueError("moduli must be positive")
-        full = _full_hnf(list(generator_rows), moduli)
+        if moduli and min(moduli) < 1:
+            raise ValueError("moduli must be positive")
+        full = _full_hnf(generator_rows, moduli, hnf)
         self.moduli = moduli
-        self.full_hnf = tuple(tuple(r) for r in full)
-        self.basis = tuple(_reduced_basis(full, moduli))
-        self.order = prod(moduli) // prod(full[i][i] for i in range(len(moduli)))
+        self.full_hnf = tuple(map(tuple, full))
+        self.basis = tuple(_basis(self.full_hnf, moduli))
+        self.order = prod(moduli) // prod(r[i] for i, r in enumerate(full))
         self._smith = None
 
     def __eq__(self, other):
@@ -369,36 +440,30 @@ class CanonicalSubgroup:
     def sum(self, other: "CanonicalSubgroup") -> "CanonicalSubgroup":
         if self.moduli != other.moduli:
             raise ValueError("ambient mismatch")
-        return CanonicalSubgroup(self.moduli, list(self.basis) + list(other.basis))
+        # Insert the shorter basis into the other's full HNF.
+        if len(self.basis) < len(other.basis):
+            return CanonicalSubgroup(self.moduli, self.basis, other.full_hnf)
+        return CanonicalSubgroup(self.moduli, other.basis, self.full_hnf)
 
     def intersect(self, other: "CanonicalSubgroup") -> "CanonicalSubgroup":
         if self.moduli != other.moduli:
             raise ValueError("ambient mismatch")
-        n = len(self.moduli)
-        # Solve u*H1 = v*H2 over Z; the matched values generate the meet.
-        sys_rows = [
-            [self.full_hnf[i][j] for i in range(n)]
-            + [-other.full_hnf[i][j] for i in range(n)]
-            for j in range(n)
-        ]
-        gens = []
-        for k in integer_kernel(sys_rows, 2 * n):
-            u = k[:n]
-            vec = [
-                sum(u[i] * self.full_hnf[i][j] for i in range(n)) % self.moduli[j]
-                for j in range(n)
-            ]
-            gens.append(vec)
-        return CanonicalSubgroup(self.moduli, gens)
+        # (a + b, a) has first half 0 exactly when a = -b lies in the meet.
+        zero = (0,) * len(self.moduli)
+        rows = [a + a for a in self.basis] + [b + zero for b in other.basis]
+        meet = _lower_block(rows, self.moduli, self.moduli)
+        return CanonicalSubgroup(self.moduli, (), meet)
 
     def _smith_data(self):
         if self._smith is None:
             n = len(self.moduli)
-            rel_rows = _integer_congruence_lattice(
-                [[self.full_hnf[i][j] for i in range(n)] for j in range(n)],
-                self.moduli,
-                n,
-            )
+            # Relations x with sum x_i h_i = 0; lcm(moduli) * e_i is one.
+            exponent = lcm(*self.moduli)
+            graph = [
+                h + tuple(int(i == j) for j in range(n))
+                for i, h in enumerate(self.full_hnf)
+            ]
+            rel_rows = _lower_block(graph, self.moduli, (exponent,) * n)
             _, D, V, Vinv = _snf_with_transforms(rel_rows)
             kept = [i for i in range(n) if D[i][i] > 1]
             invariants = tuple(D[i][i] for i in kept)
@@ -456,46 +521,9 @@ class CongruenceSolutionSet:
     """Solutions of a rowwise-modular homogeneous system inside a finite
     product of cyclic groups."""
 
-    particular: tuple[int, ...] | None
     lattice_basis: IntMatrix
     moduli: tuple[int, ...]
     subgroup: CanonicalSubgroup = field(compare=False, repr=False)
-
-
-def _integer_congruence_lattice(a_rows, row_moduli, ncols):
-    """HNF basis of {x in Z^n : A x = 0 (mod row_moduli, rowwise)}.
-
-    The system is first replaced by the canonical basis of the row subgroup
-    modulo the lcm of the moduli, which keeps the Smith reduction small even
-    when the caller supplies thousands of redundant rows.
-    """
-    if ncols == 0:
-        return []
-    if not a_rows:
-        return _identity_rows(ncols)
-    big = 1
-    for m in row_moduli:
-        big = lcm(big, m)
-    seen = set()
-    lifted = []
-    for row, m in zip(a_rows, row_moduli):
-        f = big // m
-        r = tuple((x * f) % big for x in row)
-        if any(r) and r not in seen:
-            seen.add(r)
-            lifted.append(list(r))
-    if not lifted:
-        return _identity_rows(ncols)
-    for j in range(ncols):
-        rel = [0] * ncols
-        rel[j] = big
-        lifted.append(rel)
-    b = hnf_rows(lifted, ncols)
-    m2 = len(b)
-    aug = [list(b[i]) + [big if j == i else 0 for j in range(m2)] for i in range(m2)]
-    kern = integer_kernel(aug, ncols + m2)
-    proj = [k[:ncols] for k in kern]
-    return hnf_rows(proj, ncols)
 
 
 def solve_homogeneous_congruences(
@@ -507,6 +535,12 @@ def solve_homogeneous_congruences(
     The system must be compatible with the column moduli (each col_moduli[j]
     * e_j must itself solve the system), so that the solution set is a
     well-defined subgroup of the ambient product; otherwise ValueError.
+
+    Every row is first lifted to the modulus big = lcm(row_moduli) and the
+    lifted rows are reduced to their canonical basis B (at most n rows), which
+    keeps the solve small when the caller supplies thousands of redundant
+    rows.  The solutions are then the lower-right block of the HNF of the
+    rows (B[:, j], e_j) over (big,)*k + col_moduli.
     """
     row_moduli = tuple(row_moduli)
     col_moduli = tuple(col_moduli)
@@ -523,11 +557,22 @@ def solve_homogeneous_congruences(
                 raise ValueError(
                     f"system is not defined modulo column modulus at ({i},{j})"
                 )
-    lattice = _integer_congruence_lattice(a.to_rows(), row_moduli, a.cols)
-    sub = CanonicalSubgroup(col_moduli, lattice)
+    n = a.cols
+    big = lcm(*row_moduli)
+    lifted = {
+        tuple(x * (big // m) % big for x in a.row(i))
+        for i, m in enumerate(row_moduli)
+    }
+    b_rows = _basis(_full_hnf(lifted, (big,) * n), (big,) * n)
+    graph = [
+        tuple(r[j] for r in b_rows) + tuple(int(i == j) for i in range(n))
+        for j in range(n)
+    ]
+    sub = CanonicalSubgroup(
+        col_moduli, (), _lower_block(graph, (big,) * len(b_rows), col_moduli)
+    )
     return CongruenceSolutionSet(
-        particular=None,
-        lattice_basis=IntMatrix.from_rows([list(r) for r in sub.basis], a.cols),
+        lattice_basis=IntMatrix.from_rows([list(r) for r in sub.basis], n),
         moduli=col_moduli,
         subgroup=sub,
     )

@@ -1,5 +1,7 @@
 """Ring and module data model: validation, builtins, constructors."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -271,3 +273,19 @@ def test_self_consistency_of_constructors():
         assert validate_ring(ring) is ring
         m = regular_module(ring)
         assert validate_module(ring, m) is m
+
+
+def test_pickled_module_hashes_like_fresh_one():
+    # The hash is cached on first use, but never pickled: labels are strings,
+    # whose hash differs between interpreters.
+    ring = matrix_ring(2, 2)
+    m = regular_module(ring)
+    hash(m)
+    assert "_hash" in m.__dict__ and "_hash" in ring.__dict__
+    back = pickle.loads(pickle.dumps(m))
+    assert "_hash" not in back.__dict__ and "_hash" not in back.ring.__dict__
+    fresh = regular_module(matrix_ring(2, 2))
+    assert back == fresh and back.ring == fresh.ring
+    assert hash(back) == hash(fresh) == hash(m)
+    assert hash(back.ring) == hash(fresh.ring)
+    assert len({m: 1, back: 2, fresh: 3}) == 1

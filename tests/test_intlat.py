@@ -5,7 +5,7 @@ and exhaustive solution enumeration on tiny ambient groups.
 """
 
 import itertools
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,3 +304,129 @@ def test_hnf_rows_unique_for_equal_lattices():
 def test_hnf_rows_negative_entries():
     out = hnf_rows([[-2, 1]], 2)
     assert out == [[2, -1]]
+
+
+# The insertion kernel behind every CanonicalSubgroup, checked against the
+# generic hnf_rows on the generators plus the moduli rows.  Moduli are drawn
+# without a divisibility order and include 1; entries may be negative.
+
+mixed_moduli = st.lists(
+    st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]), min_size=0, max_size=5
+)
+
+
+def _reference_full_hnf(rows, moduli):
+    n = len(moduli)
+    rels = [[m if i == j else 0 for i in range(n)] for j, m in enumerate(moduli)]
+    return hnf_rows([list(r) for r in rows] + rels, n)
+
+
+NON_CHAIN = [(6, 4), (4, 6), (3, 2, 2), (2, 3, 4), (1, 6, 4), (9, 6)]
+
+
+def _rows_for(moduli, max_rows):
+    n = len(moduli)
+    return st.lists(
+        st.lists(st.integers(-40, 40), min_size=n, max_size=n),
+        min_size=0,
+        max_size=max_rows,
+    )
+
+
+class TestInsertionKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        mixed_moduli.flatmap(lambda mod: st.tuples(st.just(mod), _rows_for(mod, 6)))
+    )
+    def test_full_hnf_matches_hnf_rows(self, case):
+        moduli, rows = case
+        sub = CanonicalSubgroup(moduli, rows)
+        full = _reference_full_hnf(rows, moduli)
+        assert [list(r) for r in sub.full_hnf] == full
+        assert sub.order == prod(moduli) // prod(r[i] for i, r in enumerate(full))
+        reduced = [tuple(x % m for x, m in zip(r, moduli)) for r in full]
+        assert list(sub.basis) == [r for r in reduced if any(r)]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        mixed_moduli.flatmap(
+            lambda mod: st.tuples(st.just(mod), _rows_for(mod, 3), _rows_for(mod, 3))
+        )
+    )
+    def test_sum_inserts_into_existing_hnf(self, case):
+        moduli, g1, g2 = case
+        s = CanonicalSubgroup(moduli, g1).sum(CanonicalSubgroup(moduli, g2))
+        assert [list(r) for r in s.full_hnf] == _reference_full_hnf(g1 + g2, moduli)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(NON_CHAIN).flatmap(
+            lambda mod: st.tuples(st.just(mod), _rows_for(mod, 2), _rows_for(mod, 2))
+        )
+    )
+    def test_sum_and_intersect_non_chain_against_brute(self, case):
+        moduli, g1, g2 = case
+        s1 = CanonicalSubgroup(moduli, g1)
+        s2 = CanonicalSubgroup(moduli, g2)
+        e1 = brute_subgroup(g1, moduli)
+        e2 = brute_subgroup(g2, moduli)
+        assert frozenset(s1.sum(s2).elements()) == brute_subgroup(g1 + g2, moduli)
+        meet = s1.intersect(s2)
+        assert frozenset(meet.elements()) == e1 & e2
+        assert meet == s2.intersect(s1)
+        assert meet == CanonicalSubgroup(moduli, sorted(e1 & e2))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(NON_CHAIN).flatmap(
+            lambda col: st.tuples(
+                st.just(col),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from([2, 3, 4, 6, 12]),
+                        st.lists(
+                            st.integers(-12, 12), min_size=len(col), max_size=len(col)
+                        ),
+                    ),
+                    min_size=0,
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    def test_congruences_non_chain_against_enumeration(self, case):
+        col_moduli, raw = case
+        rows, row_moduli = _compatible_rows(raw, col_moduli)
+        n = len(col_moduli)
+        a = IntMatrix.from_rows(rows, n) if rows else IntMatrix.zeros(0, n)
+        out = solve_homogeneous_congruences(a, row_moduli, col_moduli)
+        sols = brute_solutions(rows, row_moduli, col_moduli)
+        assert frozenset(out.subgroup.elements()) == sols
+        assert out.lattice_basis.to_rows() == [list(r) for r in out.subgroup.basis]
+
+    def test_congruences_many_redundant_rows(self):
+        col_moduli = (6, 4, 3)
+        base = [([2, 0, 1], 3), ([3, 3, 0], 6), ([1, 1, 0], 2)]
+        rows, row_moduli = [], []
+        for c in range(1, 60):
+            for r, m in base:
+                rows.append([c * x for x in r])
+                row_moduli.append(m)
+            rows.append([0, 2 * c, 0])  # for odd c: x1 is even
+            row_moduli.append(4)
+        out = solve_homogeneous_congruences(
+            IntMatrix.from_rows(rows, 3), row_moduli, col_moduli
+        )
+        sols = brute_solutions(rows, row_moduli, col_moduli)
+        assert frozenset(out.subgroup.elements()) == sols
+        assert 1 < len(sols) < prod(col_moduli)
+
+
+def _compatible_rows(raw, col_moduli):
+    """Scale each coefficient so that the row is defined modulo the column
+    moduli: x * c becomes a multiple of the row modulus m."""
+    rows, row_moduli = [], []
+    for m, r in raw:
+        rows.append([x * m // gcd(m, x * c) for x, c in zip(r, col_moduli)])
+        row_moduli.append(m)
+    return rows, row_moduli
