@@ -10,6 +10,7 @@ so equal objects are structurally identical.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import prod
@@ -474,6 +475,16 @@ class FiniteModule:
     def generator_label(self, j: int) -> str:
         return self.labels[j] if self.labels else f"g{j}"
 
+    def __eq__(self, other):
+        # Hot paths compare modules all the time, mostly a module with itself.
+        if self is other:
+            return True
+        if other.__class__ is not FiniteModule:
+            return NotImplemented
+        return (self.ring, self.inv_factors, self.actions, self.labels) == (
+            other.ring, other.inv_factors, other.actions, other.labels
+        )
+
     def __hash__(self):
         return self.__dict__.get("_hash") or _cache_hash(
             self, (self.ring, self.inv_factors, self.actions, self.labels)
@@ -483,6 +494,41 @@ class FiniteModule:
 
     def __repr__(self):
         return f"FiniteModule({self.name} over {self.ring.name}, inv={list(self.inv_factors)})"
+
+
+@dataclass(eq=False)
+class ModuleAnalysis:
+    """What has been computed about one module, shared by every module
+    structurally equal to it (``name`` is not compared, so a cached quotient,
+    embedding or Hom group carries the name of the first equal module seen).
+
+    Answers that depend on size caps are keyed by the ``Caps`` they were
+    computed under; a computation that raises ``CapExceeded`` stores nothing.
+    Lists are stored as tuples and handed out as fresh lists.
+    """
+
+    lattice: dict = field(default_factory=dict)  # Caps -> SubmoduleLattice
+    cyclics: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
+    fully_invariant: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
+    quasi_projective: dict = field(default_factory=dict)  # Caps -> bool
+    ell: dict = field(default_factory=dict)  # Caps -> Submodule
+    prime_radical: dict = field(default_factory=dict)  # Caps -> RadicalProfile
+    end_ring: dict = field(default_factory=dict)  # Caps -> EndRing
+    homs: dict = field(default_factory=dict)  # target module -> HomGroup
+    quotients: dict = field(default_factory=dict)  # Submodule -> (M/S, proj, section)
+    embeddings: dict = field(default_factory=dict)  # Submodule -> SubmoduleEmbedding
+    products: dict = field(default_factory=dict)  # (left, right) -> Submodule
+
+
+@functools.cache
+def analysis(module: FiniteModule) -> ModuleAnalysis:
+    """The one analysis of ``module`` and every module equal to it.
+
+    It lives as long as the process, not one instance or one suite run:
+    different corpus instances share modules (the regular module of a ring,
+    direct sums with it), and their checks reuse each other's answers.
+    """
+    return ModuleAnalysis()
 
 
 @dataclass(frozen=True)
@@ -680,25 +726,20 @@ def _module_from_presentation(ring, relation_rows, ambient_actions, s, name):
     return module, proj_mat, sect_mat
 
 
-_quotient_cache: dict = {}
-
-
 def quotient_with_section(module: FiniteModule, sub):
     """Quotient data (M/S, projection matrix, section matrix); the projection
     composed with the section is the identity on the quotient."""
-    key = (module, sub)
-    hit = _quotient_cache.get(key)
+    memo = analysis(module).quotients
+    hit = memo.get(sub)
     if hit is None:
-        s = module.ngens
         relation_rows = [list(r) for r in sub.subgroup.full_hnf]
-        hit = _module_from_presentation(
+        hit = memo[sub] = _module_from_presentation(
             module.ring,
             relation_rows,
             module.actions,
-            s,
+            module.ngens,
             name=f"{module.name}/{sub.describe()}",
         )
-        _quotient_cache[key] = hit
     return hit
 
 

@@ -1091,9 +1091,9 @@ class SuiteSummary:
         return 1 if self.counts["fail"] else 0
 
 
-def _run_one(args):
-    sid, instance, caps = args
-    return check_statement(sid, instance, caps)
+def _run_instance(args):
+    instance, ids, caps = args
+    return [check_statement(sid, instance, caps) for sid in ids]
 
 
 def run_suite(corpus: Corpus, ids=None, caps=DEFAULT_CAPS, jobs: int = 1) -> SuiteSummary:
@@ -1103,16 +1103,16 @@ def run_suite(corpus: Corpus, ids=None, caps=DEFAULT_CAPS, jobs: int = 1) -> Sui
     for sid in ids:
         if sid not in STATEMENTS:
             raise ValueError(f"unknown statement id {sid!r}")
-    tasks = [
-        (sid, instance, caps) for instance in corpus.instances for sid in ids
-    ]
+    # One task per instance, so a worker builds each instance's analyses once.
+    tasks = [(instance, ids, caps) for instance in corpus.instances]
     if jobs > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_one, tasks, chunksize=4))
+            blocks = list(pool.map(_run_instance, tasks))
     else:
-        reports = [_run_one(t) for t in tasks]
+        blocks = map(_run_instance, tasks)
+    reports = [r for block in blocks for r in block]
     counts = {"pass": 0, "fail": 0, "hypothesis_not_met": 0, "skipped": 0}
     for r in reports:
         counts[r.outcome] += 1

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from operator import mul
 
-from .algebra import FiniteRing, FiniteModule, ModuleElement, validate_ring
+from .algebra import FiniteRing, FiniteModule, ModuleElement, analysis, validate_ring
 from .config import DEFAULT_CAPS, CapExceeded
 from .intlat import CanonicalSubgroup, IntMatrix, solve_homogeneous_congruences
 from .lattice import Submodule
@@ -75,20 +76,14 @@ def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
     """f after g."""
     if g.target != f.source:
         raise ValueError("maps are not composable")
-    t = f.target.ngens
-    m = f.source.ngens
-    s = g.source.ngens
-    e = f.target.inv_factors
-    rows = []
-    for k in range(t):
-        frow = f.matrix[k]
-        rows.append(
-            tuple(
-                sum(frow[l] * g.matrix[l][j] for l in range(m)) % e[k]
-                for j in range(s)
-            )
-        )
-    return Homomorphism(g.source, f.target, tuple(rows))
+    # A map into a zero module has no rows, yet has one (empty) column per
+    # source generator.
+    cols = list(zip(*g.matrix)) or [()] * g.source.ngens
+    rows = tuple(
+        tuple(sum(map(mul, frow, col)) % ek for col in cols)
+        for frow, ek in zip(f.matrix, f.target.inv_factors)
+    )
+    return Homomorphism(g.source, f.target, rows)
 
 
 def apply(f: Homomorphism, x: ModuleElement) -> ModuleElement:
@@ -156,9 +151,6 @@ class HomGroup:
         return self.subgroup.contains(f.flatten())
 
 
-_hom_cache: dict = {}
-
-
 def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
     """Hom(M, N) as a finite abelian group of matrices.
 
@@ -169,8 +161,8 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
     """
     if source.ring != target.ring:
         raise ValueError("modules over different rings")
-    key = (source, target)
-    hit = _hom_cache.get(key)
+    memo = analysis(source).homs
+    hit = memo.get(target)
     if hit is not None:
         return hit
     s, d = source.ngens, source.inv_factors
@@ -224,7 +216,7 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
         group_invariants=sub.invariants,
         subgroup=sub,
     )
-    _hom_cache[key] = group
+    memo[target] = group
     return group
 
 
@@ -239,24 +231,6 @@ class EndRing:
     as_ring: FiniteRing
     gens_as_homs: tuple[Homomorphism, ...]
 
-    def element_to_hom(self, coeffs) -> Homomorphism:
-        t = self.module.ngens
-        e = self.module.inv_factors
-        acc = [[0] * t for _ in range(t)]
-        for c, h in zip(coeffs, self.gens_as_homs):
-            if c == 0:
-                continue
-            for k in range(t):
-                for j in range(t):
-                    acc[k][j] += c * h.matrix[k][j]
-        return Homomorphism.of(self.module, self.module, acc)
-
-    def hom_to_element(self, f: Homomorphism):
-        return hom_group(self.module, self.module).coords(f)
-
-
-_end_cache: dict = {}
-
 
 def end_ring(module: FiniteModule, caps=DEFAULT_CAPS) -> EndRing:
     """The endomorphism ring, with basis the invariant-factor generators of
@@ -265,8 +239,8 @@ def end_ring(module: FiniteModule, caps=DEFAULT_CAPS) -> EndRing:
     A zero module gets the one-element ring (rank 0), exempt from the unit
     requirement by convention.
     """
-    key = (module, caps)
-    hit = _end_cache.get(key)
+    memo = analysis(module).end_ring
+    hit = memo.get(caps)
     if hit is not None:
         return hit
     group = hom_group(module, module)
@@ -280,8 +254,7 @@ def end_ring(module: FiniteModule, caps=DEFAULT_CAPS) -> EndRing:
             labels=(),
             name=f"End({module.name})",
         )
-        out = EndRing(module=module, as_ring=ring, gens_as_homs=())
-        _end_cache[key] = out
+        out = memo[caps] = EndRing(module=module, as_ring=ring, gens_as_homs=())
         return out
     basis = group.smith_basis()
     rank = len(basis)
@@ -298,8 +271,7 @@ def end_ring(module: FiniteModule, caps=DEFAULT_CAPS) -> EndRing:
             name=f"End({module.name})",
         )
     )
-    out = EndRing(module=module, as_ring=ring, gens_as_homs=basis)
-    _end_cache[key] = out
+    out = memo[caps] = EndRing(module=module, as_ring=ring, gens_as_homs=basis)
     return out
 
 

@@ -225,20 +225,6 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     )
 
 
-def integer_kernel(a_rows, ncols) -> list[list[int]]:
-    """Basis (as rows) of {x in Z^n : A x = 0} for A given as list of rows."""
-    m = len(a_rows)
-    if m == 0:
-        return _identity_rows(ncols)
-    _, D, V, _ = _snf_with_transforms(a_rows)
-    basis = []
-    for j in range(ncols):
-        dj = D[j][j] if j < m else 0
-        if dj == 0:
-            basis.append([V[i][j] for i in range(ncols)])
-    return basis
-
-
 def hnf_rows(rows, ncols) -> list[list[int]]:
     """Row-style Hermite normal form of the lattice spanned by ``rows``.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FiniteModule, ModuleElement, quotient_module
+from .algebra import FiniteModule, ModuleElement, analysis, module_from_actions, quotient_module
 from .config import DEFAULT_CAPS, CapExceeded
 from .intlat import CanonicalSubgroup
 
@@ -143,13 +143,14 @@ def cyclic_submodule(module: FiniteModule, x) -> Submodule:
 
 def distinct_cyclic_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
     """All distinct cyclic submodules, in canonical order."""
-    if module.order > caps.max_module_order:
-        raise CapExceeded("module order", module.order, caps.max_module_order)
-    seen = {}
-    for x in module.elements():
-        c = cyclic_submodule(module, x)
-        seen.setdefault(c, None)
-    return sorted(seen.keys(), key=Submodule.sort_key)
+    memo = analysis(module).cyclics
+    hit = memo.get(caps)
+    if hit is None:
+        if module.order > caps.max_module_order:
+            raise CapExceeded("module order", module.order, caps.max_module_order)
+        seen = dict.fromkeys(cyclic_submodule(module, x) for x in module.elements())
+        hit = memo[caps] = tuple(sorted(seen, key=Submodule.sort_key))
+    return list(hit)
 
 
 class SubmoduleLattice:
@@ -179,9 +180,6 @@ class SubmoduleLattice:
     def index(self, sub: Submodule) -> int:
         return self._index[sub]
 
-    def leq(self, a: Submodule, b: Submodule) -> bool:
-        return a.le(b)
-
     def join(self, a: Submodule, b: Submodule) -> Submodule:
         key = (self._index[a], self._index[b])
         if key not in self._join:
@@ -194,31 +192,17 @@ class SubmoduleLattice:
             self._meet[key] = a.intersect(b)
         return self._meet[key]
 
-    def atoms(self):
-        """Minimal nonzero members."""
-        out = []
-        for s in self.members:
-            if s.is_zero():
-                continue
-            if not any(
-                t.order > 1 and t.order < s.order and t.le(s) for t in self.members
-            ):
-                out.append(s)
-        return out
-
-
-_lattice_cache: dict = {}
-
 
 def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS) -> SubmoduleLattice:
     """Enumerate every action-closed subgroup by closing the distinct cyclic
     submodules under joins."""
-    key = (module, caps)
-    hit = _lattice_cache.get(key)
+    memo = analysis(module).lattice
+    hit = memo.get(caps)
     if hit is not None:
         return hit
     cyclics = distinct_cyclic_submodules(module, caps)
-    zero = Submodule.zero(module)
+    # Cyclic members are the cyclics memo's own objects, so the two share them.
+    zero = cyclics[0]
     members = {zero: None}
     frontier = [zero]
     while frontier:
@@ -226,14 +210,13 @@ def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS) -> SubmoduleLattice:
         for c in cyclics:
             if c.le(cur):
                 continue
-            nxt = cur.sum(c)
+            nxt = c if cur is zero else cur.sum(c)
             if nxt not in members:
                 if len(members) >= caps.max_lattice:
                     raise CapExceeded("lattice members", len(members), caps.max_lattice)
                 members[nxt] = None
                 frontier.append(nxt)
-    lat = SubmoduleLattice(module, members.keys())
-    _lattice_cache[key] = lat
+    lat = memo[caps] = SubmoduleLattice(module, members.keys())
     return lat
 
 
@@ -265,6 +248,10 @@ def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
     from .homspace import Homomorphism
 
     M = sub.module
+    memo = analysis(M).embeddings
+    hit = memo.get(sub)
+    if hit is not None:
+        return hit
     group = sub.subgroup
     invariants = group.invariants
     gens = group.smith_gens
@@ -276,8 +263,6 @@ def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
             img = M.act_coeffs(_basis_coeffs(M.ring, i), gens[k])
             cols.append(group.coords(img))
         actions.append([[cols[k][a] for k in range(t)] for a in range(t)])
-    from .algebra import module_from_actions
-
     sub_mod = module_from_actions(
         M.ring, invariants, actions, name=f"{M.name}|{sub.describe()}"
     )
@@ -288,18 +273,16 @@ def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
             tuple(gens[k][j] for k in range(t)) for j in range(M.ngens)
         ),
     )
-    return SubmoduleEmbedding(M, sub_mod, incl, group)
-
-
-_fi_cache: dict = {}
+    hit = memo[sub] = SubmoduleEmbedding(M, sub_mod, incl, group)
+    return hit
 
 
 def fully_invariant_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
     """Lattice members stable under every endomorphism."""
     from .homspace import hom_group
 
-    key = (module, caps)
-    hit = _fi_cache.get(key)
+    memo = analysis(module).fully_invariant
+    hit = memo.get(caps)
     if hit is not None:
         return list(hit)
     lat = all_submodules(module, caps)
@@ -316,7 +299,7 @@ def fully_invariant_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
                 break
         if stable:
             out.append(s)
-    _fi_cache[key] = tuple(out)
+    memo[caps] = tuple(out)
     return out
 
 
@@ -400,8 +383,13 @@ def is_quasi_projective(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
     End(M) -> Hom(M, M/K) must be onto for every submodule K."""
     from .homspace import compose, hom_group
 
+    memo = analysis(module).quasi_projective
+    hit = memo.get(caps)
+    if hit is not None:
+        return hit
     lat = all_submodules(module, caps)
     end_gens = hom_group(module, module).generators
+    lifts = True
     for k_sub in lat:
         quot, proj = quotient_module(module, k_sub)
         full = hom_group(module, quot)
@@ -411,8 +399,10 @@ def is_quasi_projective(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
         )
         image = CanonicalSubgroup(moduli, rows)
         if image.order != full.order:
-            return False
-    return True
+            lifts = False
+            break
+    memo[caps] = lifts
+    return lifts
 
 
 @dataclass(frozen=True)

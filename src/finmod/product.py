@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import analysis
 from .config import DEFAULT_CAPS, CapExceeded
 from .homspace import (
     compose,
@@ -25,8 +26,6 @@ from .lattice import (
     submodule_as_module,
 )
 
-_product_cache: dict = {}
-
 
 def product(module, left: Submodule, right: Submodule) -> Submodule:
     """Submodule generated by the images of ``left`` under every map from the
@@ -35,8 +34,9 @@ def product(module, left: Submodule, right: Submodule) -> Submodule:
     Generated by {f(n)} with f ranging over the Hom-group generators and n
     over the basis of ``left``; linearity makes this span the full sum.
     """
-    key = (module, left, right)
-    hit = _product_cache.get(key)
+    memo = analysis(module).products
+    key = (left, right)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     if left.module != module or right.module != module:
@@ -52,7 +52,7 @@ def product(module, left: Submodule, right: Submodule) -> Submodule:
             for row in left.basis:
                 rows.append(f.apply_vec(row))
         out = Submodule.span(module, rows)
-    _product_cache[key] = out
+    memo[key] = out
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import analysis
 from .config import DEFAULT_CAPS, CapExceeded
 from .homspace import Homomorphism, hom_group, kernel
 from .intlat import CanonicalSubgroup, IntMatrix, solve_homogeneous_congruences
@@ -73,10 +74,15 @@ def r_rel(module, outer: Submodule, inner: Submodule, caps=DEFAULT_CAPS) -> Subm
 def ell(module, caps=DEFAULT_CAPS) -> Submodule:
     """The largest locally nilpotent submodule: the sum of all nilpotent
     cyclic submodules."""
+    memo = analysis(module).ell
+    hit = memo.get(caps)
+    if hit is not None:
+        return hit
     out = Submodule.zero(module)
     for c in distinct_cyclic_submodules(module, caps):
         if nilpotency_index(module, c) is not None:
             out = out.sum(c)
+    memo[caps] = out
     return out
 
 
@@ -133,6 +139,10 @@ class RadicalProfile:
 
 def prime_radical(module, caps=DEFAULT_CAPS) -> RadicalProfile:
     """Intersection of all prime submodules, with the full radical profile."""
+    memo = analysis(module).prime_radical
+    hit = memo.get(caps)
+    if hit is not None:
+        return hit
     fis = fully_invariant_submodules(module, caps)
     primes = []
     semiprimes = []
@@ -158,7 +168,7 @@ def prime_radical(module, caps=DEFAULT_CAPS) -> RadicalProfile:
             ell_loc_nil = is_locally_nilpotent(module, ell_sub, caps=caps)
         except CapExceeded:
             ell_loc_nil = None
-    return RadicalProfile(
+    profile = memo[caps] = RadicalProfile(
         ell=ell_sub,
         prime_radical=radical,
         primes=tuple(primes),
@@ -167,6 +177,7 @@ def prime_radical(module, caps=DEFAULT_CAPS) -> RadicalProfile:
         no_primes=no_primes,
         ell_locally_nilpotent=ell_loc_nil,
     )
+    return profile
 
 
 @dataclass(frozen=True)

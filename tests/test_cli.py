@@ -247,5 +247,6 @@ class TestVerifyCommand:
         assert len(paths) == 1
         ring, module = parse_instance(paths[0])
         assert module == corpus.instances[0].module
-        text = open(paths[0]).read()
+        with open(paths[0]) as f:
+            text = f.read()
         assert "# statement: THM-MAIN" in text and "# witness: <g0>" in text

@@ -177,6 +177,15 @@ class TestKernelImage:
         assert image(f) == two_m
         assert compose(f, f).is_zero()
 
+    def test_compose_through_zero_module(self):
+        m = regular_module(zn_ring(2))
+        m2, _, _ = direct_sum(m, m)
+        zero, _ = quotient_module(m2, Submodule.full(m2))
+        assert zero.ngens == 0
+        through = compose(Homomorphism.zero(zero, m2), Homomorphism.zero(m2, zero))
+        assert through.matrix == ((0, 0), (0, 0))
+        assert compose(Homomorphism.zero(m2, zero), Homomorphism.zero(zero, m2)).matrix == ()
+
 
 class TestNilpotentEndo:
     def test_zero_map(self):

@@ -15,7 +15,6 @@ from finmod.intlat import (
     IntMatrix,
     hnf_canonical,
     hnf_rows,
-    integer_kernel,
     snf,
     solve_homogeneous_congruences,
 )
@@ -113,17 +112,6 @@ def _det(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * _det(minor)
     return total
-
-
-class TestKernel:
-    def test_simple(self):
-        basis = integer_kernel([[1, 2]], 2)
-        assert len(basis) == 1
-        x = basis[0]
-        assert x[0] + 2 * x[1] == 0 and any(x)
-
-    def test_full_rank(self):
-        assert integer_kernel([[1, 0], [0, 1]], 2) == []
 
 
 class TestHnfCanonical:
