@@ -81,6 +81,7 @@ from .lattice import (
     cyclic_submodule,
     fully_invariant_submodules,
     is_goldie,
+    is_projective_relative,
     is_quasi_projective,
     is_retractable,
     socle,
@@ -92,7 +93,9 @@ from .oracle import (
     OracleBudget,
     brute_all_submodules,
     brute_ell,
+    brute_fully_invariant_submodules,
     brute_hom_group,
+    brute_is_quasi_projective,
     brute_prime_radical,
     brute_product,
 )

@@ -142,9 +142,6 @@ class FiniteRing:
         for coeffs in itertools.product(*[range(m) for m in self.add_orders]):
             yield RingElement(self, coeffs)
 
-    def basis_label(self, i: int) -> str:
-        return self.labels[i] if self.labels else f"b{i}"
-
     def __hash__(self):
         return self.__dict__.get("_hash") or _cache_hash(
             self, (self.add_orders, self.struct, self.unit, self.labels)
@@ -510,7 +507,8 @@ class ModuleAnalysis:
     lattice: dict = field(default_factory=dict)  # Caps -> SubmoduleLattice
     cyclics: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
     fully_invariant: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
-    quasi_projective: dict = field(default_factory=dict)  # Caps -> bool
+    annihilators: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
+    projective: dict = field(default_factory=dict)  # (target module, Caps) -> bool
     ell: dict = field(default_factory=dict)  # Caps -> Submodule
     prime_radical: dict = field(default_factory=dict)  # Caps -> RadicalProfile
     end_ring: dict = field(default_factory=dict)  # Caps -> EndRing
@@ -518,6 +516,7 @@ class ModuleAnalysis:
     quotients: dict = field(default_factory=dict)  # Submodule -> (M/S, proj, section)
     embeddings: dict = field(default_factory=dict)  # Submodule -> SubmoduleEmbedding
     products: dict = field(default_factory=dict)  # (left, right) -> Submodule
+    summands: tuple | None = None  # (a, b) when built as a direct sum a (+) b
 
 
 @functools.cache
@@ -568,14 +567,6 @@ def act(r: RingElement, x: ModuleElement) -> ModuleElement:
     if x.module.ring != r.ring:
         raise ValueError("ring element does not act on this module")
     return ModuleElement(x.module, x.module.act_coeffs(r.coeffs, x.coeffs))
-
-
-def add(x: ModuleElement, y: ModuleElement) -> ModuleElement:
-    return x + y
-
-
-def neg(x: ModuleElement) -> ModuleElement:
-    return -x
 
 
 def _mat_mod_rows(mat, inv_factors):
@@ -757,7 +748,9 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
     """Direct sum with block actions, renormalized to invariant-factor form.
 
     Returns (module, (inj_a, inj_b), (proj_a, proj_b)); the injections and
-    projections satisfy proj_i . inj_j = delta_ij.
+    projections satisfy proj_i . inj_j = delta_ij.  When both summands are
+    nonzero, the analysis of the sum records them, so that relative
+    projectivity can be decided summand by summand.
     """
     from .homspace import Homomorphism
 
@@ -809,4 +802,7 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
             for j in range(sb)
         ),
     )
+    if a.order > 1 and b.order > 1:
+        info = analysis(total)
+        info.summands = info.summands or (a, b)
     return total, (inj_a, inj_b), (proj_a, proj_b)

@@ -534,23 +534,27 @@ def _check_zpn(instance, caps):
     return 1, None, f"p={p} n={n}"
 
 
-def _check_lsumas(instance, caps):
-    m = instance.module
-    exercised = 0
+def _quasi_projective_sums(m, caps):
+    """(partner, M (+) partner, its injections) for the partners M and R
+    whose sum with M is within the caps and quasi-projective."""
+    from .lattice import is_quasi_projective
+
     partners = [m]
     reg = regular_module(m.ring)
     if reg != m:
         partners.append(reg)
-    from .lattice import is_quasi_projective
-
     for other in partners:
         if m.order * other.order > caps.max_module_order:
             continue
-        total, (ia, ib), _ = direct_sum(m, other)
-        if _end_order(total) > caps.max_hom_elements:
-            continue
-        if not is_quasi_projective(total, caps):
-            continue
+        total, injections, _ = direct_sum(m, other)
+        if _end_order(total) <= caps.max_hom_elements and is_quasi_projective(total, caps):
+            yield other, total, injections
+
+
+def _check_lsumas(instance, caps):
+    m = instance.module
+    exercised = 0
+    for other, total, (ia, ib) in _quasi_projective_sums(m, caps):
         lhs = ell(total, caps)
         rhs = _push(m, total, ia, ell(m, caps)).sum(
             _push(other, total, ib, ell(other, caps))
@@ -565,21 +569,8 @@ def _check_semiprime_dirsum(instance, caps):
     m = instance.module
     if m.order == 1:
         return 0, None, "zero module"
-    from .lattice import is_quasi_projective
-
     exercised = 0
-    partners = [m]
-    reg = regular_module(m.ring)
-    if reg != m:
-        partners.append(reg)
-    for other in partners:
-        if m.order * other.order > caps.max_module_order:
-            continue
-        total, _, _ = direct_sum(m, other)
-        if _end_order(total) > caps.max_hom_elements:
-            continue
-        if not is_quasi_projective(total, caps):
-            continue
+    for other, total, _ in _quasi_projective_sums(m, caps):
         sp_total = is_semiprime_submodule(total, Submodule.zero(total), caps)[0]
         sp_parts = (
             is_semiprime_submodule(m, Submodule.zero(m), caps)[0]
@@ -876,15 +867,6 @@ def _check_main(instance, caps):
     return exercised, None, ""
 
 
-def _check_primenilgoldie(instance, caps):
-    profile = prime_radical(instance.module, caps)
-    if profile.no_primes:
-        return 0, "empty prime spectrum", ""
-    if profile.nilpotency_of_radical is None:
-        return 0, profile.prime_radical.describe(), ""
-    return 1, None, f"index={profile.nilpotency_of_radical}"
-
-
 @dataclass(frozen=True)
 class StatementSpec:
     hypotheses: tuple[str, ...]
@@ -1003,7 +985,7 @@ STATEMENTS: dict[str, StatementSpec] = {
         "fully invariant nil submodules are nilpotent", _check_main),
     "COR-PRIMENILGOLDIE": StatementSpec(
         ("quasi_projective", "retractable", "goldie"),
-        "the prime radical is nilpotent", _check_primenilgoldie),
+        "the prime radical is nilpotent", _check_prnilnet),
 }
 
 assert tuple(STATEMENTS) == STATEMENT_IDS

@@ -51,10 +51,9 @@ class Homomorphism:
         )
 
     def apply_vec(self, vec) -> tuple[int, ...]:
-        e = self.target.inv_factors
         return tuple(
-            sum(r * v for r, v in zip(row, vec)) % e[k]
-            for k, row in enumerate(self.matrix)
+            sum(map(mul, row, vec)) % ek
+            for row, ek in zip(self.matrix, self.target.inv_factors)
         )
 
     def apply(self, x: ModuleElement) -> ModuleElement:

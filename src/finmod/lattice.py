@@ -159,9 +159,6 @@ class SubmoduleLattice:
     def __init__(self, module: FiniteModule, members):
         self.module = module
         self.members = tuple(sorted(members, key=Submodule.sort_key))
-        self._index = {s: i for i, s in enumerate(self.members)}
-        self._join = {}
-        self._meet = {}
 
     def __iter__(self):
         return iter(self.members)
@@ -169,55 +166,37 @@ class SubmoduleLattice:
     def __len__(self):
         return len(self.members)
 
-    @property
-    def zero(self) -> Submodule:
-        return self.members[0]
-
-    @property
-    def top(self) -> Submodule:
-        return self.members[-1]
-
-    def index(self, sub: Submodule) -> int:
-        return self._index[sub]
-
-    def join(self, a: Submodule, b: Submodule) -> Submodule:
-        key = (self._index[a], self._index[b])
-        if key not in self._join:
-            self._join[key] = a.sum(b)
-        return self._join[key]
-
-    def meet(self, a: Submodule, b: Submodule) -> Submodule:
-        key = (self._index[a], self._index[b])
-        if key not in self._meet:
-            self._meet[key] = a.intersect(b)
-        return self._meet[key]
-
 
 def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS) -> SubmoduleLattice:
     """Enumerate every action-closed subgroup by closing the distinct cyclic
     submodules under joins."""
     memo = analysis(module).lattice
     hit = memo.get(caps)
-    if hit is not None:
-        return hit
-    cyclics = distinct_cyclic_submodules(module, caps)
-    # Cyclic members are the cyclics memo's own objects, so the two share them.
-    zero = cyclics[0]
+    if hit is None:
+        # Cyclic members are the cyclics memo's own objects, so the two share them.
+        members = _join_closure(distinct_cyclic_submodules(module, caps), caps, "lattice members")
+        hit = memo[caps] = SubmoduleLattice(module, members)
+    return hit
+
+
+def _join_closure(generators, caps, what):
+    """Every sum of the given submodules, ``generators[0]`` being the zero
+    submodule; raises CapExceeded past ``caps.max_lattice`` members."""
+    zero = generators[0]
     members = {zero: None}
     frontier = [zero]
     while frontier:
         cur = frontier.pop()
-        for c in cyclics:
+        for c in generators:
             if c.le(cur):
                 continue
             nxt = c if cur is zero else cur.sum(c)
             if nxt not in members:
                 if len(members) >= caps.max_lattice:
-                    raise CapExceeded("lattice members", len(members), caps.max_lattice)
+                    raise CapExceeded(what, len(members), caps.max_lattice)
                 members[nxt] = None
                 frontier.append(nxt)
-    lat = memo[caps] = SubmoduleLattice(module, members.keys())
-    return lat
+    return members.keys()
 
 
 class SubmoduleEmbedding:
@@ -278,29 +257,26 @@ def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
 
 
 def fully_invariant_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
-    """Lattice members stable under every endomorphism."""
+    """Submodules stable under every endomorphism, in canonical order.
+
+    A fully invariant submodule is the sum of the End-closures of its cyclic
+    submodules, and the End-closure of C is spanned by f(x) over the End
+    generators f and a basis x of C.  So these are the sums of the closures
+    of the distinct cyclics; ``caps.max_lattice`` bounds their number.
+    """
     from .homspace import hom_group
 
     memo = analysis(module).fully_invariant
     hit = memo.get(caps)
-    if hit is not None:
-        return list(hit)
-    lat = all_submodules(module, caps)
-    gens = hom_group(module, module).generators
-    out = []
-    for s in lat:
-        stable = True
-        for e in gens:
-            for row in s.basis:
-                if not s.contains(e.apply_vec(row)):
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            out.append(s)
-    memo[caps] = tuple(out)
-    return out
+    if hit is None:
+        gens = hom_group(module, module).generators
+        closures = dict.fromkeys(
+            Submodule.from_subgroup_rows(module, {f.apply_vec(x) for f in gens for x in c.basis})
+            for c in distinct_cyclic_submodules(module, caps)
+        )
+        members = _join_closure(list(closures), caps, "fully invariant members")
+        hit = memo[caps] = tuple(sorted(members, key=Submodule.sort_key))
+    return list(hit)
 
 
 def socle(module: FiniteModule, caps=DEFAULT_CAPS) -> Submodule:
@@ -342,26 +318,17 @@ def annihilator_lattice(module: FiniteModule, caps=DEFAULT_CAPS):
     End(M)}: closure of the endomorphism kernels under intersection, plus M."""
     from .homspace import hom_group, kernel
 
-    end = hom_group(module, module)
-    if end.order > caps.max_hom_elements:
-        raise CapExceeded("endomorphism count", end.order, caps.max_hom_elements)
-    kernels = {Submodule.full(module): None}
-    for f in end.elements():
-        kernels.setdefault(kernel(f), None)
-    # close under pairwise intersection
-    work = list(kernels.keys())
-    while True:
-        new = []
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                m = work[i].intersect(work[j])
-                if m not in kernels:
-                    kernels[m] = None
-                    new.append(m)
-        if not new:
-            break
-        work = list(kernels.keys())
-    return sorted(kernels.keys(), key=Submodule.sort_key)
+    memo = analysis(module).annihilators
+    hit = memo.get(caps)
+    if hit is None:
+        end = hom_group(module, module)
+        if end.order > caps.max_hom_elements:
+            raise CapExceeded("endomorphism count", end.order, caps.max_hom_elements)
+        family = {Submodule.full(module): None}
+        for k in dict.fromkeys(kernel(f) for f in end.elements()):
+            family.update(dict.fromkeys([s.intersect(k) for s in family]))
+        hit = memo[caps] = tuple(sorted(family, key=Submodule.sort_key))
+    return list(hit)
 
 
 def is_retractable(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
@@ -379,30 +346,44 @@ def is_retractable(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
 
 
 def is_quasi_projective(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
-    """Lifting property against the module's own quotients: the restriction
-    End(M) -> Hom(M, M/K) must be onto for every submodule K."""
+    """Lifting property against the module's own quotients."""
+    return is_projective_relative(module, module, caps)
+
+
+def is_projective_relative(x: FiniteModule, y: FiniteModule, caps=DEFAULT_CAPS) -> bool:
+    """Whether x is y-projective: the map Hom(x, y) -> Hom(x, y/K) must be
+    onto for every submodule K of y.
+
+    A direct sum is N-projective iff each summand is, and A is
+    (N1 (+) N2)-projective iff it is N1- and N2-projective (Anderson & Fuller,
+    Rings and Categories of Modules, 16.10 and 16.12), so a side recorded as
+    a direct sum is split instead of enumerating its lattice.
+    """
+    x_parts, y_parts = analysis(x).summands, analysis(y).summands
+    memo = analysis(x).projective
+    hit = memo.get((y, caps))
+    if hit is None:
+        if x_parts:
+            hit = all(is_projective_relative(a, y, caps) for a in x_parts)
+        elif y_parts:
+            hit = all(is_projective_relative(x, b, caps) for b in y_parts)
+        else:
+            hit = _lifts_to_quotients(x, y, caps)
+        memo[(y, caps)] = hit
+    return hit
+
+
+def _lifts_to_quotients(x, y, caps):
     from .homspace import compose, hom_group
 
-    memo = analysis(module).quasi_projective
-    hit = memo.get(caps)
-    if hit is not None:
-        return hit
-    lat = all_submodules(module, caps)
-    end_gens = hom_group(module, module).generators
-    lifts = True
-    for k_sub in lat:
-        quot, proj = quotient_module(module, k_sub)
-        full = hom_group(module, quot)
-        rows = [compose(proj, e).flatten() for e in end_gens]
-        moduli = tuple(
-            d for d in quot.inv_factors for _ in range(module.ngens)
-        )
-        image = CanonicalSubgroup(moduli, rows)
-        if image.order != full.order:
-            lifts = False
-            break
-    memo[caps] = lifts
-    return lifts
+    gens = hom_group(x, y).generators
+    for k_sub in all_submodules(y, caps):
+        quot, proj = quotient_module(y, k_sub)
+        rows = [compose(proj, h).flatten() for h in gens]
+        moduli = tuple(d for d in quot.inv_factors for _ in range(x.ngens))
+        if CanonicalSubgroup(moduli, rows).order != hom_group(x, quot).order:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -55,29 +55,19 @@ def _vec_add(a, b, orders):
     return tuple((x + y) % d for x, y, d in zip(a, b, orders))
 
 
-def _element_order(vec, orders):
-    from math import gcd, lcm
-
-    out = 1
-    for v, d in zip(vec, orders):
-        out = lcm(out, d // gcd(v, d))
-    return out
-
-
 def _subgroup_closure(seed, orders):
+    """The subgroup generated by ``seed``, adjoining one element at a time:
+    H + <s> is every h + k*s."""
     zero = tuple(0 for _ in orders)
     group = {zero}
-    frontier = [s for s in seed]
-    for s in frontier:
-        group.add(tuple(x % d for x, d in zip(s, orders)))
-    frontier = list(group)
-    while frontier:
-        cur = frontier.pop()
-        for g in list(group):
-            nxt = _vec_add(cur, g, orders)
-            if nxt not in group:
-                group.add(nxt)
-                frontier.append(nxt)
+    for s in seed:
+        s = tuple(x % d for x, d in zip(s, orders))
+        if s in group:
+            continue
+        multiples = [zero, s]
+        while (nxt := _vec_add(multiples[-1], s, orders)) != zero:
+            multiples.append(nxt)
+        group = {_vec_add(h, m, orders) for h in group for m in multiples}
     return frozenset(group)
 
 
@@ -269,19 +259,32 @@ def brute_ell(module: FiniteModule, budget: OracleBudget = DEFAULT_BUDGET) -> Su
     )
 
 
+def _elems_of(sub: Submodule):
+    return frozenset(e.coeffs for e in sub.elements())
+
+
+def brute_fully_invariant_submodules(
+    module: FiniteModule, budget: OracleBudget = DEFAULT_BUDGET
+):
+    """Submodules that every endomorphism maps into themselves, checked on
+    every element."""
+    _check_module(module, budget)
+    endos = brute_hom_group(module, module, budget)
+    out = []
+    for s in brute_all_submodules(module, budget):
+        es = _elems_of(s)
+        if all(f.apply_vec(x) in es for f in endos for x in es):
+            out.append(s)
+    return out
+
+
 def brute_prime_radical(
     module: FiniteModule, budget: OracleBudget = DEFAULT_BUDGET
 ) -> Submodule:
     """Intersection of all prime submodules, fully definitionally."""
     _check_module(module, budget)
-    subs = brute_all_submodules(module, budget)
-    endos = brute_hom_group(module, module, budget)
-    elems_of = {s: frozenset(e.coeffs for e in s.elements()) for s in subs}
-    fi = []
-    for s in subs:
-        es = elems_of[s]
-        if all(f.apply_vec(x) in es for f in endos for x in es):
-            fi.append(s)
+    fi = brute_fully_invariant_submodules(module, budget)
+    elems_of = {s: _elems_of(s) for s in fi}
     products = {}
     for n in fi:
         for k in fi:
@@ -311,3 +314,70 @@ def brute_prime_radical(
     for p in primes[1:]:
         acc = acc & elems_of[p]
     return Submodule.from_subgroup_rows(module, sorted(acc))
+
+
+def brute_is_quasi_projective(
+    module: FiniteModule, budget: OracleBudget = DEFAULT_BUDGET
+) -> bool:
+    """Lifting checked map by map: for every submodule K, every map
+    M -> M/K is an endomorphism followed by the projection.
+
+    A map is fixed by the images y_i of ring-module generators x_i of M; a
+    choice of cosets y_i + K is a map M -> M/K iff every relation
+    sum r_i x_i = 0 sends sum r_i y_i into K.  The endomorphisms are the
+    choices for K = 0, and the lifts are their images modulo K.
+    """
+    _check_module(module, budget)
+    orders = module.inv_factors
+    zero = tuple(0 for _ in orders)
+    cyclic = {x: _brute_cyclic(module, x) for x in _elements(module)}
+    gens, span = [], frozenset({zero})
+    while len(span) < module.order:
+        # |S + Rx| = |S| |Rx| / |S & Rx|: take the x that grows the span most
+        x = max(cyclic, key=lambda x: len(cyclic[x]) / len(cyclic[x] & span))
+        gens.append(x)
+        span = _subgroup_closure(span | cyclic[x], orders)
+    scalars = [r.coeffs for r in module.ring.elements()]
+    if len(scalars) ** len(gens) > budget.max_hom_enumeration:
+        raise BudgetExceeded(
+            "relation candidates", len(scalars) ** len(gens), budget.max_hom_enumeration
+        )
+
+    def combine(coeffs, vecs):
+        out = zero
+        for r, v in zip(coeffs, vecs):
+            out = _vec_add(out, module.act_coeffs(r, v), orders)
+        return out
+
+    relations = [
+        rs
+        for rs in itertools.product(scalars, repeat=len(gens))
+        if any(any(r) for r in rs) and combine(rs, gens) == zero
+    ]
+
+    def maps_modulo(k_elems):
+        """Coset representative of each element, and every choice of
+        generator images (as representatives) that is a map M -> M/K."""
+        rep = {}
+        for x in _elements(module):
+            if x not in rep:
+                coset = [_vec_add(x, k, orders) for k in k_elems]
+                low = min(coset)
+                rep.update(dict.fromkeys(coset, low))
+        reps = sorted(set(rep.values()))
+        if len(reps) ** len(gens) > budget.max_hom_enumeration:
+            raise BudgetExceeded(
+                "hom candidates", len(reps) ** len(gens), budget.max_hom_enumeration
+            )
+        return rep, {
+            ys
+            for ys in itertools.product(reps, repeat=len(gens))
+            if all(combine(rs, ys) in k_elems for rs in relations)
+        }
+
+    _, endos = maps_modulo(frozenset({zero}))
+    for sub in brute_all_submodules(module, budget):
+        rep, maps = maps_modulo(_elems_of(sub))
+        if {tuple(rep[y] for y in ys) for ys in endos} != maps:
+            return False
+    return True

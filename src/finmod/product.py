@@ -129,16 +129,16 @@ def nilpotency_index(module, base: Submodule) -> int | None:
 class NilVerdict:
     is_nil: bool
     witness: tuple | None  # (generator coefficients, endomorphism) on False
-    bounded: bool  # True when the Hom groups were too large to enumerate
 
 
 def is_nil_submodule(module, sub: Submodule, caps=DEFAULT_CAPS) -> NilVerdict:
     """Whether every map from the ambient module into each cyclic submodule
     of ``sub`` is nilpotent.
 
-    Enumerates the Hom group into each cyclic when small enough; otherwise
-    falls back to testing generators and their bounded products, flagged as a
-    bounded verdict.
+    Enumerates the Hom group into each cyclic when small enough.  A larger
+    group is searched only through its generators and their bounded
+    products: a non-nilpotent one among them still decides False, but if
+    none is found the answer is unknown and CapExceeded is raised.
     """
     seen = {}
     for x in sub.elements():
@@ -148,20 +148,22 @@ def is_nil_submodule(module, sub: Submodule, caps=DEFAULT_CAPS) -> NilVerdict:
         if c in seen:
             continue
         seen[c] = x.coeffs
-    bounded = False
+    too_large = 0
     for c, rep in seen.items():
         emb = submodule_as_module(c)
         group = hom_group(module, emb.module)
         if group.order <= caps.max_hom_elements:
             candidates = (compose(emb.inclusion, f) for f in group.elements())
         else:
-            bounded = True
+            too_large = max(too_large, group.order)
             candidates = _bounded_products(group, module, emb)
         for endo in candidates:
             nil, _ = is_nilpotent_endo(endo)
             if not nil:
-                return NilVerdict(False, (rep, endo), bounded)
-    return NilVerdict(True, None, bounded)
+                return NilVerdict(False, (rep, endo))
+    if too_large:
+        raise CapExceeded("hom elements", too_large, caps.max_hom_elements)
+    return NilVerdict(True, None)
 
 
 def _bounded_products(group, module, emb):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import analysis
 from .config import DEFAULT_CAPS, CapExceeded
 from .homspace import Homomorphism, hom_group, kernel
-from .intlat import CanonicalSubgroup, IntMatrix, solve_homogeneous_congruences
+from .intlat import IntMatrix, solve_homogeneous_congruences
 from .lattice import (
     Submodule,
     distinct_cyclic_submodules,
@@ -24,7 +24,9 @@ from .lattice import (
     is_quasi_projective,
     submodule_as_module,
 )
-from .product import is_locally_nilpotent, is_nil_submodule, nilpotency_index, power_trace, product
+from .product import (
+    is_locally_nilpotent, is_nil_submodule, nilpotency_index, power, power_trace, product,
+)
 
 
 def ann_left(module, sub: Submodule) -> Submodule:
@@ -243,21 +245,10 @@ def subm_sequence(module, sub: Submodule, max_k: int = 8, caps=DEFAULT_CAPS) -> 
 def annihilator_chain_index(module, sub: Submodule) -> int:
     """Least k at which the ascending chain of annihilators of the powers
     stabilizes: ann(N^k) = ann(N^(k+1))."""
-    trace = power_trace(module, sub)
-
-    def power_at(exponent):
-        if exponent <= len(trace.chain):
-            return trace.chain[exponent - 1]
-        kind, idx = trace.terminal
-        if kind == "zero":
-            return Submodule.zero(module)
-        period = len(trace.chain) - idx + 1
-        return trace.chain[idx - 1 + (exponent - idx) % period]
-
     k = 1
-    prev = ann_left(module, power_at(1))
+    prev = ann_left(module, sub)
     while True:
-        nxt = ann_left(module, power_at(k + 1))
+        nxt = ann_left(module, power(module, sub, k + 1))
         if nxt == prev:
             return k
         prev = nxt
@@ -266,53 +257,27 @@ def annihilator_chain_index(module, sub: Submodule) -> int:
 
 def end_left_annihilator(module, vectors):
     """Endomorphisms vanishing on the given elements, as a subgroup of the
-    endomorphism group; returns (generators, subgroup)."""
+    endomorphism group; returns (generators, subgroup).
+
+    In the flattened matrix coordinates of ``hom_group``, f(v) = 0 is one
+    congruence per target coordinate, and the answer is the meet of its
+    solutions with End(M)."""
     s = module.ngens
     d = module.inv_factors
-    end = hom_group(module, module)
-    nvars = s * s
-    rows = []
-    row_moduli = []
-    # linear system: being an endomorphism, plus vanishing on each vector
-    for i in range(module.ring.rank):
-        a = module.actions[i]
-        for k in range(s):
-            for j in range(s):
-                r = [0] * nvars
-                for l in range(s):
-                    if a[l][j]:
-                        r[k * s + l] += a[l][j]
-                for l in range(s):
-                    if a[k][l]:
-                        r[l * s + j] -= a[k][l]
-                if any(v % d[k] for v in r):
-                    rows.append([v % d[k] for v in r])
-                    row_moduli.append(d[k])
-    for k in range(s):
-        for j in range(s):
-            if d[j] % d[k]:
-                r = [0] * nvars
-                r[k * s + j] = d[j]
-                rows.append(r)
-                row_moduli.append(d[k])
-    for vec in vectors:
-        for k in range(s):
-            r = [0] * nvars
-            for j in range(s):
-                if vec[j]:
-                    r[k * s + j] = vec[j] % d[k]
-            rows.append(r)
-            row_moduli.append(d[k])
-    col_moduli = tuple(d[k] for k in range(s) for _ in range(s))
-    if nvars == 0:
-        sub = CanonicalSubgroup((), [])
-    else:
+    end = hom_group(module, module).subgroup
+    rows = [
+        [v % d[k] if t == k else 0 for t in range(s) for v in vec]
+        for vec in vectors
+        for k in range(s)
+    ]
+    sub = end
+    if rows:
         sol = solve_homogeneous_congruences(
-            IntMatrix.from_rows(rows, nvars) if rows else IntMatrix.zeros(0, nvars),
-            row_moduli,
-            col_moduli,
+            IntMatrix.from_rows(rows, s * s),
+            [d[k] for _ in vectors for k in range(s)],
+            end.moduli,
         )
-        sub = sol.subgroup
+        sub = end.intersect(sol.subgroup)
     gens = [
         Homomorphism(
             module,
@@ -321,7 +286,6 @@ def end_left_annihilator(module, vectors):
         )
         for g in sub.basis
     ]
-    assert all(end.contains(g) for g in gens)
     return gens, sub
 
 

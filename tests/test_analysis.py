@@ -44,7 +44,7 @@ def test_small_caps_raise_before_and_after_a_default_call():
         with pytest.raises(CapExceeded):
             query(m, small)
     assert small not in analysis(m).lattice
-    assert small not in analysis(m).quasi_projective
+    assert (m, small) not in analysis(m).projective
 
 
 @pytest.mark.parametrize("query", [distinct_cyclic_submodules, fully_invariant_submodules])

@@ -5,6 +5,7 @@ suite."""
 import pytest
 
 from finmod.algebra import (
+    analysis,
     cyclic_module,
     direct_sum,
     quotient_module,
@@ -12,11 +13,16 @@ from finmod.algebra import (
     triangular_ring,
     zn_ring,
 )
+from finmod.config import DEFAULT_CAPS
+from finmod.harness import generate_corpus
 from finmod.homspace import hom_group
 from finmod.lattice import (
     Submodule,
     all_submodules,
     cyclic_submodule,
+    fully_invariant_submodules,
+    is_projective_relative,
+    is_quasi_projective,
     submodule_as_module,
 )
 from finmod.oracle import (
@@ -24,7 +30,9 @@ from finmod.oracle import (
     OracleBudget,
     brute_all_submodules,
     brute_ell,
+    brute_fully_invariant_submodules,
     brute_hom_group,
+    brute_is_quasi_projective,
     brute_product,
     brute_prime_radical,
 )
@@ -156,3 +164,85 @@ class TestBruteRadicals:
     def test_prime_radical_matches_main_path(self):
         for m in small_modules():
             assert brute_prime_radical(m) == prime_radical(m).prime_radical
+
+
+def _small_direct_sums():
+    """The distinct M (+) M, M (+) R and R (+) R of order at most 64, built
+    with ``direct_sum`` so the fast path splits them; Z2 (+) Z4 over Z4 is not
+    quasi-projective."""
+    out = {}
+    ring4 = zn_ring(4)
+    for m in (
+        z4(),
+        z6(),
+        cyclic_module(ring4, 2),
+        regular_module(zn_ring(8)),
+        regular_module(triangular_ring(2, 2)),
+    ):
+        reg = regular_module(m.ring)
+        for a, b in ((m, m), (m, reg), (reg, reg)):
+            if a.order * b.order <= 64:
+                out.setdefault(direct_sum(a, b)[0], None)
+    return list(out)
+
+
+@pytest.fixture(scope="module")
+def oracle_scale_modules():
+    corpus = generate_corpus(0, budget=110)
+    return [i.module for i in corpus.instances if i.module.order <= 256] + _small_direct_sums()
+
+
+class TestBruteFullyInvariant:
+    def test_examples(self):
+        assert len(brute_fully_invariant_submodules(z4())) == 3
+        t2 = regular_module(triangular_ring(2, 2))
+        fis = sorted(brute_fully_invariant_submodules(t2), key=Submodule.sort_key)
+        assert [s.order for s in fis] == [1, 2, 4, 4, 8]
+
+    def test_matches_main_path(self, oracle_scale_modules):
+        compared = 0
+        for m in oracle_scale_modules:
+            try:
+                brute = sorted(brute_fully_invariant_submodules(m), key=Submodule.sort_key)
+            except BudgetExceeded:
+                continue
+            assert brute == fully_invariant_submodules(m), m.name
+            compared += 1
+        assert compared >= 60
+
+
+class TestBruteQuasiProjective:
+    def test_examples(self):
+        ring4 = zn_ring(4)
+        assert brute_is_quasi_projective(z4())
+        assert brute_is_quasi_projective(cyclic_module(ring4, 2))
+        mixed, _, _ = direct_sum(cyclic_module(ring4, 2), regular_module(ring4))
+        assert not brute_is_quasi_projective(mixed)
+        zero_mod, _ = quotient_module(z4(), Submodule.full(z4()))
+        assert brute_is_quasi_projective(zero_mod)
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceeded):
+            brute_is_quasi_projective(z6(), OracleBudget(max_hom_enumeration=2))
+
+    def test_matches_main_path(self, oracle_scale_modules):
+        compared = {True: 0, False: 0}
+        for m in oracle_scale_modules:
+            try:
+                brute = brute_is_quasi_projective(m)
+            except BudgetExceeded:
+                continue
+            assert brute == is_quasi_projective(m), m.name
+            compared[brute] += 1
+        assert compared[True] >= 60 and compared[False] >= 5, compared
+        assert not all(is_quasi_projective(m) for m in _small_direct_sums())
+
+    def test_sum_is_split_into_relative_projectivity(self):
+        ring4 = zn_ring(4)
+        two, four = cyclic_module(ring4, 2), regular_module(ring4)
+        mixed, _, _ = direct_sum(two, four)
+        assert analysis(mixed).summands == (two, four)
+        assert is_projective_relative(four, two) and is_projective_relative(two, two)
+        assert not is_projective_relative(two, four)
+        assert not is_quasi_projective(mixed)
+        assert (four, DEFAULT_CAPS) in analysis(two).projective

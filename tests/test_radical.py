@@ -1,10 +1,12 @@
 """Annihilators, the locally nilpotent radical, and prime structure."""
 
 import itertools
+import time
 
 import pytest
 
 from finmod.algebra import (
+    analysis,
     cyclic_module,
     direct_sum,
     matrix_ring,
@@ -13,7 +15,8 @@ from finmod.algebra import (
     triangular_ring,
     zn_ring,
 )
-from finmod.homspace import hom_group
+from finmod.config import DEFAULT_CAPS
+from finmod.homspace import compose, hom_group
 from finmod.lattice import (
     Submodule,
     all_submodules,
@@ -248,6 +251,23 @@ class TestPrimeRadical:
         assert profile.prime_radical == j
         assert profile.nilpotency_of_radical == 2
         assert sorted(p.order for p in profile.primes) == [4, 4]
+
+    def test_free_triangular_cube_without_its_lattice(self):
+        # T2(Z2)^3 has order 512 and a lattice past the default cap; its
+        # radical needs only the fully invariant lattice and the summands
+        r = t2()
+        sq, (a1, a2), _ = direct_sum(r, r)
+        cube, (b1, b2), _ = direct_sum(sq, r)
+        start = time.perf_counter()
+        profile = prime_radical(cube)
+        assert time.perf_counter() - start < 20
+        j = cyclic_submodule(r, (0, 1, 0))
+        expected = Submodule.zero(cube)
+        for inj in (compose(b1, a1), compose(b1, a2), b2):
+            expected = expected.sum(Submodule.span(cube, [inj.apply_vec(x) for x in j.basis]))
+        assert profile.prime_radical == expected
+        assert profile.nilpotency_of_radical == 2
+        assert DEFAULT_CAPS not in analysis(cube).lattice
 
     def test_radical_is_intersection_of_primes(self):
         for m in [z4(), z6(), t2(), regular_module(matrix_ring(2, 2))]:
