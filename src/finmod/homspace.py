@@ -94,7 +94,7 @@ def image(f: Homomorphism) -> Submodule:
         [f.matrix[k][j] for k in range(f.target.ngens)]
         for j in range(f.source.ngens)
     ]
-    return Submodule.span(f.target, cols)
+    return Submodule.from_subgroup_rows(f.target, cols)
 
 
 def kernel(f: Homomorphism) -> Submodule:

@@ -11,6 +11,7 @@ deterministic and minimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .algebra import FiniteModule, ModuleElement, analysis, module_from_actions, quotient_module
 from .config import DEFAULT_CAPS, CapExceeded
@@ -29,11 +30,8 @@ class Submodule:
     @classmethod
     def span(cls, module: FiniteModule, generator_rows) -> "Submodule":
         """Smallest submodule containing the given element vectors."""
-        closed = []
-        for g in generator_rows:
-            g = module.reduce(g)
-            for i in range(module.ring.rank):
-                closed.append(module.act_coeffs(_basis_coeffs(module.ring, i), g))
+        acts = module.actions
+        closed = [[sum(map(mul, row, g)) for row in mat] for g in generator_rows for mat in acts]
         return cls(module, CanonicalSubgroup(module.inv_factors, closed))
 
     @classmethod
@@ -128,10 +126,6 @@ class Submodule:
 
     def __repr__(self):
         return f"Submodule({self.describe()}, order={self.order})"
-
-
-def _basis_coeffs(ring, i):
-    return tuple(1 if t == i else 0 for t in range(ring.rank))
 
 
 def cyclic_submodule(module: FiniteModule, x) -> Submodule:
@@ -235,13 +229,11 @@ def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
     invariants = group.invariants
     gens = group.smith_gens
     t = len(invariants)
-    actions = []
-    for i in range(M.ring.rank):
-        cols = []
-        for k in range(t):
-            img = M.act_coeffs(_basis_coeffs(M.ring, i), gens[k])
-            cols.append(group.coords(img))
-        actions.append([[cols[k][a] for k in range(t)] for a in range(t)])
+    # column k of each action matrix holds the coordinates of mat @ gens[k]
+    actions = [
+        list(zip(*[group.coords([sum(map(mul, row, g)) for row in mat]) for g in gens]))
+        for mat in M.actions
+    ]
     sub_mod = module_from_actions(
         M.ring, invariants, actions, name=f"{M.name}|{sub.describe()}"
     )
@@ -294,19 +286,20 @@ def uniform_dimension(module: FiniteModule, caps=DEFAULT_CAPS) -> int:
     return _socle_data(module, caps)[1]
 
 
+def _simple_submodules(module: FiniteModule, caps):
+    """Nonzero distinct cyclics with no smaller nonzero cyclic inside; a
+    non-simple one contains a simple one of smaller order, which comes first."""
+    simples = []
+    for c in distinct_cyclic_submodules(module, caps):
+        if not c.is_zero() and not any(s.le(c) for s in simples):
+            simples.append(c)
+    return simples
+
+
 def _socle_data(module: FiniteModule, caps):
-    cyclics = distinct_cyclic_submodules(module, caps)
-    atoms = []
-    for c in cyclics:
-        if c.order == 1:
-            continue
-        if all(
-            cyclic_submodule(module, e) == c for e in c.elements() if not e.is_zero()
-        ):
-            atoms.append(c)
     total = Submodule.zero(module)
     count = 0
-    for a in atoms:
+    for a in _simple_submodules(module, caps):
         if not a.le(total):
             total = total.sum(a)
             count += 1
@@ -332,17 +325,14 @@ def annihilator_lattice(module: FiniteModule, caps=DEFAULT_CAPS):
 
 
 def is_retractable(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
-    """Nonzero maps into every nonzero submodule."""
+    """Nonzero maps into every nonzero submodule.  Each contains a simple S,
+    and a nonzero map into S is one into it, so the simples S suffice."""
     from .homspace import hom_group
 
-    lat = all_submodules(module, caps)
-    for s in lat:
-        if s.is_zero():
-            continue
-        emb = submodule_as_module(s)
-        if hom_group(module, emb.module).order == 1:
-            return False
-    return True
+    return all(
+        hom_group(module, submodule_as_module(s).module).order > 1
+        for s in _simple_submodules(module, caps)
+    )
 
 
 def is_quasi_projective(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:

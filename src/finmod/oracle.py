@@ -381,3 +381,16 @@ def brute_is_quasi_projective(
         if {tuple(rep[y] for y in ys) for ys in endos} != maps:
             return False
     return True
+
+
+def brute_is_retractable(module: FiniteModule, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
+    """Every nonzero submodule S receives a nonzero map, checked member by
+    member; a map into S is an endomorphism with generator images in S."""
+    _check_module(module, budget)
+    endos = brute_hom_group(module, module, budget)
+    images = [list(zip(*f.matrix)) for f in endos if not f.is_zero()]
+    for sub in brute_all_submodules(module, budget):
+        es = _elems_of(sub)
+        if not sub.is_zero() and not any(all(c in es for c in cols) for cols in images):
+            return False
+    return True

@@ -32,7 +32,9 @@ def product(module, left: Submodule, right: Submodule) -> Submodule:
     ambient module into ``right``.
 
     Generated by {f(n)} with f ranging over the Hom-group generators and n
-    over the basis of ``left``; linearity makes this span the full sum.
+    over the basis of ``left``; linearity makes this span the full sum.  A
+    sum of images of a submodule under module maps is a submodule, so the
+    rows need no closing under the ring action.
     """
     memo = analysis(module).products
     key = (left, right)
@@ -51,7 +53,7 @@ def product(module, left: Submodule, right: Submodule) -> Submodule:
             f = compose(emb.inclusion, g)
             for row in left.basis:
                 rows.append(f.apply_vec(row))
-        out = Submodule.span(module, rows)
+        out = Submodule.from_subgroup_rows(module, rows)
     memo[key] = out
     return out
 

@@ -1,8 +1,11 @@
 """Submodule lattices, fully invariant members, and module predicates."""
 
+import time
+
 import pytest
 
 from finmod.algebra import (
+    analysis,
     cyclic_module,
     direct_sum,
     matrix_ring,
@@ -311,6 +314,19 @@ class TestPredicates:
         d, _, _ = direct_sum(cyclic_module(ring, 2), regular_module(ring))
         profile = is_goldie(d)
         assert profile.is_goldie and not profile.is_quasi_projective
+
+    def test_goldie_profile_of_free_triangular_cube_without_its_lattice(self):
+        # T2(Z2)^3 has order 512; retractability and the uniform dimension
+        # need only its simple submodules, quasi-projectivity its summands
+        r = regular_module(triangular_ring(2, 2))
+        cube = direct_sum(direct_sum(r, r)[0], r)[0]
+        start = time.perf_counter()
+        profile = is_goldie(cube)
+        assert time.perf_counter() - start < 20
+        assert profile.is_retractable and profile.is_quasi_projective
+        assert profile.uniform_dim == 6
+        assert profile.annihilator_lattice_size is None
+        assert not analysis(cube).lattice
 
 
 class TestSubmoduleAsModule:

@@ -23,6 +23,7 @@ from finmod.lattice import (
     fully_invariant_submodules,
     is_projective_relative,
     is_quasi_projective,
+    is_retractable,
     submodule_as_module,
 )
 from finmod.oracle import (
@@ -33,6 +34,7 @@ from finmod.oracle import (
     brute_fully_invariant_submodules,
     brute_hom_group,
     brute_is_quasi_projective,
+    brute_is_retractable,
     brute_product,
     brute_prime_radical,
 )
@@ -190,6 +192,43 @@ def _small_direct_sums():
 def oracle_scale_modules():
     corpus = generate_corpus(0, budget=110)
     return [i.module for i in corpus.instances if i.module.order <= 256] + _small_direct_sums()
+
+
+class TestBruteRetractable:
+    def test_examples(self):
+        assert brute_is_retractable(z4())
+        assert brute_is_retractable(regular_module(triangular_ring(2, 2)))
+        zero_mod, _ = quotient_module(z4(), Submodule.full(z4()))
+        assert brute_is_retractable(zero_mod)
+        # the ideal spanned by e12 and e22 has one simple submodule, spanned
+        # by e12, and no nonzero map into it
+        t2 = regular_module(triangular_ring(2, 2))
+        ideal = submodule_as_module(Submodule.span(t2, [(0, 1, 0), (0, 0, 1)])).module
+        assert not brute_is_retractable(ideal)
+
+    def test_a_later_simple_submodule_decides(self):
+        # T3(Z2)/<e11, e12> has two simple submodules; only the second in
+        # canonical order receives no nonzero map
+        t3 = regular_module(triangular_ring(3, 2))
+        e11, e12 = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)
+        quot, _ = quotient_module(t3, Submodule.span(t3, [e11, e12]))
+        assert not brute_is_retractable(quot)
+        assert not is_retractable(quot)
+
+    def test_matches_main_path(self, oracle_scale_modules):
+        compared = {True: 0, False: []}
+        for m in oracle_scale_modules:
+            try:
+                brute = brute_is_retractable(m)
+            except BudgetExceeded:
+                continue
+            assert brute == is_retractable(m), m.name
+            if brute:
+                compared[True] += 1
+            else:
+                compared[False].append(m.name)
+        # the corpus instance T2(Z2)-ideal4
+        assert compared[True] >= 60 and "T2(Z2) regular|<e12, e22>" in compared[False], compared
 
 
 class TestBruteFullyInvariant:

@@ -1,6 +1,7 @@
 """Submodule product, powers, and nilpotency notions."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,7 +14,8 @@ from finmod.algebra import (
     zn_ring,
 )
 from finmod.config import CapExceeded
-from finmod.homspace import Homomorphism, compose, hom_group
+from finmod.harness import _push, generate_corpus
+from finmod.homspace import Homomorphism, compose, hom_group, image
 from finmod.lattice import (
     Submodule,
     all_submodules,
@@ -257,3 +259,44 @@ class TestLocallyNilpotent:
             nilpotents = [s for s in lat if nilpotency_index(m, s) is not None]
             for a, b in itertools.product(nilpotents, repeat=2):
                 assert nilpotency_index(m, a.sum(b)) is not None
+
+
+def _maps_out_of(m, rng):
+    """An End element, a projection onto a quotient and a direct-sum
+    injection, each a module map out of m."""
+    end = hom_group(m, m)
+    yield end.from_coords([rng.randrange(d) for d in end.group_invariants])
+    subs = list(all_submodules(m))
+    yield quotient_module(m, rng.choice(subs))[1]
+    yield direct_sum(m, m)[1][rng.randrange(2)]
+
+
+def test_images_and_products_need_no_action_closure():
+    """The additive rows an image or a product is built from already span a
+    submodule: closing them under the ring action changes nothing."""
+    rng = random.Random(0)
+    checked = 0
+    for inst in generate_corpus(0, budget=110).instances:
+        m = inst.module
+        if m.order > 64:
+            continue
+        lat = list(all_submodules(m))
+        for f in _maps_out_of(m, rng):
+            x = f.target
+            assert image(f) == Submodule.span(x, list(zip(*f.matrix)))
+            for n_sub in rng.sample(lat, min(3, len(lat))):
+                rows = [f.apply_vec(r) for r in n_sub.basis]
+                pushed = _push(f, n_sub)
+                assert pushed == Submodule.span(x, rows)
+                right = image(f)
+                if right.is_zero():
+                    continue
+                emb = submodule_as_module(right)
+                rows = [
+                    compose(emb.inclusion, g).apply_vec(r)
+                    for g in hom_group(x, emb.module).generators
+                    for r in pushed.basis
+                ]
+                assert product(x, pushed, right) == Submodule.span(x, rows)
+                checked += 1
+    assert checked >= 200
