@@ -285,16 +285,8 @@ def _print_profile(module, caps):
     print(f"retractable = {str(profile.is_retractable).lower()}")
     print(f"goldie = {str(profile.is_goldie).lower()}")
     print(f"uniform_dim = {profile.uniform_dim}")
-    print(
-        "acc_annihilators = "
-        f"{str(profile.satisfies_acc_annihilators).lower()}"
-        + (
-            f" (annihilator lattice size {profile.annihilator_lattice_size})"
-            if profile.annihilator_lattice_size is not None
-            else ""
-        )
-    )
-    print(f"noetherian = {str(profile.is_noetherian).lower()}")
+    size = profile.annihilator_lattice_size
+    print(f"annihilator_lattice_size = {'none' if size is None else size}")
 
 
 def _cmd_validate(args, caps):

@@ -378,24 +378,23 @@ def _lifts_to_quotients(x, y, caps):
 
 @dataclass(frozen=True)
 class PredicateProfile:
-    """Predicate summary for one module; finite modules are always noetherian
-    and always satisfy the ascending chain condition on annihilators."""
+    """Predicate summary for one module.  A finite module is always Goldie
+    and noetherian, with the ascending chain condition on annihilators, so
+    ``is_goldie`` is always True."""
 
     is_quasi_projective: bool
     is_retractable: bool
     is_goldie: bool
     uniform_dim: int
-    satisfies_acc_annihilators: bool
-    is_noetherian: bool
     annihilator_lattice_size: int | None = None
 
 
 def is_goldie(module: FiniteModule, caps=DEFAULT_CAPS) -> PredicateProfile:
     """Assemble the predicate profile.
 
-    The chain condition is recorded with evidence (the finite kernel
-    intersection poset) rather than assumed; finiteness of the uniform
-    dimension is automatic.
+    The size of the finite kernel intersection poset is recorded as
+    evidence for the chain condition, or None past the caps; finiteness of
+    the uniform dimension is automatic.
     """
     try:
         ann_size = len(annihilator_lattice(module, caps))
@@ -406,7 +405,5 @@ def is_goldie(module: FiniteModule, caps=DEFAULT_CAPS) -> PredicateProfile:
         is_retractable=is_retractable(module, caps),
         is_goldie=True,
         uniform_dim=uniform_dimension(module, caps),
-        satisfies_acc_annihilators=True,
-        is_noetherian=True,
         annihilator_lattice_size=ann_size,
     )

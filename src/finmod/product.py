@@ -22,6 +22,7 @@ from .homspace import (
 from .lattice import (
     Submodule,
     cyclic_submodule,
+    distinct_cyclic_submodules,
     is_quasi_projective,
     submodule_as_module,
 )
@@ -142,16 +143,8 @@ def is_nil_submodule(module, sub: Submodule, caps=DEFAULT_CAPS) -> NilVerdict:
     products: a non-nilpotent one among them still decides False, but if
     none is found the answer is unknown and CapExceeded is raised.
     """
-    seen = {}
-    for x in sub.elements():
-        if x.is_zero():
-            continue
-        c = cyclic_submodule(module, x)
-        if c in seen:
-            continue
-        seen[c] = x.coeffs
     too_large = 0
-    for c, rep in seen.items():
+    for c in _cyclics_inside(module, sub, caps):
         emb = submodule_as_module(c)
         group = hom_group(module, emb.module)
         if group.order <= caps.max_hom_elements:
@@ -162,10 +155,16 @@ def is_nil_submodule(module, sub: Submodule, caps=DEFAULT_CAPS) -> NilVerdict:
         for endo in candidates:
             nil, _ = is_nilpotent_endo(endo)
             if not nil:
+                rep = next(x.coeffs for x in c.elements() if cyclic_submodule(module, x) == c)
                 return NilVerdict(False, (rep, endo))
     if too_large:
         raise CapExceeded("hom elements", too_large, caps.max_hom_elements)
     return NilVerdict(True, None)
+
+
+def _cyclics_inside(module, sub, caps):
+    """The nonzero distinct cyclic submodules of ``sub``, in canonical order."""
+    return [c for c in distinct_cyclic_submodules(module, caps) if not c.is_zero() and c.le(sub)]
 
 
 def _bounded_products(group, module, emb):
@@ -209,17 +208,9 @@ def is_locally_nilpotent(
         return True
     if not force_definitional and is_quasi_projective(module, caps):
         return nilpotency_index(module, sub) is not None
-    cyclics = {}
-    for x in sub.elements():
-        if x.is_zero():
-            continue
-        c = cyclic_submodule(module, x)
-        cyclics.setdefault(c, None)
-        if len(cyclics) > subset_cap:
-            raise CapExceeded("cyclic generators", len(cyclics), subset_cap)
-    cyclics = sorted(cyclics.keys(), key=Submodule.sort_key)
-    if not cyclics:
-        return True
+    cyclics = _cyclics_inside(module, sub, caps)
+    if len(cyclics) > subset_cap:
+        raise CapExceeded("cyclic generators", len(cyclics), subset_cap)
     states = set(cyclics)
     bound = composition_length(module)
     for _level in range(2, bound + 1):

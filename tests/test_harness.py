@@ -54,7 +54,6 @@ class TestCorpus:
     def test_profiles_precomputed(self, corpus12):
         for inst in corpus12.instances:
             assert inst.profile.is_goldie
-            assert inst.profile.is_noetherian
 
     def test_instances_self_consistent(self, corpus12):
         from finmod.algebra import validate_module, validate_ring
@@ -140,6 +139,25 @@ class TestSearch:
     def test_invalid_drop_rejected(self, corpus12):
         with pytest.raises(ValueError):
             search_counterexamples("LEM-FPROD", "retractable", corpus12)
+        with pytest.raises(ValueError):
+            search_counterexamples("THM-MAIN", "goldie", corpus12)
+
+    def test_cap_exceeded_is_skipped(self, corpus12):
+        from finmod.config import CapExceeded, Caps
+        from finmod.lattice import all_submodules
+
+        tiny = Caps(max_lattice=2)
+        mixed = next(i for i in corpus12.instances if i.name == "Z2+Z4-over-Z4")
+        with pytest.raises(CapExceeded) as exc:
+            all_submodules(mixed.module, tiny)
+        checked = check_statement("LEM-PRODDIRSUMM", mixed, tiny)
+        searched = search_counterexamples(
+            "LEM-FPROD", "quasi_projective", Corpus(seed=0, instances=(mixed,)), tiny
+        )
+        for report in [checked, *searched]:
+            assert report.outcome == "skipped"
+            assert report.detail == str(exc.value)
+        assert len(searched) == 1
 
 
 def test_catalog_is_complete():

@@ -305,8 +305,6 @@ class TestPredicates:
         assert profile.is_quasi_projective
         assert profile.is_retractable
         assert profile.uniform_dim == 1
-        assert profile.satisfies_acc_annihilators
-        assert profile.is_noetherian
         assert profile.annihilator_lattice_size == 3
 
     def test_goldie_profile_mixed(self):
