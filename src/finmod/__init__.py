@@ -75,7 +75,6 @@ from .intlat import (
 from .lattice import (
     PredicateProfile,
     Submodule,
-    SubmoduleLattice,
     all_submodules,
     annihilator_lattice,
     cyclic_submodule,

@@ -504,11 +504,12 @@ class ModuleAnalysis:
     Lists are stored as tuples and handed out as fresh lists.
     """
 
-    lattice: dict = field(default_factory=dict)  # Caps -> SubmoduleLattice
+    lattice: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
     cyclics: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
     fully_invariant: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
     annihilators: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
     projective: dict = field(default_factory=dict)  # (target module, Caps) -> bool
+    retractable: dict = field(default_factory=dict)  # Caps -> bool
     ell: dict = field(default_factory=dict)  # Caps -> Submodule
     prime_radical: dict = field(default_factory=dict)  # Caps -> RadicalProfile
     end_ring: dict = field(default_factory=dict)  # Caps -> EndRing
@@ -575,14 +576,7 @@ def _mat_mod_rows(mat, inv_factors):
     )
 
 
-def _mat_mul(a, b, s):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(s)) for j in range(s)]
-        for i in range(s)
-    ]
-
-
-def _mat_mul_rect(a, b):
+def _mat_mul(a, b):
     inner = len(b)
     width = len(b[0]) if inner else 0
     return [
@@ -627,7 +621,7 @@ def validate_module(ring: FiniteRing, module: FiniteModule) -> FiniteModule:
         raise UnitNotIdentity("unit does not act as the identity")
     for i in range(ring.rank):
         for j in range(ring.rank):
-            composite = _mat_mul(module.actions[i], module.actions[j], s)
+            composite = _mat_mul(module.actions[i], module.actions[j])
             expanded = [[0] * s for _ in range(s)]
             for k, c in enumerate(ring.struct[i][j]):
                 if c == 0:
@@ -696,25 +690,22 @@ def _module_from_presentation(ring, relation_rows, ambient_actions, s, name):
     induced action; returns (module, projection matrix, section matrix)."""
     nf = finite_presentation(relation_rows, s)
     t = len(nf.invariants)
-    proj = [list(p) for p in nf.projection]  # t x s
-    sect = [list(row) for row in nf.section]  # s x t
+    proj = nf.projection  # t x s, reduced
     new_actions = []
     for mat in ambient_actions:
-        lifted = _mat_mul_rect([list(r) for r in mat], sect) if s else []
-        new = [
-            [
+        lifted = _mat_mul(mat, nf.section)  # section is s x t
+        new = tuple(
+            tuple(
                 sum(proj[k][a] * lifted[a][j] for a in range(s)) % nf.invariants[k]
                 for j in range(t)
-            ]
+            )
             for k in range(t)
-        ]
+        )
         new_actions.append(new)
-    module = module_from_actions(ring, nf.invariants, new_actions, name=name)
-    proj_mat = tuple(
-        tuple(proj[k][j] % nf.invariants[k] for j in range(s)) for k in range(t)
-    )
-    sect_mat = tuple(tuple(sect[j][k] for k in range(t)) for j in range(s))
-    return module, proj_mat, sect_mat
+    # The induced action on a quotient is a module action with reduced
+    # entries, so the module is built without validation.
+    module = FiniteModule(ring, nf.invariants, tuple(new_actions), name=name)
+    return module, proj, nf.section
 
 
 def quotient_with_section(module: FiniteModule, sub):

@@ -50,6 +50,14 @@ class Homomorphism:
             tuple(tuple(1 if k == j else 0 for j in range(s)) for k in range(s)),
         )
 
+    @classmethod
+    def from_flat(cls, source, target, flat) -> "Homomorphism":
+        """The map whose ``flatten`` is ``flat``: matrix row k is
+        flat[k*s:(k+1)*s] for s source generators."""
+        s = source.ngens
+        rows = tuple(tuple(flat[k * s:(k + 1) * s]) for k in range(target.ngens))
+        return cls(source, target, rows)
+
     def apply_vec(self, vec) -> tuple[int, ...]:
         return tuple(
             sum(map(mul, row, vec)) % ek
@@ -85,16 +93,12 @@ def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
     return Homomorphism(g.source, f.target, rows)
 
 
-def apply(f: Homomorphism, x: ModuleElement) -> ModuleElement:
-    return f.apply(x)
-
-
-def image(f: Homomorphism) -> Submodule:
-    cols = [
-        [f.matrix[k][j] for k in range(f.target.ngens)]
-        for j in range(f.source.ngens)
-    ]
-    return Submodule.from_subgroup_rows(f.target, cols)
+def image(f: Homomorphism, sub: Submodule | None = None) -> Submodule:
+    """f(sub), or the image of the whole source, as a submodule of the
+    target.  The images of an additive basis already span a submodule."""
+    if sub is None:
+        return Submodule.from_subgroup_rows(f.target, zip(*f.matrix))
+    return Submodule.from_subgroup_rows(f.target, [f.apply_vec(r) for r in sub.basis])
 
 
 def kernel(f: Homomorphism) -> Submodule:
@@ -122,29 +126,22 @@ class HomGroup:
     def order(self) -> int:
         return prod(self.group_invariants)
 
-    def _reshape(self, flat) -> Homomorphism:
-        s = self.source.ngens
-        t = self.target.ngens
-        return Homomorphism(
-            self.source,
-            self.target,
-            tuple(tuple(flat[k * s + j] for j in range(s)) for k in range(t)),
-        )
-
     def elements(self):
         """All homomorphisms, deterministically ordered."""
         for flat in self.subgroup.elements():
-            yield self._reshape(flat)
+            yield Homomorphism.from_flat(self.source, self.target, flat)
 
     def smith_basis(self) -> tuple[Homomorphism, ...]:
         """Generators realizing the invariant-factor decomposition."""
-        return tuple(self._reshape(g) for g in self.subgroup.smith_gens)
+        return tuple(
+            Homomorphism.from_flat(self.source, self.target, g) for g in self.subgroup.smith_gens
+        )
 
     def coords(self, f: Homomorphism) -> tuple[int, ...]:
         return self.subgroup.coords(f.flatten())
 
     def from_coords(self, coords) -> Homomorphism:
-        return self._reshape(self.subgroup.from_coords(coords))
+        return Homomorphism.from_flat(self.source, self.target, self.subgroup.from_coords(coords))
 
     def contains(self, f: Homomorphism) -> bool:
         return self.subgroup.contains(f.flatten())
@@ -204,14 +201,7 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
     group = HomGroup(
         source=source,
         target=target,
-        generators=tuple(
-            Homomorphism(
-                source,
-                target,
-                tuple(tuple(g[k * s + j] for j in range(s)) for k in range(t)),
-            )
-            for g in sub.basis
-        ),
+        generators=tuple(Homomorphism.from_flat(source, target, g) for g in sub.basis),
         group_invariants=sub.invariants,
         subgroup=sub,
     )

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import lcm, prod
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -441,6 +442,9 @@ class CanonicalSubgroup:
         return CanonicalSubgroup(self.moduli, (), meet)
 
     def _smith_data(self):
+        """(invariants, Smith generators, projection): the subgroup is Z^n
+        modulo the relations among its full HNF rows, and a generator of that
+        presentation, pushed through the rows, is a Smith generator."""
         if self._smith is None:
             n = len(self.moduli)
             # Relations x with sum x_i h_i = 0; lcm(moduli) * e_i is one.
@@ -449,20 +453,15 @@ class CanonicalSubgroup:
                 h + tuple(int(i == j) for j in range(n))
                 for i, h in enumerate(self.full_hnf)
             ]
-            rel_rows = _lower_block(graph, self.moduli, (exponent,) * n)
-            _, D, V, Vinv = _snf_with_transforms(rel_rows)
-            kept = [i for i in range(n) if D[i][i] > 1]
-            invariants = tuple(D[i][i] for i in kept)
-            gens = []
-            for i in kept:
-                coeffs = Vinv[i]
-                vec = tuple(
-                    sum(coeffs[k] * self.full_hnf[k][j] for k in range(n))
-                    % self.moduli[j]
-                    for j in range(n)
+            nf = finite_presentation(_lower_block(graph, self.moduli, (exponent,) * n), n)
+            gens = tuple(
+                tuple(
+                    sum(c * h[j] for c, h in zip(col, self.full_hnf)) % m
+                    for j, m in enumerate(self.moduli)
                 )
-                gens.append(vec)
-            self._smith = (invariants, tuple(gens), kept, V)
+                for col in zip(*nf.section)
+            )
+            self._smith = (nf.invariants, gens, nf.projection)
         return self._smith
 
     @property
@@ -477,20 +476,16 @@ class CanonicalSubgroup:
 
     def coords(self, vec):
         """Coordinates of a member in the invariant-factor decomposition."""
-        invariants, _, kept, V = self._smith_data()
+        invariants, _, projection = self._smith_data()
         x = self.express(vec)
         if x is None:
             raise ValueError("vector not in subgroup")
-        n = len(self.moduli)
-        return tuple(
-            sum(x[i] * V[i][k] for i in range(n)) % d for k, d in zip(kept, invariants)
-        )
+        return tuple(sum(map(mul, x, p)) % d for p, d in zip(projection, invariants))
 
     def from_coords(self, coords):
-        invariants, gens, _, _ = self._smith_data()
         n = len(self.moduli)
         out = [0] * n
-        for c, g in zip(coords, gens):
+        for c, g in zip(coords, self.smith_gens):
             for j in range(n):
                 out[j] += c * g[j]
         return tuple(x % m for x, m in zip(out, self.moduli))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .algebra import FiniteModule, ModuleElement, analysis, module_from_actions, quotient_module
+from .algebra import FiniteModule, ModuleElement, analysis, quotient_module
 from .config import DEFAULT_CAPS, CapExceeded
 from .intlat import CanonicalSubgroup
 
@@ -147,30 +147,16 @@ def distinct_cyclic_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
     return list(hit)
 
 
-class SubmoduleLattice:
-    """The full submodule lattice, closed under sum and intersection."""
-
-    def __init__(self, module: FiniteModule, members):
-        self.module = module
-        self.members = tuple(sorted(members, key=Submodule.sort_key))
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-
-def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS) -> SubmoduleLattice:
-    """Enumerate every action-closed subgroup by closing the distinct cyclic
-    submodules under joins."""
+def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
+    """Every action-closed subgroup, in canonical order, found by closing the
+    distinct cyclic submodules under joins."""
     memo = analysis(module).lattice
     hit = memo.get(caps)
     if hit is None:
         # Cyclic members are the cyclics memo's own objects, so the two share them.
         members = _join_closure(distinct_cyclic_submodules(module, caps), caps, "lattice members")
-        hit = memo[caps] = SubmoduleLattice(module, members)
-    return hit
+        hit = memo[caps] = tuple(sorted(members, key=Submodule.sort_key))
+    return list(hit)
 
 
 def _join_closure(generators, caps, what):
@@ -229,14 +215,14 @@ def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
     invariants = group.invariants
     gens = group.smith_gens
     t = len(invariants)
-    # column k of each action matrix holds the coordinates of mat @ gens[k]
-    actions = [
-        list(zip(*[group.coords([sum(map(mul, row, g)) for row in mat]) for g in gens]))
+    # column k of each action matrix holds the coordinates of mat @ gens[k];
+    # coordinates are reduced, and an action-closed subgroup is a module, so
+    # the module is built without validation
+    actions = tuple(
+        tuple(zip(*[group.coords([sum(map(mul, row, g)) for row in mat]) for g in gens]))
         for mat in M.actions
-    ]
-    sub_mod = module_from_actions(
-        M.ring, invariants, actions, name=f"{M.name}|{sub.describe()}"
     )
+    sub_mod = FiniteModule(M.ring, invariants, actions, name=f"{M.name}|{sub.describe()}")
     incl = Homomorphism(
         source=sub_mod,
         target=M,
@@ -329,10 +315,14 @@ def is_retractable(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
     and a nonzero map into S is one into it, so the simples S suffice."""
     from .homspace import hom_group
 
-    return all(
-        hom_group(module, submodule_as_module(s).module).order > 1
-        for s in _simple_submodules(module, caps)
-    )
+    memo = analysis(module).retractable
+    hit = memo.get(caps)
+    if hit is None:
+        hit = memo[caps] = all(
+            hom_group(module, submodule_as_module(s).module).order > 1
+            for s in _simple_submodules(module, caps)
+        )
+    return hit
 
 
 def is_quasi_projective(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:

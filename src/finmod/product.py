@@ -75,21 +75,23 @@ class PowerTrace:
     nesting_divergence: int | None
 
 
-def power_trace(module, base: Submodule) -> PowerTrace:
+def _left_powers(module, base: Submodule):
+    """(chain, terminal) of the left-nested powers of base, as in PowerTrace."""
     chain = [base]
     index_of = {base: 1}
-    terminal = None
-    while terminal is None:
+    while True:
         cur = chain[-1]
         if cur.is_zero():
-            terminal = ("zero", len(chain))
-            break
+            return chain, ("zero", len(chain))
         nxt = product(module, cur, base)
         if nxt in index_of:
-            terminal = ("cycle", index_of[nxt])
-            break
+            return chain, ("cycle", index_of[nxt])
         chain.append(nxt)
         index_of[nxt] = len(chain)
+
+
+def power_trace(module, base: Submodule) -> PowerTrace:
+    chain, terminal = _left_powers(module, base)
     divergence = None
     right = base
     for i in range(1, len(chain)):
@@ -109,22 +111,20 @@ def power(module, base: Submodule, exponent: int) -> Submodule:
     """Left-nested power; exponent 1 is the submodule itself."""
     if exponent < 1:
         raise ValueError("exponent must be at least 1")
-    trace = power_trace(module, base)
-    if exponent <= len(trace.chain):
-        return trace.chain[exponent - 1]
-    kind, idx = trace.terminal
+    chain, (kind, idx) = _left_powers(module, base)
+    if exponent <= len(chain):
+        return chain[exponent - 1]
     if kind == "zero":
         return Submodule.zero(module)
     # cycle: powers repeat with period len(chain) - idx + 1 from position idx
-    period = len(trace.chain) - idx + 1
+    period = len(chain) - idx + 1
     offset = (exponent - idx) % period
-    return trace.chain[idx - 1 + offset]
+    return chain[idx - 1 + offset]
 
 
 def nilpotency_index(module, base: Submodule) -> int | None:
     """Least exponent whose power vanishes, or None when the powers cycle."""
-    trace = power_trace(module, base)
-    kind, idx = trace.terminal
+    kind, idx = _left_powers(module, base)[1]
     return idx if kind == "zero" else None
 
 
@@ -188,12 +188,12 @@ def _bounded_products(group, module, emb):
         layer = nxt
 
 
+# Most cyclic generators the definitional locally-nilpotent test walks.
+_SUBSET_CAP = 64
+
+
 def is_locally_nilpotent(
-    module,
-    sub: Submodule,
-    subset_cap: int = 64,
-    caps=DEFAULT_CAPS,
-    force_definitional: bool = False,
+    module, sub: Submodule, caps=DEFAULT_CAPS, force_definitional: bool = False
 ) -> bool:
     """Uniform vanishing of ordered products of the cyclic submodules.
 
@@ -202,15 +202,16 @@ def is_locally_nilpotent(
     products of cyclic generators level by level, with the uniform length
     bounded by the composition length of the ambient module;
     ``force_definitional`` skips the reduction (useful when the reduction is
-    the claim under test).
+    the claim under test).  More than ``_SUBSET_CAP`` cyclics raise
+    CapExceeded.
     """
     if sub.is_zero():
         return True
     if not force_definitional and is_quasi_projective(module, caps):
         return nilpotency_index(module, sub) is not None
     cyclics = _cyclics_inside(module, sub, caps)
-    if len(cyclics) > subset_cap:
-        raise CapExceeded("cyclic generators", len(cyclics), subset_cap)
+    if len(cyclics) > _SUBSET_CAP:
+        raise CapExceeded("cyclic generators", len(cyclics), _SUBSET_CAP)
     states = set(cyclics)
     bound = composition_length(module)
     for _level in range(2, bound + 1):

@@ -37,11 +37,8 @@ def ann_left(module, sub: Submodule) -> Submodule:
     """
     if sub.module != module:
         raise ValueError("submodule of a different module")
-    emb = submodule_as_module(sub)
-    out = Submodule.full(module)
-    for g in hom_group(module, emb.module).generators:
-        out = out.intersect(kernel(g))
-    return out
+    target = submodule_as_module(sub).module
+    return kernel_intersection(module, hom_group(module, target).generators)
 
 
 def ann_right(module, sub: Submodule, caps=DEFAULT_CAPS) -> Submodule:
@@ -80,9 +77,16 @@ def ell(module, caps=DEFAULT_CAPS) -> Submodule:
     hit = memo.get(caps)
     if hit is not None:
         return hit
+    # Powers are monotone in the base, so a cyclic over one that is not
+    # nilpotent is not nilpotent either; one inside the sum adds nothing.
     out = Submodule.zero(module)
-    for c in distinct_cyclic_submodules(module, caps):
-        if nilpotency_index(module, c) is not None:
+    not_nilpotent = []
+    for c in sorted(distinct_cyclic_submodules(module, caps), key=Submodule.sort_key):
+        if c.le(out) or any(n.le(c) for n in not_nilpotent):
+            continue
+        if nilpotency_index(module, c) is None:
+            not_nilpotent.append(c)
+        else:
             out = out.sum(c)
     memo[caps] = out
     return out
@@ -188,14 +192,18 @@ class SubmSequence:
 
     diagnostics is ("complete", k), ("hypothesis_violated", j, witness) with
     witness the nonzero left annihilator slice (or the nil-test witness when
-    j = 0), or ("cap_reached", max_k).
+    j = 0), or ("cap_reached", _MAX_STEPS).
     """
 
     modules_a: tuple[Submodule, ...]
     diagnostics: tuple
 
 
-def subm_sequence(module, sub: Submodule, max_k: int = 8, caps=DEFAULT_CAPS) -> SubmSequence:
+# Most steps the orthogonal-sequence construction takes.
+_MAX_STEPS = 8
+
+
+def subm_sequence(module, sub: Submodule, caps=DEFAULT_CAPS) -> SubmSequence:
     """Attempt the inductive construction A_1 = r_N(N),
     A_{i+1} = r_N(A_1 * ... * A_i * N) for a fully invariant nil submodule
     with all left annihilator slices l_N(N^j) zero.
@@ -223,7 +231,7 @@ def subm_sequence(module, sub: Submodule, max_k: int = 8, caps=DEFAULT_CAPS) -> 
             )
     sequence = []
     prefix = None  # A_1 * ... * A_i
-    for _step in range(max_k):
+    for _step in range(_MAX_STEPS):
         if prefix is None:
             nxt = r_rel(module, sub, sub, caps)
         else:
@@ -239,7 +247,7 @@ def subm_sequence(module, sub: Submodule, max_k: int = 8, caps=DEFAULT_CAPS) -> 
                 raise ArithmeticError(
                     f"orthogonality contract failed at pair ({len(sequence)},{j + 1})"
                 )
-    return SubmSequence(modules_a=tuple(sequence), diagnostics=("cap_reached", max_k))
+    return SubmSequence(modules_a=tuple(sequence), diagnostics=("cap_reached", _MAX_STEPS))
 
 
 def annihilator_chain_index(module, sub: Submodule) -> int:
@@ -278,20 +286,14 @@ def end_left_annihilator(module, vectors):
             end.moduli,
         )
         sub = end.intersect(sol.subgroup)
-    gens = [
-        Homomorphism(
-            module,
-            module,
-            tuple(tuple(g[k * s + j] for j in range(s)) for k in range(s)),
-        )
-        for g in sub.basis
-    ]
+    gens = [Homomorphism.from_flat(module, module, g) for g in sub.basis]
     return gens, sub
 
 
-def kernel_intersection(module, endos) -> Submodule:
-    """Common kernel of a family of endomorphisms (all of M when empty)."""
+def kernel_intersection(module, maps) -> Submodule:
+    """Common kernel of a family of maps out of the module (all of it when
+    the family is empty)."""
     out = Submodule.full(module)
-    for f in endos:
+    for f in maps:
         out = out.intersect(kernel(f))
     return out

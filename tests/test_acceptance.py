@@ -19,6 +19,7 @@ from finmod.algebra import (
 )
 from finmod.harness import (
     STATEMENTS,
+    _rng_for,
     check_statement,
     generate_corpus,
     run_suite,
@@ -227,10 +228,12 @@ def test_criterion_6_end_ring_checks(corpus):
     for inst in corpus.instances:
         # conclusions checked directly on every instance, not behind the
         # hypothesis gate: finite endomorphism rings must satisfy both
-        macc = STATEMENTS["PROP-MACCSACC"].checker(inst, DEFAULT_CAPS)
+        sid = "PROP-MACCSACC"
+        macc = STATEMENTS[sid].checker(inst.module, _rng_for(sid, inst), DEFAULT_CAPS)
         if macc[1] is not None:
             failures.append((inst.name, "acc on right annihilators", macc[1]))
-        gol = STATEMENTS["LEM-MGOLSGOL"].checker(inst, DEFAULT_CAPS)
+        sid = "LEM-MGOLSGOL"
+        gol = STATEMENTS[sid].checker(inst.module, _rng_for(sid, inst), DEFAULT_CAPS)
         if gol[1] is not None:
             failures.append((inst.name, "right Goldie", gol[1]))
     elapsed = time.perf_counter() - start

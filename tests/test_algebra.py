@@ -289,3 +289,22 @@ def test_pickled_module_hashes_like_fresh_one():
     assert hash(back) == hash(fresh) == hash(m)
     assert hash(back.ring) == hash(fresh.ring)
     assert len({m: 1, back: 2, fresh: 3}) == 1
+
+
+def test_derived_modules_are_valid_by_construction():
+    """Quotients, direct sums and submodules are built without validation;
+    every one the corpus gives rise to still passes it."""
+    from finmod.harness import generate_corpus
+    from finmod.lattice import all_submodules, submodule_as_module
+
+    checked = 0
+    for inst in generate_corpus(0, 110).instances:
+        m = inst.module
+        derived = [direct_sum(m, m)[0], direct_sum(m, regular_module(m.ring))[0]]
+        for sub in all_submodules(m):
+            derived.append(quotient_module(m, sub)[0])
+            derived.append(submodule_as_module(sub).module)
+        for d in derived:
+            assert validate_module(m.ring, d) is d
+        checked += len(derived)
+    assert checked >= 1500

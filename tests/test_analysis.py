@@ -18,6 +18,7 @@ from finmod.lattice import (
     distinct_cyclic_submodules,
     fully_invariant_submodules,
     is_quasi_projective,
+    is_retractable,
 )
 from finmod.oracle import brute_ell, brute_prime_radical
 from finmod.radical import ell, prime_radical
@@ -65,6 +66,8 @@ def test_equal_modules_share_one_analysis():
     assert list(all_submodules(a)) == list(all_submodules(b))
     assert distinct_cyclic_submodules(a) == distinct_cyclic_submodules(b)
     assert is_quasi_projective(a) == is_quasi_projective(b)
+    assert is_retractable(a) == is_retractable(b)
+    assert DEFAULT_CAPS in analysis(a).retractable
     assert ell(a) == ell(b)
     assert prime_radical(a) == prime_radical(b)
 

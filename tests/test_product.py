@@ -14,7 +14,7 @@ from finmod.algebra import (
     zn_ring,
 )
 from finmod.config import CapExceeded
-from finmod.harness import _push, generate_corpus
+from finmod.harness import generate_corpus
 from finmod.homspace import Homomorphism, compose, hom_group, image
 from finmod.lattice import (
     Submodule,
@@ -286,7 +286,7 @@ def test_images_and_products_need_no_action_closure():
             assert image(f) == Submodule.span(x, list(zip(*f.matrix)))
             for n_sub in rng.sample(lat, min(3, len(lat))):
                 rows = [f.apply_vec(r) for r in n_sub.basis]
-                pushed = _push(f, n_sub)
+                pushed = image(f, n_sub)
                 assert pushed == Submodule.span(x, rows)
                 right = image(f)
                 if right.is_zero():
