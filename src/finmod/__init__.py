@@ -29,7 +29,6 @@ from .algebra import (
     act,
     cyclic_module,
     direct_sum,
-    make_builtin,
     matrix_ring,
     opposite_ring,
     product_ring,
@@ -59,16 +58,11 @@ from .homspace import (
     end_ring,
     hom_group,
     image,
-    induced_hom_on_quotient,
     is_nilpotent_endo,
     kernel,
 )
 from .intlat import (
     CanonicalSubgroup,
-    CongruenceSolutionSet,
-    IntMatrix,
-    SnfDecomposition,
-    hnf_canonical,
     snf,
     solve_homogeneous_congruences,
 )
@@ -94,6 +88,7 @@ from .oracle import (
     brute_ell,
     brute_fully_invariant_submodules,
     brute_hom_group,
+    brute_is_locally_nilpotent,
     brute_is_quasi_projective,
     brute_prime_radical,
     brute_product,

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import prod
 
-from .config import DEFAULT_CAPS, CapExceeded
+from .config import CapExceeded
 from .intlat import finite_presentation
 
 
@@ -288,12 +288,16 @@ def _normalized_ring(raw_orders, raw_struct, raw_unit, name, labels=None) -> Fin
     return validate_ring(ring)
 
 
-def zn_ring(n: int, caps=DEFAULT_CAPS) -> FiniteRing:
+# Largest order the builtin ring constructors build.
+MAX_RING_ORDER = 256
+
+
+def zn_ring(n: int) -> FiniteRing:
     """Z/n as a ring; basis is the unit itself."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if n > caps.max_ring_order:
-        raise CapExceeded("ring order", n, caps.max_ring_order)
+    if n > MAX_RING_ORDER:
+        raise CapExceeded("ring order", n, MAX_RING_ORDER)
     return validate_ring(
         FiniteRing(
             add_orders=(n,),
@@ -305,23 +309,23 @@ def zn_ring(n: int, caps=DEFAULT_CAPS) -> FiniteRing:
     )
 
 
-def matrix_ring(k: int, n: int, caps=DEFAULT_CAPS) -> FiniteRing:
+def matrix_ring(k: int, n: int) -> FiniteRing:
     """Full k-by-k matrix ring over Z/n; basis the matrix units e_{ab}."""
     if k < 1 or n < 2:
         raise ValueError("need k >= 1 and n >= 2")
-    if n ** (k * k) > caps.max_ring_order:
-        raise CapExceeded("ring order", n ** (k * k), caps.max_ring_order)
+    if n ** (k * k) > MAX_RING_ORDER:
+        raise CapExceeded("ring order", n ** (k * k), MAX_RING_ORDER)
     units = [(a, b) for a in range(k) for b in range(k)]
     return _matrix_units_ring(units, n, f"M{k}(Z{n})")
 
 
-def triangular_ring(k: int, n: int, caps=DEFAULT_CAPS) -> FiniteRing:
+def triangular_ring(k: int, n: int) -> FiniteRing:
     """Upper triangular k-by-k matrices over Z/n."""
     if k < 1 or n < 2:
         raise ValueError("need k >= 1 and n >= 2")
     count = k * (k + 1) // 2
-    if n ** count > caps.max_ring_order:
-        raise CapExceeded("ring order", n ** count, caps.max_ring_order)
+    if n ** count > MAX_RING_ORDER:
+        raise CapExceeded("ring order", n ** count, MAX_RING_ORDER)
     units = [(a, b) for a in range(k) for b in range(a, k)]
     return _matrix_units_ring(units, n, f"T{k}(Z{n})")
 
@@ -354,11 +358,11 @@ def _matrix_units_ring(units, n, name) -> FiniteRing:
     )
 
 
-def product_ring(rings, caps=DEFAULT_CAPS) -> FiniteRing:
+def product_ring(rings) -> FiniteRing:
     """Direct product of rings; renormalized to invariant-factor form."""
     total = prod(r.order for r in rings)
-    if total > caps.max_ring_order:
-        raise CapExceeded("ring order", total, caps.max_ring_order)
+    if total > MAX_RING_ORDER:
+        raise CapExceeded("ring order", total, MAX_RING_ORDER)
     raw_orders = [m for r in rings for m in r.add_orders]
     offsets = []
     off = 0
@@ -382,20 +386,6 @@ def product_ring(rings, caps=DEFAULT_CAPS) -> FiniteRing:
             raw_unit[o + k] = r.unit[k]
     name = " x ".join(r.name for r in rings)
     return _normalized_ring(raw_orders, raw_struct, raw_unit, name)
-
-
-def make_builtin(family: str, *args, caps=DEFAULT_CAPS) -> FiniteRing:
-    """Instance factory: Zn(n), MatrixRing(k, n), TriangularRing(k, n), or
-    ProductRing(ring, ...)."""
-    if family == "Zn":
-        return zn_ring(*args, caps=caps)
-    if family == "MatrixRing":
-        return matrix_ring(*args, caps=caps)
-    if family == "TriangularRing":
-        return triangular_ring(*args, caps=caps)
-    if family == "ProductRing":
-        return product_ring(list(args), caps=caps)
-    raise ValueError(f"unknown builtin family {family!r}")
 
 
 def opposite_ring(ring: FiniteRing) -> FiniteRing:

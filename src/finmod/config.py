@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Caps:
-    max_ring_order: int = 256
     max_module_order: int = 4096
     max_lattice: int = 5000
     max_hom_elements: int = 4096

@@ -280,16 +280,10 @@ def _check_proddirsumm(m, rng, caps):
 
 
 def _end_elements_sample(module, rng, k, caps):
-    group = hom_group(module, module)
-    if group.order <= caps.max_hom_elements:
-        return _sample(list(group.elements()), rng, k)
-    gens = list(group.generators)
-    picks = [Homomorphism.identity(module)]
-    for _ in range(k - 1):
-        f = rng.choice(gens)
-        g = rng.choice(gens)
-        picks.append(compose(f, g))
-    return picks
+    end = hom_group(module, module)
+    if end.order > caps.max_hom_elements:
+        raise CapExceeded("endomorphism count", end.order, caps.max_hom_elements)
+    return _sample(list(end.elements()), rng, k)
 
 
 def _check_fprod(m, rng, caps):

@@ -11,12 +11,11 @@ oracle module).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 from operator import mul
 
 from .algebra import FiniteRing, FiniteModule, ModuleElement, analysis, validate_ring
 from .config import DEFAULT_CAPS, CapExceeded
-from .intlat import CanonicalSubgroup, IntMatrix, solve_homogeneous_congruences
+from .intlat import CanonicalSubgroup, solve_homogeneous_congruences
 from .lattice import Submodule
 
 
@@ -102,14 +101,10 @@ def image(f: Homomorphism, sub: Submodule | None = None) -> Submodule:
 
 
 def kernel(f: Homomorphism) -> Submodule:
-    if f.source.ngens == 0:
-        return Submodule.zero(f.source)
-    sol = solve_homogeneous_congruences(
-        IntMatrix.from_rows([list(r) for r in f.matrix], f.source.ngens),
-        f.target.inv_factors,
-        f.source.inv_factors,
+    return Submodule(
+        f.source,
+        solve_homogeneous_congruences(f.matrix, f.target.inv_factors, f.source.inv_factors),
     )
-    return Submodule.from_subgroup_rows(f.source, sol.subgroup.basis)
 
 
 @dataclass(frozen=True)
@@ -119,12 +114,15 @@ class HomGroup:
     source: FiniteModule
     target: FiniteModule
     generators: tuple[Homomorphism, ...]
-    group_invariants: tuple[int, ...]
     subgroup: CanonicalSubgroup = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
-        return prod(self.group_invariants)
+        return self.subgroup.order
+
+    @property
+    def group_invariants(self) -> tuple[int, ...]:
+        return self.subgroup.invariants
 
     def elements(self):
         """All homomorphisms, deterministically ordered."""
@@ -142,9 +140,6 @@ class HomGroup:
 
     def from_coords(self, coords) -> Homomorphism:
         return Homomorphism.from_flat(self.source, self.target, self.subgroup.from_coords(coords))
-
-    def contains(self, f: Homomorphism) -> bool:
-        return self.subgroup.contains(f.flatten())
 
 
 def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
@@ -189,20 +184,11 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
                 if any(v % e[k] for v in r):
                     rows.append([v % e[k] for v in r])
                     row_moduli.append(e[k])
-    if nvars == 0:
-        sub = CanonicalSubgroup((), [])
-    else:
-        sol = solve_homogeneous_congruences(
-            IntMatrix.from_rows(rows, nvars) if rows else IntMatrix.zeros(0, nvars),
-            row_moduli,
-            col_moduli,
-        )
-        sub = sol.subgroup
+    sub = solve_homogeneous_congruences(rows, row_moduli, col_moduli)
     group = HomGroup(
         source=source,
         target=target,
         generators=tuple(Homomorphism.from_flat(source, target, g) for g in sub.basis),
-        group_invariants=sub.invariants,
         subgroup=sub,
     )
     memo[target] = group
@@ -301,29 +287,3 @@ def is_nilpotent_endo(f: Homomorphism):
             return True, k
         power = compose(power, f)
     return False, None
-
-
-def induced_hom_on_quotient(f: Homomorphism, k_sub: Submodule) -> Homomorphism:
-    """The unique endomorphism of M/K with fbar . proj = proj . f; requires
-    f(K) <= K."""
-    from .algebra import quotient_with_section
-
-    if f.source != f.target or f.source != k_sub.module:
-        raise ValueError("need an endomorphism of the submodule's ambient module")
-    for row in k_sub.basis:
-        if not k_sub.contains(f.apply_vec(row)):
-            raise ValueError("submodule is not preserved by the map")
-    quot, proj_mat, sect_mat = quotient_with_section(f.source, k_sub)
-    s = f.source.ngens
-    t = quot.ngens
-    rows = []
-    for k in range(t):
-        row = []
-        for j in range(t):
-            acc = 0
-            for a in range(s):
-                for b in range(s):
-                    acc += proj_mat[k][a] * f.matrix[a][b] * sect_mat[b][j]
-            row.append(acc)
-        rows.append(row)
-    return Homomorphism.of(quot, quot, rows)

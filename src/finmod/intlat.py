@@ -14,6 +14,9 @@ grow.  Meets and congruence kernels are lower-right blocks of one larger
 insertion HNF: the rows (a, a) and (b, 0) give the meet of <a> and <b>, and
 the rows (B[:, j], e_j) give {x : Bx = 0}.
 
+Matrices go in as lists of rows, and every subgroup comes out as a
+``CanonicalSubgroup``, whether it was generated or solved for.
+
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of a Smith reduction can exceed machine words even for small inputs.
 Every routine is deterministic (fixed pivot rules, no randomization), so equal
@@ -23,82 +26,9 @@ inputs always produce bit-identical outputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm, prod
 from operator import mul
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @classmethod
-    def from_rows(cls, rows, cols=None) -> "IntMatrix":
-        rows = [tuple(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-        return cls(len(rows), cols, tuple(x for r in rows for x in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, m: int, n: int) -> "IntMatrix":
-        return cls(m, n, (0,) * (m * n))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            out.append(
-                [
-                    sum(ri[k] * other.at(k, j) for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
-        return IntMatrix.from_rows(out, other.cols)
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.at(i, j) == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
-
-
-@dataclass(frozen=True)
-class SnfDecomposition:
-    """U * A * V = D with U, V unimodular and D in Smith normal form."""
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
 
 
 def _identity_rows(n):
@@ -209,21 +139,20 @@ def _snf_with_transforms(a_rows):
     return U, D, V, Vinv
 
 
-def snf(a: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with unimodular transforms: U * A * V = D.
+def snf(rows):
+    """Smith normal form with unimodular transforms: U * A * V = D, where A,
+    U, D and V are lists of rows.
 
-    D is diagonal with nonnegative entries satisfying D[i,i] | D[i+1,i+1].
+    D is diagonal with nonnegative entries satisfying D[i][i] | D[i+1][i+1].
 
-    >>> dec = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    >>> [dec.D.at(0, 0), dec.D.at(1, 1)]
+    >>> U, D, V = snf([[2, 4], [6, 8]])
+    >>> [D[0][0], D[1][1]]
     [2, 4]
     """
-    U, D, V, _ = _snf_with_transforms(a.to_rows())
-    return SnfDecomposition(
-        IntMatrix.from_rows(U, a.rows),
-        IntMatrix.from_rows(D, a.cols),
-        IntMatrix.from_rows(V, a.cols),
-    )
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("ragged rows")
+    U, D, V, _ = _snf_with_transforms(rows)
+    return U, D, V
 
 
 def hnf_rows(rows, ncols) -> list[list[int]]:
@@ -266,19 +195,6 @@ def hnf_rows(rows, ncols) -> list[list[int]]:
                 for t in range(col, ncols):
                     r[t] -= q * p[t]
     return [p for _, p in pivots]
-
-
-def hnf_canonical(generators: IntMatrix, moduli) -> IntMatrix:
-    """Canonical basis of the subgroup of prod Z/moduli[j] that the rows of
-    ``generators`` generate.
-
-    The moduli relations are adjoined before reduction, so equal subgroups
-    always yield bit-identical output.  Rows representing the zero element
-    are dropped; the zero subgroup has an empty basis.
-    """
-    moduli = tuple(moduli)
-    full = _full_hnf(generators.to_rows(), moduli)
-    return IntMatrix.from_rows(_basis(full, moduli), len(moduli))
 
 
 def _xgcd(a, b):
@@ -497,21 +413,9 @@ class CanonicalSubgroup:
             yield self.from_coords(coords)
 
 
-@dataclass(frozen=True)
-class CongruenceSolutionSet:
-    """Solutions of a rowwise-modular homogeneous system inside a finite
-    product of cyclic groups."""
-
-    lattice_basis: IntMatrix
-    moduli: tuple[int, ...]
-    subgroup: CanonicalSubgroup = field(compare=False, repr=False)
-
-
-def solve_homogeneous_congruences(
-    a: IntMatrix, row_moduli, col_moduli
-) -> CongruenceSolutionSet:
-    """Generating set for {x : A x = 0 (mod row_moduli, rowwise)} inside
-    prod Z/col_moduli[j].
+def solve_homogeneous_congruences(rows, row_moduli, col_moduli) -> CanonicalSubgroup:
+    """The subgroup {x : A x = 0 (mod row_moduli, rowwise)} of
+    prod Z/col_moduli[j], where A is given as a list of ``rows``.
 
     The system must be compatible with the column moduli (each col_moduli[j]
     * e_j must itself solve the system), so that the solution set is a
@@ -523,39 +427,35 @@ def solve_homogeneous_congruences(
     rows.  The solutions are then the lower-right block of the HNF of the
     rows (B[:, j], e_j) over (big,)*k + col_moduli.
     """
+    rows = [tuple(r) for r in rows]
     row_moduli = tuple(row_moduli)
     col_moduli = tuple(col_moduli)
-    if a.rows != len(row_moduli):
+    n = len(col_moduli)
+    if len(rows) != len(row_moduli):
         raise ValueError("row count does not match moduli")
-    if a.cols != len(col_moduli):
-        raise ValueError("column count does not match moduli")
+    if any(len(r) != n for r in rows):
+        raise ValueError("row length does not match column moduli")
     for m in row_moduli:
         if m < 1:
             raise ValueError("moduli must be positive")
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if (a.at(i, j) * col_moduli[j]) % row_moduli[i] != 0:
+    for i, (row, m) in enumerate(zip(rows, row_moduli)):
+        for j, (x, c) in enumerate(zip(row, col_moduli)):
+            if (x * c) % m != 0:
                 raise ValueError(
                     f"system is not defined modulo column modulus at ({i},{j})"
                 )
-    n = a.cols
     big = lcm(*row_moduli)
     lifted = {
-        tuple(x * (big // m) % big for x in a.row(i))
-        for i, m in enumerate(row_moduli)
+        tuple(x * (big // m) % big for x in row)
+        for row, m in zip(rows, row_moduli)
     }
     b_rows = _basis(_full_hnf(lifted, (big,) * n), (big,) * n)
     graph = [
         tuple(r[j] for r in b_rows) + tuple(int(i == j) for i in range(n))
         for j in range(n)
     ]
-    sub = CanonicalSubgroup(
+    return CanonicalSubgroup(
         col_moduli, (), _lower_block(graph, (big,) * len(b_rows), col_moduli)
-    )
-    return CongruenceSolutionSet(
-        lattice_basis=IntMatrix.from_rows([list(r) for r in sub.basis], n),
-        moduli=col_moduli,
-        subgroup=sub,
     )
 
 

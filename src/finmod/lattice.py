@@ -182,20 +182,12 @@ def _join_closure(generators, caps, what):
 class SubmoduleEmbedding:
     """A submodule presented as a standalone module with its inclusion."""
 
-    __slots__ = ("ambient", "module", "inclusion", "subgroup")
+    __slots__ = ("module", "inclusion", "subgroup")
 
-    def __init__(self, ambient, module, inclusion, subgroup):
-        self.ambient = ambient
+    def __init__(self, module, inclusion, subgroup):
         self.module = module
         self.inclusion = inclusion
         self.subgroup = subgroup
-
-    def to_sub_coords(self, vec):
-        """Coordinates in the standalone module of an ambient vector lying in
-        the submodule."""
-        if isinstance(vec, ModuleElement):
-            vec = vec.coeffs
-        return self.subgroup.coords(vec)
 
 
 def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
@@ -230,7 +222,7 @@ def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
             tuple(gens[k][j] for k in range(t)) for j in range(M.ngens)
         ),
     )
-    hit = memo[sub] = SubmoduleEmbedding(M, sub_mod, incl, group)
+    hit = memo[sub] = SubmoduleEmbedding(sub_mod, incl, group)
     return hit
 
 
@@ -359,9 +351,9 @@ def _lifts_to_quotients(x, y, caps):
     gens = hom_group(x, y).generators
     for k_sub in all_submodules(y, caps):
         quot, proj = quotient_module(y, k_sub)
+        onto = hom_group(x, quot).subgroup
         rows = [compose(proj, h).flatten() for h in gens]
-        moduli = tuple(d for d in quot.inv_factors for _ in range(x.ngens))
-        if CanonicalSubgroup(moduli, rows).order != hom_group(x, quot).order:
+        if CanonicalSubgroup(onto.moduli, rows).order != onto.order:
             return False
     return True
 

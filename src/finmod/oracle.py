@@ -202,16 +202,19 @@ def brute_all_submodules(
     ]
 
 
-def _brute_locally_nilpotent(module, sub_elems, budget):
-    """Definitional check: the set of all cyclic submodules of the subgroup
-    must admit a uniform length at which all ordered products vanish.
+def brute_is_locally_nilpotent(
+    module: FiniteModule, sub: Submodule, budget: OracleBudget = DEFAULT_BUDGET
+) -> bool:
+    """Definitional check: the set of all cyclic submodules of ``sub`` must
+    admit a uniform length at which all ordered products vanish.
 
     Exact via cycle detection on the level sets of reachable products.
     """
+    _check_module(module, budget)
     orders = module.inv_factors
     zero = frozenset({tuple(0 for _ in orders)})
     cyclics = set()
-    for x in sub_elems:
+    for x in _elems_of(sub):
         c = _brute_cyclic(module, x)
         if c != zero:
             cyclics.add(c)
@@ -251,9 +254,8 @@ def brute_ell(module: FiniteModule, budget: OracleBudget = DEFAULT_BUDGET) -> Su
     _check_module(module, budget)
     total = set()
     for s in brute_all_submodules(module, budget):
-        elems = frozenset(e.coeffs for e in s.elements())
-        if _brute_locally_nilpotent(module, elems, budget):
-            total |= elems
+        if brute_is_locally_nilpotent(module, s, budget):
+            total |= _elems_of(s)
     return Submodule.from_subgroup_rows(
         module, sorted(_subgroup_closure(total, module.inv_factors))
     )

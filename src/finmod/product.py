@@ -199,8 +199,10 @@ def is_locally_nilpotent(
 
     When the ambient module is quasi-projective this reduces to nilpotency of
     the (finitely generated) submodule itself.  The definitional path walks
-    products of cyclic generators level by level, with the uniform length
-    bounded by the composition length of the ambient module;
+    the level sets of products of cyclic generators.  Each level is a set of
+    submodules determined by the one before it, and there are finitely many
+    such sets, so the walk ends at an empty level (True) or at one it has
+    already seen, after which the levels cycle without vanishing (False).
     ``force_definitional`` skips the reduction (useful when the reduction is
     the claim under test).  More than ``_SUBSET_CAP`` cyclics raise
     CapExceeded.
@@ -212,9 +214,9 @@ def is_locally_nilpotent(
     cyclics = _cyclics_inside(module, sub, caps)
     if len(cyclics) > _SUBSET_CAP:
         raise CapExceeded("cyclic generators", len(cyclics), _SUBSET_CAP)
-    states = set(cyclics)
-    bound = composition_length(module)
-    for _level in range(2, bound + 1):
+    states = frozenset(cyclics)
+    seen = {states}
+    while True:
         nxt = set()
         for p in states:
             for c in cyclics:
@@ -223,5 +225,7 @@ def is_locally_nilpotent(
                     nxt.add(q)
         if not nxt:
             return True
-        states = nxt
-    return False
+        states = frozenset(nxt)
+        if states in seen:
+            return False
+        seen.add(states)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import analysis
 from .config import DEFAULT_CAPS, CapExceeded
 from .homspace import Homomorphism, hom_group, kernel
-from .intlat import IntMatrix, solve_homogeneous_congruences
+from .intlat import solve_homogeneous_congruences
 from .lattice import (
     Submodule,
     distinct_cyclic_submodules,
@@ -280,12 +280,11 @@ def end_left_annihilator(module, vectors):
     ]
     sub = end
     if rows:
-        sol = solve_homogeneous_congruences(
-            IntMatrix.from_rows(rows, s * s),
-            [d[k] for _ in vectors for k in range(s)],
-            end.moduli,
+        sub = end.intersect(
+            solve_homogeneous_congruences(
+                rows, [d[k] for _ in vectors for k in range(s)], end.moduli
+            )
         )
-        sub = end.intersect(sol.subgroup)
     gens = [Homomorphism.from_flat(module, module, g) for g in sub.basis]
     return gens, sub
 

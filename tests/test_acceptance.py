@@ -12,7 +12,6 @@ import pytest
 from finmod.algebra import (
     direct_sum,
     matrix_ring,
-    opposite_ring,
     regular_module,
     triangular_ring,
     zn_ring,
@@ -22,7 +21,6 @@ from finmod.harness import (
     _rng_for,
     check_statement,
     generate_corpus,
-    run_suite,
 )
 from finmod.homspace import hom_group
 from finmod.lattice import (
@@ -30,7 +28,6 @@ from finmod.lattice import (
     all_submodules,
     cyclic_submodule,
     fully_invariant_submodules,
-    uniform_dimension,
 )
 from finmod.oracle import (
     BudgetExceeded,

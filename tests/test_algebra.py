@@ -16,7 +16,6 @@ from finmod.algebra import (
     act,
     cyclic_module,
     direct_sum,
-    make_builtin,
     matrix_ring,
     module_from_actions,
     opposite_ring,
@@ -78,13 +77,6 @@ class TestValidateRing:
         assert r.mul_coeffs(unit_vec("e12"), unit_vec("e21")) == unit_vec("e11")
         assert r.mul_coeffs(unit_vec("e12"), unit_vec("e12")) == (0, 0, 0, 0)
         assert r.mul_coeffs(unit_vec("e11"), unit_vec("e12")) == unit_vec("e12")
-
-    def test_make_builtin_dispatch(self):
-        assert make_builtin("Zn", 6).order == 6
-        assert make_builtin("MatrixRing", 2, 2).order == 16
-        assert make_builtin("TriangularRing", 2, 2).order == 8
-        pr = make_builtin("ProductRing", zn_ring(4), zn_ring(6))
-        assert pr.order == 24
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 from finmod.algebra import (
     cyclic_module,
     direct_sum,
@@ -20,7 +18,6 @@ from finmod.homspace import (
     end_ring,
     hom_group,
     image,
-    induced_hom_on_quotient,
     is_nilpotent_endo,
     kernel,
 )
@@ -200,29 +197,6 @@ class TestNilpotentEndo:
         m = regular_module(zn_ring(6))
         nil, idx = is_nilpotent_endo(Homomorphism.of(m, m, [[4]]))
         assert not nil and idx is None
-
-
-class TestInducedOnQuotient:
-    def test_identity_induces_identity(self):
-        m = z4_regular()
-        k = cyclic_submodule(m, (2,))
-        ind = induced_hom_on_quotient(Homomorphism.identity(m), k)
-        assert ind.matrix == ((1,),)
-
-    def test_doubling_on_z8(self):
-        m = regular_module(zn_ring(8))
-        k = cyclic_submodule(m, (4,))
-        ind = induced_hom_on_quotient(Homomorphism.of(m, m, [[2]]), k)
-        assert ind.source.inv_factors == (4,)
-        assert ind.matrix == ((2,),)
-
-    def test_unpreserved_submodule_rejected(self):
-        m = regular_module(zn_ring(2))
-        sq, _, _ = direct_sum(m, m)
-        swap = Homomorphism.of(sq, sq, [[0, 1], [1, 0]])
-        line = cyclic_submodule(sq, (1, 0))
-        with pytest.raises(ValueError):
-            induced_hom_on_quotient(swap, line)
 
 
 class TestQuotientLifting:

@@ -10,14 +10,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finmod.intlat import (
-    CanonicalSubgroup,
-    IntMatrix,
-    hnf_canonical,
-    hnf_rows,
-    snf,
-    solve_homogeneous_congruences,
-)
+from finmod.intlat import CanonicalSubgroup, hnf_rows, snf, solve_homogeneous_congruences
 
 
 def brute_subgroup(generators, moduli):
@@ -58,35 +51,43 @@ small_matrices = st.integers(1, 4).flatmap(
 )
 
 
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _is_diagonal(rows):
+    return all(x == 0 for i, r in enumerate(rows) for j, x in enumerate(r) if i != j)
+
+
 class TestSnf:
     def test_identity(self):
-        dec = snf(IntMatrix.identity(2))
-        assert dec.D == IntMatrix.identity(2)
-        assert dec.U == IntMatrix.identity(2)
-        assert dec.V == IntMatrix.identity(2)
+        eye = [[1, 0], [0, 1]]
+        assert snf(eye) == (eye, eye, eye)
 
     def test_small_example(self):
         # d1 = gcd of entries = 2, d1*d2 = |det| = 8
-        dec = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
-        assert dec.D.at(0, 0) == 2 and dec.D.at(1, 1) == 4
-        assert dec.D.is_diagonal()
+        _, D, _ = snf([[2, 4], [6, 8]])
+        assert D[0][0] == 2 and D[1][1] == 4
+        assert _is_diagonal(D)
 
     def test_zero_matrix(self):
-        dec = snf(IntMatrix.zeros(1, 3))
-        assert dec.D == IntMatrix.zeros(1, 3)
+        _, D, _ = snf([[0, 0, 0]])
+        assert D == [[0, 0, 0]]
 
     def test_empty(self):
-        dec = snf(IntMatrix.zeros(0, 0))
-        assert dec.D.rows == 0 and dec.D.cols == 0
+        assert snf([]) == ([], [], [])
+
+    def test_ragged_rejected(self):
+        with pytest.raises(ValueError):
+            snf([[1, 2], [3]])
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(small_matrices)
     def test_round_trip_and_chain(self, rows):
-        a = IntMatrix.from_rows(rows)
-        dec = snf(a)
-        assert dec.U.mul(a).mul(dec.V) == dec.D
-        assert dec.D.is_diagonal()
-        diag = [dec.D.at(i, i) for i in range(min(a.rows, a.cols))]
+        U, D, V = snf(rows)
+        assert _mul(_mul(U, rows), V) == D
+        assert _is_diagonal(D)
+        diag = [D[i][i] for i in range(min(len(rows), len(rows[0])))]
         assert all(d >= 0 for d in diag)
         for d1, d2 in zip(diag, diag[1:]):
             if d2 != 0:
@@ -95,10 +96,9 @@ class TestSnf:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(small_matrices)
     def test_transforms_unimodular(self, rows):
-        a = IntMatrix.from_rows(rows)
-        dec = snf(a)
-        assert abs(_det(dec.U.to_rows())) == 1
-        assert abs(_det(dec.V.to_rows())) == 1
+        U, _, V = snf(rows)
+        assert abs(_det(U)) == 1
+        assert abs(_det(V)) == 1
 
 
 def _det(rows):
@@ -115,24 +115,22 @@ def _det(rows):
 
 
 class TestHnfCanonical:
+    """The canonical basis of the subgroup the generator rows generate."""
+
     def test_single_generator(self):
-        out = hnf_canonical(IntMatrix.from_rows([[2]], 1), [4])
-        assert out.to_rows() == [[2]]
+        assert CanonicalSubgroup([4], [[2]]).basis == ((2,),)
 
     def test_whole_group(self):
         # gcd(2, 3, 6) = 1, so the subgroup is everything
-        out = hnf_canonical(IntMatrix.from_rows([[2], [3]], 1), [6])
-        assert out.to_rows() == [[1]]
+        assert CanonicalSubgroup([6], [[2], [3]]).basis == ((1,),)
 
     def test_empty_generators(self):
-        out = hnf_canonical(IntMatrix.zeros(0, 2), [2, 4])
-        assert out.rows == 0
+        assert CanonicalSubgroup([2, 4], []).basis == ()
 
     def test_idempotent(self):
         moduli = [2, 4, 8]
-        gens = IntMatrix.from_rows([[1, 2, 3], [0, 2, 6]], 3)
-        once = hnf_canonical(gens, moduli)
-        twice = hnf_canonical(once, moduli)
+        once = CanonicalSubgroup(moduli, [[1, 2, 3], [0, 2, 6]]).basis
+        twice = CanonicalSubgroup(moduli, once).basis
         assert once == twice
 
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -211,21 +209,27 @@ class TestCanonicalSubgroup:
 
 class TestCongruenceSolver:
     def test_forced_by_arithmetic(self):
-        out = solve_homogeneous_congruences(
-            IntMatrix.from_rows([[2]], 1), [4], [4]
-        )
-        assert frozenset(out.subgroup.elements()) == {(0,), (2,)}
-        assert out.lattice_basis.to_rows() == [[2]]
+        out = solve_homogeneous_congruences([[2]], [4], [4])
+        assert frozenset(out.elements()) == {(0,), (2,)}
+        assert out.basis == ((2,),)
 
     def test_empty_system(self):
-        out = solve_homogeneous_congruences(IntMatrix.zeros(0, 1), [], [6])
-        assert out.lattice_basis.to_rows() == [[1]]
-        assert out.subgroup.order == 6
+        out = solve_homogeneous_congruences([], [], [6])
+        assert out.basis == ((1,),)
+        assert out.order == 6
 
     def test_incompatible_system_rejected(self):
         # x = 0 (mod 4) is not invariant under x -> x + 2 in Z/2
         with pytest.raises(ValueError):
-            solve_homogeneous_congruences(IntMatrix.from_rows([[1]], 1), [4], [2])
+            solve_homogeneous_congruences([[1]], [4], [2])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            solve_homogeneous_congruences([[2, 0]], [4, 4], [4, 4])
+        with pytest.raises(ValueError):
+            solve_homogeneous_congruences([[2]], [4], [4, 4])
+        with pytest.raises(ValueError):
+            solve_homogeneous_congruences([[0]], [0], [4])
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
@@ -247,10 +251,8 @@ class TestCongruenceSolver:
                     break
         if not ok_rows:
             return
-        out = solve_homogeneous_congruences(
-            IntMatrix.from_rows(ok_rows, 4), row_moduli, col_moduli
-        )
-        assert frozenset(out.subgroup.elements()) == brute_solutions(
+        out = solve_homogeneous_congruences(ok_rows, row_moduli, col_moduli)
+        assert frozenset(out.elements()) == brute_solutions(
             ok_rows, row_moduli, col_moduli
         )
 
@@ -275,10 +277,8 @@ class TestCongruenceSolver:
                     break
         if not ok_rows:
             return
-        out = solve_homogeneous_congruences(
-            IntMatrix.from_rows(ok_rows, 2), row_moduli, col_moduli
-        )
-        assert frozenset(out.subgroup.elements()) == brute_solutions(
+        out = solve_homogeneous_congruences(ok_rows, row_moduli, col_moduli)
+        assert frozenset(out.elements()) == brute_solutions(
             ok_rows, row_moduli, col_moduli
         )
 
@@ -385,12 +385,10 @@ class TestInsertionKernel:
     def test_congruences_non_chain_against_enumeration(self, case):
         col_moduli, raw = case
         rows, row_moduli = _compatible_rows(raw, col_moduli)
-        n = len(col_moduli)
-        a = IntMatrix.from_rows(rows, n) if rows else IntMatrix.zeros(0, n)
-        out = solve_homogeneous_congruences(a, row_moduli, col_moduli)
+        out = solve_homogeneous_congruences(rows, row_moduli, col_moduli)
         sols = brute_solutions(rows, row_moduli, col_moduli)
-        assert frozenset(out.subgroup.elements()) == sols
-        assert out.lattice_basis.to_rows() == [list(r) for r in out.subgroup.basis]
+        assert out.moduli == col_moduli
+        assert frozenset(out.elements()) == sols
 
     def test_congruences_many_redundant_rows(self):
         col_moduli = (6, 4, 3)
@@ -402,11 +400,9 @@ class TestInsertionKernel:
                 row_moduli.append(m)
             rows.append([0, 2 * c, 0])  # for odd c: x1 is even
             row_moduli.append(4)
-        out = solve_homogeneous_congruences(
-            IntMatrix.from_rows(rows, 3), row_moduli, col_moduli
-        )
+        out = solve_homogeneous_congruences(rows, row_moduli, col_moduli)
         sols = brute_solutions(rows, row_moduli, col_moduli)
-        assert frozenset(out.subgroup.elements()) == sols
+        assert frozenset(out.elements()) == sols
         assert 1 < len(sols) < prod(col_moduli)
 
 

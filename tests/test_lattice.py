@@ -20,7 +20,6 @@ from finmod.lattice import (
     all_submodules,
     annihilator_lattice,
     cyclic_submodule,
-    distinct_cyclic_submodules,
     fully_invariant_submodules,
     is_goldie,
     is_quasi_projective,
@@ -342,5 +341,5 @@ class TestSubmoduleAsModule:
         s = cyclic_submodule(m, (2,))
         emb = submodule_as_module(s)
         for x in emb.module.elements():
-            back = emb.to_sub_coords(emb.inclusion.apply_vec(x.coeffs))
+            back = emb.subgroup.coords(emb.inclusion.apply_vec(x.coeffs))
             assert back == x.coeffs

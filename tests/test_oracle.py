@@ -13,7 +13,7 @@ from finmod.algebra import (
     triangular_ring,
     zn_ring,
 )
-from finmod.config import DEFAULT_CAPS
+from finmod.config import DEFAULT_CAPS, CapExceeded
 from finmod.harness import generate_corpus
 from finmod.homspace import hom_group
 from finmod.lattice import (
@@ -33,12 +33,13 @@ from finmod.oracle import (
     brute_ell,
     brute_fully_invariant_submodules,
     brute_hom_group,
+    brute_is_locally_nilpotent,
     brute_is_quasi_projective,
     brute_is_retractable,
     brute_product,
     brute_prime_radical,
 )
-from finmod.product import product
+from finmod.product import is_locally_nilpotent, product
 from finmod.radical import ell, prime_radical
 
 
@@ -166,6 +167,26 @@ class TestBruteRadicals:
     def test_prime_radical_matches_main_path(self):
         for m in small_modules():
             assert brute_prime_radical(m) == prime_radical(m).prime_radical
+
+
+class TestBruteLocallyNilpotent:
+    def test_definitional_path_matches(self):
+        # Every submodule of each distinct seed-0 corpus module of order at
+        # most 16, through the definitional path the quasi-projective
+        # reduction would otherwise skip.
+        corpus = generate_corpus(0, budget=110)
+        modules = dict.fromkeys(i.module for i in corpus.instances if i.module.order <= 16)
+        compared = {True: 0, False: 0}
+        for m in modules:
+            for s in all_submodules(m):
+                try:
+                    brute = brute_is_locally_nilpotent(m, s)
+                    fast = is_locally_nilpotent(m, s, force_definitional=True)
+                except (CapExceeded, BudgetExceeded):
+                    continue
+                assert brute == fast, (m.name, s.describe())
+                compared[brute] += 1
+        assert sum(compared.values()) >= 250 and min(compared.values()) > 0, compared
 
 
 def _small_direct_sums():

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from finmod.algebra import (
-    cyclic_module,
     direct_sum,
     quotient_module,
     regular_module,
@@ -15,7 +14,7 @@ from finmod.algebra import (
 )
 from finmod.config import CapExceeded
 from finmod.harness import generate_corpus
-from finmod.homspace import Homomorphism, compose, hom_group, image
+from finmod.homspace import compose, hom_group, image
 from finmod.lattice import (
     Submodule,
     all_submodules,

@@ -22,7 +22,6 @@ from finmod.lattice import (
     all_submodules,
     cyclic_submodule,
     fully_invariant_submodules,
-    submodule_as_module,
 )
 from finmod.product import nilpotency_index, product
 from finmod.radical import (
