@@ -19,7 +19,7 @@ from finmod.algebra import (
     triangular_ring,
     zn_ring,
 )
-from finmod.lattice import Submodule, cyclic_submodule
+from finmod.lattice import cyclic_submodule
 
 # Builtin families: Z/n, full and triangular matrix rings, direct products.
 z4 = zn_ring(4)

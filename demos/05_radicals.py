@@ -12,7 +12,6 @@ from finmod.radical import (
     ann_left,
     ann_right,
     annihilator_chain_index,
-    ell,
     is_prime_submodule,
     is_semiprime_submodule,
     prime_radical,

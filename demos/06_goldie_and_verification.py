@@ -10,7 +10,6 @@ first, so hypothesis-dropping searches can probe necessity.
 from finmod.algebra import cyclic_module, direct_sum, regular_module, zn_ring
 from finmod.harness import (
     STATEMENT_IDS,
-    STATEMENTS,
     check_statement,
     generate_corpus,
     run_suite,

@@ -229,8 +229,21 @@ def generate_corpus(seed: int, budget: int = 110, caps=DEFAULT_CAPS) -> Corpus:
 # CapExceeded/BudgetExceeded.
 
 
+class _LazyRandom:
+    """A checker's seeded generator, built on its first draw: about half the
+    checkers never draw, and seeding costs more than many checks do."""
+
+    def __init__(self, key: str):
+        self.key = key
+
+    def __getattr__(self, name):  # reached only for the generator's methods
+        if "rng" not in self.__dict__:
+            self.rng = random.Random(zlib.crc32(self.key.encode()))
+        return getattr(self.rng, name)
+
+
 def _rng_for(sid, instance):
-    return random.Random(zlib.crc32(f"{sid}|{instance.name}".encode()))
+    return _LazyRandom(f"{sid}|{instance.name}")
 
 
 def _sample(items, rng, k):

@@ -1,11 +1,13 @@
 """Independent brute-force ground truth.
 
-Everything here works on raw element sets with elementwise arithmetic:
-homomorphisms are enumerated generator-by-generator and filtered, subgroups
-are closed by breadth-first search, and the radicals are evaluated from their
-definitions.  No congruence solving and no Hermite reduction happens on this
-path; the canonical Submodule constructor is shared data model, used only to
-package results for comparison.
+Each module's elements are indexed 0..|M|-1 in ``itertools.product`` order
+once, with an addition table, one action table per ring basis element and
+each element's multiples.  Element sets are int bitmasks (bit x is element
+x; the zero subgroup is 1), closed by adjoining one generator at a time
+through the tables; maps are enumerated generator by generator and filtered
+by table lookups, and the radicals are evaluated from their definitions.  No
+fast-path arithmetic happens here; the Submodule and Homomorphism
+constructors only package answers.
 
 Budgets are hard caps: exceeding one raises BudgetExceeded rather than
 truncating, because a truncated oracle is worse than none.
@@ -13,8 +15,11 @@ truncating, because a truncated oracle is worse than none.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
+from math import gcd, lcm, prod
 
 from .algebra import FiniteModule
 from .homspace import Homomorphism
@@ -39,288 +44,292 @@ class BudgetExceeded(Exception):
         self.budget = budget
 
 
-def _check_module(module: FiniteModule, budget: OracleBudget):
+def _enumerable(count: int, what: str, budget: OracleBudget):
+    if count > budget.max_hom_enumeration:
+        raise BudgetExceeded(what, count, budget.max_hom_enumeration)
+
+
+def _le(a: int, b: int) -> bool:
+    return not a & ~b
+
+
+class _Tables:
+    """One module's element tables and the memos of everything derived from
+    them; |M|^2 entries, at most 65,536 under the default order budget."""
+
+    def __init__(self, module: FiniteModule):
+        orders = module.inv_factors
+        self.module = module
+        self.elems = elems = list(itertools.product(*map(range, orders)))
+        self.weights = w = [prod(orders[j + 1:]) for j in range(len(orders))]
+        self.full = (1 << len(elems)) - 1
+        self.bit = [1 << x for x in range(len(elems))]
+        # row v sums, for each u in order, the weighted digits (v_j + u_j) % d_j
+        shifted = [[[(c + t) % d * wj for t in range(d)] for c, d, wj in zip(v, orders, w)]
+                   for v in elems]
+        self.add = [list(map(sum, itertools.product(*row))) for row in shifted]
+        # mults[x][c] is c*x for c below the exponent, which kills every element
+        plus, exponent = (lambda a, b: self.add[a][b]), lcm(*orders)
+        self.mults = [list(itertools.accumulate(itertools.repeat(x, exponent - 1), plus, initial=0))
+                      for x in range(len(elems))]
+        self.act = [self.image([self.index(c) for c in zip(*a)], orders) for a in module.actions]
+        self.gens = {1: ()}  # subgroup mask -> additive generators
+        self.memo = {}  # (kind, *arguments) -> answer
+
+    def index(self, vec) -> int:
+        return sum(c % d * wj for c, d, wj in zip(vec, self.module.inv_factors, self.weights))
+
+    def members(self, mask: int) -> list[int]:
+        return [x for x, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
+
+    def image(self, ys, orders) -> list[int]:
+        """Image array of the additive map sending generator j, of order
+        orders[j], to element ys[j]: entry x is the image of element x."""
+        arr = [0]
+        for y, d in zip(ys, orders):
+            ms = self.mults[y]
+            rows = [self.add[ms[c % len(ms)]] for c in range(d)]
+            arr = [row[a] for a in arr for row in rows]
+        return arr
+
+    def apply(self, ys, vec) -> int:
+        """The element sum_j vec[j] * ys[j]: a map, given by its generator
+        images ys, applied to the element with coefficients vec."""
+        acc = 0
+        for y, c in zip(ys, vec):
+            if c:
+                ms = self.mults[y]
+                acc = self.add[acc][ms[c % len(ms)]]
+        return acc
+
+    def span(self, seed, mask: int = 1, group=None) -> int:
+        """The subgroup generated by ``seed`` and the subgroup ``mask``
+        (whose members are ``group``), adjoining one element at a time:
+        H + <s> is the cosets H + c*s for c below the first c*s in H."""
+        gens = list(self.gens[mask])
+        for s in seed:
+            if mask >> s & 1:
+                continue
+            if group is None:
+                group = self.members(mask)
+            rows = []
+            for m in self.mults[s][1:]:
+                if mask >> m & 1:
+                    break
+                rows.append(self.add[m])
+            new = [row[h] for row in rows for h in group]
+            group = group + new
+            mask |= sum(map(self.bit.__getitem__, new))
+            gens.append(s)
+        self.gens.setdefault(mask, tuple(gens))
+        return mask
+
+    def generators(self, mask: int) -> tuple[int, ...]:
+        if mask not in self.gens:
+            self.span(self.members(mask))
+        return self.gens[mask]
+
+    def mask(self, sub: Submodule) -> int:
+        return self.span(map(self.index, sub.basis))
+
+    def join(self, masks) -> int:
+        """The sum of the subgroups ``masks``: the span of their union."""
+        return self.span(self.members(functools.reduce(operator.or_, masks, 1)))
+
+    def package(self, mask: int) -> Submodule:
+        return Submodule.from_subgroup_rows(
+            self.module, [self.elems[g] for g in self.generators(mask)]
+        )
+
+    @functools.cached_property
+    def cyclic(self) -> list[int]:
+        """Rx for every element x: the closure of the b_i * x."""
+        return [self.span([a[x] for a in self.act]) for x in range(len(self.elems))]
+
+    def homs(self, source: FiniteModule, k: int, budget: OracleBudget):
+        """Every map source -> this module with image in the subgroup k, as
+        generator images in lexicographic order.  Generator j may map to any
+        element of k killed by its order; b_i * g_j = sum_t a_i[t][j] g_t is
+        checked once the images it names are chosen."""
+        d, allowed = source.inv_factors, self.members(k)
+        pools, total = [], 1
+        for dj in d:
+            pools.append([y for y in allowed if self.mults[y][dj % len(self.mults[y])] == 0])
+            total *= len(pools[-1])
+            _enumerable(total, "hom candidates", budget)
+        key = ("homs", source, k, budget)
+        if key not in self.memo:
+            checks = [[] for _ in d]
+            for act, a in zip(self.act, source.actions):
+                for j in range(len(d)):
+                    terms = [(t, a[t][j]) for t in range(len(d)) if a[t][j]]
+                    checks[max([j] + [t for t, _ in terms])].append((act, j, terms))
+            maps = [()]
+            for pool, level in zip(pools, checks):
+                maps = [ys for pre in maps for y in pool if self._linear(ys := pre + (y,), level)]
+            self.memo[key] = maps
+        return self.memo[key]
+
+    def _linear(self, ys, checks) -> bool:
+        for act, j, terms in checks:
+            lhs = 0
+            for t, c in terms:
+                ms = self.mults[ys[t]]
+                lhs = self.add[lhs][ms[c % len(ms)]]
+            if lhs != act[ys[j]]:
+                return False
+        return True
+
+    def product(self, n: int, k: int, budget: OracleBudget) -> int:
+        """N*K: the subgroup generated by f(N) for every map f: M -> K, where
+        f(N) is generated by the images of N's generators."""
+        key = ("product", n, k, budget)
+        if key not in self.memo:
+            vecs = [self.elems[g] for g in self.generators(n)]
+            maps = self.homs(self.module, k, budget)
+            self.memo[key] = self.span({self.apply(ys, v) for ys in maps for v in vecs})
+        return self.memo[key]
+
+    def lattice(self, budget: OracleBudget) -> list[int]:
+        """Every submodule, adding each distinct cyclic to each member found."""
+        key = ("lattice", budget)
+        if key not in self.memo:
+            cyclics = list(dict.fromkeys(self.cyclic))
+            found, frontier = {1: None}, [1]
+            while frontier:
+                cur = frontier.pop()
+                group = self.members(cur)
+                for c in cyclics:
+                    if _le(c, cur):
+                        continue
+                    bigger = self.span(self.gens[c], cur, group)
+                    if bigger not in found:
+                        if len(found) >= budget.max_lattice:
+                            raise BudgetExceeded("lattice", len(found), budget.max_lattice)
+                        found[bigger] = None
+                        frontier.append(bigger)
+            self.memo[key] = list(found)
+        return self.memo[key]
+
+    def locally_nilpotent(self, sub: int, budget: OracleBudget) -> bool:
+        """The cyclic submodules of ``sub`` admit a uniform length at which
+        all ordered products vanish: walk the level sets of products until
+        one is empty or one repeats."""
+        cyclics = {self.cyclic[x] for x in self.members(sub)} - {1}
+        states, seen = frozenset(cyclics), set()
+        while states:
+            if states in seen:
+                return False
+            seen.add(states)
+            products = (self.product(p, c, budget) for p in states for c in cyclics)
+            states = frozenset(products) - {1}
+        return True
+
+    def fully_invariant(self, budget: OracleBudget) -> list[int]:
+        """Submodules S with f(g) in S for every endomorphism f and every
+        generator g of S."""
+        endos = self.homs(self.module, self.full, budget)
+        return [
+            s for s in self.lattice(budget)
+            if all(s >> self.apply(ys, self.elems[g]) & 1
+                   for ys in endos for g in self.generators(s))
+        ]
+
+
+_tables = functools.lru_cache(maxsize=4)(_Tables)
+
+
+def _tables_within(module: FiniteModule, budget: OracleBudget) -> _Tables:
     if module.order > budget.max_module_order:
         raise BudgetExceeded("module order", module.order, budget.max_module_order)
+    return _tables(module)
 
 
-def _elements(module: FiniteModule):
-    return [
-        coeffs
-        for coeffs in itertools.product(*[range(d) for d in module.inv_factors])
-    ]
-
-
-def _vec_add(a, b, orders):
-    return tuple((x + y) % d for x, y, d in zip(a, b, orders))
-
-
-def _subgroup_closure(seed, orders):
-    """The subgroup generated by ``seed``, adjoining one element at a time:
-    H + <s> is every h + k*s."""
-    zero = tuple(0 for _ in orders)
-    group = {zero}
-    for s in seed:
-        s = tuple(x % d for x, d in zip(s, orders))
-        if s in group:
-            continue
-        multiples = [zero, s]
-        while (nxt := _vec_add(multiples[-1], s, orders)) != zero:
-            multiples.append(nxt)
-        group = {_vec_add(h, m, orders) for h in group for m in multiples}
-    return frozenset(group)
-
-
-def _brute_cyclic(module, vec):
-    """Element set of R*vec: the action images of one element."""
-    out = set()
-    for r in module.ring.elements():
-        out.add(module.act_coeffs(r.coeffs, vec))
-    return frozenset(out)
-
-
-def brute_hom_group(
-    source: FiniteModule, target: FiniteModule, budget: OracleBudget = DEFAULT_BUDGET
-):
+def brute_hom_group(source: FiniteModule, target: FiniteModule, budget=DEFAULT_BUDGET):
     """All homomorphisms, by enumerating generator images and filtering.
 
-    Each generator of order d may map to any target element killed by d;
-    linearity is checked elementwise against every ring basis action.
+    Each generator of order d may map to any of the prod_k gcd(d, e_k)
+    target elements killed by d, counted before the target's tables,
+    quadratic in its order, are built; linearity is checked by table lookups.
     """
-    return _brute_homs_into(source, target, _elements(target), budget)
-
-
-def _brute_homs_into(source, target, allowed, budget):
-    d = source.inv_factors
-    e = target.inv_factors
-    s = source.ngens
-    candidates = []
-    total = 1
-    for j in range(s):
-        pool = [y for y in allowed if all((d[j] * v) % ek == 0 for v, ek in zip(y, e))]
-        candidates.append(pool)
-        total *= len(pool)
-        if total > budget.max_hom_enumeration:
-            raise BudgetExceeded(
-                "hom candidates", total, budget.max_hom_enumeration
-            )
-    out = []
-    ring = source.ring
-    basis = [tuple(1 if t == i else 0 for t in range(ring.rank)) for i in range(ring.rank)]
-    for choice in itertools.product(*candidates):
-        ok = True
-        for i in range(ring.rank):
-            a = source.actions[i]
-            for j in range(s):
-                # f(b_i . g_j) computed from the chosen images
-                lhs = tuple(0 for _ in e)
-                for k in range(s):
-                    c = a[k][j]
-                    if c:
-                        lhs = _vec_add(
-                            lhs,
-                            tuple((c * v) % ek for v, ek in zip(choice[k], e)),
-                            e,
-                        )
-                rhs = target.act_coeffs(basis[i], choice[j])
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            matrix = tuple(
-                tuple(choice[j][k] for j in range(s)) for k in range(len(e))
-            )
-            out.append(Homomorphism(source, target, matrix))
-    return out
-
-
-_brute_endo_cache: dict = {}
-
-
-def _brute_maps_into_subgroup(module, subgroup_elems, budget):
-    """Maps M -> M with image inside the given element set, elementwise."""
-    key = (module, subgroup_elems)
-    hit = _brute_endo_cache.get(key)
-    if hit is None:
-        hit = _brute_homs_into(module, module, sorted(subgroup_elems), budget)
-        _brute_endo_cache[key] = hit
-    return hit
-
-
-def brute_product(
-    module: FiniteModule,
-    left: Submodule,
-    right: Submodule,
-    budget: OracleBudget = DEFAULT_BUDGET,
-) -> Submodule:
-    """The product evaluated over every map and every element, definitionally."""
-    _check_module(module, budget)
-    left_elems = frozenset(e.coeffs for e in left.elements())
-    right_elems = frozenset(e.coeffs for e in right.elements())
-    return Submodule.from_subgroup_rows(
-        module, _brute_product_elems(module, left_elems, right_elems, budget)
-    )
-
-
-def _brute_product_elems(module, left_elems, right_elems, budget):
-    images = set()
-    for f in _brute_maps_into_subgroup(module, right_elems, budget):
-        for n in left_elems:
-            images.add(f.apply_vec(n))
-    return sorted(_subgroup_closure(images, module.inv_factors))
-
-
-def brute_all_submodules(
-    module: FiniteModule, budget: OracleBudget = DEFAULT_BUDGET
-):
-    """Every action-closed subgroup, by closing element sets under addition
-    and the ring action, extending by cyclic generators."""
-    _check_module(module, budget)
-    orders = module.inv_factors
-    cyclic_reps = {}
-    for x in _elements(module):
-        c = _brute_cyclic(module, x)
-        cyclic_reps.setdefault(c, x)
-    zero = frozenset({tuple(0 for _ in orders)})
-    found = {zero: None}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for cyc, rep in cyclic_reps.items():
-            if rep in cur:
-                continue
-            bigger = _subgroup_closure(set(cur) | set(cyc), orders)
-            if bigger not in found:
-                if len(found) >= budget.max_lattice:
-                    raise BudgetExceeded("lattice", len(found), budget.max_lattice)
-                found[bigger] = None
-                frontier.append(bigger)
+    candidates = 1
+    for d in source.inv_factors:
+        candidates *= prod(gcd(d, e) for e in target.inv_factors)
+        _enumerable(candidates, "hom candidates", budget)
+    t = _tables(target)
+    rows = range(target.ngens)
     return [
-        Submodule.from_subgroup_rows(module, sorted(elems)) for elems in found.keys()
+        Homomorphism(source, target, tuple(tuple(t.elems[y][k] for y in ys) for k in rows))
+        for ys in t.homs(source, t.full, budget)
     ]
 
 
-def brute_is_locally_nilpotent(
-    module: FiniteModule, sub: Submodule, budget: OracleBudget = DEFAULT_BUDGET
-) -> bool:
-    """Definitional check: the set of all cyclic submodules of ``sub`` must
-    admit a uniform length at which all ordered products vanish.
-
-    Exact via cycle detection on the level sets of reachable products.
-    """
-    _check_module(module, budget)
-    orders = module.inv_factors
-    zero = frozenset({tuple(0 for _ in orders)})
-    cyclics = set()
-    for x in _elems_of(sub):
-        c = _brute_cyclic(module, x)
-        if c != zero:
-            cyclics.add(c)
-    if not cyclics:
-        return True
-    cyclics = sorted(cyclics)
-    product_memo = {}
-
-    def elem_product(p, c):
-        key = (p, c)
-        if key not in product_memo:
-            product_memo[key] = frozenset(
-                _brute_product_elems(module, p, c, budget)
-            )
-        return product_memo[key]
-
-    states = frozenset(cyclics)
-    seen_levels = {states}
-    while True:
-        nxt = set()
-        for p in states:
-            for c in cyclics:
-                q = elem_product(p, c)
-                if q != zero:
-                    nxt.add(q)
-        if not nxt:
-            return True
-        nxt = frozenset(nxt)
-        if nxt in seen_levels:
-            return False
-        seen_levels.add(nxt)
-        states = nxt
+def brute_product(module: FiniteModule, left: Submodule, right: Submodule, budget=DEFAULT_BUDGET):
+    """The product evaluated over every map, definitionally."""
+    t = _tables_within(module, budget)
+    return t.package(t.product(t.mask(left), t.mask(right), budget))
 
 
-def brute_ell(module: FiniteModule, budget: OracleBudget = DEFAULT_BUDGET) -> Submodule:
+def brute_all_submodules(module: FiniteModule, budget=DEFAULT_BUDGET):
+    """Every action-closed subgroup, by closing element sets under addition,
+    extending by cyclic submodules."""
+    t = _tables_within(module, budget)
+    return [t.package(s) for s in t.lattice(budget)]
+
+
+def brute_is_locally_nilpotent(module: FiniteModule, sub: Submodule, budget=DEFAULT_BUDGET) -> bool:
+    """Definitional check: the cyclic submodules of ``sub`` admit a uniform
+    length at which all ordered products vanish.  Exact via cycle detection
+    on the level sets of reachable products."""
+    t = _tables_within(module, budget)
+    return t.locally_nilpotent(t.mask(sub), budget)
+
+
+def brute_ell(module: FiniteModule, budget=DEFAULT_BUDGET) -> Submodule:
     """Sum of all locally nilpotent submodules, each classified definitionally."""
-    _check_module(module, budget)
-    total = set()
-    for s in brute_all_submodules(module, budget):
-        if brute_is_locally_nilpotent(module, s, budget):
-            total |= _elems_of(s)
-    return Submodule.from_subgroup_rows(
-        module, sorted(_subgroup_closure(total, module.inv_factors))
-    )
+    t = _tables_within(module, budget)
+    return t.package(t.join(s for s in t.lattice(budget) if t.locally_nilpotent(s, budget)))
 
 
-def _elems_of(sub: Submodule):
-    return frozenset(e.coeffs for e in sub.elements())
-
-
-def brute_fully_invariant_submodules(
-    module: FiniteModule, budget: OracleBudget = DEFAULT_BUDGET
-):
+def brute_fully_invariant_submodules(module: FiniteModule, budget=DEFAULT_BUDGET):
     """Submodules that every endomorphism maps into themselves, checked on
-    every element."""
-    _check_module(module, budget)
-    endos = brute_hom_group(module, module, budget)
-    out = []
-    for s in brute_all_submodules(module, budget):
-        es = _elems_of(s)
-        if all(f.apply_vec(x) in es for f in endos for x in es):
-            out.append(s)
-    return out
+    every generator."""
+    t = _tables_within(module, budget)
+    return [t.package(s) for s in t.fully_invariant(budget)]
 
 
-def brute_prime_radical(
-    module: FiniteModule, budget: OracleBudget = DEFAULT_BUDGET
-) -> Submodule:
-    """Intersection of all prime submodules, fully definitionally."""
-    _check_module(module, budget)
-    fi = brute_fully_invariant_submodules(module, budget)
-    elems_of = {s: _elems_of(s) for s in fi}
-    products = {}
-    for n in fi:
-        for k in fi:
-            products[(n, k)] = frozenset(
-                _brute_product_elems(module, elems_of[n], elems_of[k], budget)
-            )
-    primes = []
-    for p in fi:
-        if p.order == module.order:
-            continue
-        ep = elems_of[p]
-        good = True
-        for n in fi:
-            for k in fi:
-                if products[(n, k)] <= ep and not (
-                    elems_of[n] <= ep or elems_of[k] <= ep
-                ):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            primes.append(p)
-    if not primes:
-        return Submodule.full(module)
-    acc = elems_of[primes[0]]
-    for p in primes[1:]:
-        acc = acc & elems_of[p]
-    return Submodule.from_subgroup_rows(module, sorted(acc))
+def brute_prime_radical(module: FiniteModule, budget=DEFAULT_BUDGET) -> Submodule:
+    """Intersection of all prime submodules, fully definitionally: a proper
+    fully invariant P is prime when N*K <= P forces N <= P or K <= P."""
+    t = _tables_within(module, budget)
+    fi = t.fully_invariant(budget)
+    below = {(n, k): t.product(n, k, budget) for n in fi for k in fi}
+    primes = [
+        p for p in fi
+        if p != t.full
+        and all(_le(n, p) or _le(k, p) or not _le(q, p) for (n, k), q in below.items())
+    ]
+    return t.package(functools.reduce(operator.and_, primes)) if primes else Submodule.full(module)
 
 
-def brute_is_quasi_projective(
-    module: FiniteModule, budget: OracleBudget = DEFAULT_BUDGET
-) -> bool:
+def brute_ann_left(module: FiniteModule, sub: Submodule, budget=DEFAULT_BUDGET) -> Submodule:
+    """Intersection of the kernels of every map M -> sub, checked on every
+    element."""
+    t = _tables_within(module, budget)
+    kernel = range(len(t.elems))
+    for ys in t.homs(module, t.mask(sub), budget):
+        kernel = [x for x in kernel if t.apply(ys, t.elems[x]) == 0]
+    return t.package(sum(map(t.bit.__getitem__, kernel)))
+
+
+def brute_ann_right(module: FiniteModule, sub: Submodule, budget=DEFAULT_BUDGET) -> Submodule:
+    """Sum of every submodule K with sub*K = 0."""
+    t = _tables_within(module, budget)
+    n = t.mask(sub)
+    return t.package(t.join(k for k in t.lattice(budget) if t.product(n, k, budget) == 1))
+
+
+def brute_is_quasi_projective(module: FiniteModule, budget=DEFAULT_BUDGET) -> bool:
     """Lifting checked map by map: for every submodule K, every map
     M -> M/K is an endomorphism followed by the projection.
 
@@ -329,70 +338,53 @@ def brute_is_quasi_projective(
     sum r_i x_i = 0 sends sum r_i y_i into K.  The endomorphisms are the
     choices for K = 0, and the lifts are their images modulo K.
     """
-    _check_module(module, budget)
-    orders = module.inv_factors
-    zero = tuple(0 for _ in orders)
-    cyclic = {x: _brute_cyclic(module, x) for x in _elements(module)}
-    gens, span = [], frozenset({zero})
-    while len(span) < module.order:
+    t = _tables_within(module, budget)
+    size, gens, span = len(t.elems), [], 1
+    while span != t.full:
         # |S + Rx| = |S| |Rx| / |S & Rx|: take the x that grows the span most
-        x = max(cyclic, key=lambda x: len(cyclic[x]) / len(cyclic[x] & span))
+        x = max(range(size), key=lambda x: (c := t.cyclic[x]).bit_count() / (c & span).bit_count())
         gens.append(x)
-        span = _subgroup_closure(span | cyclic[x], orders)
-    scalars = [r.coeffs for r in module.ring.elements()]
-    if len(scalars) ** len(gens) > budget.max_hom_enumeration:
-        raise BudgetExceeded(
-            "relation candidates", len(scalars) ** len(gens), budget.max_hom_enumeration
-        )
+        span = t.span(t.generators(t.cyclic[x]), span)
+    _enumerable(module.ring.order ** len(gens), "relation candidates", budget)
+    # times[y][r]: the ring element with index r acting on element y
+    times = [t.image([a[y] for a in t.act], module.ring.add_orders) for y in range(size)]
 
-    def combine(coeffs, vecs):
-        out = zero
-        for r, v in zip(coeffs, vecs):
-            out = _vec_add(out, module.act_coeffs(r, v), orders)
+    def combine(rs, ys):
+        out = 0
+        for r, y in zip(rs, ys):
+            out = t.add[out][times[y][r]]
         return out
 
     relations = [
-        rs
-        for rs in itertools.product(scalars, repeat=len(gens))
-        if any(any(r) for r in rs) and combine(rs, gens) == zero
+        rs for rs in itertools.product(range(module.ring.order), repeat=len(gens))
+        if any(rs) and combine(rs, gens) == 0
     ]
 
-    def maps_modulo(k_elems):
-        """Coset representative of each element, and every choice of
-        generator images (as representatives) that is a map M -> M/K."""
-        rep = {}
-        for x in _elements(module):
-            if x not in rep:
-                coset = [_vec_add(x, k, orders) for k in k_elems]
-                low = min(coset)
-                rep.update(dict.fromkeys(coset, low))
-        reps = sorted(set(rep.values()))
-        if len(reps) ** len(gens) > budget.max_hom_enumeration:
-            raise BudgetExceeded(
-                "hom candidates", len(reps) ** len(gens), budget.max_hom_enumeration
-            )
+    def maps_modulo(k):
+        # coset representatives, and every choice of them that is a map M -> M/K
+        rep, coset = [None] * size, t.members(k)
+        for x in range(size):
+            if rep[x] is None:
+                for y in coset:
+                    rep[t.add[x][y]] = x
+        reps = sorted(set(rep))
+        _enumerable(len(reps) ** len(gens), "hom candidates", budget)
         return rep, {
-            ys
-            for ys in itertools.product(reps, repeat=len(gens))
-            if all(combine(rs, ys) in k_elems for rs in relations)
+            ys for ys in itertools.product(reps, repeat=len(gens))
+            if all(k >> combine(rs, ys) & 1 for rs in relations)
         }
 
-    _, endos = maps_modulo(frozenset({zero}))
-    for sub in brute_all_submodules(module, budget):
-        rep, maps = maps_modulo(_elems_of(sub))
+    _, endos = maps_modulo(1)
+    for k in t.lattice(budget):
+        rep, maps = maps_modulo(k)
         if {tuple(rep[y] for y in ys) for ys in endos} != maps:
             return False
     return True
 
 
-def brute_is_retractable(module: FiniteModule, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
+def brute_is_retractable(module: FiniteModule, budget=DEFAULT_BUDGET) -> bool:
     """Every nonzero submodule S receives a nonzero map, checked member by
     member; a map into S is an endomorphism with generator images in S."""
-    _check_module(module, budget)
-    endos = brute_hom_group(module, module, budget)
-    images = [list(zip(*f.matrix)) for f in endos if not f.is_zero()]
-    for sub in brute_all_submodules(module, budget):
-        es = _elems_of(sub)
-        if not sub.is_zero() and not any(all(c in es for c in cols) for cols in images):
-            return False
-    return True
+    t = _tables_within(module, budget)
+    images = [sum({t.bit[y] for y in ys}) for ys in t.homs(module, t.full, budget) if any(ys)]
+    return all(s == 1 or any(_le(im, s) for im in images) for s in t.lattice(budget))

@@ -30,6 +30,8 @@ from finmod.oracle import (
     BudgetExceeded,
     OracleBudget,
     brute_all_submodules,
+    brute_ann_left,
+    brute_ann_right,
     brute_ell,
     brute_fully_invariant_submodules,
     brute_hom_group,
@@ -40,7 +42,7 @@ from finmod.oracle import (
     brute_prime_radical,
 )
 from finmod.product import is_locally_nilpotent, product
-from finmod.radical import ell, prime_radical
+from finmod.radical import ann_left, ann_right, ell, prime_radical
 
 
 def z4():
@@ -169,15 +171,18 @@ class TestBruteRadicals:
             assert brute_prime_radical(m) == prime_radical(m).prime_radical
 
 
+def _corpus_modules(max_order):
+    corpus = generate_corpus(0, budget=110)
+    return list(dict.fromkeys(i.module for i in corpus.instances if i.module.order <= max_order))
+
+
 class TestBruteLocallyNilpotent:
     def test_definitional_path_matches(self):
         # Every submodule of each distinct seed-0 corpus module of order at
-        # most 16, through the definitional path the quasi-projective
-        # reduction would otherwise skip.
-        corpus = generate_corpus(0, budget=110)
-        modules = dict.fromkeys(i.module for i in corpus.instances if i.module.order <= 16)
+        # most 256 (the oracle's order budget), through the definitional path
+        # the quasi-projective reduction would otherwise skip.
         compared = {True: 0, False: 0}
-        for m in modules:
+        for m in _corpus_modules(256):
             for s in all_submodules(m):
                 try:
                     brute = brute_is_locally_nilpotent(m, s)
@@ -186,7 +191,44 @@ class TestBruteLocallyNilpotent:
                     continue
                 assert brute == fast, (m.name, s.describe())
                 compared[brute] += 1
-        assert sum(compared.values()) >= 250 and min(compared.values()) > 0, compared
+        assert sum(compared.values()) >= 700 and min(compared.values()) >= 200, compared
+
+
+class TestBruteAnnihilators:
+    def test_examples(self):
+        m = z4()
+        two_m = cyclic_submodule(m, (2,))
+        assert brute_ann_left(m, two_m) == two_m
+        assert brute_ann_right(m, two_m) == two_m
+        assert brute_ann_left(m, Submodule.zero(m)) == Submodule.full(m)
+        assert brute_ann_right(m, Submodule.full(m)).is_zero()
+        m6 = z6()
+        assert brute_ann_right(m6, cyclic_submodule(m6, (2,))) == cyclic_submodule(m6, (3,))
+
+    def test_budget(self):
+        m = regular_module(triangular_ring(2, 2))
+        with pytest.raises(BudgetExceeded):
+            brute_ann_left(m, Submodule.full(m), OracleBudget(max_hom_enumeration=4))
+        with pytest.raises(BudgetExceeded):
+            brute_ann_right(m, Submodule.full(m), OracleBudget(max_lattice=2))
+
+    def test_matches_main_path(self):
+        # Every submodule of each distinct seed-0 corpus module of order at
+        # most 64; a side the oracle budget stops is skipped on its own.
+        compared = {"left": 0, "right": 0}
+        for m in _corpus_modules(64):
+            for s in all_submodules(m):
+                for side, brute, fast in (
+                    ("left", brute_ann_left, ann_left),
+                    ("right", brute_ann_right, ann_right),
+                ):
+                    try:
+                        got = brute(m, s)
+                    except BudgetExceeded:
+                        continue
+                    assert got == fast(m, s), (m.name, s.describe(), side)
+                    compared[side] += 1
+        assert compared["left"] >= 650 and compared["right"] >= 550, compared
 
 
 def _small_direct_sums():
