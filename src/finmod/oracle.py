@@ -246,12 +246,9 @@ def _tables_within(module: FiniteModule, budget: OracleBudget) -> _Tables:
 
 
 def brute_hom_group(source: FiniteModule, target: FiniteModule, budget=DEFAULT_BUDGET):
-    """All homomorphisms, by enumerating generator images and filtering.
-
-    Each generator of order d may map to any of the prod_k gcd(d, e_k)
-    target elements killed by d, counted before the target's tables,
-    quadratic in its order, are built; linearity is checked by table lookups.
-    """
+    """All homomorphisms, by enumerating generator images and filtering; the
+    candidate count, prod_k gcd(d_j, e_k) over generators j, is checked before
+    the target's tables (quadratic in its order) are built."""
     candidates = 1
     for d in source.inv_factors:
         candidates *= prod(gcd(d, e) for e in target.inv_factors)
@@ -330,14 +327,11 @@ def brute_ann_right(module: FiniteModule, sub: Submodule, budget=DEFAULT_BUDGET)
 
 
 def brute_is_quasi_projective(module: FiniteModule, budget=DEFAULT_BUDGET) -> bool:
-    """Lifting checked map by map: for every submodule K, every map
-    M -> M/K is an endomorphism followed by the projection.
-
-    A map is fixed by the images y_i of ring-module generators x_i of M; a
-    choice of cosets y_i + K is a map M -> M/K iff every relation
-    sum r_i x_i = 0 sends sum r_i y_i into K.  The endomorphisms are the
-    choices for K = 0, and the lifts are their images modulo K.
-    """
+    """Lifting checked map by map: for every submodule K, every map M -> M/K
+    is an endomorphism followed by the projection.  A choice of cosets y_i + K
+    for ring-module generators x_i of M is a map iff every relation
+    sum r_i x_i = 0 sends sum r_i y_i into K; the endomorphisms are the
+    choices for K = 0, and the lifts are their images modulo K."""
     t = _tables_within(module, budget)
     size, gens, span = len(t.elems), [], 1
     while span != t.full:
