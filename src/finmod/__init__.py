@@ -89,6 +89,7 @@ from .oracle import (
     brute_fully_invariant_submodules,
     brute_hom_group,
     brute_is_locally_nilpotent,
+    brute_is_nil_submodule,
     brute_is_quasi_projective,
     brute_prime_radical,
     brute_product,

@@ -229,25 +229,10 @@ def validate_ring(ring: FiniteRing) -> FiniteRing:
     return ring
 
 
-def _normalized_ring(raw_orders, raw_struct, raw_unit, name, labels=None) -> FiniteRing:
+def _normalized_ring(raw_orders, raw_struct, raw_unit, name) -> FiniteRing:
     """Build a ring from a presentation whose additive orders need not form a
-    divisibility chain; renormalizes the basis when they do not."""
+    divisibility chain, renormalizing the basis to invariant-factor form."""
     r = len(raw_orders)
-    if r == 0 or (_is_chain(raw_orders) and all(m >= 2 for m in raw_orders)):
-        ring = FiniteRing(
-            add_orders=tuple(raw_orders),
-            struct=tuple(
-                tuple(
-                    tuple(c % m for c, m in zip(raw_struct[i][j], raw_orders))
-                    for j in range(r)
-                )
-                for i in range(r)
-            ),
-            unit=tuple(c % m for c, m in zip(raw_unit, raw_orders)),
-            labels=labels,
-            name=name,
-        )
-        return validate_ring(ring)
     relations = [[raw_orders[i] if j == i else 0 for j in range(r)] for i in range(r)]
     nf = finite_presentation(relations, r)
     rank = len(nf.invariants)

@@ -247,13 +247,14 @@ def _tables_within(module: FiniteModule, budget: OracleBudget) -> _Tables:
 
 def brute_hom_group(source: FiniteModule, target: FiniteModule, budget=DEFAULT_BUDGET):
     """All homomorphisms, by enumerating generator images and filtering; the
-    candidate count, prod_k gcd(d_j, e_k) over generators j, is checked before
-    the target's tables (quadratic in its order) are built."""
+    candidate count, prod_k gcd(d_j, e_k) over generators j, and then the
+    target's order are checked before its tables (quadratic in its order) are
+    built."""
     candidates = 1
     for d in source.inv_factors:
         candidates *= prod(gcd(d, e) for e in target.inv_factors)
         _enumerable(candidates, "hom candidates", budget)
-    t = _tables(target)
+    t = _tables_within(target, budget)
     rows = range(target.ngens)
     return [
         Homomorphism(source, target, tuple(tuple(t.elems[y][k] for y in ys) for k in rows))
@@ -280,6 +281,24 @@ def brute_is_locally_nilpotent(module: FiniteModule, sub: Submodule, budget=DEFA
     on the level sets of reachable products."""
     t = _tables_within(module, budget)
     return t.locally_nilpotent(t.mask(sub), budget)
+
+
+def brute_is_nil_submodule(module: FiniteModule, sub: Submodule, budget=DEFAULT_BUDGET) -> bool:
+    """Definitional check: every map from the module into each cyclic
+    submodule of ``sub`` is nilpotent.  Each map is iterated on its image
+    array until it reaches zero (nilpotent) or repeats (not)."""
+    t = _tables_within(module, budget)
+    zero = [0] * len(t.elems)
+    for c in {t.cyclic[x] for x in t.members(t.mask(sub))}:
+        for ys in t.homs(module, c, budget):
+            f = power = t.image(ys, module.inv_factors)
+            seen = set()
+            while power != zero:
+                if (key := tuple(power)) in seen:
+                    return False
+                seen.add(key)
+                power = [f[y] for y in power]
+    return True
 
 
 def brute_ell(module: FiniteModule, budget=DEFAULT_BUDGET) -> Submodule:

@@ -13,15 +13,9 @@ from dataclasses import dataclass
 
 from .algebra import analysis
 from .config import DEFAULT_CAPS, CapExceeded
-from .homspace import (
-    compose,
-    composition_length,
-    hom_group,
-    is_nilpotent_endo,
-)
+from .homspace import compose, hom_group
 from .lattice import (
     Submodule,
-    cyclic_submodule,
     distinct_cyclic_submodules,
     is_quasi_projective,
     submodule_as_module,
@@ -131,61 +125,31 @@ def nilpotency_index(module, base: Submodule) -> int | None:
 @dataclass(frozen=True)
 class NilVerdict:
     is_nil: bool
-    witness: tuple | None  # (generator coefficients, endomorphism) on False
+    witness: Submodule | None  # on False, a cyclic in ``sub`` that is not nilpotent
 
 
 def is_nil_submodule(module, sub: Submodule, caps=DEFAULT_CAPS) -> NilVerdict:
     """Whether every map from the ambient module into each cyclic submodule
-    of ``sub`` is nilpotent.
+    of ``sub`` is nilpotent: exactly when each such cyclic C is a nilpotent
+    submodule, so the first C that is not is returned as the witness.
 
-    Enumerates the Hom group into each cyclic when small enough.  A larger
-    group is searched only through its generators and their bounded
-    products: a non-nilpotent one among them still decides False, but if
-    none is found the answer is unknown and CapExceeded is raised.
+    The maps M -> C, followed by the inclusion, form a right ideal H of
+    End(M).  A nil one-sided ideal lies in the Jacobson radical, which is
+    nilpotent in a finite ring, so H is nil iff H^k(M) = 0 for some k.  H(X)
+    is the product X*C, and since M*C <= C <= M and the product is monotone
+    in its left factor, the chain X_1 = M*C, X_(k+1) = X_k*C satisfies
+    X_k <= C^k and C^(k+1) <= X_k: it vanishes iff the left-nested powers of
+    C do.
     """
-    too_large = 0
     for c in _cyclics_inside(module, sub, caps):
-        emb = submodule_as_module(c)
-        group = hom_group(module, emb.module)
-        if group.order <= caps.max_hom_elements:
-            candidates = (compose(emb.inclusion, f) for f in group.elements())
-        else:
-            too_large = max(too_large, group.order)
-            candidates = _bounded_products(group, module, emb)
-        for endo in candidates:
-            nil, _ = is_nilpotent_endo(endo)
-            if not nil:
-                rep = next(x.coeffs for x in c.elements() if cyclic_submodule(module, x) == c)
-                return NilVerdict(False, (rep, endo))
-    if too_large:
-        raise CapExceeded("hom elements", too_large, caps.max_hom_elements)
+        if nilpotency_index(module, c) is None:
+            return NilVerdict(False, c)
     return NilVerdict(True, None)
 
 
 def _cyclics_inside(module, sub, caps):
     """The nonzero distinct cyclic submodules of ``sub``, in canonical order."""
     return [c for c in distinct_cyclic_submodules(module, caps) if not c.is_zero() and c.le(sub)]
-
-
-def _bounded_products(group, module, emb):
-    """Generators of a Hom group and their products up to the composition
-    length bound, as maps into the cyclic target."""
-    gens = [compose(emb.inclusion, g) for g in group.generators]
-    for g in gens:
-        yield g
-    bound = composition_length(module)
-    layer = list(gens)
-    for _ in range(bound - 1):
-        nxt = []
-        for f in layer:
-            for g in gens:
-                h = compose(f, g)
-                if not h.is_zero():
-                    nxt.append(h)
-                    yield h
-        if not nxt:
-            return
-        layer = nxt
 
 
 # Most cyclic generators the definitional locally-nilpotent test walks.

@@ -191,8 +191,8 @@ class SubmSequence:
     """Outcome of the orthogonal-sequence construction.
 
     diagnostics is ("complete", k), ("hypothesis_violated", j, witness) with
-    witness the nonzero left annihilator slice (or the nil-test witness when
-    j = 0), or ("cap_reached", _MAX_STEPS).
+    witness the nonzero left annihilator slice (or, when j = 0, a cyclic
+    submodule of N that is not nilpotent), or ("cap_reached", _MAX_STEPS).
     """
 
     modules_a: tuple[Submodule, ...]

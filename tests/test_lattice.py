@@ -15,8 +15,10 @@ from finmod.algebra import (
     zn_ring,
 )
 from finmod.config import Caps, CapExceeded
+from finmod.harness import generate_corpus
 from finmod.lattice import (
     Submodule,
+    _lifts_to_quotients,
     all_submodules,
     annihilator_lattice,
     cyclic_submodule,
@@ -296,6 +298,28 @@ class TestPredicates:
         ring = zn_ring(4)
         d, _, _ = direct_sum(cyclic_module(ring, 2), regular_module(ring))
         assert not is_quasi_projective(d)
+
+    def test_lifting_against_own_powers_matches_quasi_projectivity(self):
+        # The paper assumes M is M^(L)-projective for every index set L; for
+        # a finitely generated M that is quasi-projectivity.  The plain
+        # lifting loop, which never splits a sum, checks M (+) M and M^3 of
+        # the distinct seed-0 modules, up to order 64 and 250 submodules.
+        caps = Caps(max_lattice=250)
+        corpus = generate_corpus(0, budget=110)
+        compared = {True: 0, False: 0}
+        for m in dict.fromkeys(i.module for i in corpus.instances):
+            power = m
+            for _ in range(2):
+                power = direct_sum(power, m)[0]
+                if power.order > 64:
+                    break
+                try:
+                    lifts = _lifts_to_quotients(m, power, caps)
+                except CapExceeded:
+                    continue
+                assert lifts == is_quasi_projective(m), (m.name, power.order)
+                compared[lifts] += 1
+        assert compared[True] >= 60 and compared[False] >= 1, compared
 
     def test_goldie_profile(self):
         m = regular_module(zn_ring(4))

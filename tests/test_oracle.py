@@ -36,12 +36,13 @@ from finmod.oracle import (
     brute_fully_invariant_submodules,
     brute_hom_group,
     brute_is_locally_nilpotent,
+    brute_is_nil_submodule,
     brute_is_quasi_projective,
     brute_is_retractable,
     brute_product,
     brute_prime_radical,
 )
-from finmod.product import is_locally_nilpotent, product
+from finmod.product import is_locally_nilpotent, is_nil_submodule, product
 from finmod.radical import ann_left, ann_right, ell, prime_radical
 
 
@@ -97,6 +98,17 @@ class TestBruteHom:
         m = regular_module(triangular_ring(2, 2))
         with pytest.raises(BudgetExceeded):
             brute_hom_group(m, m, OracleBudget(max_hom_enumeration=4))
+
+    def test_target_order_budget(self):
+        # the target's tables are quadratic in its order, so an order past
+        # the budget is refused before they are built
+        ring4 = zn_ring(4)
+        big = regular_module(ring4)
+        for _ in range(4):
+            big = direct_sum(big, regular_module(ring4))[0]
+        with pytest.raises(BudgetExceeded) as exc:
+            brute_hom_group(cyclic_module(ring4, 2), big)
+        assert exc.value.what == "module order" and exc.value.needed == 1024
 
     def test_matches_main_path(self):
         for m in small_modules():
@@ -192,6 +204,32 @@ class TestBruteLocallyNilpotent:
                 assert brute == fast, (m.name, s.describe())
                 compared[brute] += 1
         assert sum(compared.values()) >= 700 and min(compared.values()) >= 200, compared
+
+
+class TestBruteNil:
+    def test_examples(self):
+        m = z4()
+        assert brute_is_nil_submodule(m, cyclic_submodule(m, (2,)))
+        assert brute_is_nil_submodule(m, Submodule.zero(m))
+        assert not brute_is_nil_submodule(m, Submodule.full(m))
+        m6 = z6()
+        assert not brute_is_nil_submodule(m6, cyclic_submodule(m6, (2,)))
+
+    def test_matches_main_path(self):
+        # Every submodule of each distinct seed-0 corpus module of order at
+        # most 256: the oracle iterates every map into every cyclic, the fast
+        # path only takes powers of the cyclics.
+        compared = {True: 0, False: 0}
+        for m in _corpus_modules(256):
+            for s in all_submodules(m):
+                try:
+                    brute = brute_is_nil_submodule(m, s)
+                except BudgetExceeded:
+                    continue
+                assert brute == is_nil_submodule(m, s).is_nil, (m.name, s.describe())
+                compared[brute] += 1
+        assert sum(compared.values()) >= 700, compared
+        assert compared[True] >= 200 and compared[False] >= 500, compared
 
 
 class TestBruteAnnihilators:

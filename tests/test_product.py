@@ -3,8 +3,6 @@
 import itertools
 import random
 
-import pytest
-
 from finmod.algebra import (
     direct_sum,
     quotient_module,
@@ -12,13 +10,13 @@ from finmod.algebra import (
     triangular_ring,
     zn_ring,
 )
-from finmod.config import CapExceeded
 from finmod.harness import generate_corpus
 from finmod.homspace import compose, hom_group, image
 from finmod.lattice import (
     Submodule,
     all_submodules,
     cyclic_submodule,
+    distinct_cyclic_submodules,
     fully_invariant_submodules,
     submodule_as_module,
 )
@@ -209,15 +207,13 @@ class TestNilSubmodule:
         assert v.is_nil and v.witness is None
 
     def test_2m_in_z6_with_witness(self):
-        from finmod.homspace import is_nilpotent_endo, image
-
         m = z6()
-        v = is_nil_submodule(m, cyclic_submodule(m, (2,)))
+        two_m = cyclic_submodule(m, (2,))
+        v = is_nil_submodule(m, two_m)
         assert not v.is_nil
-        rep, endo = v.witness
-        # the witness maps into the cyclic submodule of rep and is not nilpotent
-        assert image(endo).le(cyclic_submodule(m, rep))
-        assert is_nilpotent_endo(endo) == (False, None)
+        # the witness is a cyclic submodule of 2Z6 whose powers never vanish
+        assert v.witness in distinct_cyclic_submodules(m) and v.witness.le(two_m)
+        assert nilpotency_index(m, v.witness) is None
 
     def test_radical_of_triangular_is_nil(self):
         m = t2f2_reg()
@@ -225,18 +221,15 @@ class TestNilSubmodule:
         assert is_nil_submodule(m, j).is_nil
 
     def test_bounded_fallback(self):
-        # tiny caps leave only the generators and their products to try: a
-        # non-nilpotent one among them is an exact False, and finding none
-        # leaves the verdict unknown, so the cap is raised
+        # the verdict enumerates no Hom elements, so even a Hom element cap
+        # of 1 leaves it exact
         from finmod.config import Caps
 
         tight = Caps(max_hom_elements=1)
         m = z4()
-        with pytest.raises(CapExceeded):
-            is_nil_submodule(m, cyclic_submodule(m, (2,)), caps=tight)
+        assert is_nil_submodule(m, cyclic_submodule(m, (2,)), caps=tight).is_nil
         m6 = z6()
-        v6 = is_nil_submodule(m6, cyclic_submodule(m6, (2,)), caps=tight)
-        assert not v6.is_nil and v6.witness is not None
+        assert not is_nil_submodule(m6, cyclic_submodule(m6, (2,)), caps=tight).is_nil
 
 
 class TestLocallyNilpotent:
