@@ -4,7 +4,9 @@
 Hom(M, N) is computed in one congruence solve: a matrix is a homomorphism
 exactly when it commutes with every ring action and respects generator
 orders.  The endomorphism ring is materialized as a finite ring whose basis
-realizes the invariant-factor decomposition of Hom(M, M).
+realizes the invariant-factor decomposition of Hom(M, M).  Whether an
+endomorphism is nilpotent is read off its powers, up to the composition
+length of the module.
 """
 
 from finmod.algebra import direct_sum, regular_module, validate_ring, zn_ring
@@ -14,10 +16,49 @@ from finmod.homspace import (
     end_ring,
     hom_group,
     image,
-    is_nilpotent_endo,
     kernel,
 )
 from finmod.lattice import cyclic_submodule, submodule_as_module
+
+
+def _omega(n: int) -> int:
+    """Number of prime factors with multiplicity."""
+    count = 0
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            count += 1
+        p += 1
+    if n > 1:
+        count += 1
+    return count
+
+
+def composition_length(module) -> int:
+    """Length of any maximal chain of subgroups; bounds every strictly
+    decreasing chain of submodules."""
+    return sum(_omega(d) for d in module.inv_factors)
+
+
+def is_nilpotent_endo(f):
+    """(True, least index) when some power of f is zero, else (False, None).
+
+    The image chain of an endomorphism strictly decreases until it
+    stabilizes, so checking up to the composition length decides nilpotency.
+    """
+    if f.source != f.target:
+        raise ValueError("nilpotency is about endomorphisms")
+    bound = composition_length(f.source)
+    if f.is_zero():
+        return True, 1
+    power = f
+    for k in range(1, bound + 1):
+        if power.is_zero():
+            return True, k
+        power = compose(power, f)
+    return False, None
+
 
 z4 = regular_module(zn_ring(4))
 

@@ -58,7 +58,6 @@ from .homspace import (
     end_ring,
     hom_group,
     image,
-    is_nilpotent_endo,
     kernel,
 )
 from .intlat import (
@@ -85,6 +84,7 @@ from .oracle import (
     BudgetExceeded,
     OracleBudget,
     brute_all_submodules,
+    brute_annihilator_lattice,
     brute_ell,
     brute_fully_invariant_submodules,
     brute_hom_group,

@@ -556,10 +556,6 @@ def _element_subsets(module, rng, count, size):
     return out
 
 
-def _rows_or_zero(m, sub):
-    return list(sub.basis) or [tuple(0 for _ in m.inv_factors)]
-
-
 def _end_annihilator_identity(m, rng):
     """(exercised, held) over sampled element subsets x: the End-annihilator
     A of x must equal the End-annihilator of the common kernel of A's
@@ -567,7 +563,7 @@ def _end_annihilator_identity(m, rng):
     exercised = 0
     for x in _element_subsets(m, rng, 4, 3):
         gens, sub = end_left_annihilator(m, x)
-        if end_left_annihilator(m, _rows_or_zero(m, kernel_intersection(m, gens)))[1] != sub:
+        if end_left_annihilator(m, kernel_intersection(m, gens).basis)[1] != sub:
             return exercised, False
         exercised += 1
     return exercised, True
@@ -655,7 +651,7 @@ def _check_dccl(m, rng, caps):
         for _ in range(3):
             y = _sample(endos, rng, 2)
             common = kernel_intersection(m, y)
-            gens, _ = end_left_annihilator(m, _rows_or_zero(m, common))
+            gens, _ = end_left_annihilator(m, common.basis)
             if kernel_intersection(m, gens) != common:
                 return exercised, "identity (2) failed", ""
             exercised += 1
@@ -668,8 +664,6 @@ def _check_factorrightacc(m, rng, caps):
     sizes = []
     for n_sub in _sample(lat, rng, 4):
         quot, _ = quotient_module(m, ann_right(m, n_sub, caps))
-        if hom_group(quot, quot).order > caps.max_hom_elements:
-            continue
         sizes.append(len(annihilator_lattice(quot, caps)))
         exercised += 1
     return exercised, None, f"annihilator poset sizes={sizes}"
@@ -731,8 +725,6 @@ def _check_accmoduloann(m, rng, caps):
         ideal_span = [compose(a, compose(g, b)) for a in gens for b in gens]
         n_sub = kernel_intersection(m, ideal_span)
         quot, _ = quotient_module(m, n_sub)
-        if hom_group(quot, quot).order > caps.max_hom_elements:
-            continue
         annihilator_lattice(quot, caps)  # finite evidence for the chain condition
         exercised += 1
     return exercised, None, ""

@@ -248,42 +248,3 @@ def end_ring(module: FiniteModule, caps=DEFAULT_CAPS) -> EndRing:
     )
     out = memo[caps] = EndRing(module=module, as_ring=ring, gens_as_homs=basis)
     return out
-
-
-def _omega(n: int) -> int:
-    """Number of prime factors with multiplicity."""
-    count = 0
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            n //= p
-            count += 1
-        p += 1
-    if n > 1:
-        count += 1
-    return count
-
-
-def composition_length(module: FiniteModule) -> int:
-    """Length of any maximal chain of subgroups; bounds every strictly
-    decreasing chain of submodules."""
-    return sum(_omega(d) for d in module.inv_factors)
-
-
-def is_nilpotent_endo(f: Homomorphism):
-    """(True, least index) when some power of f is zero, else (False, None).
-
-    The image chain of an endomorphism strictly decreases until it
-    stabilizes, so checking up to the composition length decides nilpotency.
-    """
-    if f.source != f.target:
-        raise ValueError("nilpotency is about endomorphisms")
-    bound = composition_length(f.source)
-    if f.is_zero():
-        return True, 1
-    power = f
-    for k in range(1, bound + 1):
-        if power.is_zero():
-            return True, k
-        power = compose(power, f)
-    return False, None

@@ -155,48 +155,6 @@ def snf(rows):
     return U, D, V
 
 
-def hnf_rows(rows, ncols) -> list[list[int]]:
-    """Row-style Hermite normal form of the lattice spanned by ``rows``.
-
-    Output rows are in echelon form with strictly increasing pivot columns,
-    positive pivots, and entries above each pivot reduced into [0, pivot).
-    The result is the unique such basis of the row lattice.
-    """
-    pool = [list(r) for r in rows if any(r)]
-    pivots = []
-    for col in range(ncols):
-        while True:
-            nz = [r for r in pool if r[col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            p = nz[0]
-            pc = p[col]
-            for r in nz[1:]:
-                q = r[col] // pc
-                if q:
-                    for k in range(col, ncols):
-                        r[k] -= q * p[k]
-            pool = [r for r in pool if any(r)]
-        nz = [r for r in pool if r[col] != 0]
-        if nz:
-            p = nz[0]
-            pool.remove(p)
-            if p[col] < 0:
-                p = [-x for x in p]
-            pivots.append((col, p))
-    for idx in range(len(pivots)):
-        col, p = pivots[idx]
-        pc = p[col]
-        for k in range(idx):
-            r = pivots[k][1]
-            q = r[col] // pc
-            if q:
-                for t in range(col, ncols):
-                    r[t] -= q * p[t]
-    return [p for _, p in pivots]
-
-
 def _xgcd(a, b):
     """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
     s0, s1, t0, t1 = 1, 0, 0, 1

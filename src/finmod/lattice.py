@@ -285,9 +285,17 @@ def _socle_data(module: FiniteModule, caps):
 
 
 def annihilator_lattice(module: FiniteModule, caps=DEFAULT_CAPS):
-    """The kernels-intersection family {ker-intersections over subsets of
-    End(M)}: closure of the endomorphism kernels under intersection, plus M."""
-    from .homspace import hom_group, kernel
+    """The annihilators Ann_M(S), the common kernels of subsets S of End(M),
+    in canonical order; M itself is the empty one.
+
+    Ann_M(S) is the annihilator of the left ideal S generates, and of that
+    ideal's additive generators.  So the family is the set of submodules K
+    closed under cl(K) = Ann_M(Ann_End(K)), and cl(K) takes two congruence
+    solves; no End element is enumerated.  |End| above
+    ``caps.max_hom_elements`` raises CapExceeded before any lattice is
+    listed: that cap only decides when the family is reported."""
+    from .homspace import hom_group
+    from .radical import end_left_annihilator, kernel_intersection
 
     memo = analysis(module).annihilators
     hit = memo.get(caps)
@@ -295,10 +303,10 @@ def annihilator_lattice(module: FiniteModule, caps=DEFAULT_CAPS):
         end = hom_group(module, module)
         if end.order > caps.max_hom_elements:
             raise CapExceeded("endomorphism count", end.order, caps.max_hom_elements)
-        family = {Submodule.full(module): None}
-        for k in dict.fromkeys(kernel(f) for f in end.elements()):
-            family.update(dict.fromkeys([s.intersect(k) for s in family]))
-        hit = memo[caps] = tuple(sorted(family, key=Submodule.sort_key))
+        hit = memo[caps] = tuple(
+            k for k in all_submodules(module, caps)
+            if kernel_intersection(module, end_left_annihilator(module, k.basis)[0]) == k
+        )
     return list(hit)
 
 
@@ -374,9 +382,10 @@ class PredicateProfile:
 def is_goldie(module: FiniteModule, caps=DEFAULT_CAPS) -> PredicateProfile:
     """Assemble the predicate profile.
 
-    The size of the finite kernel intersection poset is recorded as
-    evidence for the chain condition, or None past the caps; finiteness of
-    the uniform dimension is automatic.
+    The size of the annihilator lattice is recorded as evidence for the
+    chain condition, or None past the caps: above ``max_hom_elements``
+    endomorphisms, or past the lattice and order caps.  Finiteness of the
+    uniform dimension is automatic.
     """
     try:
         ann_size = len(annihilator_lattice(module, caps))

@@ -345,6 +345,19 @@ def brute_ann_right(module: FiniteModule, sub: Submodule, budget=DEFAULT_BUDGET)
     return t.package(t.join(k for k in t.lattice(budget) if t.product(n, k, budget) == 1))
 
 
+def brute_annihilator_lattice(module: FiniteModule, budget=DEFAULT_BUDGET):
+    """Every intersection of endomorphism kernels, M being the empty one:
+    each endomorphism's kernel is read off its image array, and the kernels
+    are closed under intersection."""
+    t = _tables_within(module, budget)
+    family = {t.full}
+    for ys in t.homs(module, t.full, budget):
+        arr = t.image(ys, module.inv_factors)
+        ker = sum(t.bit[x] for x, y in enumerate(arr) if y == 0)
+        family |= {s & ker for s in family}
+    return [t.package(s) for s in sorted(family)]
+
+
 def brute_is_quasi_projective(module: FiniteModule, budget=DEFAULT_BUDGET) -> bool:
     """Lifting checked map by map: for every submodule K, every map M -> M/K
     is an endomorphism followed by the projection.  A choice of cosets y_i + K

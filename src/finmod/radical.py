@@ -12,10 +12,11 @@ in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .algebra import analysis
 from .config import DEFAULT_CAPS, CapExceeded
-from .homspace import Homomorphism, hom_group, kernel
+from .homspace import Homomorphism, hom_group
 from .intlat import solve_homogeneous_congruences
 from .lattice import (
     Submodule,
@@ -264,35 +265,40 @@ def annihilator_chain_index(module, sub: Submodule) -> int:
 
 
 def end_left_annihilator(module, vectors):
-    """Endomorphisms vanishing on the given elements, as a subgroup of the
-    endomorphism group; returns (generators, subgroup).
+    """Ann_End(X), the endomorphisms vanishing on the elements X, as
+    (generators, subgroup) with the subgroup in the Smith coordinates of
+    End(M).
 
-    In the flattened matrix coordinates of ``hom_group``, f(v) = 0 is one
-    congruence per target coordinate, and the answer is the meet of its
-    solutions with End(M)."""
-    s = module.ngens
-    d = module.inv_factors
+    With g_i the Smith generators of End(M), the map sum_i c_i g_i kills x
+    iff sum_i c_i g_i(x) = 0 in M: one congruence per element x and
+    coordinate k of M, over columns of moduli the invariants of End(M).  The
+    generators are built from the solution's basis directly.  The common
+    kernel of the generators is the closure Ann_M(Ann_End(X)) that
+    ``annihilator_lattice`` and the annihilator checkers share."""
     end = hom_group(module, module).subgroup
-    rows = [
-        [v % d[k] if t == k else 0 for t in range(s) for v in vec]
-        for vec in vectors
-        for k in range(s)
+    s, e = module.ngens, module.inv_factors
+    smith = [[g[k * s:(k + 1) * s] for k in range(s)] for g in end.smith_gens]
+    rows = [[sum(map(mul, g[k], x)) % e[k] for g in smith] for x in vectors for k in range(s)]
+    moduli = [e[k] for _ in vectors for k in range(s)]
+    sub = solve_homogeneous_congruences(rows, moduli, end.invariants)
+    gens = [
+        Homomorphism(module, module, tuple(
+            tuple(sum(c * g[k][j] for c, g in zip(coeffs, smith)) % e[k] for j in range(s))
+            for k in range(s)
+        ))
+        for coeffs in sub.basis
     ]
-    sub = end
-    if rows:
-        sub = end.intersect(
-            solve_homogeneous_congruences(
-                rows, [d[k] for _ in vectors for k in range(s)], end.moduli
-            )
-        )
-    gens = [Homomorphism.from_flat(module, module, g) for g in sub.basis]
     return gens, sub
 
 
 def kernel_intersection(module, maps) -> Submodule:
     """Common kernel of a family of maps out of the module (all of it when
-    the family is empty)."""
-    out = Submodule.full(module)
+    the family is empty), in one congruence solve over their stacked
+    matrices.  The kernel of a sum or a composite contains the kernels it
+    is built from, so generators of a set of maps give the kernel of all
+    they generate."""
+    rows, moduli = [], []
     for f in maps:
-        out = out.intersect(kernel(f))
-    return out
+        rows += f.matrix
+        moduli += f.target.inv_factors
+    return Submodule(module, solve_homogeneous_congruences(rows, moduli, module.inv_factors))

@@ -160,6 +160,19 @@ class TestSearch:
         assert len(searched) == 1
 
 
+    def test_end_cap_in_a_quotient_is_a_reported_skip(self, corpus12):
+        # the quotients' annihilator lattices raise CapExceeded themselves,
+        # so a check past the End cap is a SKIP with its reason
+        from finmod.config import Caps
+
+        tiny = Caps(max_hom_elements=1)
+        t2 = next(i for i in corpus12.instances if i.name == "T2(Z2)-regular")
+        for sid in ("PROP-FACTORRIGHTACC", "LEM-ACCMODULOANN"):
+            assert check_statement(sid, t2).outcome == "pass"
+            report = check_statement(sid, t2, tiny)
+            assert report.outcome == "skipped"
+            assert report.detail.startswith("endomorphism count")
+
 def test_catalog_is_complete():
     assert set(STATEMENTS) == set(STATEMENT_IDS)
     assert len(STATEMENT_IDS) == 32

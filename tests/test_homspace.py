@@ -1,6 +1,10 @@
 """Hom group and endomorphism ring computation."""
 
 import itertools
+import runpy
+from pathlib import Path
+
+import pytest
 
 from finmod.algebra import (
     cyclic_module,
@@ -18,7 +22,6 @@ from finmod.homspace import (
     end_ring,
     hom_group,
     image,
-    is_nilpotent_endo,
     kernel,
 )
 from finmod.intlat import CanonicalSubgroup
@@ -184,16 +187,23 @@ class TestKernelImage:
         assert compose(Homomorphism.zero(m2, zero), Homomorphism.zero(zero, m2)).matrix == ()
 
 
+@pytest.fixture(scope="module")
+def is_nilpotent_endo():
+    """The nilpotency test that the Hom demo defines and prints."""
+    demo = Path(__file__).resolve().parent.parent / "demos" / "03_hom_and_end.py"
+    return runpy.run_path(str(demo))["is_nilpotent_endo"]
+
+
 class TestNilpotentEndo:
-    def test_zero_map(self):
+    def test_zero_map(self, is_nilpotent_endo):
         m = z4_regular()
         assert is_nilpotent_endo(Homomorphism.zero(m, m)) == (True, 1)
 
-    def test_doubling(self):
+    def test_doubling(self, is_nilpotent_endo):
         m = z4_regular()
         assert is_nilpotent_endo(Homomorphism.of(m, m, [[2]])) == (True, 2)
 
-    def test_idempotent_scaling(self):
+    def test_idempotent_scaling(self, is_nilpotent_endo):
         m = regular_module(zn_ring(6))
         nil, idx = is_nilpotent_endo(Homomorphism.of(m, m, [[4]]))
         assert not nil and idx is None

@@ -10,7 +10,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finmod.intlat import CanonicalSubgroup, hnf_rows, snf, solve_homogeneous_congruences
+from finmod.intlat import CanonicalSubgroup, snf, solve_homogeneous_congruences
 
 
 def brute_subgroup(generators, moduli):
@@ -281,6 +281,49 @@ class TestCongruenceSolver:
         assert frozenset(out.elements()) == brute_solutions(
             ok_rows, row_moduli, col_moduli
         )
+
+
+def hnf_rows(rows, ncols) -> list[list[int]]:
+    """Row-style Hermite normal form of the lattice spanned by ``rows``: the
+    generic reference the insertion kernel is checked against.
+
+    Output rows are in echelon form with strictly increasing pivot columns,
+    positive pivots, and entries above each pivot reduced into [0, pivot).
+    The result is the unique such basis of the row lattice.
+    """
+    pool = [list(r) for r in rows if any(r)]
+    pivots = []
+    for col in range(ncols):
+        while True:
+            nz = [r for r in pool if r[col] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda r: abs(r[col]))
+            p = nz[0]
+            pc = p[col]
+            for r in nz[1:]:
+                q = r[col] // pc
+                if q:
+                    for k in range(col, ncols):
+                        r[k] -= q * p[k]
+            pool = [r for r in pool if any(r)]
+        nz = [r for r in pool if r[col] != 0]
+        if nz:
+            p = nz[0]
+            pool.remove(p)
+            if p[col] < 0:
+                p = [-x for x in p]
+            pivots.append((col, p))
+    for idx in range(len(pivots)):
+        col, p = pivots[idx]
+        pc = p[col]
+        for k in range(idx):
+            r = pivots[k][1]
+            q = r[col] // pc
+            if q:
+                for t in range(col, ncols):
+                    r[t] -= q * p[t]
+    return [p for _, p in pivots]
 
 
 def test_hnf_rows_unique_for_equal_lattices():

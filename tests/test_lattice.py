@@ -16,6 +16,7 @@ from finmod.algebra import (
 )
 from finmod.config import Caps, CapExceeded
 from finmod.harness import generate_corpus
+from finmod.homspace import HomGroup
 from finmod.lattice import (
     Submodule,
     _lifts_to_quotients,
@@ -278,6 +279,35 @@ class TestAnnihilatorLattice:
         m = regular_module(zn_ring(6))
         ann = annihilator_lattice(m)
         assert [s.order for s in ann] == [1, 2, 3, 6]
+
+    def test_sizes_of_larger_modules(self):
+        t2 = regular_module(triangular_ring(2, 2))
+        assert len(annihilator_lattice(regular_module(matrix_ring(2, 4)))) == 15
+        assert len(annihilator_lattice(direct_sum(t2, t2)[0])) == 67
+
+    def test_enumerates_no_endomorphism(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Hom elements enumerated")
+
+        monkeypatch.setattr(HomGroup, "elements", refuse)
+        # caps of their own, so nothing comes from the memo
+        caps = Caps(max_lattice=4999)
+        t2 = regular_module(triangular_ring(2, 2))
+        assert len(annihilator_lattice(direct_sum(t2, t2)[0], caps)) == 67
+        assert len(annihilator_lattice(regular_module(zn_ring(12)), caps)) == 6
+
+    def test_end_cap_is_checked_before_the_lattice(self):
+        # End(Z2^5) = M5(Z2) has 2^25 elements: the size is not reported,
+        # and the 374-member lattice is never listed
+        reg = regular_module(zn_ring(2))
+        m = reg
+        for _ in range(4):
+            m = direct_sum(m, reg)[0]
+        with pytest.raises(CapExceeded) as exc:
+            annihilator_lattice(m)
+        assert exc.value.what == "endomorphism count"
+        assert is_goldie(m).annihilator_lattice_size is None
+        assert not analysis(m).lattice
 
 
 class TestPredicates:

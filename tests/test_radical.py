@@ -1,5 +1,6 @@
 """Annihilators, the locally nilpotent radical, and prime structure."""
 
+import functools
 import itertools
 import time
 
@@ -16,12 +17,15 @@ from finmod.algebra import (
     zn_ring,
 )
 from finmod.config import DEFAULT_CAPS
-from finmod.homspace import compose, hom_group
+from finmod.harness import generate_corpus
+from finmod.homspace import compose, hom_group, kernel
+from finmod.intlat import CanonicalSubgroup
 from finmod.lattice import (
     Submodule,
     all_submodules,
     cyclic_submodule,
     fully_invariant_submodules,
+    submodule_as_module,
 )
 from finmod.product import nilpotency_index, product
 from finmod.radical import (
@@ -152,6 +156,52 @@ class TestEndAnnihilators:
                 m, [r for r in common.basis] or [tuple(0 for _ in m.inv_factors)]
             )
             assert kernel_intersection(m, gens) == common
+
+
+@pytest.fixture(scope="module")
+def small_corpus_modules():
+    """The distinct seed-0 corpus modules of order at most 32."""
+    corpus = generate_corpus(0, budget=110)
+    return list(dict.fromkeys(i.module for i in corpus.instances if i.module.order <= 32))
+
+
+class TestClosureHelpers:
+    def test_kernel_intersection_is_the_fold_of_kernels(self, small_corpus_modules):
+        compared = 0
+        for m in small_corpus_modules:
+            end = hom_group(m, m)
+            families = [[], list(end.generators), list(end.smith_basis())]
+            families += [
+                list(hom_group(m, submodule_as_module(s).module).generators)
+                for s in all_submodules(m)[1:4]
+            ]
+            for maps in families:
+                fold = functools.reduce(
+                    Submodule.intersect, map(kernel, maps), Submodule.full(m)
+                )
+                assert kernel_intersection(m, maps) == fold, m.name
+                compared += 1
+        assert compared >= 430, compared
+
+    def test_end_left_annihilator_spans_the_vanishing_endomorphisms(
+        self, small_corpus_modules
+    ):
+        compared = 0
+        for m in small_corpus_modules:
+            end = hom_group(m, m)
+            zero = tuple(0 for _ in m.inv_factors)
+            for s in all_submodules(m):
+                vanishing = {
+                    f.flatten()
+                    for f in end.elements()
+                    if all(f.apply_vec(x) == zero for x in s.basis)
+                }
+                gens, sub = end_left_annihilator(m, s.basis)
+                span = CanonicalSubgroup(end.subgroup.moduli, [g.flatten() for g in gens])
+                assert set(span.elements()) == vanishing, (m.name, s.describe())
+                assert sub.order == len(vanishing)
+                compared += 1
+        assert compared >= 500, compared
 
 
 class TestEll:
