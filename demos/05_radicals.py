@@ -8,15 +8,44 @@ submodules, and on Goldie modules that intersection is nilpotent.
 
 from finmod.algebra import regular_module, triangular_ring, zn_ring
 from finmod.lattice import Submodule, cyclic_submodule
+from finmod.product import power_trace
 from finmod.radical import (
     ann_left,
     ann_right,
-    annihilator_chain_index,
     is_prime_submodule,
     is_semiprime_submodule,
     prime_radical,
     subm_sequence,
 )
+
+
+def power(module, base, exponent):
+    """Left-nested power; exponent 1 is the submodule itself."""
+    if exponent < 1:
+        raise ValueError("exponent must be at least 1")
+    trace = power_trace(module, base)
+    chain, (kind, idx) = trace.chain, trace.terminal
+    if exponent <= len(chain):
+        return chain[exponent - 1]
+    if kind == "zero":
+        return Submodule.zero(module)
+    # cycle: powers repeat with period len(chain) - idx + 1 from position idx
+    period = len(chain) - idx + 1
+    return chain[idx - 1 + (exponent - idx) % period]
+
+
+def annihilator_chain_index(module, sub):
+    """Least k at which the ascending chain of annihilators of the powers
+    stabilizes: ann(N^k) = ann(N^(k+1))."""
+    k = 1
+    prev = ann_left(module, sub)
+    while True:
+        nxt = ann_left(module, power(module, sub, k + 1))
+        if nxt == prev:
+            return k
+        prev = nxt
+        k += 1
+
 
 # The worked example: over Z/p^n the radical is generated by p and has
 # nilpotency index exactly n.

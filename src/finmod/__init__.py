@@ -99,7 +99,6 @@ from .product import (
     is_locally_nilpotent,
     is_nil_submodule,
     nilpotency_index,
-    power,
     power_trace,
     product,
 )
@@ -108,7 +107,6 @@ from .radical import (
     SubmSequence,
     ann_left,
     ann_right,
-    annihilator_chain_index,
     ell,
     is_prime_submodule,
     is_semiprime_submodule,

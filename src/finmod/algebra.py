@@ -492,6 +492,8 @@ class ModuleAnalysis:
     quotients: dict = field(default_factory=dict)  # Submodule -> (M/S, proj, section)
     embeddings: dict = field(default_factory=dict)  # Submodule -> SubmoduleEmbedding
     products: dict = field(default_factory=dict)  # (left, right) -> Submodule
+    maps_into: dict = field(default_factory=dict)  # Submodule K -> maps M -> M spanning Hom(M, K)
+    cyclic_annihilators: dict = field(default_factory=dict)  # Caps -> ((C, ann_left(C)), ...)
     summands: tuple | None = None  # (a, b) when built as a direct sum a (+) b
 
 
@@ -629,23 +631,16 @@ def module_from_actions(ring, inv_factors, actions, labels=None, name="module"):
 
 def regular_module(ring: FiniteRing) -> FiniteModule:
     """The ring as a left module over itself; actions are the left
-    multiplication matrices."""
+    multiplication matrices, column j of matrix i holding b_i * b_j.
+
+    Built without validation: for a validated ring, associativity, the unit
+    and the additive orders are exactly the module axioms of this action."""
     r = ring.rank
-    actions = []
-    for i in range(r):
-        mat = [[0] * r for _ in range(r)]
-        for j in range(r):
-            c = ring.struct[i][j]  # b_i * b_j
-            for k in range(r):
-                mat[k][j] = c[k]
-        actions.append(mat)
-    return module_from_actions(
-        ring,
-        ring.add_orders,
-        actions,
-        labels=ring.labels,
-        name=f"{ring.name} regular",
+    actions = tuple(
+        tuple(tuple(ring.struct[i][j][k] for j in range(r)) for k in range(r))
+        for i in range(r)
     )
+    return FiniteModule(ring, ring.add_orders, actions, ring.labels, f"{ring.name} regular")
 
 
 def cyclic_module(ring: FiniteRing, n: int, name=None) -> FiniteModule:

@@ -246,10 +246,11 @@ class CanonicalSubgroup:
     """A subgroup of prod Z/moduli[j] in canonical Hermite form.
 
     Two instances represent the same subgroup iff they compare equal; the
-    canonical form makes equality a tuple comparison.
+    canonical form makes equality a tuple comparison, and the hash of that
+    tuple is taken once, when the instance is built.
     """
 
-    __slots__ = ("moduli", "full_hnf", "basis", "order", "_smith")
+    __slots__ = ("moduli", "full_hnf", "basis", "order", "_smith", "_hash")
 
     def __init__(self, moduli, generator_rows, hnf=None):
         """``hnf``, when given, is the full HNF of a subgroup over the same
@@ -263,14 +264,18 @@ class CanonicalSubgroup:
         self.basis = tuple(_basis(self.full_hnf, moduli))
         self.order = prod(moduli) // prod(r[i] for i, r in enumerate(full))
         self._smith = None
+        self._hash = hash((moduli, self.full_hnf))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, CanonicalSubgroup):
             return NotImplemented
-        return self.moduli == other.moduli and self.full_hnf == other.full_hnf
+        same = self._hash == other._hash and self.full_hnf == other.full_hnf
+        return same and self.moduli == other.moduli
 
     def __hash__(self):
-        return hash((self.moduli, self.full_hnf))
+        return self._hash
 
     def __repr__(self):
         return f"CanonicalSubgroup(order={self.order}, basis={list(self.basis)})"

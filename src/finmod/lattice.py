@@ -19,13 +19,17 @@ from .intlat import CanonicalSubgroup
 
 
 class Submodule:
-    """Action-closed subgroup of a finite module, canonically represented."""
+    """Action-closed subgroup of a finite module, canonically represented.
 
-    __slots__ = ("module", "subgroup")
+    Its hash is its subgroup's stored hash: a hash of integers only, so it
+    is the same in every interpreter and may be pickled."""
+
+    __slots__ = ("module", "subgroup", "_hash")
 
     def __init__(self, module: FiniteModule, subgroup: CanonicalSubgroup):
         self.module = module
         self.subgroup = subgroup
+        self._hash = subgroup._hash
 
     @classmethod
     def span(cls, module: FiniteModule, generator_rows) -> "Submodule":
@@ -73,6 +77,8 @@ class Submodule:
 
     def le(self, other: "Submodule") -> bool:
         self._check(other)
+        if other.order % self.order:
+            return False
         return other.subgroup.contains_subgroup(self.subgroup)
 
     def lt(self, other: "Submodule") -> bool:
@@ -117,12 +123,14 @@ class Submodule:
             raise ValueError("submodules of different modules")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Submodule):
             return NotImplemented
-        return self.module == other.module and self.subgroup == other.subgroup
+        return self.subgroup == other.subgroup and self.module == other.module
 
     def __hash__(self):
-        return hash((self.module, self.subgroup))
+        return self._hash
 
     def __repr__(self):
         return f"Submodule({self.describe()}, order={self.order})"

@@ -26,8 +26,8 @@ def product(module, left: Submodule, right: Submodule) -> Submodule:
     """Submodule generated by the images of ``left`` under every map from the
     ambient module into ``right``.
 
-    Generated by {f(n)} with f ranging over the Hom-group generators and n
-    over the basis of ``left``; linearity makes this span the full sum.  A
+    Generated by {f(n)} with f ranging over ``maps_into(module, right)`` and
+    n over the basis of ``left``; linearity makes this span the full sum.  A
     sum of images of a submodule under module maps is a submodule, so the
     rows need no closing under the ring action.
     """
@@ -41,16 +41,24 @@ def product(module, left: Submodule, right: Submodule) -> Submodule:
     if left.is_zero() or right.is_zero():
         out = Submodule.zero(module)
     else:
-        emb = submodule_as_module(right)
-        group = hom_group(module, emb.module)
-        rows = []
-        for g in group.generators:
-            f = compose(emb.inclusion, g)
-            for row in left.basis:
-                rows.append(f.apply_vec(row))
+        rows = [f.apply_vec(row) for f in maps_into(module, right) for row in left.basis]
         out = Submodule.from_subgroup_rows(module, rows)
     memo[key] = out
     return out
+
+
+def maps_into(module, sub: Submodule):
+    """Maps M -> M spanning the maps from M into ``sub``: the Hom(M, sub)
+    generators followed by the inclusion of ``sub``.  Built once per ``sub``
+    and shared by every product with right factor ``sub``."""
+    memo = analysis(module).maps_into
+    hit = memo.get(sub)
+    if hit is None:
+        emb = submodule_as_module(sub)
+        hit = memo[sub] = tuple(
+            compose(emb.inclusion, g) for g in hom_group(module, emb.module).generators
+        )
+    return hit
 
 
 @dataclass(frozen=True)
@@ -99,21 +107,6 @@ def power_trace(module, base: Submodule) -> PowerTrace:
         terminal=terminal,
         nesting_divergence=divergence,
     )
-
-
-def power(module, base: Submodule, exponent: int) -> Submodule:
-    """Left-nested power; exponent 1 is the submodule itself."""
-    if exponent < 1:
-        raise ValueError("exponent must be at least 1")
-    chain, (kind, idx) = _left_powers(module, base)
-    if exponent <= len(chain):
-        return chain[exponent - 1]
-    if kind == "zero":
-        return Submodule.zero(module)
-    # cycle: powers repeat with period len(chain) - idx + 1 from position idx
-    period = len(chain) - idx + 1
-    offset = (exponent - idx) % period
-    return chain[idx - 1 + offset]
 
 
 def nilpotency_index(module, base: Submodule) -> int | None:

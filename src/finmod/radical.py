@@ -23,10 +23,9 @@ from .lattice import (
     distinct_cyclic_submodules,
     fully_invariant_submodules,
     is_quasi_projective,
-    submodule_as_module,
 )
 from .product import (
-    is_locally_nilpotent, is_nil_submodule, nilpotency_index, power, power_trace, product,
+    is_locally_nilpotent, is_nil_submodule, maps_into, nilpotency_index, power_trace, product,
 )
 
 
@@ -34,27 +33,31 @@ def ann_left(module, sub: Submodule) -> Submodule:
     """Intersection of the kernels of all maps from the module into ``sub``.
 
     The kernels of a generating set suffice: the kernel of a sum of maps
-    contains the intersection of their kernels.
+    contains the intersection of their kernels.  The inclusion of ``sub`` is
+    injective, so the maps of ``maps_into`` have the same kernels.
     """
     if sub.module != module:
         raise ValueError("submodule of a different module")
-    target = submodule_as_module(sub).module
-    return kernel_intersection(module, hom_group(module, target).generators)
+    return kernel_intersection(module, maps_into(module, sub))
 
 
 def ann_right(module, sub: Submodule, caps=DEFAULT_CAPS) -> Submodule:
     """Sum of all submodules K with sub*K = 0.
 
-    Computed over cyclic submodules; monotonicity of the product in its
-    second argument makes the cyclic sum equal to the full definitional sum.
+    Monotonicity of the product in its second argument makes the sum over
+    the cyclic K equal to the full definitional sum.  And sub*C = 0 iff
+    every map from the module into C kills sub, that is iff sub <= ann_left(C),
+    so no product is formed: the cyclics C whose memoized left annihilator
+    holds ``sub`` are summed in one HNF.
     """
     if sub.module != module:
         raise ValueError("submodule of a different module")
-    out = Submodule.zero(module)
-    for c in distinct_cyclic_submodules(module, caps):
-        if product(module, sub, c).is_zero():
-            out = out.sum(c)
-    return out
+    memo = analysis(module).cyclic_annihilators
+    pairs = memo.get(caps)
+    if pairs is None:
+        cyclics = distinct_cyclic_submodules(module, caps)
+        pairs = memo[caps] = tuple((c, ann_left(module, c)) for c in cyclics)
+    return Submodule.from_subgroup_rows(module, [r for c, a in pairs if sub.le(a) for r in c.basis])
 
 
 def l_rel(module, outer: Submodule, inner: Submodule) -> Submodule:
@@ -102,14 +105,18 @@ def _require_proper_fully_invariant(module, p: Submodule, fi_list):
 
 def is_prime_submodule(module, p: Submodule, caps=DEFAULT_CAPS):
     """Definitional primeness over all pairs of fully invariant submodules;
-    returns (True, None) or (False, (n, k)) with a witness pair."""
+    returns (True, None) or (False, (n, k)) with a witness pair.
+
+    A pair with a member inside ``p`` cannot be a witness, so only the
+    members outside ``p`` are multiplied; the first witness is the first in
+    the order of all pairs."""
     fis = fully_invariant_submodules(module, caps)
     _require_proper_fully_invariant(module, p, fis)
-    for n_sub in fis:
-        for k_sub in fis:
+    outside = [n for n in fis if not n.le(p)]
+    for n_sub in outside:
+        for k_sub in outside:
             if product(module, n_sub, k_sub).le(p):
-                if not (n_sub.le(p) or k_sub.le(p)):
-                    return False, (n_sub, k_sub)
+                return False, (n_sub, k_sub)
     return True, None
 
 
@@ -118,7 +125,7 @@ def is_semiprime_submodule(module, p: Submodule, caps=DEFAULT_CAPS):
     fis = fully_invariant_submodules(module, caps)
     _require_proper_fully_invariant(module, p, fis)
     for n_sub in fis:
-        if product(module, n_sub, n_sub).le(p) and not n_sub.le(p):
+        if not n_sub.le(p) and product(module, n_sub, n_sub).le(p):
             return False, n_sub
     return True, None
 
@@ -249,19 +256,6 @@ def subm_sequence(module, sub: Submodule, caps=DEFAULT_CAPS) -> SubmSequence:
                     f"orthogonality contract failed at pair ({len(sequence)},{j + 1})"
                 )
     return SubmSequence(modules_a=tuple(sequence), diagnostics=("cap_reached", _MAX_STEPS))
-
-
-def annihilator_chain_index(module, sub: Submodule) -> int:
-    """Least k at which the ascending chain of annihilators of the powers
-    stabilizes: ann(N^k) = ann(N^(k+1))."""
-    k = 1
-    prev = ann_left(module, sub)
-    while True:
-        nxt = ann_left(module, power(module, sub, k + 1))
-        if nxt == prev:
-            return k
-        prev = nxt
-        k += 1
 
 
 def end_left_annihilator(module, vectors):

@@ -173,6 +173,38 @@ class TestSearch:
             assert report.outcome == "skipped"
             assert report.detail.startswith("endomorphism count")
 
+    def test_end_samples_ignore_the_end_cap(self, corpus12):
+        # End elements are drawn by index, never listed, so the End cap
+        # neither skips LEM-FPROD nor leaves out LEM-DCCL's identity (2):
+        # 4 element subsets for identity (1), then 3 draws for identity (2)
+        from finmod.config import Caps
+
+        tiny = Caps(max_hom_elements=1)
+        t2 = next(i for i in corpus12.instances if i.name == "T2(Z2)-regular")
+        for sid in ("LEM-FPROD", "LEM-DCCL"):
+            report = check_statement(sid, t2, tiny)
+            assert report.outcome == "pass"
+            assert report == check_statement(sid, t2)
+        assert check_statement("LEM-DCCL", t2, tiny).exercised == 4 + 3
+
+
+def test_end_sample_draws_what_the_listed_sample_draws():
+    # Decoding sampled indices must give exactly the maps that sampling the
+    # listed End(M) gives, on every distinct seed-0 module (|End| <= 1,024).
+    import random
+
+    from finmod.harness import _end_elements_sample, _sample
+    from finmod.homspace import hom_group
+
+    modules = dict.fromkeys(i.module for i in generate_corpus(0, 110).instances)
+    for m in modules:
+        end = hom_group(m, m)
+        for seed, k in ((1, 2), (2, 6)):
+            got = _end_elements_sample(m, random.Random(seed), k)
+            assert got == _sample(list(end.elements()), random.Random(seed), k), m.name
+    assert len(modules) == 97
+
+
 def test_catalog_is_complete():
     assert set(STATEMENTS) == set(STATEMENT_IDS)
     assert len(STATEMENT_IDS) == 32

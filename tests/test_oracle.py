@@ -254,21 +254,20 @@ class TestBruteAnnihilators:
 
     def test_matches_main_path(self):
         # Every submodule of each distinct seed-0 corpus module of order at
-        # most 64; a side the oracle budget stops is skipped on its own.
+        # most 256, on both sides.  The budget is raised as in
+        # TestBruteAnnihilatorLattice: the default candidate product stops
+        # the Hom enumeration of six modules whose maps list quickly.
+        budget = OracleBudget(max_hom_enumeration=2**36)
         compared = {"left": 0, "right": 0}
-        for m in _corpus_modules(64):
+        for m in _corpus_modules(256):
             for s in all_submodules(m):
                 for side, brute, fast in (
                     ("left", brute_ann_left, ann_left),
                     ("right", brute_ann_right, ann_right),
                 ):
-                    try:
-                        got = brute(m, s)
-                    except BudgetExceeded:
-                        continue
-                    assert got == fast(m, s), (m.name, s.describe(), side)
+                    assert brute(m, s, budget) == fast(m, s), (m.name, s.describe(), side)
                     compared[side] += 1
-        assert compared["left"] >= 650 and compared["right"] >= 550, compared
+        assert compared == {"left": 737, "right": 737}, compared
 
 
 class TestBruteAnnihilatorLattice:

@@ -2,6 +2,10 @@
 
 import itertools
 import random
+import runpy
+from pathlib import Path
+
+import pytest
 
 from finmod.algebra import (
     direct_sum,
@@ -24,7 +28,6 @@ from finmod.product import (
     is_locally_nilpotent,
     is_nil_submodule,
     nilpotency_index,
-    power,
     power_trace,
     product,
 )
@@ -167,13 +170,20 @@ def _is_direct_summand(m, n_sub, lat):
     )
 
 
+@pytest.fixture(scope="module")
+def power():
+    """The left-nested power that the radicals demo defines."""
+    demo = Path(__file__).resolve().parent.parent / "demos" / "05_radicals.py"
+    return runpy.run_path(str(demo))["power"]
+
+
 class TestPowers:
-    def test_first_power(self):
+    def test_first_power(self, power):
         m = z4()
         n = cyclic_submodule(m, (2,))
         assert power(m, n, 1) == n
 
-    def test_z8_chain(self):
+    def test_z8_chain(self, power):
         m = z8()
         n = cyclic_submodule(m, (2,))
         assert power(m, n, 2) == cyclic_submodule(m, (4,))
@@ -182,7 +192,7 @@ class TestPowers:
         assert trace.terminal == ("zero", 3)
         assert trace.nesting_divergence is None
 
-    def test_z6_cycle(self):
+    def test_z6_cycle(self, power):
         m = z6()
         n = cyclic_submodule(m, (2,))
         for k in (1, 2, 5):

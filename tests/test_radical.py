@@ -2,7 +2,9 @@
 
 import functools
 import itertools
+import runpy
 import time
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +33,6 @@ from finmod.product import nilpotency_index, product
 from finmod.radical import (
     ann_left,
     ann_right,
-    annihilator_chain_index,
     ell,
     end_left_annihilator,
     is_prime_submodule,
@@ -361,15 +362,22 @@ class TestSubmSequence:
                 assert out.diagnostics[0] == "hypothesis_violated"
 
 
+@pytest.fixture(scope="module")
+def annihilator_chain_index():
+    """The chain index that the radicals demo defines and prints."""
+    demo = Path(__file__).resolve().parent.parent / "demos" / "05_radicals.py"
+    return runpy.run_path(str(demo))["annihilator_chain_index"]
+
+
 class TestChainIndex:
-    def test_zero(self):
+    def test_zero(self, annihilator_chain_index):
         m = z4()
         assert annihilator_chain_index(m, Submodule.zero(m)) == 1
 
-    def test_z4(self):
+    def test_z4(self, annihilator_chain_index):
         m = z4()
         assert annihilator_chain_index(m, cyclic_submodule(m, (2,))) == 2
 
-    def test_z6_cycle(self):
+    def test_z6_cycle(self, annihilator_chain_index):
         m = z6()
         assert annihilator_chain_index(m, cyclic_submodule(m, (2,))) == 1
