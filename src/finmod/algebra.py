@@ -494,6 +494,7 @@ class ModuleAnalysis:
     products: dict = field(default_factory=dict)  # (left, right) -> Submodule
     maps_into: dict = field(default_factory=dict)  # Submodule K -> maps M -> M spanning Hom(M, K)
     cyclic_annihilators: dict = field(default_factory=dict)  # Caps -> ((C, ann_left(C)), ...)
+    right_annihilators: dict = field(default_factory=dict)  # (Submodule, Caps) -> ann_right
     summands: tuple | None = None  # (a, b) when built as a direct sum a (+) b
 
 

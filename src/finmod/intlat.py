@@ -17,6 +17,11 @@ the rows (B[:, j], e_j) give {x : Bx = 0}.
 Matrices go in as lists of rows, and every subgroup comes out as a
 ``CanonicalSubgroup``, whether it was generated or solved for.
 
+The builds that callers repeat with equal inputs (subgroups from generator
+rows, congruence solves, meets) are served from LRU caches of ``CACHE_SIZE``
+entries.  A miss builds through ``CanonicalSubgroup.__init__``; a hit
+returns that instance, which nothing mutates but its lazy Smith data.
+
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of a Smith reduction can exceed machine words even for small inputs.
 Every routine is deterministic (fixed pivot rules, no randomization), so equal
@@ -25,10 +30,14 @@ inputs always produce bit-identical outputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import lcm, prod
 from operator import mul
+
+# Entries kept by each of the three caches below.
+CACHE_SIZE = 1024
 
 
 def _identity_rows(n):
@@ -172,6 +181,7 @@ def _full_hnf(gen_rows, moduli, start=None):
 
     ``start`` is the full HNF of a lattice that already contains every
     moduli[j]*e_j (default diag(moduli)); the rows are inserted into it.
+    A row whose length is not that of ``moduli`` raises ValueError.
     Each row takes one sweep down the diagonal: at column i an extended-gcd
     step replaces (h_i, v) by (s*h_i + t*v, (b/g)*h_i - (a/g)*v), which is
     unimodular and clears v[i].  Rows below i still span every m_j*e_j with
@@ -187,6 +197,8 @@ def _full_hnf(gen_rows, moduli, start=None):
         h = [list(r) for r in start]
     changed = False
     for row in gen_rows:
+        if len(row) != n:
+            raise ValueError("row length does not match moduli")
         v = [x % m for x, m in zip(row, moduli)]
         if not any(v):
             continue
@@ -314,11 +326,7 @@ class CanonicalSubgroup:
     def intersect(self, other: "CanonicalSubgroup") -> "CanonicalSubgroup":
         if self.moduli != other.moduli:
             raise ValueError("ambient mismatch")
-        # (a + b, a) has first half 0 exactly when a = -b lies in the meet.
-        zero = (0,) * len(self.moduli)
-        rows = [a + a for a in self.basis] + [b + zero for b in other.basis]
-        meet = _lower_block(rows, self.moduli, self.moduli)
-        return CanonicalSubgroup(self.moduli, (), meet)
+        return _meet(self, other)
 
     def _smith_data(self):
         """(invariants, Smith generators, projection): the subgroup is Z^n
@@ -376,6 +384,26 @@ class CanonicalSubgroup:
             yield self.from_coords(coords)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _meet(a, b):
+    # (a + b, a) has first half 0 exactly when a = -b lies in the meet.
+    zero = (0,) * len(a.moduli)
+    rows = [x + x for x in a.basis] + [y + zero for y in b.basis]
+    return CanonicalSubgroup(a.moduli, (), _lower_block(rows, a.moduli, a.moduli))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _generated(moduli, rows):
+    return CanonicalSubgroup(moduli, rows)
+
+
+def generated_subgroup(moduli, rows) -> CanonicalSubgroup:
+    """The subgroup of prod Z/moduli generated by ``rows``, cached by
+    (moduli, rows) as given: equal rows listed in another order are a
+    separate entry with an equal answer."""
+    return _generated(tuple(moduli), tuple(map(tuple, rows)))
+
+
 def solve_homogeneous_congruences(rows, row_moduli, col_moduli) -> CanonicalSubgroup:
     """The subgroup {x : A x = 0 (mod row_moduli, rowwise)} of
     prod Z/col_moduli[j], where A is given as a list of ``rows``.
@@ -389,10 +417,15 @@ def solve_homogeneous_congruences(rows, row_moduli, col_moduli) -> CanonicalSubg
     keeps the solve small when the caller supplies thousands of redundant
     rows.  The solutions are then the lower-right block of the HNF of the
     rows (B[:, j], e_j) over (big,)*k + col_moduli.
+
+    Answers are cached by (rows, row_moduli, col_moduli) as given; an input
+    that raises is not stored.
     """
-    rows = [tuple(r) for r in rows]
-    row_moduli = tuple(row_moduli)
-    col_moduli = tuple(col_moduli)
+    return _solve(tuple(map(tuple, rows)), tuple(row_moduli), tuple(col_moduli))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _solve(rows, row_moduli, col_moduli):
     n = len(col_moduli)
     if len(rows) != len(row_moduli):
         raise ValueError("row count does not match moduli")

@@ -15,7 +15,7 @@ from operator import mul
 
 from .algebra import FiniteModule, ModuleElement, analysis, quotient_module
 from .config import DEFAULT_CAPS, CapExceeded
-from .intlat import CanonicalSubgroup
+from .intlat import CanonicalSubgroup, generated_subgroup
 
 
 class Submodule:
@@ -41,12 +41,13 @@ class Submodule:
     @classmethod
     def from_subgroup_rows(cls, module: FiniteModule, rows) -> "Submodule":
         """Wrap additive generators already known to span an action-closed
-        subgroup (kernels, images, sums of submodules)."""
-        return cls(module, CanonicalSubgroup(module.inv_factors, [list(r) for r in rows]))
+        subgroup (kernels, images, sums of submodules).  The build is served
+        from ``intlat``'s bounded row cache."""
+        return cls(module, generated_subgroup(module.inv_factors, rows))
 
     @classmethod
     def zero(cls, module: FiniteModule) -> "Submodule":
-        return cls(module, CanonicalSubgroup(module.inv_factors, []))
+        return cls(module, generated_subgroup(module.inv_factors, ()))
 
     @classmethod
     def full(cls, module: FiniteModule) -> "Submodule":
@@ -54,7 +55,7 @@ class Submodule:
             [1 if t == j else 0 for t in range(module.ngens)]
             for j in range(module.ngens)
         ]
-        return cls(module, CanonicalSubgroup(module.inv_factors, rows))
+        return cls(module, generated_subgroup(module.inv_factors, rows))
 
     @property
     def basis(self):

@@ -48,16 +48,20 @@ def ann_right(module, sub: Submodule, caps=DEFAULT_CAPS) -> Submodule:
     the cyclic K equal to the full definitional sum.  And sub*C = 0 iff
     every map from the module into C kills sub, that is iff sub <= ann_left(C),
     so no product is formed: the cyclics C whose memoized left annihilator
-    holds ``sub`` are summed in one HNF.
+    holds ``sub`` are summed in one HNF.  Answers are memoized by (sub, caps).
     """
     if sub.module != module:
         raise ValueError("submodule of a different module")
-    memo = analysis(module).cyclic_annihilators
-    pairs = memo.get(caps)
-    if pairs is None:
-        cyclics = distinct_cyclic_submodules(module, caps)
-        pairs = memo[caps] = tuple((c, ann_left(module, c)) for c in cyclics)
-    return Submodule.from_subgroup_rows(module, [r for c, a in pairs if sub.le(a) for r in c.basis])
+    memo = analysis(module)
+    hit = memo.right_annihilators.get((sub, caps))
+    if hit is None:
+        pairs = memo.cyclic_annihilators.get(caps)
+        if pairs is None:
+            cyclics = distinct_cyclic_submodules(module, caps)
+            pairs = memo.cyclic_annihilators[caps] = tuple((c, ann_left(module, c)) for c in cyclics)
+        rows = [r for c, a in pairs if sub.le(a) for r in c.basis]
+        hit = memo.right_annihilators[sub, caps] = Submodule.from_subgroup_rows(module, rows)
+    return hit
 
 
 def l_rel(module, outer: Submodule, inner: Submodule) -> Submodule:

@@ -206,6 +206,14 @@ class TestCanonicalSubgroup:
         sub = CanonicalSubgroup((), [])
         assert sub.order == 1 and list(sub.elements()) == [()]
 
+    def test_ragged_rows_rejected(self):
+        # A longer row was truncated (order 2 here); a shorter one raised
+        # IndexError.
+        with pytest.raises(ValueError):
+            CanonicalSubgroup((4,), [[2, 1]])
+        with pytest.raises(ValueError):
+            CanonicalSubgroup((4, 4), [[1, 0], [1]])
+
 
 class TestCongruenceSolver:
     def test_forced_by_arithmetic(self):

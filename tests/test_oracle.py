@@ -314,6 +314,12 @@ def _small_direct_sums():
     return list(out)
 
 
+# The default candidate budget stops the End enumeration of six corpus
+# modules (M2(Z3), T3(Z2), T3(Z2)/<e13>, T2(Z4), Z3 x M2(Z2) and
+# T2(Z2)^2/<e12>) and of T2(Z2)^2, whose endomorphisms list in under 0.4 s.
+END_BUDGET = OracleBudget(max_hom_enumeration=2**36)
+
+
 @pytest.fixture(scope="module")
 def oracle_scale_modules():
     corpus = generate_corpus(0, budget=110)
@@ -344,17 +350,14 @@ class TestBruteRetractable:
     def test_matches_main_path(self, oracle_scale_modules):
         compared = {True: 0, False: []}
         for m in oracle_scale_modules:
-            try:
-                brute = brute_is_retractable(m)
-            except BudgetExceeded:
-                continue
+            brute = brute_is_retractable(m, END_BUDGET)
             assert brute == is_retractable(m), m.name
             if brute:
                 compared[True] += 1
             else:
                 compared[False].append(m.name)
         # the corpus instance T2(Z2)-ideal4
-        assert compared[True] >= 60 and "T2(Z2) regular|<e12, e22>" in compared[False], compared
+        assert compared == {True: 106, False: ["T2(Z2) regular|<e12, e22>"]}, compared
 
 
 class TestBruteFullyInvariant:
@@ -367,13 +370,10 @@ class TestBruteFullyInvariant:
     def test_matches_main_path(self, oracle_scale_modules):
         compared = 0
         for m in oracle_scale_modules:
-            try:
-                brute = sorted(brute_fully_invariant_submodules(m), key=Submodule.sort_key)
-            except BudgetExceeded:
-                continue
-            assert brute == fully_invariant_submodules(m), m.name
+            brute = brute_fully_invariant_submodules(m, END_BUDGET)
+            assert sorted(brute, key=Submodule.sort_key) == fully_invariant_submodules(m), m.name
             compared += 1
-        assert compared >= 60
+        assert compared == 107
 
 
 class TestBruteQuasiProjective:
