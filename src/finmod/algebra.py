@@ -14,6 +14,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from math import prod
+from operator import mul
 
 from .config import CapExceeded
 from .intlat import finite_presentation
@@ -480,6 +481,7 @@ class ModuleAnalysis:
     """
 
     lattice: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
+    covers: dict = field(default_factory=dict)  # Caps -> {Submodule: tuple of its upper covers}
     cyclics: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
     fully_invariant: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
     annihilators: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
@@ -495,6 +497,7 @@ class ModuleAnalysis:
     maps_into: dict = field(default_factory=dict)  # Submodule K -> maps M -> M spanning Hom(M, K)
     cyclic_annihilators: dict = field(default_factory=dict)  # Caps -> ((C, ann_left(C)), ...)
     right_annihilators: dict = field(default_factory=dict)  # (Submodule, Caps) -> ann_right
+    end_blocks: tuple | None = None  # End(M)'s Smith generators as s x s matrices
     summands: tuple | None = None  # (a, b) when built as a direct sum a (+) b
 
 
@@ -660,19 +663,15 @@ def _module_from_presentation(ring, relation_rows, ambient_actions, s, name):
     """Quotient of an s-generator presentation by a relation lattice, with the
     induced action; returns (module, projection matrix, section matrix)."""
     nf = finite_presentation(relation_rows, s)
-    t = len(nf.invariants)
-    proj = nf.projection  # t x s, reduced
+    proj, inv = nf.projection, nf.invariants  # proj is t x s, reduced
+    columns = list(zip(*nf.section))  # the section's t columns, each of length s
     new_actions = []
     for mat in ambient_actions:
-        lifted = _mat_mul(mat, nf.section)  # section is s x t
-        new = tuple(
-            tuple(
-                sum(proj[k][a] * lifted[a][j] for a in range(s)) % nf.invariants[k]
-                for j in range(t)
-            )
-            for k in range(t)
-        )
-        new_actions.append(new)
+        # column j of the induced action is proj @ mat @ (section column j)
+        images = [[sum(map(mul, row, col)) for row in mat] for col in columns]
+        new_actions.append(tuple(
+            tuple(sum(map(mul, p, img)) % d for img in images) for p, d in zip(proj, inv)
+        ))
     # The induced action on a quotient is a module action with reduced
     # entries, so the module is built without validation.
     module = FiniteModule(ring, nf.invariants, tuple(new_actions), name=name)

@@ -44,17 +44,18 @@ def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _snf_with_transforms(a_rows):
+def _snf_with_transforms(a_rows, track_rows=True):
     """Smith reduction on a list-of-rows matrix.
 
     Returns (U, D, V, Vinv) as lists of rows with U*A*V = D.  Vinv is the
     exact inverse of V, tracked alongside so callers can translate between
-    original and Smith coordinates without a separate inversion.
+    original and Smith coordinates without a separate inversion.  With
+    ``track_rows`` false U is not accumulated: its rows stay empty.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
     D = [list(r) for r in a_rows]
-    U = _identity_rows(m)
+    U = _identity_rows(m) if track_rows else [[] for _ in range(m)]
     V = _identity_rows(n)
     Vinv = _identity_rows(n)
 
@@ -71,17 +72,13 @@ def _snf_with_transforms(a_rows):
         Di, Ds = D[i], D[s]
         for k in range(n):
             Di[k] -= q * Ds[k]
-        Ui, Us = U[i], U[s]
-        for k in range(m):
-            Ui[k] -= q * Us[k]
+        U[i] = [a - q * b for a, b in zip(U[i], U[s])]
 
     def add_row(i, j):
         Di, Dj = D[i], D[j]
         for k in range(n):
             Di[k] += Dj[k]
-        Ui, Uj = U[i], U[j]
-        for k in range(m):
-            Ui[k] += Uj[k]
+        U[i] = [a + b for a, b in zip(U[i], U[j])]
 
     def swap_cols(i, j):
         for r in D:
@@ -475,7 +472,7 @@ def finite_presentation(relation_rows, ncols) -> PresentationNF:
     The quotient must be finite (the relation lattice has full rank).
     """
     rows = [list(r) for r in relation_rows]
-    _, D, V, Vinv = _snf_with_transforms(rows)
+    _, D, V, Vinv = _snf_with_transforms(rows, track_rows=False)
     for i in range(ncols):
         if i >= len(rows) or D[i][i] == 0:
             raise ValueError("relation lattice is not full rank; quotient infinite")

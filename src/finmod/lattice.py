@@ -157,35 +157,60 @@ def distinct_cyclic_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
 
 
 def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
-    """Every action-closed subgroup, in canonical order, found by closing the
-    distinct cyclic submodules under joins."""
-    memo = analysis(module).lattice
-    hit = memo.get(caps)
+    """Every action-closed subgroup, in canonical order, reached from zero
+    through upper covers formed with the join-irreducible cyclics; each
+    member's covers go to ``analysis(module).covers[caps]``."""
+    memo = analysis(module)
+    hit = memo.lattice.get(caps)
     if hit is None:
         # Cyclic members are the cyclics memo's own objects, so the two share them.
-        members = _join_closure(distinct_cyclic_submodules(module, caps), caps, "lattice members")
-        hit = memo[caps] = tuple(sorted(members, key=Submodule.sort_key))
+        cyclics = distinct_cyclic_submodules(module, caps)
+        covers = _join_closure(cyclics[0], _join_irreducible(cyclics), caps, "lattice members")
+        memo.covers[caps] = covers
+        hit = memo.lattice[caps] = tuple(sorted(covers, key=Submodule.sort_key))
     return list(hit)
 
 
-def _join_closure(generators, caps, what):
-    """Every sum of the given submodules, ``generators[0]`` being the zero
-    submodule; raises CapExceeded past ``caps.max_lattice`` members."""
-    zero = generators[0]
-    members = {zero: None}
+def _join_irreducible(cyclics):
+    """The pairs (C, C-) of the nonzero cyclics C that are not the sum C- of
+    the cyclics strictly below them; C- is then the largest proper submodule
+    of C.  Those below C come first in canonical order, and each is a sum of
+    the irreducibles found already."""
+    found = []
+    for c in cyclics[1:]:
+        rows = [r for j, _ in found if j.le(c) for r in j.basis]
+        below = Submodule(c.module, CanonicalSubgroup(c.module.inv_factors, rows))
+        if below.order != c.order:
+            found.append((c, below))
+    return found
+
+
+def _join_closure(zero, generators, caps, what):
+    """The members reached from ``zero`` by adding generators, each mapped to
+    the tuple of the members formed from it; raises CapExceeded past
+    ``caps.max_lattice`` members.  ``generators`` are pairs (G, F), and G is
+    added to each member X that holds F but not G.  With F = 0 that forms
+    every X + G.  With G join-irreducible and F = G-, (X + G)/X = G/(G meet
+    X) is simple iff G meet X = G-, so it forms exactly the upper covers of X."""
+    members = {zero: zero}
+    covers = {}
     frontier = [zero]
     while frontier:
         cur = frontier.pop()
-        for c in generators:
-            if c.le(cur):
+        formed = {}
+        for g, floor in generators:
+            if not floor.le(cur) or g.le(cur):
                 continue
-            nxt = c if cur is zero else cur.sum(c)
-            if nxt not in members:
+            nxt = g if cur is zero else cur.sum(g)
+            hit = members.get(nxt)
+            if hit is None:
                 if len(members) >= caps.max_lattice:
                     raise CapExceeded(what, len(members), caps.max_lattice)
-                members[nxt] = None
+                hit = members[nxt] = nxt
                 frontier.append(nxt)
-    return members.keys()
+            formed[hit] = None
+        covers[cur] = tuple(formed)
+    return covers
 
 
 class SubmoduleEmbedding:
@@ -249,11 +274,11 @@ def fully_invariant_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
     hit = memo.get(caps)
     if hit is None:
         gens = hom_group(module, module).generators
-        closures = dict.fromkeys(
+        zero, *closures = dict.fromkeys(
             Submodule.from_subgroup_rows(module, {f.apply_vec(x) for f in gens for x in c.basis})
             for c in distinct_cyclic_submodules(module, caps)
         )
-        members = _join_closure(list(closures), caps, "fully invariant members")
+        members = _join_closure(zero, [(g, zero) for g in closures], caps, "fully invariant members")
         hit = memo[caps] = tuple(sorted(members, key=Submodule.sort_key))
     return list(hit)
 
@@ -299,12 +324,15 @@ def annihilator_lattice(module: FiniteModule, caps=DEFAULT_CAPS):
 
     Ann_M(S) is the annihilator of the left ideal S generates, and of that
     ideal's additive generators.  So the family is the set of submodules K
-    closed under cl(K) = Ann_M(Ann_End(K)), and cl(K) takes two congruence
-    solves; no End element is enumerated.  |End| above
+    closed under cl(K) = Ann_M(Ann_End(K)).  cl(K) > K iff it holds an upper
+    cover K' of K, that is iff Ann_End(K') = Ann_End(K).  Ann_End(K') lies in
+    Ann_End(K), so K is closed iff every cover has more restrictions f|K'
+    (f in End(M)) than K has: their number is |End| / |Ann_End|, the order
+    of the subgroup spanned by the generators' values on a basis of K.  One
+    HNF per member; no End element is enumerated.  |End| above
     ``caps.max_hom_elements`` raises CapExceeded before any lattice is
     listed: that cap only decides when the family is reported."""
     from .homspace import hom_group
-    from .radical import end_left_annihilator, kernel_intersection
 
     memo = analysis(module).annihilators
     hit = memo.get(caps)
@@ -312,10 +340,15 @@ def annihilator_lattice(module: FiniteModule, caps=DEFAULT_CAPS):
         end = hom_group(module, module)
         if end.order > caps.max_hom_elements:
             raise CapExceeded("endomorphism count", end.order, caps.max_hom_elements)
-        hit = memo[caps] = tuple(
-            k for k in all_submodules(module, caps)
-            if kernel_intersection(module, end_left_annihilator(module, k.basis)[0]) == k
-        )
+        lattice, covers = all_submodules(module, caps), analysis(module).covers[caps]
+        e, gens = module.inv_factors, [f.matrix for f in end.generators]
+
+        def restrictions(k):  # |End| / |Ann_End(K)|
+            rows = [[sum(map(mul, row, x)) for x in k.basis for row in g] for g in gens]
+            return CanonicalSubgroup(e * len(k.basis), rows).order
+
+        size = {k: restrictions(k) for k in lattice}
+        hit = memo[caps] = tuple(k for k in lattice if all(size[c] > size[k] for c in covers[k]))
     return list(hit)
 
 
@@ -363,10 +396,13 @@ def is_projective_relative(x: FiniteModule, y: FiniteModule, caps=DEFAULT_CAPS) 
 
 
 def _lifts_to_quotients(x, y, caps):
+    """Whether every map x -> y/K lifts to y, for each K <= y but 0 and y,
+    through which every map lifts.  The K with one upper cover do not
+    suffice (README, "Design notes")."""
     from .homspace import compose, hom_group
 
     gens = hom_group(x, y).generators
-    for k_sub in all_submodules(y, caps):
+    for k_sub in all_submodules(y, caps)[1:-1]:
         quot, proj = quotient_module(y, k_sub)
         onto = hom_group(x, quot).subgroup
         rows = [compose(proj, h).flatten() for h in gens]

@@ -16,7 +16,7 @@ from operator import mul
 
 from .algebra import analysis
 from .config import DEFAULT_CAPS, CapExceeded
-from .homspace import Homomorphism, hom_group
+from .homspace import hom_group
 from .intlat import solve_homogeneous_congruences
 from .lattice import (
     Submodule,
@@ -263,30 +263,36 @@ def subm_sequence(module, sub: Submodule, caps=DEFAULT_CAPS) -> SubmSequence:
 
 
 def end_left_annihilator(module, vectors):
-    """Ann_End(X), the endomorphisms vanishing on the elements X, as
-    (generators, subgroup) with the subgroup in the Smith coordinates of
-    End(M).
+    """Ann_End(X), the endomorphisms vanishing on the elements X, as a
+    subgroup in the Smith coordinates of End(M).
 
     With g_i the Smith generators of End(M), the map sum_i c_i g_i kills x
     iff sum_i c_i g_i(x) = 0 in M: one congruence per element x and
-    coordinate k of M, over columns of moduli the invariants of End(M).  The
-    generators are built from the solution's basis directly.  The common
-    kernel of the generators is the closure Ann_M(Ann_End(X)) that
-    ``annihilator_lattice`` and the annihilator checkers share."""
+    coordinate k of M, over columns of moduli the invariants of End(M).
+    ``annihilator_maps`` turns the subgroup into maps; the common kernel of
+    those is the closure Ann_M(Ann_End(X))."""
     end = hom_group(module, module).subgroup
+    blocks = _end_blocks(module)
     s, e = module.ngens, module.inv_factors
-    smith = [[g[k * s:(k + 1) * s] for k in range(s)] for g in end.smith_gens]
-    rows = [[sum(map(mul, g[k], x)) % e[k] for g in smith] for x in vectors for k in range(s)]
+    rows = [[sum(map(mul, g[k], x)) % e[k] for g in blocks] for x in vectors for k in range(s)]
     moduli = [e[k] for _ in vectors for k in range(s)]
-    sub = solve_homogeneous_congruences(rows, moduli, end.invariants)
-    gens = [
-        Homomorphism(module, module, tuple(
-            tuple(sum(c * g[k][j] for c, g in zip(coeffs, smith)) % e[k] for j in range(s))
-            for k in range(s)
-        ))
-        for coeffs in sub.basis
-    ]
-    return gens, sub
+    return solve_homogeneous_congruences(rows, moduli, end.invariants)
+
+
+def annihilator_maps(module, sub):
+    """The endomorphisms whose Smith coordinates are the basis rows of
+    ``sub``, a subgroup of End(M) such as ``end_left_annihilator`` returns."""
+    end = hom_group(module, module)
+    return [end.from_coords(coeffs) for coeffs in sub.basis]
+
+
+def _end_blocks(module):
+    """End(M)'s Smith generators as s x s matrices, sliced once per module."""
+    memo, s = analysis(module), module.ngens
+    if memo.end_blocks is None:
+        gens = hom_group(module, module).subgroup.smith_gens
+        memo.end_blocks = tuple(tuple(g[k * s:(k + 1) * s] for k in range(s)) for g in gens)
+    return memo.end_blocks
 
 
 def kernel_intersection(module, maps) -> Submodule:

@@ -19,10 +19,12 @@ from finmod.harness import generate_corpus
 from finmod.homspace import HomGroup
 from finmod.lattice import (
     Submodule,
+    _join_irreducible,
     _lifts_to_quotients,
     all_submodules,
     annihilator_lattice,
     cyclic_submodule,
+    distinct_cyclic_submodules,
     fully_invariant_submodules,
     is_goldie,
     is_quasi_projective,
@@ -137,6 +139,68 @@ class TestAllSubmodules:
         sq, _, _ = direct_sum(m, m)
         with pytest.raises(CapExceeded):
             all_submodules(sq, Caps(max_lattice=3))
+
+    def test_fourth_powers_of_simple_modules(self):
+        # Z2^4 over Z2 and M2(Z2)^2 over M2(Z2) are both S^4 for a simple S
+        # with End(S) = F2, so each lattice is that of the subspaces of F2^4:
+        # 1 + 15 + 35 + 15 + 1 members
+        z2 = regular_module(zn_ring(2))
+        z2_4 = z2
+        for _ in range(3):
+            z2_4 = direct_sum(z2_4, z2)[0]
+        m2 = regular_module(matrix_ring(2, 2))
+        for m in (z2_4, direct_sum(m2, m2)[0]):
+            assert len(all_submodules(m)) == 67, m.name
+
+    def test_free_triangular_cube_fails_fast(self):
+        # T2(Z2)^3 (order 512) has 5,928 submodules, past the default cap
+        r = regular_module(triangular_ring(2, 2))
+        cube = direct_sum(direct_sum(r, r)[0], r)[0]
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as exc:
+            all_submodules(cube)
+        assert time.perf_counter() - start < 20
+        assert exc.value.what == "lattice members"
+        assert not analysis(cube).lattice and not analysis(cube).covers
+
+    def test_free_triangular_cube_count_under_a_raised_cap(self):
+        # As a representation of the A2 quiver T2(Z2)^3 has
+        # sum_j [3 choose j]_2 * G(6 - j) submodules, G(n) the number of
+        # subspaces of F2^n: 1*2825 + 7*374 + 7*67 + 1*16 = 5,928
+        r = regular_module(triangular_ring(2, 2))
+        cube = direct_sum(direct_sum(r, r)[0], r)[0]
+        caps = Caps(max_lattice=6000)
+        try:
+            assert len(all_submodules(cube, caps)) == 5928
+        finally:
+            # analyses are shared by the whole run, and another test asks
+            # that the cube's lattice stay unlisted
+            memo = analysis(cube)
+            for answers in (memo.lattice, memo.covers, memo.cyclics):
+                answers.pop(caps, None)
+
+
+class TestJoinIrreducibles:
+    def test_irreducibles_and_their_largest_proper_submodules(self):
+        # A cyclic is join-irreducible iff the sum of all the cyclics
+        # strictly below it is smaller; that sum is then its largest proper
+        # submodule.  Checked against every distinct seed-0 module.
+        corpus = generate_corpus(0, budget=110)
+        counts = [0, 0]
+        for m in dict.fromkeys(i.module for i in corpus.instances):
+            cyclics = distinct_cyclic_submodules(m)
+            want = []
+            for c in cyclics[1:]:
+                below = Submodule.zero(m)
+                for d in cyclics:
+                    if d.lt(c):
+                        below = below.sum(d)
+                if below != c:
+                    want.append((c, below))
+            assert _join_irreducible(cyclics) == want, m.name
+            counts[0] += len(want)
+            counts[1] += len(cyclics) - 1
+        assert counts == [355, 521], counts
 
 
 class TestFullyInvariant:

@@ -5,9 +5,11 @@ suite."""
 import pytest
 
 from finmod.algebra import (
+    _matrix_units_ring,
     analysis,
     cyclic_module,
     direct_sum,
+    module_from_actions,
     quotient_module,
     regular_module,
     triangular_ring,
@@ -15,7 +17,8 @@ from finmod.algebra import (
 )
 from finmod.config import DEFAULT_CAPS, CapExceeded
 from finmod.harness import generate_corpus
-from finmod.homspace import hom_group
+from finmod.homspace import compose, hom_group
+from finmod.intlat import CanonicalSubgroup
 from finmod.lattice import (
     Submodule,
     all_submodules,
@@ -376,7 +379,78 @@ class TestBruteFullyInvariant:
         assert compared == 107
 
 
+def _recorded_covers(m):
+    """The upper covers that the enumeration of m's lattice records."""
+    all_submodules(m)
+    return analysis(m).covers[DEFAULT_CAPS]
+
+
+class TestBruteCovers:
+    def test_matches_main_path(self, oracle_scale_modules):
+        # The cover relation of the oracle's lattice, read off element sets,
+        # against the covers the enumeration records
+        compared = 0
+        for m in oracle_scale_modules:
+            elements = {
+                s: frozenset(e.coeffs for e in s.elements()) for s in brute_all_submodules(m)
+            }
+            covers = _recorded_covers(m)
+            assert set(covers) == set(elements), m.name
+            for x, xs in elements.items():
+                above = [y for y, ys in elements.items() if xs < ys]
+                want = {
+                    y for y in above
+                    if not any(xs < elements[z] < elements[y] for z in above)
+                }
+                assert set(covers[x]) == want, (m.name, x.describe())
+                compared += 1
+        assert compared == 966, compared
+
+
+def _lifts_through(x, y, k):
+    """Whether every map x -> y/k lifts to y."""
+    quot, proj = quotient_module(y, k)
+    onto = hom_group(x, quot)
+    rows = [compose(proj, h).flatten() for h in hom_group(x, y).generators]
+    return CanonicalSubgroup(onto.subgroup.moduli, rows).order == onto.order
+
+
+def _quiver_sink_module():
+    """The column module F2^3 of the path algebra of the quiver 1 -> 3 <- 2,
+    the matrices with entries at (1,1), (2,2), (3,3), (3,1) and (3,2).  Its
+    submodules are 0 < soc < U1, U2 < M; End(M) is the scalars."""
+    units = [(0, 0), (1, 1), (2, 2), (2, 0), (2, 1)]
+    ring = _matrix_units_ring(units, 2, "V3(Z2)")
+    actions = [
+        [[1 if (r, c) == unit else 0 for c in range(3)] for r in range(3)] for unit in units
+    ]
+    return module_from_actions(ring, (2, 2, 2), actions, name="V3(Z2) sink")
+
+
 class TestBruteQuasiProjective:
+    def test_lifting_loop_matches_every_quotient(self, oracle_scale_modules):
+        # The lifting loop leaves out K = 0 and K = y; the loop here takes
+        # every K.  Sums are split by is_projective_relative.
+        compared = {True: 0, False: 0}
+        for m in oracle_scale_modules:
+            want = all(_lifts_through(m, m, k) for k in all_submodules(m))
+            assert is_quasi_projective(m) == want, m.name
+            compared[want] += 1
+        assert compared == {True: 94, False: 13}, compared
+
+    def test_meet_irreducible_quotients_do_not_decide(self):
+        # M lifts to M/K for the three K with one upper cover (0, U1, U2),
+        # yet M/soc = S1 (+) S2 has four endomorphisms and only the scalars
+        # lift: projection onto S1 along S2 does not
+        m = _quiver_sink_module()
+        covers = _recorded_covers(m)
+        single = [k for k in all_submodules(m) if len(covers[k]) == 1]
+        assert [k.order for k in single] == [1, 4, 4]
+        assert all(_lifts_through(m, m, k) for k in single)
+        assert not _lifts_through(m, m, all_submodules(m)[1])
+        assert not brute_is_quasi_projective(m)
+        assert not is_quasi_projective(m)
+
     def test_examples(self):
         ring4 = zn_ring(4)
         assert brute_is_quasi_projective(z4())

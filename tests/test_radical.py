@@ -33,6 +33,7 @@ from finmod.product import nilpotency_index, product
 from finmod.radical import (
     ann_left,
     ann_right,
+    annihilator_maps,
     ell,
     end_left_annihilator,
     is_prime_submodule,
@@ -138,9 +139,9 @@ class TestEndAnnihilators:
             elems = [x.coeffs for x in m.elements()]
             subsets = [elems[:1], elems[:2], elems[1:3], elems]
             for x in subsets:
-                gens, sub = end_left_annihilator(m, x)
-                common = kernel_intersection(m, gens)
-                gens2, sub2 = end_left_annihilator(
+                sub = end_left_annihilator(m, x)
+                common = kernel_intersection(m, annihilator_maps(m, sub))
+                sub2 = end_left_annihilator(
                     m, [r for r in common.basis] or [tuple(0 for _ in m.inv_factors)]
                 )
                 assert sub == sub2
@@ -153,9 +154,9 @@ class TestEndAnnihilators:
         for pick in range(0, len(all_endos), 3):
             y = all_endos[pick : pick + 2]
             common = kernel_intersection(m, y)
-            gens, _ = end_left_annihilator(
+            gens = annihilator_maps(m, end_left_annihilator(
                 m, [r for r in common.basis] or [tuple(0 for _ in m.inv_factors)]
-            )
+            ))
             assert kernel_intersection(m, gens) == common
 
 
@@ -197,7 +198,8 @@ class TestClosureHelpers:
                     for f in end.elements()
                     if all(f.apply_vec(x) == zero for x in s.basis)
                 }
-                gens, sub = end_left_annihilator(m, s.basis)
+                sub = end_left_annihilator(m, s.basis)
+                gens = annihilator_maps(m, sub)
                 span = CanonicalSubgroup(end.subgroup.moduli, [g.flatten() for g in gens])
                 assert set(span.elements()) == vanishing, (m.name, s.describe())
                 assert sub.order == len(vanishing)
