@@ -499,6 +499,7 @@ class ModuleAnalysis:
     right_annihilators: dict = field(default_factory=dict)  # (Submodule, Caps) -> ann_right
     end_blocks: tuple | None = None  # End(M)'s Smith generators as s x s matrices
     summands: tuple | None = None  # (a, b) when built as a direct sum a (+) b
+    sums: dict = field(default_factory=dict)  # module b -> direct_sum(M, b)
 
 
 @functools.cache
@@ -711,10 +712,15 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
     Returns (module, (inj_a, inj_b), (proj_a, proj_b)); the injections and
     projections satisfy proj_i . inj_j = delta_ij.  When both summands are
     nonzero, the analysis of the sum records them, so that relative
-    projectivity can be decided summand by summand.
+    projectivity can be decided summand by summand.  Answers are memoized
+    in the analysis of ``a``, keyed by ``b``.
     """
     from .homspace import Homomorphism
 
+    memo = analysis(a).sums
+    hit = memo.get(b)
+    if hit is not None:
+        return hit
     if a.ring != b.ring:
         raise ValidationError("direct sum requires a common ring")
     sa, sb = a.ngens, b.ngens
@@ -766,4 +772,5 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
     if a.order > 1 and b.order > 1:
         info = analysis(total)
         info.summands = info.summands or (a, b)
-    return total, (inj_a, inj_b), (proj_a, proj_b)
+    memo[b] = total, (inj_a, inj_b), (proj_a, proj_b)
+    return memo[b]

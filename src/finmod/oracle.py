@@ -19,7 +19,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .algebra import FiniteModule
 from .homspace import Homomorphism
@@ -150,15 +150,13 @@ class _Tables:
         """Every map source -> this module with image in the subgroup k, as
         generator images in lexicographic order.  Generator j may map to any
         element of k killed by its order; b_i * g_j = sum_t a_i[t][j] g_t is
-        checked once the images it names are chosen."""
-        d, allowed = source.inv_factors, self.members(k)
-        pools, total = [], 1
-        for dj in d:
-            pools.append([y for y in allowed if self.mults[y][dj % len(self.mults[y])] == 0])
-            total *= len(pools[-1])
-            _enumerable(total, "hom candidates", budget)
+        checked once the images it names are chosen.  The budget bounds each
+        level's candidates: the maps kept so far times the next pool."""
         key = ("homs", source, k, budget)
         if key not in self.memo:
+            d, allowed = source.inv_factors, self.members(k)
+            pools = [[y for y in allowed if self.mults[y][dj % len(self.mults[y])] == 0]
+                     for dj in d]
             checks = [[] for _ in d]
             for act, a in zip(self.act, source.actions):
                 for j in range(len(d)):
@@ -166,6 +164,7 @@ class _Tables:
                     checks[max([j] + [t for t, _ in terms])].append((act, j, terms))
             maps = [()]
             for pool, level in zip(pools, checks):
+                _enumerable(len(maps) * len(pool), "hom candidates", budget)
                 maps = [ys for pre in maps for y in pool if self._linear(ys := pre + (y,), level)]
             self.memo[key] = maps
         return self.memo[key]
@@ -247,13 +246,8 @@ def _tables_within(module: FiniteModule, budget: OracleBudget) -> _Tables:
 
 def brute_hom_group(source: FiniteModule, target: FiniteModule, budget=DEFAULT_BUDGET):
     """All homomorphisms, by enumerating generator images and filtering; the
-    candidate count, prod_k gcd(d_j, e_k) over generators j, and then the
-    target's order are checked before its tables (quadratic in its order) are
+    target's order is checked before its tables (quadratic in its order) are
     built."""
-    candidates = 1
-    for d in source.inv_factors:
-        candidates *= prod(gcd(d, e) for e in target.inv_factors)
-        _enumerable(candidates, "hom candidates", budget)
     t = _tables_within(target, budget)
     rows = range(target.ngens)
     return [

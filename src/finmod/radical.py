@@ -11,11 +11,12 @@ in the tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import mul
 
-from .algebra import analysis
-from .config import DEFAULT_CAPS, CapExceeded
+from .algebra import FiniteModule, analysis
+from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .homspace import hom_group
 from .intlat import solve_homogeneous_congruences
 from .lattice import (
@@ -100,100 +101,111 @@ def ell(module, caps=DEFAULT_CAPS) -> Submodule:
     return out
 
 
-def _require_proper_fully_invariant(module, p: Submodule, fi_list):
-    if p not in fi_list:
+def _minimal_outside(module, p: Submodule, caps):
+    """The minimal fully invariant members not below ``p``, in canonical
+    order.  That order lists a member after every member below it, so a
+    member is minimal when no member kept before it lies below it."""
+    fis = fully_invariant_submodules(module, caps)
+    if p not in fis:
         raise ValueError("candidate is not fully invariant")
     if p.is_full():
         raise ValueError("prime and semiprime candidates must be proper")
+    minimal = []
+    for n in fis:
+        if not n.le(p) and not any(k.le(n) for k in minimal):
+            minimal.append(n)
+    return minimal
 
 
 def is_prime_submodule(module, p: Submodule, caps=DEFAULT_CAPS):
-    """Definitional primeness over all pairs of fully invariant submodules;
-    returns (True, None) or (False, (n, k)) with a witness pair.
+    """Whether N*K <= P forces N <= P or K <= P over all fully invariant
+    N, K; returns (True, None) or (False, (n, k)) with a witness pair.
 
-    A pair with a member inside ``p`` cannot be a witness, so only the
-    members outside ``p`` are multiplied; the first witness is the first in
-    the order of all pairs."""
-    fis = fully_invariant_submodules(module, caps)
-    _require_proper_fully_invariant(module, p, fis)
-    outside = [n for n in fis if not n.le(p)]
-    for n_sub in outside:
-        for k_sub in outside:
+    The product is monotone in both factors, so a pair outside ``p`` with
+    N*K <= P exists exactly when one exists among the minimal members
+    outside ``p``: only those are multiplied, and the witness is the first
+    such pair of minimal members."""
+    minimal = _minimal_outside(module, p, caps)
+    for n_sub in minimal:
+        for k_sub in minimal:
             if product(module, n_sub, k_sub).le(p):
                 return False, (n_sub, k_sub)
     return True, None
 
 
 def is_semiprime_submodule(module, p: Submodule, caps=DEFAULT_CAPS):
-    """Like primeness but only over diagonal pairs N*N <= P."""
-    fis = fully_invariant_submodules(module, caps)
-    _require_proper_fully_invariant(module, p, fis)
-    for n_sub in fis:
-        if not n_sub.le(p) and product(module, n_sub, n_sub).le(p):
+    """Like primeness but only over diagonal pairs N*N <= P; by the same
+    monotonicity only the minimal members outside ``p`` are squared, and the
+    witness is the first of them whose square lies in ``p``."""
+    for n_sub in _minimal_outside(module, p, caps):
+        if product(module, n_sub, n_sub).le(p):
             return False, n_sub
     return True, None
 
 
 @dataclass(frozen=True)
 class RadicalProfile:
-    """Radical data for one module.
+    """Radical data for one module, under the caps it was computed with.
 
-    ``no_primes`` flags the (hypothesis-violating) case of an empty prime
-    spectrum, in which the radical intersection defaults to the module
-    itself.  ``ell_locally_nilpotent`` reports, for ambients that are not
-    quasi-projective, whether the computed radical is itself locally
-    nilpotent; the closure-under-sums argument needs projectivity, so this is
-    diagnostic rather than guaranteed.
+    ``primes``, their intersection ``prime_radical``, its nilpotency index
+    and ``no_primes`` are computed with the profile.  ``no_primes`` flags
+    the (hypothesis-violating) case of an empty prime spectrum, in which the
+    radical intersection defaults to the module itself.
+
+    ``ell``, ``semiprimes`` and ``ell_locally_nilpotent`` are computed on
+    first read.  ``ell_locally_nilpotent`` reports, for ambients that are
+    not quasi-projective, whether ``ell`` is itself locally nilpotent (None
+    otherwise, or when the test exceeds a cap); the closure-under-sums
+    argument needs projectivity, so this is diagnostic rather than
+    guaranteed.
     """
 
-    ell: Submodule
+    module: FiniteModule
+    caps: Caps
     prime_radical: Submodule
     primes: tuple[Submodule, ...]
-    semiprimes: tuple[Submodule, ...]
     nilpotency_of_radical: int | None
     no_primes: bool = False
-    ell_locally_nilpotent: bool | None = None
+
+    @functools.cached_property
+    def ell(self) -> Submodule:
+        return ell(self.module, self.caps)
+
+    @functools.cached_property
+    def semiprimes(self) -> tuple[Submodule, ...]:
+        fis = fully_invariant_submodules(self.module, self.caps)
+        return tuple(
+            p for p in fis
+            if not p.is_full() and is_semiprime_submodule(self.module, p, self.caps)[0]
+        )
+
+    @functools.cached_property
+    def ell_locally_nilpotent(self) -> bool | None:
+        if is_quasi_projective(self.module, self.caps):
+            return None
+        try:
+            return is_locally_nilpotent(self.module, self.ell, caps=self.caps)
+        except CapExceeded:
+            return None
 
 
 def prime_radical(module, caps=DEFAULT_CAPS) -> RadicalProfile:
-    """Intersection of all prime submodules, with the full radical profile."""
+    """Intersection of all prime submodules, with its radical profile; the
+    profile's other fields are computed when first read."""
     memo = analysis(module).prime_radical
     hit = memo.get(caps)
     if hit is not None:
         return hit
     fis = fully_invariant_submodules(module, caps)
-    primes = []
-    semiprimes = []
-    for p in fis:
-        if p.is_full():
-            continue
-        if is_prime_submodule(module, p, caps)[0]:
-            primes.append(p)
-        if is_semiprime_submodule(module, p, caps)[0]:
-            semiprimes.append(p)
-    no_primes = not primes
-    if no_primes:
-        radical = Submodule.full(module)
-    else:
-        radical = primes[0]
-        for p in primes[1:]:
-            radical = radical.intersect(p)
-    ell_sub = ell(module, caps)
-    if is_quasi_projective(module, caps):
-        ell_loc_nil = None
-    else:
-        try:
-            ell_loc_nil = is_locally_nilpotent(module, ell_sub, caps=caps)
-        except CapExceeded:
-            ell_loc_nil = None
+    primes = tuple(p for p in fis if not p.is_full() and is_prime_submodule(module, p, caps)[0])
+    radical = functools.reduce(Submodule.intersect, primes) if primes else Submodule.full(module)
     profile = memo[caps] = RadicalProfile(
-        ell=ell_sub,
+        module=module,
+        caps=caps,
         prime_radical=radical,
-        primes=tuple(primes),
-        semiprimes=tuple(semiprimes),
+        primes=primes,
         nilpotency_of_radical=nilpotency_index(module, radical),
-        no_primes=no_primes,
-        ell_locally_nilpotent=ell_loc_nil,
+        no_primes=not primes,
     )
     return profile
 

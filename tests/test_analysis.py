@@ -86,3 +86,14 @@ def test_warm_radicals_match_the_oracle(module):
         assert prime_radical(module).prime_radical == brute_prime_radical(module)
     assert DEFAULT_CAPS in analysis(module).ell
     assert DEFAULT_CAPS in analysis(module).prime_radical
+
+
+def test_repeat_direct_sum_returns_the_memoized_objects():
+    # equal first summands share one memo, so the second call returns the
+    # module, injections and projections of the first, with its name
+    reg = regular_module(zn_ring(2))
+    first = direct_sum(plane("first"), reg)
+    again = direct_sum(plane("second"), regular_module(zn_ring(2)))
+    assert again is first
+    assert analysis(plane()).sums[reg] is first
+    assert first[0].name == "first (+) Z2 regular"

@@ -6,6 +6,8 @@ import contextlib
 import pytest
 
 from finmod.algebra import (
+    cyclic_module,
+    direct_sum,
     matrix_ring,
     product_ring,
     regular_module,
@@ -137,6 +139,49 @@ class TestCommands:
         assert "L = <2>" in out
         assert "prime_radical = <2>" in out
         assert "nilpotency_index = 2" in out
+
+    @pytest.mark.parametrize(
+        "module, text",
+        [
+            (
+                "T2(Z2)",
+                "L = <e12>\n"
+                "prime_radical = <e12>\n"
+                "nilpotency_index = 2\n"
+                "primes = <e12, e22>; <e11, e12>\n"
+                "semiprimes = <e12>; <e12, e22>; <e11, e12>\n",
+            ),
+            (
+                "T2(Z2)^2",
+                "L = <g1, g4>\n"
+                "prime_radical = <g1, g4>\n"
+                "nilpotency_index = 2\n"
+                "primes = <g1, g2, g4, g5>; <g0, g1, g3, g4>\n"
+                "semiprimes = <g1, g4>; <g1, g2, g4, g5>; <g0, g1, g3, g4>\n",
+            ),
+            (
+                # not quasi-projective, so the diagnostic line prints
+                "Z2+Z4 over Z4",
+                "L = <2*g1>\n"
+                "prime_radical = <2*g1>\n"
+                "nilpotency_index = 2\n"
+                "primes = <2*g1>; <g0, 2*g1>\n"
+                "semiprimes = <2*g1>; <g0, 2*g1>\n"
+                "ell_locally_nilpotent = true\n",
+            ),
+        ],
+    )
+    def test_radical_text(self, tmp_path, module, text):
+        t2 = triangular_ring(2, 2)
+        z4 = zn_ring(4)
+        ring, m = {
+            "T2(Z2)": (t2, regular_module(t2)),
+            "T2(Z2)^2": (t2, direct_sum(regular_module(t2), regular_module(t2))[0]),
+            "Z2+Z4 over Z4": (z4, direct_sum(cyclic_module(z4, 2), regular_module(z4))[0]),
+        }[module]
+        path = tmp_path / "m.ring"
+        path.write_text(serialize_instance(ring, m))
+        assert run_cli("radical", str(path)) == (0, text, "")
 
     def test_product_zero(self, z4_file):
         code, out, _ = run_cli("product", z4_file, "--left", "<0>", "--right", "<2>")

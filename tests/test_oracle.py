@@ -31,6 +31,7 @@ from finmod.lattice import (
     submodule_as_module,
 )
 from finmod.oracle import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     OracleBudget,
     brute_all_submodules,
@@ -103,6 +104,15 @@ class TestBruteHom:
         m = regular_module(triangular_ring(2, 2))
         with pytest.raises(BudgetExceeded):
             brute_hom_group(m, m, OracleBudget(max_hom_enumeration=4))
+
+    def test_budget_bounds_each_level(self):
+        # The product of T3(Z2)'s candidate pools is 2^36, but the pruned
+        # search holds at most 32,768 candidates at one level
+        m = regular_module(triangular_ring(3, 2))
+        assert len(brute_hom_group(m, m)) == 64
+        with pytest.raises(BudgetExceeded) as exc:
+            brute_hom_group(m, m, OracleBudget(max_hom_enumeration=2**15 - 1))
+        assert exc.value.needed == 2**15
 
     def test_target_order_budget(self):
         # the target's tables are quadratic in its order, so an order past
@@ -257,10 +267,7 @@ class TestBruteAnnihilators:
 
     def test_matches_main_path(self):
         # Every submodule of each distinct seed-0 corpus module of order at
-        # most 256, on both sides.  The budget is raised as in
-        # TestBruteAnnihilatorLattice: the default candidate product stops
-        # the Hom enumeration of six modules whose maps list quickly.
-        budget = OracleBudget(max_hom_enumeration=2**36)
+        # most 256, on both sides, under the default budget.
         compared = {"left": 0, "right": 0}
         for m in _corpus_modules(256):
             for s in all_submodules(m):
@@ -268,7 +275,7 @@ class TestBruteAnnihilators:
                     ("left", brute_ann_left, ann_left),
                     ("right", brute_ann_right, ann_right),
                 ):
-                    assert brute(m, s, budget) == fast(m, s), (m.name, s.describe(), side)
+                    assert brute(m, s) == fast(m, s), (m.name, s.describe(), side)
                     compared[side] += 1
         assert compared == {"left": 737, "right": 737}, compared
 
@@ -284,14 +291,13 @@ class TestBruteAnnihilatorLattice:
             brute_annihilator_lattice(m, OracleBudget(max_hom_enumeration=4))
 
     def test_matches_main_path(self):
-        # Every distinct seed-0 corpus module of order at most 256.  The
-        # candidate budget bounds the product of the generator pools, which
-        # overstates the pruned enumeration: 2^36 for T3(Z2)-regular, whose
-        # 64 endomorphisms are listed in milliseconds.
-        budget = OracleBudget(max_hom_enumeration=2**36)
+        # Every distinct seed-0 corpus module of order at most 256, under
+        # the default budget: it bounds each level of the pruned enumeration,
+        # not the product of the generator pools (2^36 for T3(Z2)-regular,
+        # whose 64 endomorphisms are listed in milliseconds).
         compared = 0
         for m in _corpus_modules(256):
-            brute = brute_annihilator_lattice(m, budget)
+            brute = brute_annihilator_lattice(m)
             assert set(brute) == set(annihilator_lattice(m)), m.name
             compared += 1
         assert compared == 97
@@ -317,10 +323,15 @@ def _small_direct_sums():
     return list(out)
 
 
-# The default candidate budget stops the End enumeration of six corpus
-# modules (M2(Z3), T3(Z2), T3(Z2)/<e13>, T2(Z4), Z3 x M2(Z2) and
-# T2(Z2)^2/<e12>) and of T2(Z2)^2, whose endomorphisms list in under 0.4 s.
-END_BUDGET = OracleBudget(max_hom_enumeration=2**36)
+def _end_budget(m):
+    """The default budget, but for T2(Z2) (+) T2(Z2): its pruned End search
+    holds 2^20 candidates at the last level (16,384 maps of the first five
+    generators times 64 images of the sixth).  Every other module here stays
+    within 32,768."""
+    t2 = regular_module(triangular_ring(2, 2))
+    if m == direct_sum(t2, t2)[0]:
+        return OracleBudget(max_hom_enumeration=2**20)
+    return DEFAULT_BUDGET
 
 
 @pytest.fixture(scope="module")
@@ -353,7 +364,7 @@ class TestBruteRetractable:
     def test_matches_main_path(self, oracle_scale_modules):
         compared = {True: 0, False: []}
         for m in oracle_scale_modules:
-            brute = brute_is_retractable(m, END_BUDGET)
+            brute = brute_is_retractable(m, _end_budget(m))
             assert brute == is_retractable(m), m.name
             if brute:
                 compared[True] += 1
@@ -373,7 +384,7 @@ class TestBruteFullyInvariant:
     def test_matches_main_path(self, oracle_scale_modules):
         compared = 0
         for m in oracle_scale_modules:
-            brute = brute_fully_invariant_submodules(m, END_BUDGET)
+            brute = brute_fully_invariant_submodules(m, _end_budget(m))
             assert sorted(brute, key=Submodule.sort_key) == fully_invariant_submodules(m), m.name
             compared += 1
         assert compared == 107

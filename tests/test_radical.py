@@ -18,7 +18,7 @@ from finmod.algebra import (
     triangular_ring,
     zn_ring,
 )
-from finmod.config import DEFAULT_CAPS
+from finmod.config import DEFAULT_CAPS, CapExceeded
 from finmod.harness import generate_corpus
 from finmod.homspace import compose, hom_group, kernel
 from finmod.intlat import CanonicalSubgroup
@@ -27,9 +27,10 @@ from finmod.lattice import (
     all_submodules,
     cyclic_submodule,
     fully_invariant_submodules,
+    is_quasi_projective,
     submodule_as_module,
 )
-from finmod.product import nilpotency_index, product
+from finmod.product import is_locally_nilpotent, nilpotency_index, product
 from finmod.radical import (
     ann_left,
     ann_right,
@@ -334,6 +335,82 @@ class TestPrimeRadical:
             profile = prime_radical(m)
             for s in profile.semiprimes:
                 assert profile.ell.le(s)
+
+
+@pytest.fixture(scope="module")
+def radical_modules():
+    """The distinct seed-0 corpus modules, and each corpus ring's R (+) R of
+    order at most 256."""
+    corpus = generate_corpus(0, budget=110)
+    out = dict.fromkeys(i.module for i in corpus.instances)
+    for ring in dict.fromkeys(i.module.ring for i in corpus.instances):
+        reg = regular_module(ring)
+        if reg.order**2 <= 256:
+            out.setdefault(direct_sum(reg, reg)[0], None)
+    return list(out)
+
+
+def _all_pairs_verdicts(m, p):
+    """(prime, semiprime) for P, from every pair of fully invariant members
+    outside P."""
+    outside = [n for n in fully_invariant_submodules(m) if not n.le(p)]
+    prime = not any(product(m, n, k).le(p) for n in outside for k in outside)
+    semiprime = not any(product(m, n, n).le(p) for n in outside)
+    return prime, semiprime
+
+
+class TestMinimalMembers:
+    def test_verdicts_and_witnesses_match_all_pairs(self, radical_modules):
+        verdicts = {"prime": 0, "not prime": 0, "semiprime": 0, "not semiprime": 0}
+        for m in radical_modules:
+            fis = fully_invariant_submodules(m)
+            for p in fis:
+                if p.is_full():
+                    continue
+                prime, semiprime = _all_pairs_verdicts(m, p)
+                outside = [n for n in fis if not n.le(p)]
+                ok, pair = is_prime_submodule(m, p)
+                assert ok == prime, (m.name, p.describe())
+                if not ok:
+                    n, k = pair
+                    assert n in outside and k in outside, (m.name, p.describe())
+                    assert product(m, n, k).le(p)
+                    # the witness is a pair of minimal members outside P
+                    assert not any(x != y and x.le(y) for x in outside for y in pair)
+                ok, n = is_semiprime_submodule(m, p)
+                assert ok == semiprime, (m.name, p.describe())
+                if not ok:
+                    assert n in outside and product(m, n, n).le(p)
+                    assert not any(x != n and x.le(n) for x in outside)
+                verdicts["prime" if prime else "not prime"] += 1
+                verdicts["semiprime" if semiprime else "not semiprime"] += 1
+        assert min(verdicts.values()) >= 50, verdicts
+
+    def test_lazy_profile_fields(self, radical_modules):
+        for m in radical_modules:
+            profile = prime_radical(m)
+            assert profile.ell == ell(m), m.name
+            assert profile.semiprimes == tuple(
+                p for p in fully_invariant_submodules(m)
+                if not p.is_full() and _all_pairs_verdicts(m, p)[1]
+            ), m.name
+            if is_quasi_projective(m):
+                want = None
+            else:
+                try:
+                    want = is_locally_nilpotent(m, ell(m))
+                except CapExceeded:
+                    want = None
+            assert profile.ell_locally_nilpotent == want, m.name
+
+    def test_nilpotency_read_leaves_ell_uncomputed(self):
+        analysis.cache_clear()
+        reg = t2()
+        free2, _, _ = direct_sum(reg, reg)
+        assert prime_radical(free2).nilpotency_of_radical == 2
+        assert DEFAULT_CAPS in analysis(free2).prime_radical
+        assert DEFAULT_CAPS not in analysis(free2).ell
+        assert prime_radical(free2).ell == ell(free2)
 
 
 class TestSubmSequence:
