@@ -499,6 +499,7 @@ class ModuleAnalysis:
     right_annihilators: dict = field(default_factory=dict)  # (Submodule, Caps) -> ann_right
     end_blocks: tuple | None = None  # End(M)'s Smith generators as s x s matrices
     summands: tuple | None = None  # (a, b) when built as a direct sum a (+) b
+    free: bool = False  # built by regular_module, so projective
     sums: dict = field(default_factory=dict)  # module b -> direct_sum(M, b)
 
 
@@ -639,13 +640,16 @@ def regular_module(ring: FiniteRing) -> FiniteModule:
     multiplication matrices, column j of matrix i holding b_i * b_j.
 
     Built without validation: for a validated ring, associativity, the unit
-    and the additive orders are exactly the module axioms of this action."""
+    and the additive orders are exactly the module axioms of this action.
+    Its analysis records it as free."""
     r = ring.rank
     actions = tuple(
         tuple(tuple(ring.struct[i][j][k] for j in range(r)) for k in range(r))
         for i in range(r)
     )
-    return FiniteModule(ring, ring.add_orders, actions, ring.labels, f"{ring.name} regular")
+    module = FiniteModule(ring, ring.add_orders, actions, ring.labels, f"{ring.name} regular")
+    analysis(module).free = True
+    return module
 
 
 def cyclic_module(ring: FiniteRing, n: int, name=None) -> FiniteModule:

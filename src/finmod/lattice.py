@@ -10,11 +10,13 @@ deterministic and minimal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from math import gcd, lcm
 from operator import mul
 
 from .algebra import FiniteModule, ModuleElement, analysis, quotient_module
-from .config import DEFAULT_CAPS, CapExceeded
+from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .intlat import CanonicalSubgroup, generated_subgroup
 
 
@@ -145,14 +147,21 @@ def cyclic_submodule(module: FiniteModule, x) -> Submodule:
 
 
 def distinct_cyclic_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
-    """All distinct cyclic submodules, in canonical order."""
+    """All distinct cyclic submodules, in canonical order.  R(kx) = Rx for k
+    prime to the additive order of x, so one x per <x> is spanned."""
     memo = analysis(module).cyclics
     hit = memo.get(caps)
     if hit is None:
         if module.order > caps.max_module_order:
             raise CapExceeded("module order", module.order, caps.max_module_order)
-        seen = dict.fromkeys(cyclic_submodule(module, x) for x in module.elements())
-        hit = memo[caps] = tuple(sorted(seen, key=Submodule.sort_key))
+        e, covered, spanned = module.inv_factors, set(), {}
+        for x in (v.coeffs for v in module.elements()):
+            if x not in covered:
+                n = lcm(*(d // gcd(c, d) for c, d in zip(x, e)))
+                units = (k for k in range(2, n) if gcd(k, n) == 1)
+                covered.update(tuple(k * c % d for c, d in zip(x, e)) for k in units)
+                spanned[cyclic_submodule(module, x)] = None
+        hit = memo[caps] = tuple(sorted(spanned, key=Submodule.sort_key))
     return list(hit)
 
 
@@ -379,14 +388,17 @@ def is_projective_relative(x: FiniteModule, y: FiniteModule, caps=DEFAULT_CAPS) 
     A direct sum is N-projective iff each summand is, and A is
     (N1 (+) N2)-projective iff it is N1- and N2-projective (Anderson & Fuller,
     Rings and Categories of Modules, 16.10 and 16.12), so a side recorded as
-    a direct sum is split instead of enumerating its lattice.
+    a direct sum is split instead of enumerating its lattice.  A free x, as
+    ``regular_module`` records, is projective (ibid., 17.2).
     """
-    x_parts, y_parts = analysis(x).summands, analysis(y).summands
-    memo = analysis(x).projective
+    info, y_parts = analysis(x), analysis(y).summands
+    memo = info.projective
     hit = memo.get((y, caps))
     if hit is None:
-        if x_parts:
-            hit = all(is_projective_relative(a, y, caps) for a in x_parts)
+        if info.free:
+            hit = True
+        elif info.summands:
+            hit = all(is_projective_relative(a, y, caps) for a in info.summands)
         elif y_parts:
             hit = all(is_projective_relative(x, b, caps) for b in y_parts)
         else:
@@ -411,35 +423,37 @@ def _lifts_to_quotients(x, y, caps):
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class PredicateProfile:
-    """Predicate summary for one module.  A finite module is always Goldie
-    and noetherian, with the ascending chain condition on annihilators, so
-    ``is_goldie`` is always True."""
+    """Predicate summary for one module under ``caps``.  A finite module is
+    always Goldie and noetherian, with the ascending chain condition on
+    annihilators, so ``is_goldie`` is always True.  ``uniform_dim`` and
+    ``annihilator_lattice_size`` (None past the caps) are read on demand."""
 
+    module: FiniteModule
+    caps: Caps
     is_quasi_projective: bool
     is_retractable: bool
-    is_goldie: bool
-    uniform_dim: int
-    annihilator_lattice_size: int | None = None
+    is_goldie: bool = True
+
+    @functools.cached_property
+    def uniform_dim(self) -> int:
+        return uniform_dimension(self.module, self.caps)
+
+    @functools.cached_property
+    def annihilator_lattice_size(self) -> int | None:
+        try:
+            return len(annihilator_lattice(self.module, self.caps))
+        except CapExceeded:
+            return None
+
+    def __repr__(self):
+        names = "is_quasi_projective is_retractable is_goldie uniform_dim annihilator_lattice_size"
+        return f"PredicateProfile({', '.join(f'{n}={getattr(self, n)!r}' for n in names.split())})"
 
 
 def is_goldie(module: FiniteModule, caps=DEFAULT_CAPS) -> PredicateProfile:
-    """Assemble the predicate profile.
-
-    The size of the annihilator lattice is recorded as evidence for the
-    chain condition, or None past the caps: above ``max_hom_elements``
-    endomorphisms, or past the lattice and order caps.  Finiteness of the
-    uniform dimension is automatic.
-    """
-    try:
-        ann_size = len(annihilator_lattice(module, caps))
-    except CapExceeded:
-        ann_size = None
-    return PredicateProfile(
-        is_quasi_projective=is_quasi_projective(module, caps),
-        is_retractable=is_retractable(module, caps),
-        is_goldie=True,
-        uniform_dim=uniform_dimension(module, caps),
-        annihilator_lattice_size=ann_size,
-    )
+    """The predicate profile.  Quasi-projectivity and retractability, which
+    the harness reads, are decided here, and their CapExceeded propagates."""
+    return PredicateProfile(module, caps, is_quasi_projective(module, caps),
+                            is_retractable(module, caps))

@@ -150,24 +150,35 @@ class _Tables:
         """Every map source -> this module with image in the subgroup k, as
         generator images in lexicographic order.  Generator j may map to any
         element of k killed by its order; b_i * g_j = sum_t a_i[t][j] g_t is
-        checked once the images it names are chosen.  The budget bounds each
-        level's candidates: the maps kept so far times the next pool."""
+        checked once the images it names are chosen.  After generator 0, each
+        level tries every generator left and keeps the one that leaves the
+        fewest partial maps (README, "Design notes").  The budget bounds each
+        trial: the maps kept so far times the generator's pool."""
         key = ("homs", source, k, budget)
         if key not in self.memo:
             d, allowed = source.inv_factors, self.members(k)
             pools = [[y for y in allowed if self.mults[y][dj % len(self.mults[y])] == 0]
                      for dj in d]
-            checks = [[] for _ in d]
-            for act, a in zip(self.act, source.actions):
-                for j in range(len(d)):
-                    terms = [(t, a[t][j]) for t in range(len(d)) if a[t][j]]
-                    checks[max([j] + [t for t, _ in terms])].append((act, j, terms))
-            maps = [()]
-            for pool, level in zip(pools, checks):
-                _enumerable(len(maps) * len(pool), "hom candidates", budget)
-                maps = [ys for pre in maps for y in pool if self._linear(ys := pre + (y,), level)]
+            checks = [(act, j, [(t, a[t][j]) for t in range(len(d)) if a[t][j]])
+                      for act, a in zip(self.act, source.actions) for j in range(len(d))]
+            order, maps = [], [()]
+            while len(order) < len(d):
+                rest = [g for g in range(len(d)) if g not in order] if order else [0]
+                _enumerable(len(maps) * min(len(pools[g]) for g in rest), "hom candidates", budget)
+                order, maps = min((self._extend(maps, order + [g], pools[g], checks) for g in rest
+                                   if len(maps) * len(pools[g]) <= budget.max_hom_enumeration),
+                                  key=lambda trial: len(trial[1]))
+            if order != sorted(order):  # back to generator order, then lexicographic
+                maps = sorted(tuple(ys[order.index(j)] for j in range(len(d))) for ys in maps)
             self.memo[key] = maps
         return self.memo[key]
+
+    def _extend(self, maps, order, pool, checks):
+        """(order, the maps extending ``maps`` by images in ``pool`` of the last generator)."""
+        pos = {g: p for p, g in enumerate(order)}
+        level = [(act, pos[j], [(pos[t], c) for t, c in terms]) for act, j, terms in checks
+                 if order[-1] in (names := {j, *(t for t, _ in terms)}) and names <= pos.keys()]
+        return order, [ys for pre in maps for y in pool if self._linear(ys := pre + (y,), level)]
 
     def _linear(self, ys, checks) -> bool:
         for act, j, terms in checks:

@@ -183,6 +183,60 @@ class TestCommands:
         path.write_text(serialize_instance(ring, m))
         assert run_cli("radical", str(path)) == (0, text, "")
 
+    @pytest.mark.parametrize(
+        "module, text",
+        [
+            (
+                "T2(Z2)",
+                "module = T2(Z2) regular\n"
+                "order = 8\n"
+                "inv_factors = 2, 2, 2\n"
+                "quasi_projective = true\n"
+                "retractable = true\n"
+                "goldie = true\n"
+                "uniform_dim = 2\n"
+                "annihilator_lattice_size = 5\n",
+            ),
+            (
+                "Z2+Z4 over Z4",
+                "module = Z2 (+) Z4 regular\n"
+                "order = 8\n"
+                "inv_factors = 2, 4\n"
+                "quasi_projective = false\n"
+                "retractable = true\n"
+                "goldie = true\n"
+                "uniform_dim = 2\n"
+                "annihilator_lattice_size = 8\n",
+            ),
+            (
+                # End(Z2^4) = M4(Z2) has 2^16 elements, past max_hom_elements
+                "Z2^4",
+                "module = Z2 regular (+) Z2 regular (+) Z2 regular (+) Z2 regular\n"
+                "order = 16\n"
+                "inv_factors = 2, 2, 2, 2\n"
+                "quasi_projective = true\n"
+                "retractable = true\n"
+                "goldie = true\n"
+                "uniform_dim = 4\n"
+                "annihilator_lattice_size = none\n",
+            ),
+        ],
+        ids=["T2(Z2)", "Z2+Z4 over Z4", "Z2^4"],
+    )
+    def test_predicates_text(self, tmp_path, module, text):
+        t2, z4, z2 = triangular_ring(2, 2), zn_ring(4), zn_ring(2)
+        free4 = regular_module(z2)
+        for _ in range(3):
+            free4 = direct_sum(free4, regular_module(z2))[0]
+        ring, m = {
+            "T2(Z2)": (t2, regular_module(t2)),
+            "Z2+Z4 over Z4": (z4, direct_sum(cyclic_module(z4, 2), regular_module(z4))[0]),
+            "Z2^4": (z2, free4),
+        }[module]
+        path = tmp_path / "m.ring"
+        path.write_text(serialize_instance(ring, m))
+        assert run_cli("predicates", str(path)) == (0, text, "")
+
     def test_product_zero(self, z4_file):
         code, out, _ = run_cli("product", z4_file, "--left", "<0>", "--right", "<2>")
         assert code == 0

@@ -4,11 +4,13 @@ import time
 
 import pytest
 
+from finmod import lattice
 from finmod.algebra import (
     analysis,
     cyclic_module,
     direct_sum,
     matrix_ring,
+    opposite_ring,
     quotient_module,
     regular_module,
     triangular_ring,
@@ -16,7 +18,7 @@ from finmod.algebra import (
 )
 from finmod.config import Caps, CapExceeded
 from finmod.harness import generate_corpus
-from finmod.homspace import HomGroup
+from finmod.homspace import HomGroup, end_ring
 from finmod.lattice import (
     Submodule,
     _join_irreducible,
@@ -33,6 +35,7 @@ from finmod.lattice import (
     submodule_as_module,
     uniform_dimension,
 )
+from finmod.oracle import brute_is_quasi_projective
 
 
 def brute_action_closed_subgroups(module):
@@ -92,6 +95,24 @@ class TestCyclic:
         c = cyclic_submodule(m, (0, 1, 0))
         assert c.order == 2
         assert sorted(e.coeffs for e in c.elements()) == [(0, 0, 0), (0, 1, 0)]
+
+    def test_one_span_per_additive_cyclic_subgroup(self):
+        # distinct_cyclic_submodules spans one element of each additive
+        # cyclic subgroup; the reference spans every element.  Checked on
+        # the distinct seed-0 modules, each ring's R (+) R of order <= 256,
+        # and End(Z5^2)^op-regular (625 elements, 157 cyclic subgroups).
+        corpus = generate_corpus(0, budget=110)
+        modules = list(dict.fromkeys(i.module for i in corpus.instances))
+        for ring in dict.fromkeys(m.ring for m in modules):
+            if ring.order ** 2 <= 256:
+                modules.append(direct_sum(regular_module(ring), regular_module(ring))[0])
+        z5 = regular_module(zn_ring(5))
+        end = end_ring(direct_sum(z5, z5)[0]).as_ring
+        modules.append(regular_module(opposite_ring(end)))
+        for m in modules:
+            every = dict.fromkeys(cyclic_submodule(m, x) for x in m.elements())
+            assert distinct_cyclic_submodules(m) == sorted(every, key=Submodule.sort_key), m.name
+        assert len(modules) > 110 and modules[-1].order == 625
 
 
 class TestAllSubmodules:
@@ -423,6 +444,60 @@ class TestPredicates:
         assert profile.is_retractable
         assert profile.uniform_dim == 1
         assert profile.annihilator_lattice_size == 3
+
+    def test_goldie_profile_reads_its_lazy_fields_on_demand(self):
+        # uniform_dim and annihilator_lattice_size are computed on first
+        # read and equal their functions, or None past the End cap
+        corpus = generate_corpus(0, budget=110)
+        reg = regular_module(zn_ring(2))
+        free4 = direct_sum(direct_sum(direct_sum(reg, reg)[0], reg)[0], reg)[0]
+        modules = [*dict.fromkeys(i.module for i in corpus.instances), free4]
+        sizes = set()
+        for m in modules:
+            profile = is_goldie(m)
+            assert {"uniform_dim", "annihilator_lattice_size"}.isdisjoint(vars(profile))
+            assert profile.uniform_dim == uniform_dimension(m), m.name
+            try:
+                want = len(annihilator_lattice(m))
+            except CapExceeded:
+                want = None
+            assert profile.annihilator_lattice_size == want, m.name
+            sizes.add(want)
+        assert None in sizes and len(sizes) > 5
+
+    def test_goldie_profile_repr_lists_every_field(self):
+        ring = zn_ring(4)
+        d, _, _ = direct_sum(cyclic_module(ring, 2), regular_module(ring))
+        assert repr(is_goldie(d)) == (
+            "PredicateProfile(is_quasi_projective=False, is_retractable=True, "
+            "is_goldie=True, uniform_dim=2, annihilator_lattice_size=8)"
+        )
+
+    def test_corpus_lists_no_annihilator_lattice(self):
+        # Neither verify nor search reads the annihilator lattice, so the
+        # corpus does not build it
+        analysis.cache_clear()
+        corpus = generate_corpus(0, budget=110)
+        assert not any(analysis(i.module).annihilators for i in corpus.instances)
+
+    def test_free_modules_are_projective_without_a_lifting_test(self, monkeypatch):
+        # Each regular module of order <= 256 answers without the lifting
+        # test, and agrees with the oracle; a direct sum is not recorded free
+        lifts = []
+        real = lattice._lifts_to_quotients
+        monkeypatch.setattr(lattice, "_lifts_to_quotients", lambda *a: lifts.append(a) or real(*a))
+        caps = Caps(max_lattice=4997)  # caps of their own, so nothing comes from the memo
+        corpus = generate_corpus(0, budget=110)
+        rings = dict.fromkeys(i.module.ring for i in corpus.instances)
+        regulars = [regular_module(r) for r in rings if r.order <= 256]
+        for reg in regulars:
+            assert lattice.is_projective_relative(reg, reg, caps), reg.name
+            assert brute_is_quasi_projective(reg), reg.name
+        assert not lifts and len(regulars) == 42
+        ring = zn_ring(4)
+        mixed, _, _ = direct_sum(cyclic_module(ring, 2), regular_module(ring))
+        assert not analysis(mixed).free
+        assert not is_quasi_projective(mixed, caps) and lifts
 
     def test_goldie_profile_mixed(self):
         ring = zn_ring(4)

@@ -31,7 +31,6 @@ from finmod.lattice import (
     submodule_as_module,
 )
 from finmod.oracle import (
-    DEFAULT_BUDGET,
     BudgetExceeded,
     OracleBudget,
     brute_all_submodules,
@@ -107,12 +106,25 @@ class TestBruteHom:
 
     def test_budget_bounds_each_level(self):
         # The product of T3(Z2)'s candidate pools is 2^36, but the pruned
-        # search holds at most 32,768 candidates at one level
+        # search, in its greedy generator order, holds at most 4,096
+        # candidates at one level (2^15 in the order of the generators)
         m = regular_module(triangular_ring(3, 2))
         assert len(brute_hom_group(m, m)) == 64
         with pytest.raises(BudgetExceeded) as exc:
-            brute_hom_group(m, m, OracleBudget(max_hom_enumeration=2**15 - 1))
-        assert exc.value.needed == 2**15
+            brute_hom_group(m, m, OracleBudget(max_hom_enumeration=4095))
+        assert exc.value.needed == 4096
+
+    def test_greedy_order_returns_maps_in_lexicographic_order(self):
+        # End(T2(Z2) (+) T2(Z2)) peaks at 16,384 candidates in the greedy
+        # order (2^20 in the order of the generators); the maps still come
+        # back sorted by their generator images, the matrices' columns
+        t2 = regular_module(triangular_ring(2, 2))
+        m = direct_sum(t2, t2)[0]
+        homs = brute_hom_group(m, m, OracleBudget(max_hom_enumeration=2**14))
+        images = [tuple(zip(*h.matrix)) for h in homs]
+        assert len(images) == 4096 and images == sorted(images)
+        with pytest.raises(BudgetExceeded):
+            brute_hom_group(m, m, OracleBudget(max_hom_enumeration=2**14 - 1))
 
     def test_target_order_budget(self):
         # the target's tables are quadratic in its order, so an order past
@@ -323,17 +335,6 @@ def _small_direct_sums():
     return list(out)
 
 
-def _end_budget(m):
-    """The default budget, but for T2(Z2) (+) T2(Z2): its pruned End search
-    holds 2^20 candidates at the last level (16,384 maps of the first five
-    generators times 64 images of the sixth).  Every other module here stays
-    within 32,768."""
-    t2 = regular_module(triangular_ring(2, 2))
-    if m == direct_sum(t2, t2)[0]:
-        return OracleBudget(max_hom_enumeration=2**20)
-    return DEFAULT_BUDGET
-
-
 @pytest.fixture(scope="module")
 def oracle_scale_modules():
     corpus = generate_corpus(0, budget=110)
@@ -364,7 +365,7 @@ class TestBruteRetractable:
     def test_matches_main_path(self, oracle_scale_modules):
         compared = {True: 0, False: []}
         for m in oracle_scale_modules:
-            brute = brute_is_retractable(m, _end_budget(m))
+            brute = brute_is_retractable(m)
             assert brute == is_retractable(m), m.name
             if brute:
                 compared[True] += 1
@@ -384,7 +385,7 @@ class TestBruteFullyInvariant:
     def test_matches_main_path(self, oracle_scale_modules):
         compared = 0
         for m in oracle_scale_modules:
-            brute = brute_fully_invariant_submodules(m, _end_budget(m))
+            brute = brute_fully_invariant_submodules(m)
             assert sorted(brute, key=Submodule.sort_key) == fully_invariant_submodules(m), m.name
             compared += 1
         assert compared == 107
