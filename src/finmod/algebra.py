@@ -477,9 +477,14 @@ class ModuleAnalysis:
 
     Answers that depend on size caps are keyed by the ``Caps`` they were
     computed under; a computation that raises ``CapExceeded`` stores nothing.
-    Lists are stored as tuples and handed out as fresh lists.
+    Lists are stored as tuples and handed out as fresh lists.  Memos keyed
+    by submodules hit on identity, since ``submodules`` makes each distinct
+    submodule one object.
     """
 
+    # Interned subgroup -> the one Submodule over it; every Submodule is
+    # action-closed, so this holds at most the module's lattice.
+    submodules: dict = field(default_factory=dict)
     lattice: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
     covers: dict = field(default_factory=dict)  # Caps -> {Submodule: tuple of its upper covers}
     cyclics: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
@@ -495,6 +500,7 @@ class ModuleAnalysis:
     embeddings: dict = field(default_factory=dict)  # Submodule -> SubmoduleEmbedding
     products: dict = field(default_factory=dict)  # (left, right) -> Submodule
     maps_into: dict = field(default_factory=dict)  # Submodule K -> maps M -> M spanning Hom(M, K)
+    powers: dict = field(default_factory=dict)  # base -> (left-nested powers, terminal), as in PowerTrace
     cyclic_annihilators: dict = field(default_factory=dict)  # Caps -> ((C, ann_left(C)), ...)
     right_annihilators: dict = field(default_factory=dict)  # (Submodule, Caps) -> ann_right
     end_blocks: tuple | None = None  # End(M)'s Smith generators as s x s matrices

@@ -92,6 +92,12 @@ def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
     return Homomorphism(g.source, f.target, rows)
 
 
+def scaling(free: FiniteModule, module: FiniteModule, g) -> Homomorphism:
+    """The map r -> r*g from ``free``, the regular module, into ``module``."""
+    cols = [module.reduce([sum(map(mul, row, g)) for row in mat]) for mat in module.actions]
+    return Homomorphism(free, module, tuple(zip(*cols)))
+
+
 def image(f: Homomorphism, sub: Submodule | None = None) -> Submodule:
     """f(sub), or the image of the whole source, as a submodule of the
     target.  The images of an additive basis already span a submodule."""

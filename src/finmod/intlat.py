@@ -17,10 +17,15 @@ the rows (B[:, j], e_j) give {x : Bx = 0}.
 Matrices go in as lists of rows, and every subgroup comes out as a
 ``CanonicalSubgroup``, whether it was generated or solved for.
 
-The builds that callers repeat with equal inputs (subgroups from generator
-rows, congruence solves, meets) are served from LRU caches of ``CACHE_SIZE``
-entries.  A miss builds through ``CanonicalSubgroup.__init__``; a hit
-returns that instance, which nothing mutates but its lazy Smith data.
+Equal subgroups are one object while one is alive (hash-consing: Filliatre
+& Conchon, "Type-safe modular hash-consing", ML Workshop 2006).  Every
+factory builds through ``CanonicalSubgroup.__init__`` and returns
+``_intern``'s instance from a weak table keyed by (moduli, full HNF), so
+equal subgroups share one hash and one lazy Smith presentation.  The
+relations that callers repeat (row builds, congruence solves, meets, sums,
+containment) are served from LRU caches of ``CACHE_SIZE`` entries keyed by
+interned operands, so a hit is an identity test.  Equality still compares
+forms after identity, since a direct build is not interned.
 
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of a Smith reduction can exceed machine words even for small inputs.
@@ -32,11 +37,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 from math import lcm, prod
 from operator import mul
 
-# Entries kept by each of the three caches below.
+# Entries kept by each of the LRU caches below.
 CACHE_SIZE = 1024
 
 
@@ -256,10 +262,11 @@ class CanonicalSubgroup:
 
     Two instances represent the same subgroup iff they compare equal; the
     canonical form makes equality a tuple comparison, and the hash of that
-    tuple is taken once, when the instance is built.
+    tuple is taken once, when the instance is built.  A copy unpickles as
+    the interned instance.
     """
 
-    __slots__ = ("moduli", "full_hnf", "basis", "order", "_smith", "_hash")
+    __slots__ = ("moduli", "full_hnf", "basis", "order", "_smith", "_hash", "__weakref__")
 
     def __init__(self, moduli, generator_rows, hnf=None):
         """``hnf``, when given, is the full HNF of a subgroup over the same
@@ -286,6 +293,9 @@ class CanonicalSubgroup:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        return generated_subgroup, (self.moduli, self.basis)
+
     def __repr__(self):
         return f"CanonicalSubgroup(order={self.order}, basis={list(self.basis)})"
 
@@ -310,15 +320,12 @@ class CanonicalSubgroup:
         return self.express(vec) is not None
 
     def contains_subgroup(self, other: "CanonicalSubgroup") -> bool:
-        return all(self.contains(r) for r in other.basis)
+        return _contains(self, other)
 
     def sum(self, other: "CanonicalSubgroup") -> "CanonicalSubgroup":
         if self.moduli != other.moduli:
             raise ValueError("ambient mismatch")
-        # Insert the shorter basis into the other's full HNF.
-        if len(self.basis) < len(other.basis):
-            return CanonicalSubgroup(self.moduli, self.basis, other.full_hnf)
-        return CanonicalSubgroup(self.moduli, other.basis, self.full_hnf)
+        return _sum(self, other)
 
     def intersect(self, other: "CanonicalSubgroup") -> "CanonicalSubgroup":
         if self.moduli != other.moduli:
@@ -381,23 +388,46 @@ class CanonicalSubgroup:
             yield self.from_coords(coords)
 
 
+# (moduli, full HNF) -> the one live instance of that subgroup.
+_TABLE = weakref.WeakValueDictionary()
+
+
+def _intern(group):
+    """The table's instance equal to ``group``: ``group`` itself when none
+    is alive."""
+    return _TABLE.setdefault((group.moduli, group.full_hnf), group)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _contains(a, b):
+    return all(a.contains(r) for r in b.basis)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _sum(a, b):
+    # Insert the shorter basis into the other's full HNF.
+    if len(a.basis) < len(b.basis):
+        a, b = b, a
+    return _intern(CanonicalSubgroup(a.moduli, b.basis, a.full_hnf))
+
+
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _meet(a, b):
     # (a + b, a) has first half 0 exactly when a = -b lies in the meet.
     zero = (0,) * len(a.moduli)
     rows = [x + x for x in a.basis] + [y + zero for y in b.basis]
-    return CanonicalSubgroup(a.moduli, (), _lower_block(rows, a.moduli, a.moduli))
+    return _intern(CanonicalSubgroup(a.moduli, (), _lower_block(rows, a.moduli, a.moduli)))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _generated(moduli, rows):
-    return CanonicalSubgroup(moduli, rows)
+    return _intern(CanonicalSubgroup(moduli, rows))
 
 
 def generated_subgroup(moduli, rows) -> CanonicalSubgroup:
     """The subgroup of prod Z/moduli generated by ``rows``, cached by
     (moduli, rows) as given: equal rows listed in another order are a
-    separate entry with an equal answer."""
+    separate entry with the same interned answer."""
     return _generated(tuple(moduli), tuple(map(tuple, rows)))
 
 
@@ -447,9 +477,9 @@ def _solve(rows, row_moduli, col_moduli):
         tuple(r[j] for r in b_rows) + tuple(int(i == j) for i in range(n))
         for j in range(n)
     ]
-    return CanonicalSubgroup(
+    return _intern(CanonicalSubgroup(
         col_moduli, (), _lower_block(graph, (big,) * len(b_rows), col_moduli)
-    )
+    ))
 
 
 @dataclass(frozen=True)

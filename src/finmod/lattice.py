@@ -3,9 +3,9 @@ predicates built on them (uniform dimension, retractability,
 quasi-projectivity, Goldie profile).
 
 A submodule is an action-closed subgroup stored as a canonical Hermite basis,
-so equality and hashing are structural.  Enumeration order is always
-(order, canonical basis), which makes reports and counterexamples
-deterministic and minimal.
+so equality and hashing are structural, and each module keeps one object per
+distinct submodule.  Enumeration order is always (order, canonical basis),
+which makes reports and counterexamples deterministic and minimal.
 """
 
 from __future__ import annotations
@@ -17,21 +17,32 @@ from operator import mul
 
 from .algebra import FiniteModule, ModuleElement, analysis, quotient_module
 from .config import DEFAULT_CAPS, CapExceeded, Caps
-from .intlat import CanonicalSubgroup, generated_subgroup
+from .intlat import CanonicalSubgroup, _intern, generated_subgroup
 
 
 class Submodule:
     """Action-closed subgroup of a finite module, canonically represented.
 
-    Its hash is its subgroup's stored hash: a hash of integers only, so it
-    is the same in every interpreter and may be pickled."""
+    ``Submodule(module, subgroup)`` returns the one instance, over the
+    interned subgroup, that ``analysis(module).submodules`` holds; a copy
+    unpickles as it.  Equality compares structure after identity, since
+    ``analysis.cache_clear()`` starts a new table.  The hash is the
+    subgroup's, of integers only, so it is the same in every interpreter."""
 
     __slots__ = ("module", "subgroup", "_hash")
 
-    def __init__(self, module: FiniteModule, subgroup: CanonicalSubgroup):
-        self.module = module
-        self.subgroup = subgroup
-        self._hash = subgroup._hash
+    def __new__(cls, module: FiniteModule, subgroup: CanonicalSubgroup):
+        table = analysis(module).submodules
+        self = table.get(subgroup)
+        if self is None:
+            self = object.__new__(cls)
+            self.module, self.subgroup = module, _intern(subgroup)
+            self._hash = subgroup._hash
+            table[self.subgroup] = self
+        return self
+
+    def __reduce__(self):
+        return Submodule, (self.module, self.subgroup)
 
     @classmethod
     def span(cls, module: FiniteModule, generator_rows) -> "Submodule":
@@ -172,7 +183,6 @@ def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
     memo = analysis(module)
     hit = memo.lattice.get(caps)
     if hit is None:
-        # Cyclic members are the cyclics memo's own objects, so the two share them.
         cyclics = distinct_cyclic_submodules(module, caps)
         covers = _join_closure(cyclics[0], _join_irreducible(cyclics), caps, "lattice members")
         memo.covers[caps] = covers
@@ -200,8 +210,10 @@ def _join_closure(zero, generators, caps, what):
     ``caps.max_lattice`` members.  ``generators`` are pairs (G, F), and G is
     added to each member X that holds F but not G.  With F = 0 that forms
     every X + G.  With G join-irreducible and F = G-, (X + G)/X = G/(G meet
-    X) is simple iff G meet X = G-, so it forms exactly the upper covers of X."""
-    members = {zero: zero}
+    X) is simple iff G meet X = G-, so it forms exactly the upper covers of X.
+    Within one closure each pair (X, G) comes up once, so the sums bypass
+    the sum cache."""
+    module, members = zero.module, {zero}
     covers = {}
     frontier = [zero]
     while frontier:
@@ -210,14 +222,14 @@ def _join_closure(zero, generators, caps, what):
         for g, floor in generators:
             if not floor.le(cur) or g.le(cur):
                 continue
-            nxt = g if cur is zero else cur.sum(g)
-            hit = members.get(nxt)
-            if hit is None:
+            nxt = g if cur is zero else Submodule(
+                module, CanonicalSubgroup(module.inv_factors, g.basis, cur.subgroup.full_hnf))
+            if nxt not in members:
                 if len(members) >= caps.max_lattice:
                     raise CapExceeded(what, len(members), caps.max_lattice)
-                hit = members[nxt] = nxt
+                members.add(nxt)
                 frontier.append(nxt)
-            formed[hit] = None
+            formed[nxt] = None
         covers[cur] = tuple(formed)
     return covers
 
@@ -389,9 +401,11 @@ def is_projective_relative(x: FiniteModule, y: FiniteModule, caps=DEFAULT_CAPS) 
     (N1 (+) N2)-projective iff it is N1- and N2-projective (Anderson & Fuller,
     Rings and Categories of Modules, 16.10 and 16.12), so a side recorded as
     a direct sum is split instead of enumerating its lattice.  A free x, as
-    ``regular_module`` records, is projective (ibid., 17.2).
+    ``regular_module`` records, is projective (ibid., 17.2).  For a free y
+    = R, a finite x is R-projective iff it is R^n-projective (16.12), iff a
+    free cover of x splits, iff x is projective: ``_splits`` decides that.
     """
-    info, y_parts = analysis(x), analysis(y).summands
+    info, y_info = analysis(x), analysis(y)
     memo = info.projective
     hit = memo.get((y, caps))
     if hit is None:
@@ -399,12 +413,33 @@ def is_projective_relative(x: FiniteModule, y: FiniteModule, caps=DEFAULT_CAPS) 
             hit = True
         elif info.summands:
             hit = all(is_projective_relative(a, y, caps) for a in info.summands)
-        elif y_parts:
-            hit = all(is_projective_relative(x, b, caps) for b in y_parts)
+        elif y_info.summands:
+            hit = all(is_projective_relative(x, b, caps) for b in y_info.summands)
+        elif y_info.free:
+            hit = _splits(x, y)
         else:
             hit = _lifts_to_quotients(x, y, caps)
         memo[(y, caps)] = hit
     return hit
+
+
+def _splits(x, free):
+    """Whether the cover free^m -> x, sending the i-th unit to g_i, splits,
+    for R-generators g_i of x (``free`` is R): whether id_x is a sum of maps
+    p_i h with h: x -> R and p_i(r) = r*g_i.  Hom(x, R^m) is Hom(x, R)^m,
+    so one Hom solve serves any m; an additive generator already in the
+    span of the earlier g_i is skipped."""
+    from .homspace import Homomorphism, compose, hom_group, scaling
+
+    identity = Homomorphism.identity(x)
+    covers, span = [], Submodule.zero(x)
+    for g in zip(*identity.matrix):
+        if not span.contains(g):
+            covers.append(scaling(free, x, g))
+            span = span.sum(Submodule.span(x, [g]))
+    rows = [compose(p, h).flatten() for p in covers for h in hom_group(x, free).generators]
+    moduli = [e for e in x.inv_factors for _ in range(x.ngens)]
+    return CanonicalSubgroup(moduli, rows).contains(identity.flatten())
 
 
 def _lifts_to_quotients(x, y, caps):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import analysis
 from .config import DEFAULT_CAPS, CapExceeded
-from .homspace import compose, hom_group
+from .homspace import Homomorphism, compose, hom_group, scaling
 from .lattice import (
     Submodule,
     distinct_cyclic_submodules,
@@ -50,15 +50,37 @@ def product(module, left: Submodule, right: Submodule) -> Submodule:
 def maps_into(module, sub: Submodule):
     """Maps M -> M spanning the maps from M into ``sub``: the Hom(M, sub)
     generators followed by the inclusion of ``sub``.  Built once per ``sub``
-    and shared by every product with right factor ``sub``."""
+    and shared by every product with right factor ``sub``.
+
+    A free M = R^n needs no Hom solve: Hom(R^n, K) = K^n, spanned by the
+    maps x -> p(x)*k, for p the projections of M onto its regular summands
+    and k the basis rows of K."""
     memo = analysis(module).maps_into
     hit = memo.get(sub)
     if hit is None:
-        emb = submodule_as_module(sub)
-        hit = memo[sub] = tuple(
-            compose(emb.inclusion, g) for g in hom_group(module, emb.module).generators
-        )
+        projections = _regular_projections(module)
+        if projections is not None:
+            hit = tuple(compose(scaling(p.target, module, k), p) for p in projections for k in sub.basis)
+        else:
+            emb = submodule_as_module(sub)
+            hit = tuple(compose(emb.inclusion, g) for g in hom_group(module, emb.module).generators)
+        memo[sub] = hit
     return hit
+
+
+def _regular_projections(module):
+    """The projections of a free module onto its regular summands, which
+    ``regular_module`` and ``direct_sum`` record; None when it is not
+    recorded as free."""
+    info = analysis(module)
+    if info.free:
+        return [Homomorphism.identity(module)]
+    if info.summands:
+        a, b = info.summands
+        parts = [_regular_projections(a), _regular_projections(b)]
+        if None not in parts:
+            return [compose(q, p) for qs, p in zip(parts, analysis(a).sums[b][2]) for q in qs]
+    return None
 
 
 @dataclass(frozen=True)
@@ -78,16 +100,25 @@ class PowerTrace:
 
 
 def _left_powers(module, base: Submodule):
-    """(chain, terminal) of the left-nested powers of base, as in PowerTrace."""
+    """(chain, terminal) of the left-nested powers of base, as in PowerTrace,
+    memoized per base."""
+    memo = analysis(module).powers
+    hit = memo.get(base)
+    if hit is None:
+        hit = memo[base] = _walk_powers(module, base)
+    return hit
+
+
+def _walk_powers(module, base):
     chain = [base]
     index_of = {base: 1}
     while True:
         cur = chain[-1]
         if cur.is_zero():
-            return chain, ("zero", len(chain))
+            return tuple(chain), ("zero", len(chain))
         nxt = product(module, cur, base)
         if nxt in index_of:
-            return chain, ("cycle", index_of[nxt])
+            return tuple(chain), ("cycle", index_of[nxt])
         chain.append(nxt)
         index_of[nxt] = len(chain)
 
@@ -103,7 +134,7 @@ def power_trace(module, base: Submodule) -> PowerTrace:
             break
     return PowerTrace(
         base=base,
-        chain=tuple(chain),
+        chain=chain,
         terminal=terminal,
         nesting_divergence=divergence,
     )

@@ -1,15 +1,21 @@
-"""The bounded caches in ``intlat``: a cached answer is the answer a fresh
-build gives, every cache stays within its bound, and what they hand out
-pickles like anything else."""
+"""The bounded caches in ``intlat`` and the interning of subgroups and
+submodules: a cached answer is the answer a fresh build gives, every cache
+stays within its bound, equal subgroups are one object while one is alive,
+and what they hand out pickles like anything else."""
 
+import gc
+import os
 import pickle
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finmod import intlat
-from finmod.algebra import analysis, regular_module, triangular_ring
+from finmod.algebra import analysis, direct_sum, regular_module, triangular_ring, zn_ring
 from finmod.harness import generate_corpus, run_suite
 from finmod.intlat import (
     CACHE_SIZE,
@@ -19,7 +25,7 @@ from finmod.intlat import (
 )
 from finmod.lattice import Submodule, all_submodules
 
-CACHES = (intlat._generated, intlat._solve, intlat._meet)
+CACHES = (intlat._generated, intlat._solve, intlat._meet, intlat._contains, intlat._sum)
 
 
 def clear_caches():
@@ -45,7 +51,10 @@ def _case(moduli):
 def _answers(moduli, g1, g2, rows, row_moduli):
     a = generated_subgroup(moduli, g1)
     b = generated_subgroup(moduli, g2)
-    return a, b, a.intersect(b), solve_homogeneous_congruences(rows, row_moduli, moduli)
+    return (
+        a, b, a.intersect(b), solve_homogeneous_congruences(rows, row_moduli, moduli),
+        a.sum(b), a.contains_subgroup(b),
+    )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -61,16 +70,22 @@ def test_cached_answers_equal_fresh_builds(case):
     cached = _answers(moduli, g1, g2, rows, row_moduli)
     assert all(x is y for x, y in zip(first, cached))
     clear_caches()
+    # A rebuild after the caches are emptied is the interned instance that
+    # ``cached`` keeps alive: one object per distinct subgroup.
     fresh = _answers(moduli, g1, g2, rows, row_moduli)
-    assert not any(x is y for x, y in zip(cached, fresh))
-    for x, y in zip(cached, fresh):
-        assert (x.moduli, x.full_hnf, x.basis, x.order) == (y.moduli, y.full_hnf, y.basis, y.order)
+    assert all(x is y for x, y in zip(cached[:5], fresh[:5])) and cached[5] == fresh[5]
     # and each equals the uncached build
-    assert cached[0] == CanonicalSubgroup(moduli, g1)
-    assert cached[2] == intlat._meet.__wrapped__(fresh[0], fresh[1])
-    assert cached[3] == intlat._solve.__wrapped__(
-        tuple(map(tuple, rows)), tuple(row_moduli), moduli
+    uncached = (
+        CanonicalSubgroup(moduli, g1),
+        CanonicalSubgroup(moduli, g2),
+        intlat._meet.__wrapped__(fresh[0], fresh[1]),
+        intlat._solve.__wrapped__(tuple(map(tuple, rows)), tuple(row_moduli), moduli),
+        CanonicalSubgroup(moduli, g1 + g2),
     )
+    for x, y in zip(cached, uncached):
+        assert x == y
+        assert (x.moduli, x.full_hnf, x.basis, x.order) == (y.moduli, y.full_hnf, y.basis, y.order)
+    assert cached[5] == all(cached[0].contains(r) for r in cached[1].basis)
 
 
 def test_every_argument_is_part_of_the_key():
@@ -123,5 +138,77 @@ def test_cached_submodule_pickles():
         assert Submodule.from_subgroup_rows(m, rows).subgroup is cached.subgroup
         back = pickle.loads(pickle.dumps(cached))
         assert back == cached == sub and hash(back) == hash(cached)
-        assert back.subgroup is not cached.subgroup
+        # Unpickling goes through the interning: the same objects come back.
+        assert back is cached is sub and back.subgroup is cached.subgroup
         assert back.subgroup.invariants == cached.subgroup.invariants
+
+
+def test_equal_subgroups_by_any_route_are_one_object():
+    # <(2, 0), (0, 2)> in Z4^2, reached by six routes
+    m, _, _ = direct_sum(regular_module(zn_ring(4)), regular_module(zn_ring(4)))
+    moduli = m.inv_factors
+    assert moduli == (4, 4)
+    routes = [
+        generated_subgroup(moduli, [[2, 0], [0, 2]]),
+        generated_subgroup(moduli, [[0, 2], [2, 0]]),
+        generated_subgroup(moduli, [[2, 0]]).sum(generated_subgroup(moduli, [[0, 2]])),
+        generated_subgroup(moduli, [[1, 0], [0, 2]]).intersect(generated_subgroup(moduli, [[2, 0], [0, 1]])),
+        solve_homogeneous_congruences([[2, 0], [0, 2]], [4, 4], moduli),
+        Submodule.span(m, [(2, 0), (0, 2)]).subgroup,
+    ]
+    assert all(g is routes[0] for g in routes)
+    assert routes[0] == CanonicalSubgroup(moduli, [[0, 2], [2, 0]])
+    assert routes[0].invariants == (2, 2)
+    # one Smith presentation, computed once and read by every route
+    assert all(g._smith is routes[0]._smith is not None for g in routes)
+
+
+def test_the_weak_table_shrinks_once_references_drop():
+    clear_caches()
+    gc.collect()
+    before = len(intlat._TABLE)
+    moduli = (2**20,)  # a modulus nothing else uses
+    held = [generated_subgroup(moduli, [[2**j]]) for j in range(20)]
+    assert len(intlat._TABLE) == before + 20
+    del held
+    clear_caches()
+    gc.collect()
+    assert len(intlat._TABLE) <= before
+    assert not any(key[0] == moduli for key in intlat._TABLE.keys())
+
+
+def test_submodules_are_interned_per_analysis():
+    m = regular_module(triangular_ring(2, 2))
+    for sub in all_submodules(m):
+        rows = sub.basis[::-1]
+        first = Submodule.from_subgroup_rows(m, rows)
+        assert Submodule.from_subgroup_rows(m, rows) is first is sub
+        assert analysis(m).submodules[first.subgroup] is first
+    kept = all_submodules(m)
+    analysis.cache_clear()
+    # A new analysis starts a new table: equal, not identical, and the
+    # structural comparison still finds them equal.
+    again = all_submodules(m)
+    for old, new in zip(kept, again):
+        assert old == new and hash(old) == hash(new) and old is not new
+        assert old.subgroup is new.subgroup
+
+
+def test_submodule_pickles_into_a_fresh_interpreter():
+    m, _, _ = direct_sum(regular_module(triangular_ring(2, 2)), regular_module(triangular_ring(2, 2)))
+    subs = all_submodules(m)
+    script = (
+        "import pickle, sys\n"
+        "subs = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(repr([(hash(s), s.order, s.basis) for s in subs]))\n"
+        "print(all(a.le(b) == (a.order <= b.order and a.intersect(b) == a) for a in subs for b in subs))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        out = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(subs),
+            capture_output=True, env=env, check=True,
+        ).stdout.decode().splitlines()
+        assert out[0] == repr([(hash(s), s.order, s.basis) for s in subs])
+        assert out[1] == "True"

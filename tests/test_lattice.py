@@ -483,11 +483,11 @@ class TestPredicates:
     def test_free_modules_are_projective_without_a_lifting_test(self, monkeypatch):
         # Each regular module of order <= 256 answers without the lifting
         # test, and agrees with the oracle; a direct sum is not recorded free
+        corpus = generate_corpus(0, budget=110)  # before the counter: its set-up may lift
         lifts = []
         real = lattice._lifts_to_quotients
         monkeypatch.setattr(lattice, "_lifts_to_quotients", lambda *a: lifts.append(a) or real(*a))
         caps = Caps(max_lattice=4997)  # caps of their own, so nothing comes from the memo
-        corpus = generate_corpus(0, budget=110)
         rings = dict.fromkeys(i.module.ring for i in corpus.instances)
         regulars = [regular_module(r) for r in rings if r.order <= 256]
         for reg in regulars:
@@ -498,6 +498,25 @@ class TestPredicates:
         mixed, _, _ = direct_sum(cyclic_module(ring, 2), regular_module(ring))
         assert not analysis(mixed).free
         assert not is_quasi_projective(mixed, caps) and lifts
+
+    def test_projectivity_relative_to_a_free_module_is_one_split_test(self, monkeypatch):
+        # x is R-projective iff a free cover of x splits: the split test
+        # agrees with the lifting test against R's quotients on every
+        # distinct seed-0 module, and is_projective_relative(x, R) runs no
+        # lifting test
+        modules = dict.fromkeys(i.module for i in generate_corpus(0, budget=110).instances)
+        lifts = []
+        real = lattice._lifts_to_quotients
+        monkeypatch.setattr(lattice, "_lifts_to_quotients", lambda *a: lifts.append(a) or real(*a))
+        caps = Caps(max_lattice=4996)  # caps of their own, so nothing comes from the memo
+        projective = 0
+        for m in modules:
+            free = regular_module(m.ring)
+            split = lattice.is_projective_relative(m, free, caps)
+            assert not lifts, m.name
+            assert split == real(m, free, caps), m.name
+            projective += split
+        assert len(modules) == 97 and 0 < projective < 97
 
     def test_goldie_profile_mixed(self):
         ring = zn_ring(4)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from finmod.algebra import (
+    analysis,
     direct_sum,
     quotient_module,
     regular_module,
@@ -16,6 +17,7 @@ from finmod.algebra import (
 )
 from finmod.harness import generate_corpus
 from finmod.homspace import compose, hom_group, image
+from finmod.intlat import CanonicalSubgroup
 from finmod.lattice import (
     Submodule,
     all_submodules,
@@ -25,8 +27,11 @@ from finmod.lattice import (
     submodule_as_module,
 )
 from finmod.product import (
+    _left_powers,
+    _regular_projections,
     is_locally_nilpotent,
     is_nil_submodule,
+    maps_into,
     nilpotency_index,
     power_trace,
     product,
@@ -205,6 +210,28 @@ class TestPowers:
         assert nilpotency_index(m, cyclic_submodule(m, (2,))) == 3
         assert nilpotency_index(z6(), cyclic_submodule(z6(), (2,))) is None
 
+    def test_power_chain_memo_agrees_with_a_fresh_walk(self):
+        walked = 0
+        for inst in generate_corpus(0, budget=110).instances:
+            m = inst.module
+            if m.order > 64:
+                continue
+            for base in all_submodules(m):
+                chain = [base]
+                while not chain[-1].is_zero():
+                    nxt = product(m, chain[-1], base)
+                    if nxt in chain:
+                        terminal = ("cycle", chain.index(nxt) + 1)
+                        break
+                    chain.append(nxt)
+                else:
+                    terminal = ("zero", len(chain))
+                memo = _left_powers(m, base)
+                assert memo == (tuple(chain), terminal)
+                assert _left_powers(m, base) is memo is analysis(m).powers[base]
+                walked += 1
+        assert walked >= 300
+
 
 class TestNilSubmodule:
     def test_zero(self):
@@ -302,3 +329,23 @@ def test_images_and_products_need_no_action_closure():
                 assert product(x, pushed, right) == Submodule.span(x, rows)
                 checked += 1
     assert checked >= 200
+
+
+def test_maps_out_of_a_free_module_span_its_hom_group():
+    """Hom(R^n, K) = K^n: on every regular module of order <= 256 of the
+    seed-0 corpus rings, and every R (+) R of that order, the maps read off
+    K span the same maps M -> M as the Hom solve into K, for every K."""
+    rings = dict.fromkeys(i.module.ring for i in generate_corpus(0, budget=110).instances)
+    free = [regular_module(r) for r in rings if r.order <= 256]
+    free += [direct_sum(f, f)[0] for f in free if f.order ** 2 <= 256]
+    checked = 0
+    for m in free:
+        assert _regular_projections(m) is not None, m
+        moduli = [e for e in m.inv_factors for _ in range(m.ngens)]
+        for k in all_submodules(m):
+            emb = submodule_as_module(k)
+            solved = [compose(emb.inclusion, g).flatten() for g in hom_group(m, emb.module).generators]
+            read_off = [f.flatten() for f in maps_into(m, k)]
+            assert CanonicalSubgroup(moduli, read_off) == CanonicalSubgroup(moduli, solved), (m, k)
+            checked += 1
+    assert len(free) == 59 and checked >= 1600
