@@ -14,6 +14,7 @@ triangular ring) always present.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 import zlib
@@ -33,7 +34,7 @@ from .algebra import (
     triangular_ring,
     zn_ring,
 )
-from .config import DEFAULT_CAPS, CapExceeded
+from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .homspace import Homomorphism, compose, end_ring, hom_group, image
 from .lattice import (
     PredicateProfile,
@@ -73,10 +74,18 @@ from .radical import (
 
 @dataclass(frozen=True)
 class Instance:
+    """A corpus entry.  Its predicate profile is computed when first read,
+    so only instances whose hypotheses are checked pay for one, and a
+    CapExceeded it raises reaches the check that read it."""
+
     name: str
     ring: FiniteRing
     module: FiniteModule
-    profile: PredicateProfile
+    caps: Caps = DEFAULT_CAPS
+
+    @functools.cached_property
+    def profile(self) -> PredicateProfile:
+        return is_goldie(self.module, self.caps)
 
 
 @dataclass(frozen=True)
@@ -196,7 +205,8 @@ def generate_corpus(seed: int, budget: int = 110, caps=DEFAULT_CAPS) -> Corpus:
     """Deterministic instance mix.  The two mandatory counterexample
     factories are always included; the rest is a seeded shuffle of the family
     list, truncated to the budget and filtered to sizes the per-instance
-    analyses can afford."""
+    analyses can afford: module order within the caps and |End| <= 1024.
+    No predicate is decided here; a check that meets a cap reports SKIP."""
     families = _family_list(caps)
     mandatory = families[:2]
     rest = families[2:]
@@ -211,13 +221,7 @@ def generate_corpus(seed: int, budget: int = 110, caps=DEFAULT_CAPS) -> Corpus:
             continue
         if hom_group(module, module).order > 1024:
             continue
-        try:
-            profile = is_goldie(module, caps)
-        except CapExceeded:
-            continue
-        instances.append(
-            Instance(name=name, ring=module.ring, module=module, profile=profile)
-        )
+        instances.append(Instance(name, module.ring, module, caps))
     return Corpus(seed=seed, instances=tuple(instances))
 
 
@@ -907,16 +911,7 @@ def _unmet(spec: StatementSpec, instance: Instance) -> list[str]:
     return [h for h in spec.hypotheses if not _HYPOTHESES[h](instance)]
 
 
-def _evaluate(sid: str, instance: Instance, caps) -> VerificationReport:
-    """Run the conclusion checker: pass, fail with a witness, or skipped
-    when a cap or budget stops it."""
-    start = time.perf_counter()
-    try:
-        checker = STATEMENTS[sid].checker
-        exercised, witness, detail = checker(instance.module, _rng_for(sid, instance), caps)
-        outcome = "pass" if witness is None else "fail"
-    except (CapExceeded, BudgetExceeded) as exc:
-        exercised, witness, detail, outcome = 0, None, str(exc), "skipped"
+def _report(sid, instance, start, outcome, detail="", witness=None, exercised=0):
     return VerificationReport(
         statement=sid,
         instance=instance.name,
@@ -928,18 +923,37 @@ def _evaluate(sid: str, instance: Instance, caps) -> VerificationReport:
     )
 
 
+def _gate(sid: str, instance: Instance):
+    """(unmet hypotheses, None), or (None, a skipped report) when a cap or
+    budget stops their evaluation."""
+    start = time.perf_counter()
+    try:
+        return _unmet(_spec(sid), instance), None
+    except (CapExceeded, BudgetExceeded) as exc:
+        return None, _report(sid, instance, start, "skipped", str(exc))
+
+
+def _evaluate(sid: str, instance: Instance, caps) -> VerificationReport:
+    """Run the conclusion checker: pass, fail with a witness, or skipped
+    when a cap or budget stops it."""
+    start = time.perf_counter()
+    try:
+        checker = STATEMENTS[sid].checker
+        exercised, witness, detail = checker(instance.module, _rng_for(sid, instance), caps)
+        outcome = "pass" if witness is None else "fail"
+    except (CapExceeded, BudgetExceeded) as exc:
+        exercised, witness, detail, outcome = 0, None, str(exc), "skipped"
+    return _report(sid, instance, start, outcome, detail, witness, exercised)
+
+
 def check_statement(sid: str, instance: Instance, caps=DEFAULT_CAPS) -> VerificationReport:
     """Evaluate hypotheses first, then the conclusion checker."""
     start = time.perf_counter()
-    unmet = _unmet(_spec(sid), instance)
+    unmet, skipped = _gate(sid, instance)
+    if skipped:
+        return skipped
     if unmet:
-        return VerificationReport(
-            statement=sid,
-            instance=instance.name,
-            outcome="hypothesis_not_met",
-            detail=unmet[0],
-            elapsed=time.perf_counter() - start,
-        )
+        return _report(sid, instance, start, "hypothesis_not_met", unmet[0])
     return _evaluate(sid, instance, caps)
 
 
@@ -994,7 +1008,8 @@ def search_counterexamples(
     sid: str, dropped_hypothesis: str | None, corpus: Corpus, caps=DEFAULT_CAPS
 ):
     """Re-evaluate a conclusion on instances violating exactly the dropped
-    hypothesis; failures here are findings about necessity, not bugs."""
+    hypothesis; failures here are findings about necessity, not bugs.  An
+    instance whose hypotheses a cap stops is reported skipped."""
     spec = _spec(sid)
     if dropped_hypothesis is None:
         return [check_statement(sid, inst, caps) for inst in corpus.instances]
@@ -1003,8 +1018,9 @@ def search_counterexamples(
             f"{sid} does not hypothesize {dropped_hypothesis!r}; "
             f"choices: {spec.hypotheses}"
         )
-    return [
-        _evaluate(sid, instance, caps)
-        for instance in corpus.instances
-        if _unmet(spec, instance) == [dropped_hypothesis]
-    ]
+    reports = []
+    for instance in corpus.instances:
+        unmet, skipped = _gate(sid, instance)
+        if skipped or unmet == [dropped_hypothesis]:
+            reports.append(skipped or _evaluate(sid, instance, caps))
+    return reports

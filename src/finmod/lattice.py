@@ -17,7 +17,7 @@ from operator import mul
 
 from .algebra import FiniteModule, ModuleElement, analysis, quotient_module
 from .config import DEFAULT_CAPS, CapExceeded, Caps
-from .intlat import CanonicalSubgroup, _intern, generated_subgroup
+from .intlat import CanonicalSubgroup, _intern, generated_subgroup, solve_homogeneous_congruences
 
 
 class Submodule:
@@ -282,26 +282,60 @@ def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
 
 
 def fully_invariant_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
-    """Submodules stable under every endomorphism, in canonical order.
+    """Submodules stable under every endomorphism, in canonical order;
+    ``caps.max_lattice`` bounds their number.  A recorded direct sum takes
+    them from its summands (``_fully_invariant_sums``), any other module
+    from the End-closures of its cyclics (``_end_closures``)."""
+    info = analysis(module)
+    hit = info.fully_invariant.get(caps)
+    if hit is None:
+        members = (_fully_invariant_sums(module, *info.summands, caps) if info.summands
+                   else _end_closures(module, caps))
+        hit = info.fully_invariant[caps] = tuple(sorted(members, key=Submodule.sort_key))
+    return list(hit)
 
-    A fully invariant submodule is the sum of the End-closures of its cyclic
-    submodules, and the End-closure of C is spanned by f(x) over the End
-    generators f and a basis x of C.  So these are the sums of the closures
-    of the distinct cyclics; ``caps.max_lattice`` bounds their number.
-    """
+
+def _end_closures(module, caps):
+    """A fully invariant submodule is the sum of the End-closures of its
+    cyclic submodules, and the End-closure of C is spanned by f(x) over the
+    End generators f and a basis x of C.  So the members are the sums of the
+    closures of the distinct cyclics."""
     from .homspace import hom_group
 
-    memo = analysis(module).fully_invariant
-    hit = memo.get(caps)
-    if hit is None:
-        gens = hom_group(module, module).generators
-        zero, *closures = dict.fromkeys(
-            Submodule.from_subgroup_rows(module, {f.apply_vec(x) for f in gens for x in c.basis})
-            for c in distinct_cyclic_submodules(module, caps)
-        )
-        members = _join_closure(zero, [(g, zero) for g in closures], caps, "fully invariant members")
-        hit = memo[caps] = tuple(sorted(members, key=Submodule.sort_key))
-    return list(hit)
+    gens = hom_group(module, module).generators
+    zero, *closures = dict.fromkeys(
+        Submodule.from_subgroup_rows(module, {f.apply_vec(x) for f in gens for x in c.basis})
+        for c in distinct_cyclic_submodules(module, caps)
+    )
+    return _join_closure(zero, [(g, zero) for g in closures], caps, "fully invariant members")
+
+
+def _fully_invariant_sums(module, a, b, caps):
+    """FI(A (+) B): the X (+) Y, through the recorded injections, for X in
+    FI(A) and Y in FI(B) with Hom(A, B) X <= Y and Hom(B, A) Y <= X.  The
+    idempotents e_A and e_B are endomorphisms, so a fully invariant U is
+    e_A U (+) e_B U, and an endomorphism keeps X (+) Y iff each block of its
+    matrix does; the maps that keep it form a subgroup, so the generators of
+    each Hom group decide."""
+    from .homspace import hom_group
+
+    _, (inj_a, inj_b), _ = analysis(a).sums[b]
+    xs, ys = fully_invariant_submodules(a, caps), fully_invariant_submodules(b, caps)
+
+    def pushed(src, dst, sub):  # Hom(src, dst) sub
+        gens = hom_group(src, dst).generators
+        return Submodule.from_subgroup_rows(dst, [g.apply_vec(v) for g in gens for v in sub.basis])
+
+    into_b, into_a = {x: pushed(a, b, x) for x in xs}, {y: pushed(b, a, y) for y in ys}
+    members = []
+    for x in xs:
+        for y in ys:
+            if into_b[x].le(y) and into_a[y].le(x):
+                if len(members) >= caps.max_lattice:
+                    raise CapExceeded("fully invariant members", len(members), caps.max_lattice)
+                rows = [inj_a.apply_vec(v) for v in x.basis] + [inj_b.apply_vec(v) for v in y.basis]
+                members.append(Submodule.from_subgroup_rows(module, rows))
+    return members
 
 
 def socle(module: FiniteModule, caps=DEFAULT_CAPS) -> Submodule:
@@ -374,18 +408,45 @@ def annihilator_lattice(module: FiniteModule, caps=DEFAULT_CAPS):
 
 
 def is_retractable(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
-    """Nonzero maps into every nonzero submodule.  Each contains a simple S,
-    and a nonzero map into S is one into it, so the simples S suffice."""
+    """Nonzero maps into every nonzero submodule.  Read off the construction
+    for a free module (Hom(R^n, K) holds K), for R/ann(M)
+    (``_is_regular_quotient``), and for a recorded sum of two retractable
+    modules: a simple S <= A (+) B is isomorphic to its nonzero projection
+    into A or into B, which receives a nonzero map.  Otherwise the simple
+    submodules decide (``_maps_onto_simples``)."""
+    info = analysis(module)
+    hit = info.retractable.get(caps)
+    if hit is None:
+        hit = info.retractable[caps] = (
+            info.free
+            or info.summands is not None and all(is_retractable(a, caps) for a in info.summands)
+            or _is_regular_quotient(module, caps)
+            or _maps_onto_simples(module, caps))
+    return hit
+
+
+def _maps_onto_simples(module, caps):
+    """Each nonzero submodule contains a simple S, and a nonzero map into S
+    is one into it, so nonzero maps onto the simples S suffice."""
     from .homspace import hom_group
 
-    memo = analysis(module).retractable
-    hit = memo.get(caps)
-    if hit is None:
-        hit = memo[caps] = all(
-            hom_group(module, submodule_as_module(s).module).order > 1
-            for s in _simple_submodules(module, caps)
-        )
-    return hit
+    return all(
+        hom_group(module, submodule_as_module(s).module).order > 1
+        for s in _simple_submodules(module, caps)
+    )
+
+
+def _is_regular_quotient(module, caps):
+    """Whether M is R/ann(M): cyclic, with |M| |ann_R(M)| = |R|.  For M = Rm,
+    ann(m) holds ann(M) and has order |R|/|M|, so the two are equal and M
+    is the regular module of S = R/ann(M).  Submodules and Hom groups over R
+    are those over S, so M is projective over S, hence quasi-projective, and
+    retractable: Hom(S, L) = L for every left ideal L of S."""
+    ring, s = module.ring, module.ngens
+    rows = [[mat[k][j] for mat in module.actions] for j in range(s) for k in range(s)]
+    ann = solve_homogeneous_congruences(rows, module.inv_factors * s, ring.add_orders)
+    return (module.order * ann.order == ring.order
+            and distinct_cyclic_submodules(module, caps)[-1].is_full())
 
 
 def is_quasi_projective(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
@@ -404,6 +465,7 @@ def is_projective_relative(x: FiniteModule, y: FiniteModule, caps=DEFAULT_CAPS) 
     ``regular_module`` records, is projective (ibid., 17.2).  For a free y
     = R, a finite x is R-projective iff it is R^n-projective (16.12), iff a
     free cover of x splits, iff x is projective: ``_splits`` decides that.
+    An x that is R/ann(x) is x-projective (``_is_regular_quotient``).
     """
     info, y_info = analysis(x), analysis(y)
     memo = info.projective
@@ -417,6 +479,8 @@ def is_projective_relative(x: FiniteModule, y: FiniteModule, caps=DEFAULT_CAPS) 
             hit = all(is_projective_relative(x, b, caps) for b in y_info.summands)
         elif y_info.free:
             hit = _splits(x, y)
+        elif x == y and _is_regular_quotient(x, caps):
+            hit = True
         else:
             hit = _lifts_to_quotients(x, y, caps)
         memo[(y, caps)] = hit

@@ -51,9 +51,21 @@ class TestCorpus:
         ok, _ = is_semiprime_submodule(t2.module, Submodule.zero(t2.module))
         assert not ok
 
-    def test_profiles_precomputed(self, corpus12):
-        for inst in corpus12.instances:
-            assert inst.profile.is_goldie
+    def test_corpus_decides_no_predicate_up_front(self):
+        # set-up admits instances by order and |End| only; reading a
+        # profile decides it, as is_goldie does
+        from finmod.algebra import analysis
+        from finmod.lattice import is_goldie
+
+        analysis.cache_clear()
+        corpus = generate_corpus(0, 110)
+        for inst in corpus.instances:
+            info = analysis(inst.module)
+            assert not info.projective and not info.retractable, inst.name
+        for inst in corpus.instances:
+            assert inst.profile.is_goldie and inst.profile == is_goldie(inst.module)
+            info = analysis(inst.module)
+            assert info.projective and info.retractable, inst.name
 
     def test_instances_self_consistent(self, corpus12):
         from finmod.algebra import validate_module, validate_ring
@@ -159,6 +171,29 @@ class TestSearch:
             assert report.detail == str(exc.value)
         assert len(searched) == 1
 
+
+    def test_cap_met_by_a_hypothesis_is_a_skip(self):
+        # The ideal T2(Z2)e22 is neither free, nor a sum, nor R/ann(M), so its
+        # quasi-projectivity takes its 3-member lattice; past a cap of 2
+        # every check that reads a profile hypothesis is a SKIP with the
+        # reason, in a suite and in a search, and any other check still runs
+        from finmod.algebra import regular_module, triangular_ring
+        from finmod.config import Caps
+        from finmod.harness import Instance
+        from finmod.lattice import cyclic_submodule, submodule_as_module
+
+        tiny = Caps(max_lattice=2)
+        t2 = regular_module(triangular_ring(2, 2))
+        ideal = submodule_as_module(cyclic_submodule(t2, (0, 0, 1))).module
+        corpus = Corpus(seed=0, instances=(Instance("T2(Z2)e22", ideal.ring, ideal, tiny),))
+        summary = run_suite(corpus, ["THM-MAIN", "LEM-FPROD", "EX-ZPN"], tiny)
+        main, fprod, zpn = summary.reports
+        for report in (main, fprod):
+            assert report.outcome == "skipped"
+            assert report.detail == "lattice members: reached 2 with cap 2"
+        assert zpn.outcome == "hypothesis_not_met"
+        (searched,) = search_counterexamples("THM-MAIN", "retractable", corpus, tiny)
+        assert searched == main
 
     def test_end_cap_in_a_quotient_is_a_reported_skip(self, corpus12):
         # the quotients' annihilator lattices raise CapExceeded themselves,

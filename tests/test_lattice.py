@@ -6,14 +6,17 @@ import pytest
 
 from finmod import lattice
 from finmod.algebra import (
+    FiniteRing,
     analysis,
     cyclic_module,
     direct_sum,
     matrix_ring,
+    module_from_actions,
     opposite_ring,
     quotient_module,
     regular_module,
     triangular_ring,
+    validate_ring,
     zn_ring,
 )
 from finmod.config import Caps, CapExceeded
@@ -35,7 +38,11 @@ from finmod.lattice import (
     submodule_as_module,
     uniform_dimension,
 )
-from finmod.oracle import brute_is_quasi_projective
+from finmod.oracle import (
+    brute_fully_invariant_submodules,
+    brute_is_quasi_projective,
+    brute_is_retractable,
+)
 
 
 def brute_action_closed_subgroups(module):
@@ -395,6 +402,27 @@ class TestAnnihilatorLattice:
         assert not analysis(m).lattice
 
 
+def _rule_edge_cases():
+    """Two modules no seed-0 construction gives.  The dual of
+    S = F2[x,y]/(x,y)^2 is faithful of order |S| but not cyclic, and not
+    quasi-projective.  B (+) B/soc(B), for the ideal B = T2(Z2)e22, is not
+    retractable although its summand B/soc(B) is."""
+    ring = validate_ring(FiniteRing(
+        (2, 2, 2),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 0), (0, 0, 0)),
+         ((0, 0, 1), (0, 0, 0), (0, 0, 0))),
+        (1, 0, 0), ("1", "x", "y"), "F2[x,y]/(x,y)^2"))
+    # basis 1*, x*, y*: x sends x* to 1*, y sends y* to 1*
+    dual = module_from_actions(ring, (2, 2, 2), [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+    ], name="dual of F2[x,y]/(x,y)^2")
+    t2 = regular_module(triangular_ring(2, 2))
+    ideal = submodule_as_module(cyclic_submodule(t2, (0, 0, 1))).module
+    return dual, direct_sum(ideal, quotient_module(ideal, socle(ideal))[0])[0]
+
+
 class TestPredicates:
     def test_retractable_examples(self):
         assert is_retractable(regular_module(zn_ring(4)))
@@ -482,7 +510,8 @@ class TestPredicates:
 
     def test_free_modules_are_projective_without_a_lifting_test(self, monkeypatch):
         # Each regular module of order <= 256 answers without the lifting
-        # test, and agrees with the oracle; a direct sum is not recorded free
+        # test, and agrees with the oracle; a T2(Z2) ideal that is neither
+        # free, nor a recorded sum, nor R/ann(M) still runs the lifting test
         corpus = generate_corpus(0, budget=110)  # before the counter: its set-up may lift
         lifts = []
         real = lattice._lifts_to_quotients
@@ -494,10 +523,48 @@ class TestPredicates:
             assert lattice.is_projective_relative(reg, reg, caps), reg.name
             assert brute_is_quasi_projective(reg), reg.name
         assert not lifts and len(regulars) == 42
-        ring = zn_ring(4)
-        mixed, _, _ = direct_sum(cyclic_module(ring, 2), regular_module(ring))
-        assert not analysis(mixed).free
-        assert not is_quasi_projective(mixed, caps) and lifts
+        t2 = regular_module(triangular_ring(2, 2))
+        ideals = [submodule_as_module(s).module for s in all_submodules(t2)[1:-1]]
+        ideal = next(m for m in ideals if not lattice._is_regular_quotient(m, caps))
+        assert not analysis(ideal).free and not analysis(ideal).summands
+        assert is_quasi_projective(ideal, caps) == brute_is_quasi_projective(ideal) and lifts
+
+    def test_construction_rules_agree_with_the_general_paths(self):
+        # On every distinct seed-0 module M and each M (+) M and M (+) R of
+        # order <= 256: the R/ann(M) rule agrees with the lifting test, every
+        # retractability answer with the simple-submodule test, and a sum's
+        # fully invariant lattice with the End-closures; up to order 32 all
+        # three agree with the oracle too
+        caps = Caps(max_lattice=4995)  # caps of their own, so nothing comes from the memo
+        modules = dict.fromkeys(i.module for i in generate_corpus(0, budget=110).instances)
+        sums = dict.fromkeys(
+            direct_sum(m, n)[0] for m in modules for n in (m, regular_module(m.ring))
+            if m.order * n.order <= 256
+        )
+        fired = {"R/ann(M)": 0, "sum retractable": 0}
+        for m in [*modules, *sums, *_rule_edge_cases()]:
+            quotient = lattice._is_regular_quotient(m, caps)
+            if quotient:
+                assert is_quasi_projective(m, caps) and _lifts_to_quotients(m, m, caps), m.name
+            info = analysis(m)
+            by_parts = info.summands is not None and all(is_retractable(a, caps) for a in info.summands)
+            fired["R/ann(M)"] += quotient
+            fired["sum retractable"] += by_parts
+            retractable = is_retractable(m, caps)
+            assert retractable == lattice._maps_onto_simples(m, caps), m.name
+            assert retractable or not (info.free or quotient or by_parts), m.name
+            fi = fully_invariant_submodules(m, caps)
+            if m in sums:
+                assert fi == sorted(lattice._end_closures(m, caps), key=Submodule.sort_key), m.name
+            if m.order <= 32:
+                assert brute_is_retractable(m) == retractable, m.name
+                assert set(brute_fully_invariant_submodules(m)) == set(fi), m.name
+                if quotient:
+                    assert brute_is_quasi_projective(m), m.name
+        assert len(modules) == 97 and len(sums) == 103
+        assert fired == {"R/ann(M)": 79, "sum retractable": 118}, fired
+        dual, mixed = _rule_edge_cases()
+        assert not is_quasi_projective(dual, caps) and not is_retractable(mixed, caps)
 
     def test_projectivity_relative_to_a_free_module_is_one_split_test(self, monkeypatch):
         # x is R-projective iff a free cover of x splits: the split test
