@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import prod
 from operator import mul
 
@@ -68,37 +68,59 @@ def _is_chain(orders) -> bool:
     return all(b % a == 0 for a, b in zip(orders, orders[1:]))
 
 
-def _cache_hash(obj, key) -> int:
-    """Store the hash of a frozen ring or module on it, so that dict lookups
-    keyed by modules do not rehash every action matrix."""
-    h = hash(key)
-    object.__setattr__(obj, "_hash", h)
-    return h
+class _BlindToLast:
+    """Equality and hash of a namedtuple record over every field but its
+    last.  ``tuple.__ne__`` would compare the last field too, so ``__ne__``
+    is overridden with ``__eq__``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        # Hot paths compare modules all the time, mostly a module with itself.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-1])
 
 
-def _state_without_hash(obj):
-    # Labels are strings, whose hash depends on PYTHONHASHSEED, so a cached
-    # hash must not cross a process boundary.
-    state = dict(obj.__dict__)
-    state.pop("_hash", None)
-    return state
+class _NameBlind(_BlindToLast):
+    """A ring or module record, equal to another whatever their ``name``.
+    The hash is stored in the instance dict when first taken, so that dict
+    lookups keyed by modules do not rehash every action matrix."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self._hash = hash(self[:-1])
+        return h
+
+    def __getstate__(self):
+        # Labels are strings, whose hash depends on PYTHONHASHSEED, so a
+        # stored hash must not cross a process boundary.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
-@dataclass(frozen=True)
-class FiniteRing:
+class FiniteRing(_NameBlind, namedtuple("FiniteRing", "add_orders struct unit labels name",
+                                        defaults=(None, "ring"))):
     """Finite associative unital ring.
 
     ``struct[i][j]`` holds the coefficient vector of the product of basis
     elements i and j; ``add_orders`` is the divisibility chain of the additive
-    group.  A rank-0 ring is the one-element (zero) ring, exempt from the unit
-    requirement by convention.
+    group; ``labels`` names the basis elements (or is None).  A rank-0 ring
+    is the one-element (zero) ring, exempt from the unit requirement by
+    convention.
     """
-
-    add_orders: tuple[int, ...]
-    struct: tuple[tuple[tuple[int, ...], ...], ...]
-    unit: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
-    name: str = field(default="ring", compare=False)
 
     @property
     def rank(self) -> int:
@@ -143,21 +165,12 @@ class FiniteRing:
         for coeffs in itertools.product(*[range(m) for m in self.add_orders]):
             yield RingElement(self, coeffs)
 
-    def __hash__(self):
-        return self.__dict__.get("_hash") or _cache_hash(
-            self, (self.add_orders, self.struct, self.unit, self.labels)
-        )
-
-    __getstate__ = _state_without_hash
-
     def __repr__(self):
         return f"FiniteRing({self.name}, orders={list(self.add_orders)})"
 
 
-@dataclass(frozen=True)
-class RingElement:
-    ring: FiniteRing
-    coeffs: tuple[int, ...]
+class RingElement(namedtuple("RingElement", "ring coeffs")):
+    __slots__ = ()
 
     def __add__(self, other):
         self._check(other)
@@ -277,7 +290,12 @@ def _normalized_ring(raw_orders, raw_struct, raw_unit, name) -> FiniteRing:
 # Largest order the builtin ring constructors build.
 MAX_RING_ORDER = 256
 
+# The builtin constructors hand out one validated ring per distinct argument
+# tuple, from a cache of this many entries.
+RING_CACHE_SIZE = 128
 
+
+@functools.lru_cache(maxsize=RING_CACHE_SIZE)
 def zn_ring(n: int) -> FiniteRing:
     """Z/n as a ring; basis is the unit itself."""
     if n < 2:
@@ -295,6 +313,7 @@ def zn_ring(n: int) -> FiniteRing:
     )
 
 
+@functools.lru_cache(maxsize=RING_CACHE_SIZE)
 def matrix_ring(k: int, n: int) -> FiniteRing:
     """Full k-by-k matrix ring over Z/n; basis the matrix units e_{ab}."""
     if k < 1 or n < 2:
@@ -305,6 +324,7 @@ def matrix_ring(k: int, n: int) -> FiniteRing:
     return _matrix_units_ring(units, n, f"M{k}(Z{n})")
 
 
+@functools.lru_cache(maxsize=RING_CACHE_SIZE)
 def triangular_ring(k: int, n: int) -> FiniteRing:
     """Upper triangular k-by-k matrices over Z/n."""
     if k < 1 or n < 2:
@@ -393,16 +413,10 @@ def opposite_ring(ring: FiniteRing) -> FiniteRing:
     )
 
 
-@dataclass(frozen=True)
-class FiniteModule:
+class FiniteModule(_NameBlind, namedtuple("FiniteModule", "ring inv_factors actions labels name",
+                                          defaults=(None, "module"))):
     """Finite left module: additive invariant factors plus one action matrix
     per ring basis element (columns indexed by module generators)."""
-
-    ring: FiniteRing
-    inv_factors: tuple[int, ...]
-    actions: tuple[tuple[tuple[int, ...], ...], ...]
-    labels: tuple[str, ...] | None = None
-    name: str = field(default="module", compare=False)
 
     @property
     def ngens(self) -> int:
@@ -448,28 +462,10 @@ class FiniteModule:
     def generator_label(self, j: int) -> str:
         return self.labels[j] if self.labels else f"g{j}"
 
-    def __eq__(self, other):
-        # Hot paths compare modules all the time, mostly a module with itself.
-        if self is other:
-            return True
-        if other.__class__ is not FiniteModule:
-            return NotImplemented
-        return (self.ring, self.inv_factors, self.actions, self.labels) == (
-            other.ring, other.inv_factors, other.actions, other.labels
-        )
-
-    def __hash__(self):
-        return self.__dict__.get("_hash") or _cache_hash(
-            self, (self.ring, self.inv_factors, self.actions, self.labels)
-        )
-
-    __getstate__ = _state_without_hash
-
     def __repr__(self):
         return f"FiniteModule({self.name} over {self.ring.name}, inv={list(self.inv_factors)})"
 
 
-@dataclass(eq=False)
 class ModuleAnalysis:
     """What has been computed about one module, shared by every module
     structurally equal to it (``name`` is not compared, so a cached quotient,
@@ -482,31 +478,32 @@ class ModuleAnalysis:
     submodule one object.
     """
 
-    # Interned subgroup -> the one Submodule over it; every Submodule is
-    # action-closed, so this holds at most the module's lattice.
-    submodules: dict = field(default_factory=dict)
-    lattice: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
-    covers: dict = field(default_factory=dict)  # Caps -> {Submodule: tuple of its upper covers}
-    cyclics: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
-    fully_invariant: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
-    annihilators: dict = field(default_factory=dict)  # Caps -> tuple of Submodules
-    projective: dict = field(default_factory=dict)  # (target module, Caps) -> bool
-    retractable: dict = field(default_factory=dict)  # Caps -> bool
-    ell: dict = field(default_factory=dict)  # Caps -> Submodule
-    prime_radical: dict = field(default_factory=dict)  # Caps -> RadicalProfile
-    end_ring: dict = field(default_factory=dict)  # Caps -> EndRing
-    homs: dict = field(default_factory=dict)  # target module -> HomGroup
-    quotients: dict = field(default_factory=dict)  # Submodule -> (M/S, proj, section)
-    embeddings: dict = field(default_factory=dict)  # Submodule -> SubmoduleEmbedding
-    products: dict = field(default_factory=dict)  # (left, right) -> Submodule
-    maps_into: dict = field(default_factory=dict)  # Submodule K -> maps M -> M spanning Hom(M, K)
-    powers: dict = field(default_factory=dict)  # base -> (left-nested powers, terminal), as in PowerTrace
-    cyclic_annihilators: dict = field(default_factory=dict)  # Caps -> ((C, ann_left(C)), ...)
-    right_annihilators: dict = field(default_factory=dict)  # (Submodule, Caps) -> ann_right
-    end_blocks: tuple | None = None  # End(M)'s Smith generators as s x s matrices
-    summands: tuple | None = None  # (a, b) when built as a direct sum a (+) b
-    free: bool = False  # built by regular_module, so projective
-    sums: dict = field(default_factory=dict)  # module b -> direct_sum(M, b)
+    def __init__(self):
+        # Interned subgroup -> the one Submodule over it; every Submodule is
+        # action-closed, so this holds at most the module's lattice.
+        self.submodules = {}
+        self.lattice = {}  # Caps -> tuple of Submodules
+        self.covers = {}  # Caps -> {Submodule: tuple of its upper covers}
+        self.cyclics = {}  # Caps -> tuple of Submodules
+        self.fully_invariant = {}  # Caps -> tuple of Submodules
+        self.annihilators = {}  # Caps -> tuple of Submodules
+        self.projective = {}  # (target module, Caps) -> bool
+        self.retractable = {}  # Caps -> bool
+        self.ell = {}  # Caps -> Submodule
+        self.prime_radical = {}  # Caps -> RadicalProfile
+        self.end_ring = {}  # Caps -> EndRing
+        self.homs = {}  # target module -> HomGroup
+        self.quotients = {}  # Submodule -> (M/S, proj, section)
+        self.embeddings = {}  # Submodule -> SubmoduleEmbedding
+        self.products = {}  # (left, right) -> Submodule
+        self.maps_into = {}  # Submodule K -> maps M -> M spanning Hom(M, K)
+        self.powers = {}  # base -> (left-nested powers, terminal), as in PowerTrace
+        self.cyclic_annihilators = {}  # Caps -> ((C, ann_left(C)), ...)
+        self.right_annihilators = {}  # (Submodule, Caps) -> ann_right
+        self.end_blocks = None  # End(M)'s Smith generators as s x s matrices
+        self.summands = None  # (a, b) when built as a direct sum a (+) b
+        self.free = False  # built by regular_module, so projective
+        self.sums = {}  # module b -> direct_sum(M, b)
 
 
 @functools.cache
@@ -520,10 +517,8 @@ def analysis(module: FiniteModule) -> ModuleAnalysis:
     return ModuleAnalysis()
 
 
-@dataclass(frozen=True)
-class ModuleElement:
-    module: FiniteModule
-    coeffs: tuple[int, ...]
+class ModuleElement(namedtuple("ModuleElement", "module coeffs")):
+    __slots__ = ()
 
     def __add__(self, other):
         self._check(other)

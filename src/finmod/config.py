@@ -7,14 +7,12 @@ case; every potentially explosive operation takes a cap and fails loudly with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Caps:
-    max_module_order: int = 4096
-    max_lattice: int = 5000
-    max_hom_elements: int = 4096
+class Caps(namedtuple("Caps", "max_module_order max_lattice max_hom_elements",
+                      defaults=(4096, 5000, 4096))):
+    __slots__ = ()
 
 
 DEFAULT_CAPS = Caps()

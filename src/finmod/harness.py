@@ -18,12 +18,11 @@ import functools
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import prod
 
 from .algebra import (
-    FiniteModule,
-    FiniteRing,
+    _BlindToLast,
     cyclic_module,
     direct_sum,
     matrix_ring,
@@ -34,7 +33,7 @@ from .algebra import (
     triangular_ring,
     zn_ring,
 )
-from .config import DEFAULT_CAPS, CapExceeded, Caps
+from .config import DEFAULT_CAPS, CapExceeded
 from .homspace import Homomorphism, compose, end_ring, hom_group, image
 from .lattice import (
     PredicateProfile,
@@ -72,37 +71,28 @@ from .radical import (
 )
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(namedtuple("Instance", "name ring module caps", defaults=(DEFAULT_CAPS,))):
     """A corpus entry.  Its predicate profile is computed when first read,
     so only instances whose hypotheses are checked pay for one, and a
     CapExceeded it raises reaches the check that read it."""
-
-    name: str
-    ring: FiniteRing
-    module: FiniteModule
-    caps: Caps = DEFAULT_CAPS
 
     @functools.cached_property
     def profile(self) -> PredicateProfile:
         return is_goldie(self.module, self.caps)
 
 
-@dataclass(frozen=True)
-class Corpus:
-    seed: int
-    instances: tuple[Instance, ...]
+class Corpus(namedtuple("Corpus", "seed instances")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    statement: str
-    instance: str
-    outcome: str  # pass | fail | hypothesis_not_met | skipped
-    detail: str = ""
-    witness: str | None = None
-    exercised: int = 0
-    elapsed: float = field(default=0.0, compare=False)
+class VerificationReport(_BlindToLast, namedtuple(
+        "VerificationReport", "statement instance outcome detail witness exercised elapsed",
+        defaults=("", None, 0, 0.0))):
+    """One statement on one instance.  ``outcome`` is pass, fail,
+    hypothesis_not_met or skipped; ``witness`` names what failed.  Equality
+    and hash leave out ``elapsed``."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         """Deterministic one-line rendering (timings are excluded)."""
@@ -127,7 +117,10 @@ class VerificationReport:
 
 
 def _family_list(caps):
-    """The deterministic instance family list, mandatory members first."""
+    """The deterministic instance family list, mandatory members first.  A
+    family named by a lattice leaves out what meets a cap as it is built: a
+    ring's quotients by its fully invariant submodules, or the ideals of
+    T2(Z2)."""
     out = []
     ring4 = zn_ring(4)
     mixed, _, _ = direct_sum(cyclic_module(ring4, 2), regular_module(ring4))
@@ -178,7 +171,10 @@ def _family_list(caps):
                        ("T3(Z2)", triangular_ring(3, 2)),
                        ("T2(Z3)", triangular_ring(2, 3))]:
         reg = regular_module(ring)
-        fis = fully_invariant_submodules(reg, caps)
+        try:
+            fis = fully_invariant_submodules(reg, caps)
+        except CapExceeded:
+            continue
         for idx, sub in enumerate(fis):
             if sub.is_zero() or sub.is_full():
                 continue
@@ -186,7 +182,11 @@ def _family_list(caps):
             out.append((f"{name}-regular/fi{idx}", quot))
     # a couple of proper submodules as standalone modules
     t2 = regular_module(triangular_ring(2, 2))
-    for idx, sub in enumerate(all_submodules(t2, caps)):
+    try:
+        ideals = all_submodules(t2, caps)
+    except CapExceeded:
+        ideals = []
+    for idx, sub in enumerate(ideals):
         if sub.is_zero() or sub.is_full():
             continue
         out.append((f"T2(Z2)-ideal{idx}", submodule_as_module(sub).module))
@@ -420,6 +420,8 @@ def _check_lsp(m, rng, caps):
 
 
 def _check_nesl(m, rng, caps):
+    if m.order == 1:
+        return 0, None, "zero module"
     profile = prime_radical(m, caps)
     if profile.no_primes:
         return 0, "empty prime spectrum", ""
@@ -432,6 +434,9 @@ def _check_nesl(m, rng, caps):
 
 
 def _check_prnilnet(m, rng, caps):
+    # Spec(0) is empty and the radical of 0 is 0, which is nilpotent.
+    if m.order == 1:
+        return 0, None, "zero module"
     profile = prime_radical(m, caps)
     if profile.no_primes:
         return 0, "empty prime spectrum", ""
@@ -768,11 +773,8 @@ def _check_main(m, rng, caps):
     return exercised, None, ""
 
 
-@dataclass(frozen=True)
-class StatementSpec:
-    hypotheses: tuple[str, ...]
-    description: str
-    checker: object
+class StatementSpec(namedtuple("StatementSpec", "hypotheses description checker")):
+    __slots__ = ()
 
 
 # Only hypotheses a finite module can fail are listed.  The paper also
@@ -957,11 +959,8 @@ def check_statement(sid: str, instance: Instance, caps=DEFAULT_CAPS) -> Verifica
     return _evaluate(sid, instance, caps)
 
 
-@dataclass(frozen=True)
-class SuiteSummary:
-    reports: tuple[VerificationReport, ...]
-    counts: dict
-    failed: tuple[VerificationReport, ...]
+class SuiteSummary(namedtuple("SuiteSummary", "reports counts failed")):
+    __slots__ = ()
 
     def text(self) -> str:
         lines = [r.line() for r in self.reports]

@@ -3,30 +3,28 @@ and endomorphism rings materialized as finite rings.
 
 A homomorphism M -> N is a matrix T with T . A_i = B_i . T modulo the target
 orders for every ring basis action pair (A_i, B_i), plus order-compatibility
-of the columns.  The full solution group is found in one congruence solve;
-element enumeration is never used here (the brute-force path lives in the
-oracle module).
+of the columns.  The full solution group is found in one congruence solve,
+or, out of a module recorded as free, read off the target; element
+enumeration is never used here (the brute-force path lives in the oracle
+module).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import mul
 
-from .algebra import FiniteRing, FiniteModule, ModuleElement, analysis, validate_ring
+from .algebra import FiniteRing, FiniteModule, ModuleElement, _BlindToLast, analysis, validate_ring
 from .config import DEFAULT_CAPS, CapExceeded
-from .intlat import CanonicalSubgroup, solve_homogeneous_congruences
+from .intlat import generated_subgroup, solve_homogeneous_congruences
 from .lattice import Submodule
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
     """Module map stored as a (target gens) x (source gens) integer matrix,
     rows reduced modulo the target orders."""
 
-    source: FiniteModule
-    target: FiniteModule
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, source, target, rows) -> "Homomorphism":
@@ -113,14 +111,16 @@ def kernel(f: Homomorphism) -> Submodule:
     )
 
 
-@dataclass(frozen=True)
-class HomGroup:
-    """The abelian group Hom(M, N) with a canonical generating set."""
+class HomGroup(_BlindToLast, namedtuple("HomGroup", "source target generators subgroup")):
+    """The abelian group Hom(M, N) with a canonical generating set: the maps
+    of ``subgroup``'s canonical basis.  Equality, hash and repr leave out
+    ``subgroup``, which the generators determine."""
 
-    source: FiniteModule
-    target: FiniteModule
-    generators: tuple[Homomorphism, ...]
-    subgroup: CanonicalSubgroup = field(compare=False, repr=False)
+    __slots__ = ()
+
+    def __repr__(self):
+        return (f"HomGroup(source={self.source!r}, target={self.target!r}, "
+                f"generators={self.generators!r})")
 
     @property
     def order(self) -> int:
@@ -151,6 +151,10 @@ class HomGroup:
 def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
     """Hom(M, N) as a finite abelian group of matrices.
 
+    A free M = R^n needs no solve: Hom(R^n, N) = N^n, spanned by the maps
+    x -> p(x)*e_k, for p the projections of M onto its regular summands and
+    e_k the generators of N.  Any other M solves its congruences.
+
     >>> from finmod.algebra import zn_ring, regular_module
     >>> end = hom_group(*(regular_module(zn_ring(4)),) * 2)
     >>> end.group_invariants
@@ -162,6 +166,27 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
     hit = memo.get(target)
     if hit is not None:
         return hit
+    projections = _regular_projections(source)
+    if projections is None:
+        sub = _solved_hom_subgroup(source, target)
+    else:
+        t = target.ngens
+        units = [tuple(int(k == j) for j in range(t)) for k in range(t)]
+        rows = [compose(scaling(p.target, target, u), p).flatten() for p in projections for u in units]
+        sub = generated_subgroup([e for e in target.inv_factors for _ in range(source.ngens)], rows)
+    group = HomGroup(
+        source=source,
+        target=target,
+        generators=tuple(Homomorphism.from_flat(source, target, g) for g in sub.basis),
+        subgroup=sub,
+    )
+    memo[target] = group
+    return group
+
+
+def _solved_hom_subgroup(source, target):
+    """Hom(M, N) as the solutions T of T . A_i = B_i . T, with the column
+    order conditions, flattened row by row."""
     s, d = source.ngens, source.inv_factors
     t, e = target.ngens, target.inv_factors
     nvars = t * s
@@ -190,27 +215,31 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
                 if any(v % e[k] for v in r):
                     rows.append([v % e[k] for v in r])
                     row_moduli.append(e[k])
-    sub = solve_homogeneous_congruences(rows, row_moduli, col_moduli)
-    group = HomGroup(
-        source=source,
-        target=target,
-        generators=tuple(Homomorphism.from_flat(source, target, g) for g in sub.basis),
-        subgroup=sub,
-    )
-    memo[target] = group
-    return group
+    return solve_homogeneous_congruences(rows, row_moduli, col_moduli)
 
 
-@dataclass(frozen=True)
-class EndRing:
+def _regular_projections(module):
+    """The projections of a free module onto its regular summands, which
+    ``regular_module`` and ``direct_sum`` record; None when it is not
+    recorded as free."""
+    info = analysis(module)
+    if info.free:
+        return [Homomorphism.identity(module)]
+    if info.summands:
+        a, b = info.summands
+        parts = [_regular_projections(a), _regular_projections(b)]
+        if None not in parts:
+            return [compose(q, p) for qs, p in zip(parts, analysis(a).sums[b][2]) for q in qs]
+    return None
+
+
+class EndRing(namedtuple("EndRing", "module as_ring gens_as_homs")):
     """End(M) materialized as a finite ring; composition is multiplication.
 
     ``gens_as_homs`` is aligned index-by-index with the ring basis.
     """
 
-    module: FiniteModule
-    as_ring: FiniteRing
-    gens_as_homs: tuple[Homomorphism, ...]
+    __slots__ = ()
 
 
 def end_ring(module: FiniteModule, caps=DEFAULT_CAPS) -> EndRing:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm, prod
 from operator import mul
 
@@ -482,18 +482,16 @@ def _solve(rows, row_moduli, col_moduli):
     ))
 
 
-@dataclass(frozen=True)
-class PresentationNF:
+class PresentationNF(namedtuple("PresentationNF", "invariants projection section")):
     """Invariant-factor normal form of Z^n modulo a relation lattice.
 
-    ``projection`` maps old coordinates to normal-form coordinates and
-    ``section`` picks an integer representative for each normal-form
-    generator; projection @ section is the identity exactly.
+    ``projection`` (len(invariants) x n) maps old coordinates to normal-form
+    coordinates and ``section`` (n x len(invariants)) picks an integer
+    representative for each normal-form generator; projection @ section is
+    the identity exactly.
     """
 
-    invariants: tuple[int, ...]
-    projection: tuple[tuple[int, ...], ...]  # len(invariants) x n
-    section: tuple[tuple[int, ...], ...]  # n x len(invariants)
+    __slots__ = ()
 
 
 def finite_presentation(relation_rows, ncols) -> PresentationNF:

@@ -11,12 +11,12 @@ which makes reports and counterexamples deterministic and minimal.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 from operator import mul
 
 from .algebra import FiniteModule, ModuleElement, analysis, quotient_module
-from .config import DEFAULT_CAPS, CapExceeded, Caps
+from .config import DEFAULT_CAPS, CapExceeded
 from .intlat import CanonicalSubgroup, _intern, generated_subgroup, solve_homogeneous_congruences
 
 
@@ -522,18 +522,14 @@ def _lifts_to_quotients(x, y, caps):
     return True
 
 
-@dataclass(frozen=True, repr=False)
-class PredicateProfile:
+class PredicateProfile(namedtuple("PredicateProfile",
+                                  "module caps is_quasi_projective is_retractable is_goldie",
+                                  defaults=(True,))):
     """Predicate summary for one module under ``caps``.  A finite module is
     always Goldie and noetherian, with the ascending chain condition on
     annihilators, so ``is_goldie`` is always True.  ``uniform_dim`` and
-    ``annihilator_lattice_size`` (None past the caps) are read on demand."""
-
-    module: FiniteModule
-    caps: Caps
-    is_quasi_projective: bool
-    is_retractable: bool
-    is_goldie: bool = True
+    ``annihilator_lattice_size`` (None past the caps) are read on demand,
+    and stored in the instance dict."""
 
     @functools.cached_property
     def uniform_dim(self) -> int:

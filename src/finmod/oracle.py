@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm, prod
 
 from .algebra import FiniteModule
@@ -26,11 +26,9 @@ from .homspace import Homomorphism
 from .lattice import Submodule
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_module_order: int = 256
-    max_hom_enumeration: int = 65536
-    max_lattice: int = 2000
+class OracleBudget(namedtuple("OracleBudget", "max_module_order max_hom_enumeration max_lattice",
+                              defaults=(256, 65536, 2000))):
+    __slots__ = ()
 
 
 DEFAULT_BUDGET = OracleBudget()

@@ -9,11 +9,11 @@ also record whether the two nestings diverge instead of assuming they agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import analysis
 from .config import DEFAULT_CAPS, CapExceeded
-from .homspace import Homomorphism, compose, hom_group, scaling
+from .homspace import _regular_projections, compose, hom_group, scaling
 from .lattice import (
     Submodule,
     distinct_cyclic_submodules,
@@ -68,35 +68,17 @@ def maps_into(module, sub: Submodule):
     return hit
 
 
-def _regular_projections(module):
-    """The projections of a free module onto its regular summands, which
-    ``regular_module`` and ``direct_sum`` record; None when it is not
-    recorded as free."""
-    info = analysis(module)
-    if info.free:
-        return [Homomorphism.identity(module)]
-    if info.summands:
-        a, b = info.summands
-        parts = [_regular_projections(a), _regular_projections(b)]
-        if None not in parts:
-            return [compose(q, p) for qs, p in zip(parts, analysis(a).sums[b][2]) for q in qs]
-    return None
-
-
-@dataclass(frozen=True)
-class PowerTrace:
+class PowerTrace(namedtuple("PowerTrace", "base chain terminal nesting_divergence")):
     """Successive powers of a submodule until they vanish or repeat.
 
+    ``chain`` holds the left-nested powers base, base*base, ...
     ``terminal`` is ("zero", i) when chain[i-1] is the zero submodule, or
     ("cycle", j) when the next power equals chain[j-1].
     ``nesting_divergence`` is the first index at which the right-nested
-    sequence differs from the left-nested one, if any.
+    sequence differs from the left-nested one, or None.
     """
 
-    base: Submodule
-    chain: tuple[Submodule, ...]
-    terminal: tuple[str, int]
-    nesting_divergence: int | None
+    __slots__ = ()
 
 
 def _left_powers(module, base: Submodule):
@@ -146,10 +128,11 @@ def nilpotency_index(module, base: Submodule) -> int | None:
     return idx if kind == "zero" else None
 
 
-@dataclass(frozen=True)
-class NilVerdict:
-    is_nil: bool
-    witness: Submodule | None  # on False, a cyclic in ``sub`` that is not nilpotent
+class NilVerdict(namedtuple("NilVerdict", "is_nil witness")):
+    """``witness`` is None when ``is_nil``, and otherwise a cyclic submodule
+    of the tested one that is not nilpotent."""
+
+    __slots__ = ()
 
 
 def is_nil_submodule(module, sub: Submodule, caps=DEFAULT_CAPS) -> NilVerdict:

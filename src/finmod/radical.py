@@ -12,11 +12,11 @@ in the tests.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
-from .algebra import FiniteModule, analysis
-from .config import DEFAULT_CAPS, CapExceeded, Caps
+from .algebra import analysis
+from .config import DEFAULT_CAPS, CapExceeded
 from .homspace import hom_group
 from .intlat import solve_homogeneous_congruences
 from .lattice import (
@@ -143,8 +143,8 @@ def is_semiprime_submodule(module, p: Submodule, caps=DEFAULT_CAPS):
     return True, None
 
 
-@dataclass(frozen=True)
-class RadicalProfile:
+class RadicalProfile(namedtuple("RadicalProfile", "module caps prime_radical primes "
+                                "nilpotency_of_radical no_primes", defaults=(False,))):
     """Radical data for one module, under the caps it was computed with.
 
     ``primes``, their intersection ``prime_radical``, its nilpotency index
@@ -157,15 +157,8 @@ class RadicalProfile:
     not quasi-projective, whether ``ell`` is itself locally nilpotent (None
     otherwise, or when the test exceeds a cap); the closure-under-sums
     argument needs projectivity, so this is diagnostic rather than
-    guaranteed.
+    guaranteed.  They are stored in the instance dict.
     """
-
-    module: FiniteModule
-    caps: Caps
-    prime_radical: Submodule
-    primes: tuple[Submodule, ...]
-    nilpotency_of_radical: int | None
-    no_primes: bool = False
 
     @functools.cached_property
     def ell(self) -> Submodule:
@@ -210,17 +203,16 @@ def prime_radical(module, caps=DEFAULT_CAPS) -> RadicalProfile:
     return profile
 
 
-@dataclass(frozen=True)
-class SubmSequence:
-    """Outcome of the orthogonal-sequence construction.
+class SubmSequence(namedtuple("SubmSequence", "modules_a diagnostics")):
+    """Outcome of the orthogonal-sequence construction: the submodules A_i
+    built, and its diagnostics.
 
     diagnostics is ("complete", k), ("hypothesis_violated", j, witness) with
     witness the nonzero left annihilator slice (or, when j = 0, a cyclic
     submodule of N that is not nilpotent), or ("cap_reached", _MAX_STEPS).
     """
 
-    modules_a: tuple[Submodule, ...]
-    diagnostics: tuple
+    __slots__ = ()
 
 
 # Most steps the orthogonal-sequence construction takes.

@@ -302,6 +302,20 @@ class TestVerifyCommand:
         assert "summary:" in out
         assert "fail=0" in out
 
+    def test_small_lattice_cap_leaves_out_the_families_that_meet_it(self):
+        # T3(Z2) has more than 10 fully invariant ideals, so its quotient
+        # family is left out, and its own checks are skips with the reason
+        code, out, _ = run_cli(
+            "--max-lattice", "10", "verify", "--corpus-seed", "0", "--budget", "110",
+            "--only", "THM-MAIN,COR-NESL",
+        )
+        assert code == 0
+        assert out.splitlines()[-1].startswith("summary: pass=")
+        assert " fail=0 " in out.splitlines()[-1]
+        assert "T3(Z2)-regular/fi" not in out
+        assert "SKIP THM-MAIN T3(Z2)-regular (fully invariant members: reached 10" in out
+        assert "PASS THM-MAIN T2(Z2)-regular/fi1 " in out
+
     def test_search_command(self):
         code, out, _ = run_cli(
             "search", "--statement", "COR-NESL", "--drop", "quasi_projective",

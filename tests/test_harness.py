@@ -97,6 +97,19 @@ class TestCheckStatement:
         with pytest.raises(ValueError):
             check_statement("LEM-NOPE", corpus12.instances[0])
 
+    def test_radical_statements_pass_vacuously_on_the_zero_module(self):
+        # Spec(0) is empty and the radical of 0 is 0, which is nilpotent
+        from finmod.algebra import quotient_module, regular_module, zn_ring
+        from finmod.harness import Instance
+        from finmod.lattice import Submodule
+
+        reg = regular_module(zn_ring(2))
+        zero, _ = quotient_module(reg, Submodule.full(reg))
+        inst = Instance("Z2/Z2", zero.ring, zero)
+        for sid in ("COR-LSP", "COR-NESL", "COR-PRNILNET", "COR-PRIMENILGOLDIE"):
+            report = check_statement(sid, inst)
+            assert (report.outcome, report.detail) == ("pass", "zero module"), sid
+
     def test_zpn_statement(self, corpus12):
         cyclic = next(
             i for i in corpus12.instances if i.name == "Z40-regular"

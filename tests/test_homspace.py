@@ -16,8 +16,11 @@ from finmod.algebra import (
     validate_ring,
     zn_ring,
 )
+from finmod.harness import generate_corpus
 from finmod.homspace import (
     Homomorphism,
+    _regular_projections,
+    _solved_hom_subgroup,
     compose,
     end_ring,
     hom_group,
@@ -106,6 +109,28 @@ class TestHomGroup:
         h = hom_group(m, m)
         mats = {f.matrix for f in h.elements()}
         assert mats == {((i,),) for i in range(4)}
+
+    def test_out_of_a_free_module_read_off_matches_the_solve(self):
+        """Hom(R^n, N) = N^n: for every distinct seed-0 module N, out of R
+        and, for |R| <= 27, out of R (+) R, the maps read off N span the
+        interned subgroup the congruence solve gives, with its generators."""
+        modules = dict.fromkeys(i.module for i in generate_corpus(0, 110).instances)
+        pairs = 0
+        for n in modules:
+            reg = regular_module(n.ring)
+            sources = [reg]
+            if n.ring.order <= 27:
+                sources.append(direct_sum(reg, reg)[0])
+            for free in sources:
+                assert _regular_projections(free) is not None
+                solved = _solved_hom_subgroup(free, n)
+                group = hom_group(free, n)
+                assert group.subgroup is solved, (free, n)
+                assert [g.matrix for g in group.generators] == [
+                    Homomorphism.from_flat(free, n, row).matrix for row in solved.basis
+                ]
+                pairs += 1
+        assert pairs == 162
 
 
 def _elementary_divisors(invariants):

@@ -16,7 +16,14 @@ from finmod.algebra import (
     zn_ring,
 )
 from finmod.harness import generate_corpus
-from finmod.homspace import compose, hom_group, image
+from finmod.homspace import (
+    Homomorphism,
+    _regular_projections,
+    _solved_hom_subgroup,
+    compose,
+    hom_group,
+    image,
+)
 from finmod.intlat import CanonicalSubgroup
 from finmod.lattice import (
     Submodule,
@@ -28,7 +35,6 @@ from finmod.lattice import (
 )
 from finmod.product import (
     _left_powers,
-    _regular_projections,
     is_locally_nilpotent,
     is_nil_submodule,
     maps_into,
@@ -344,7 +350,10 @@ def test_maps_out_of_a_free_module_span_its_hom_group():
         moduli = [e for e in m.inv_factors for _ in range(m.ngens)]
         for k in all_submodules(m):
             emb = submodule_as_module(k)
-            solved = [compose(emb.inclusion, g).flatten() for g in hom_group(m, emb.module).generators]
+            solved = [
+                compose(emb.inclusion, Homomorphism.from_flat(m, emb.module, g)).flatten()
+                for g in _solved_hom_subgroup(m, emb.module).basis
+            ]
             read_off = [f.flatten() for f in maps_into(m, k)]
             assert CanonicalSubgroup(moduli, read_off) == CanonicalSubgroup(moduli, solved), (m, k)
             checked += 1
