@@ -73,7 +73,6 @@ from .lattice import (
     cyclic_submodule,
     fully_invariant_submodules,
     is_goldie,
-    is_projective_relative,
     is_quasi_projective,
     is_retractable,
     socle,

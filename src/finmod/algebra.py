@@ -473,6 +473,7 @@ class ModuleAnalysis:
 
     Answers that depend on size caps are keyed by the ``Caps`` they were
     computed under; a computation that raises ``CapExceeded`` stores nothing.
+    ``annihilator``, read by quasi-projectivity and retractability, is not.
     Lists are stored as tuples and handed out as fresh lists.  Memos keyed
     by submodules hit on identity, since ``submodules`` makes each distinct
     submodule one object.
@@ -487,7 +488,7 @@ class ModuleAnalysis:
         self.cyclics = {}  # Caps -> tuple of Submodules
         self.fully_invariant = {}  # Caps -> tuple of Submodules
         self.annihilators = {}  # Caps -> tuple of Submodules
-        self.projective = {}  # (target module, Caps) -> bool
+        self.quasi_projective = {}  # Caps -> bool
         self.retractable = {}  # Caps -> bool
         self.ell = {}  # Caps -> Submodule
         self.prime_radical = {}  # Caps -> RadicalProfile
@@ -502,6 +503,7 @@ class ModuleAnalysis:
         self.right_annihilators = {}  # (Submodule, Caps) -> ann_right
         self.end_blocks = None  # End(M)'s Smith generators as s x s matrices
         self.summands = None  # (a, b) when built as a direct sum a (+) b
+        self.annihilator = None  # ann_R(M), a CanonicalSubgroup of R
         self.free = False  # built by regular_module, so projective
         self.sums = {}  # module b -> direct_sum(M, b)
 
@@ -716,9 +718,10 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
 
     Returns (module, (inj_a, inj_b), (proj_a, proj_b)); the injections and
     projections satisfy proj_i . inj_j = delta_ij.  When both summands are
-    nonzero, the analysis of the sum records them, so that relative
-    projectivity can be decided summand by summand.  Answers are memoized
-    in the analysis of ``a``, keyed by ``b``.
+    nonzero, the analysis of the sum records them, and projectivity over
+    R/ann, retractability, the fully invariant submodules and Hom out of a
+    free sum are read off them.  Answers are memoized in the analysis of
+    ``a``, keyed by ``b``.
     """
     from .homspace import Homomorphism
 

@@ -1,6 +1,7 @@
 """Submodules in canonical form, full lattice enumeration, and the module
-predicates built on them (uniform dimension, retractability,
-quasi-projectivity, Goldie profile).
+predicates (uniform dimension, retractability, quasi-projectivity, Goldie
+profile); quasi-projectivity is one split test over R/ann(M) and lists no
+lattice.
 
 A submodule is an action-closed subgroup stored as a canonical Hermite basis,
 so equality and hashing are structural, and each module keeps one object per
@@ -15,7 +16,7 @@ from collections import namedtuple
 from math import gcd, lcm
 from operator import mul
 
-from .algebra import FiniteModule, ModuleElement, analysis, quotient_module
+from .algebra import FiniteModule, ModuleElement, analysis, quotient_with_section, regular_module
 from .config import DEFAULT_CAPS, CapExceeded
 from .intlat import CanonicalSubgroup, _intern, generated_subgroup, solve_homogeneous_congruences
 
@@ -410,17 +411,18 @@ def annihilator_lattice(module: FiniteModule, caps=DEFAULT_CAPS):
 def is_retractable(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
     """Nonzero maps into every nonzero submodule.  Read off the construction
     for a free module (Hom(R^n, K) holds K), for R/ann(M)
-    (``_is_regular_quotient``), and for a recorded sum of two retractable
-    modules: a simple S <= A (+) B is isomorphic to its nonzero projection
-    into A or into B, which receives a nonzero map.  Otherwise the simple
-    submodules decide (``_maps_onto_simples``)."""
+    (``_is_regular_quotient``: Hom(S, L) = L for every left ideal L of S),
+    and for a recorded sum of two retractable modules: a simple S <= A (+) B
+    is isomorphic to its nonzero projection into A or into B, which receives
+    a nonzero map.  Otherwise the simple submodules decide
+    (``_maps_onto_simples``)."""
     info = analysis(module)
     hit = info.retractable.get(caps)
     if hit is None:
         hit = info.retractable[caps] = (
             info.free
             or info.summands is not None and all(is_retractable(a, caps) for a in info.summands)
-            or _is_regular_quotient(module, caps)
+            or _is_regular_quotient(module, _annihilator(module), caps)
             or _maps_onto_simples(module, caps))
     return hit
 
@@ -436,90 +438,68 @@ def _maps_onto_simples(module, caps):
     )
 
 
-def _is_regular_quotient(module, caps):
-    """Whether M is R/ann(M): cyclic, with |M| |ann_R(M)| = |R|.  For M = Rm,
-    ann(m) holds ann(M) and has order |R|/|M|, so the two are equal and M
-    is the regular module of S = R/ann(M).  Submodules and Hom groups over R
-    are those over S, so M is projective over S, hence quasi-projective, and
-    retractable: Hom(S, L) = L for every left ideal L of S."""
-    ring, s = module.ring, module.ngens
-    rows = [[mat[k][j] for mat in module.actions] for j in range(s) for k in range(s)]
-    ann = solve_homogeneous_congruences(rows, module.inv_factors * s, ring.add_orders)
-    return (module.order * ann.order == ring.order
+def _annihilator(module):
+    """ann_R(M) as a subgroup of R: the r with r*g = 0 for every generator g.
+    One congruence solve per module."""
+    info = analysis(module)
+    if info.annihilator is None:
+        ring, s = module.ring, module.ngens
+        rows = [[mat[k][j] for mat in module.actions] for j in range(s) for k in range(s)]
+        info.annihilator = solve_homogeneous_congruences(rows, module.inv_factors * s, ring.add_orders)
+    return info.annihilator
+
+
+def _is_regular_quotient(module, ann, caps):
+    """Whether M is the regular module of S = R/ann, for an ideal ann inside
+    ann_R(M): whether M is cyclic with |M| |ann| = |R|.  For M = Rm, ann(m)
+    holds ann and has order |R|/|M|, so the two are equal and r -> rm is
+    onto M with kernel ann."""
+    return (module.order * ann.order == module.ring.order
             and distinct_cyclic_submodules(module, caps)[-1].is_full())
 
 
 def is_quasi_projective(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
-    """Lifting property against the module's own quotients."""
-    return is_projective_relative(module, module, caps)
-
-
-def is_projective_relative(x: FiniteModule, y: FiniteModule, caps=DEFAULT_CAPS) -> bool:
-    """Whether x is y-projective: the map Hom(x, y) -> Hom(x, y/K) must be
-    onto for every submodule K of y.
-
-    A direct sum is N-projective iff each summand is, and A is
-    (N1 (+) N2)-projective iff it is N1- and N2-projective (Anderson & Fuller,
-    Rings and Categories of Modules, 16.10 and 16.12), so a side recorded as
-    a direct sum is split instead of enumerating its lattice.  A free x, as
-    ``regular_module`` records, is projective (ibid., 17.2).  For a free y
-    = R, a finite x is R-projective iff it is R^n-projective (16.12), iff a
-    free cover of x splits, iff x is projective: ``_splits`` decides that.
-    An x that is R/ann(x) is x-projective (``_is_regular_quotient``).
-    """
-    info, y_info = analysis(x), analysis(y)
-    memo = info.projective
-    hit = memo.get((y, caps))
+    """Whether every map M -> M/K lifts to an endomorphism of M.  For a finite
+    M that holds iff M is projective over S = R/ann_R(M) (README, "Design
+    notes"), which ``_is_projective_over`` decides with no submodule
+    lattice; ``caps`` bound only the cyclic submodules its shortcut lists."""
+    info = analysis(module)
+    hit = info.quasi_projective.get(caps)
     if hit is None:
-        if info.free:
-            hit = True
-        elif info.summands:
-            hit = all(is_projective_relative(a, y, caps) for a in info.summands)
-        elif y_info.summands:
-            hit = all(is_projective_relative(x, b, caps) for b in y_info.summands)
-        elif y_info.free:
-            hit = _splits(x, y)
-        elif x == y and _is_regular_quotient(x, caps):
-            hit = True
-        else:
-            hit = _lifts_to_quotients(x, y, caps)
-        memo[(y, caps)] = hit
+        hit = info.quasi_projective[caps] = _is_projective_over(module, _annihilator(module), caps)
     return hit
 
 
-def _splits(x, free):
-    """Whether the cover free^m -> x, sending the i-th unit to g_i, splits,
-    for R-generators g_i of x (``free`` is R): whether id_x is a sum of maps
-    p_i h with h: x -> R and p_i(r) = r*g_i.  Hom(x, R^m) is Hom(x, R)^m,
-    so one Hom solve serves any m; an additive generator already in the
-    span of the earlier g_i is skipped."""
+def _is_projective_over(module, ann, caps):
+    """Whether M is projective over S = R/ann, for an ideal ann inside
+    ann_R(M).  A recorded sum is iff each summand is (Anderson & Fuller,
+    Rings and Categories of Modules, 16.10), and the summands are S-modules
+    too; M = S is (``_is_regular_quotient``); otherwise ``_splits`` decides."""
+    summands = analysis(module).summands
+    if summands:
+        return all(_is_projective_over(a, ann, caps) for a in summands)
+    return _is_regular_quotient(module, ann, caps) or _splits(module, ann)
+
+
+def _splits(module, ann):
+    """Whether the cover S^m -> M, sending the i-th unit to the i-th
+    generator g_i of M, splits, for S = R/ann: whether id_M is a sum of maps
+    p_i h with h: M -> S and p_i(s) = s*g_i.  p_i is r -> r*g_i after the
+    section of R -> S, well defined since ann kills g_i.  Hom(M, S^m) is
+    Hom(M, S)^m, so one Hom solve serves every i."""
     from .homspace import Homomorphism, compose, hom_group, scaling
 
-    identity = Homomorphism.identity(x)
-    covers, span = [], Submodule.zero(x)
-    for g in zip(*identity.matrix):
-        if not span.contains(g):
-            covers.append(scaling(free, x, g))
-            span = span.sum(Submodule.span(x, [g]))
-    rows = [compose(p, h).flatten() for p in covers for h in hom_group(x, free).generators]
-    moduli = [e for e in x.inv_factors for _ in range(x.ngens)]
+    free = regular_module(module.ring)
+    if ann.order == 1:  # S is R, and Hom(M, R) is shared with other callers
+        quotient, section = free, Homomorphism.identity(free)
+    else:
+        quotient, _, rows = quotient_with_section(free, Submodule(free, ann))
+        section = Homomorphism(quotient, free, rows)
+    identity = Homomorphism.identity(module)
+    covers = [compose(scaling(free, module, g), section) for g in zip(*identity.matrix)]
+    rows = [compose(p, h).flatten() for p in covers for h in hom_group(module, quotient).generators]
+    moduli = [e for e in module.inv_factors for _ in range(module.ngens)]
     return CanonicalSubgroup(moduli, rows).contains(identity.flatten())
-
-
-def _lifts_to_quotients(x, y, caps):
-    """Whether every map x -> y/K lifts to y, for each K <= y but 0 and y,
-    through which every map lifts.  The K with one upper cover do not
-    suffice (README, "Design notes")."""
-    from .homspace import compose, hom_group
-
-    gens = hom_group(x, y).generators
-    for k_sub in all_submodules(y, caps)[1:-1]:
-        quot, proj = quotient_module(y, k_sub)
-        onto = hom_group(x, quot).subgroup
-        rows = [compose(proj, h).flatten() for h in gens]
-        if CanonicalSubgroup(onto.moduli, rows).order != onto.order:
-            return False
-    return True
 
 
 class PredicateProfile(namedtuple("PredicateProfile",
@@ -548,7 +528,8 @@ class PredicateProfile(namedtuple("PredicateProfile",
 
 
 def is_goldie(module: FiniteModule, caps=DEFAULT_CAPS) -> PredicateProfile:
-    """The predicate profile.  Quasi-projectivity and retractability, which
-    the harness reads, are decided here, and their CapExceeded propagates."""
+    """The predicate profile.  Quasi-projectivity (a split test, no lattice)
+    and retractability, which the harness reads, are decided here; a
+    CapExceeded from the cyclic submodules they list propagates."""
     return PredicateProfile(module, caps, is_quasi_projective(module, caps),
                             is_retractable(module, caps))

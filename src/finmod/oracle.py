@@ -362,11 +362,15 @@ def brute_annihilator_lattice(module: FiniteModule, budget=DEFAULT_BUDGET):
 
 
 def brute_is_quasi_projective(module: FiniteModule, budget=DEFAULT_BUDGET) -> bool:
-    """Lifting checked map by map: for every submodule K, every map M -> M/K
-    is an endomorphism followed by the projection.  A choice of cosets y_i + K
-    for ring-module generators x_i of M is a map iff every relation
-    sum r_i x_i = 0 sends sum r_i y_i into K; the endomorphisms are the
-    choices for K = 0, and the lifts are their images modulo K."""
+    """Lifting checked by counting maps: composing with M -> M/K sends End(M)
+    onto the maps that lift, with kernel Hom(M, K), so every map M -> M/K
+    lifts iff |Hom(M, M/K)| |Hom(M, K)| = |End(M)|; ``_Tables.homs`` lists
+    Hom(M, K).  A choice of cosets y_i + K for ring-module generators x_i of
+    M is a map M -> M/K iff every relation sum r_i x_i = 0 sends
+    sum r_i y_i into K.  Two relations that end at x_j with the same
+    coefficient differ by one that ends earlier, so one relation per last
+    coefficient at each j, checked once y_0, ..., y_j are chosen, checks
+    them all."""
     t = _tables_within(module, budget)
     size, gens, span = len(t.elems), [], 1
     while span != t.full:
@@ -384,31 +388,31 @@ def brute_is_quasi_projective(module: FiniteModule, budget=DEFAULT_BUDGET) -> bo
             out = t.add[out][times[y][r]]
         return out
 
-    relations = [
-        rs for rs in itertools.product(range(module.ring.order), repeat=len(gens))
-        if any(rs) and combine(rs, gens) == 0
-    ]
+    levels = []  # levels[j]: the relations checked once y_j is chosen
+    for j in range(len(gens)):
+        ending = {}
+        for pre in itertools.product(range(module.ring.order), repeat=j):
+            for r in range(1, module.ring.order):
+                if r not in ending and combine(pre + (r,), gens) == 0:
+                    ending[r] = pre + (r,)
+        levels.append(list(ending.values()))
 
     def maps_modulo(k):
-        # coset representatives, and every choice of them that is a map M -> M/K
+        # one representative per coset, and the choices of them that are maps
         rep, coset = [None] * size, t.members(k)
         for x in range(size):
             if rep[x] is None:
                 for y in coset:
                     rep[t.add[x][y]] = x
-        reps = sorted(set(rep))
-        _enumerable(len(reps) ** len(gens), "hom candidates", budget)
-        return rep, {
-            ys for ys in itertools.product(reps, repeat=len(gens))
-            if all(k >> combine(rs, ys) & 1 for rs in relations)
-        }
+        reps, maps = sorted(set(rep)), [()]
+        for kept in levels:
+            _enumerable(len(maps) * len(reps), "hom candidates", budget)
+            maps = [ys for ys in (pre + (y,) for pre in maps for y in reps)
+                    if all(k >> combine(rs, ys) & 1 for rs in kept)]
+        return len(maps)
 
-    _, endos = maps_modulo(1)
-    for k in t.lattice(budget):
-        rep, maps = maps_modulo(k)
-        if {tuple(rep[y] for y in ys) for ys in endos} != maps:
-            return False
-    return True
+    ends = len(t.homs(module, t.full, budget))
+    return all(maps_modulo(k) * len(t.homs(module, k, budget)) == ends for k in t.lattice(budget))
 
 
 def brute_is_retractable(module: FiniteModule, budget=DEFAULT_BUDGET) -> bool:

@@ -2,6 +2,10 @@
 
 import io
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +240,23 @@ class TestCommands:
         path = tmp_path / "m.ring"
         path.write_text(serialize_instance(ring, m))
         assert run_cli("predicates", str(path)) == (0, text, "")
+
+    def test_predicates_on_the_triangular_cube_under_a_small_lattice_cap(self, tmp_path):
+        # Read from a file, T2(Z2)^3 (order 512) is not a recorded sum, and
+        # a fresh interpreter shares no analysis with one.  Quasi-projectivity
+        # is a split test and the End cap stops the annihilator lattice
+        # before it is listed, so a lattice cap of 10 is never met.
+        ring = triangular_ring(2, 2)
+        reg = regular_module(ring)
+        path = tmp_path / "cube.ring"
+        path.write_text(serialize_instance(ring, direct_sum(direct_sum(reg, reg)[0], reg)[0]))
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "finmod.cli", "--max-lattice", "10", "predicates", str(path)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "quasi_projective = true\n" in done.stdout
 
     def test_product_zero(self, z4_file):
         code, out, _ = run_cli("product", z4_file, "--left", "<0>", "--right", "<2>")

@@ -61,11 +61,11 @@ class TestCorpus:
         corpus = generate_corpus(0, 110)
         for inst in corpus.instances:
             info = analysis(inst.module)
-            assert not info.projective and not info.retractable, inst.name
+            assert not info.quasi_projective and not info.retractable, inst.name
         for inst in corpus.instances:
             assert inst.profile.is_goldie and inst.profile == is_goldie(inst.module)
             info = analysis(inst.module)
-            assert info.projective and info.retractable, inst.name
+            assert info.quasi_projective and info.retractable, inst.name
 
     def test_instances_self_consistent(self, corpus12):
         from finmod.algebra import validate_module, validate_ring
@@ -187,15 +187,16 @@ class TestSearch:
 
     def test_cap_met_by_a_hypothesis_is_a_skip(self):
         # The ideal T2(Z2)e22 is neither free, nor a sum, nor R/ann(M), so its
-        # quasi-projectivity takes its 3-member lattice; past a cap of 2
-        # every check that reads a profile hypothesis is a SKIP with the
-        # reason, in a suite and in a search, and any other check still runs
+        # retractability lists its cyclic submodules (quasi-projectivity, a
+        # split test, lists none); past a module order cap of 2 every check
+        # that reads a profile hypothesis is a SKIP with the reason, in a
+        # suite and in a search, and any other check still runs
         from finmod.algebra import regular_module, triangular_ring
         from finmod.config import Caps
         from finmod.harness import Instance
         from finmod.lattice import cyclic_submodule, submodule_as_module
 
-        tiny = Caps(max_lattice=2)
+        tiny = Caps(max_module_order=2)
         t2 = regular_module(triangular_ring(2, 2))
         ideal = submodule_as_module(cyclic_submodule(t2, (0, 0, 1))).module
         corpus = Corpus(seed=0, instances=(Instance("T2(Z2)e22", ideal.ring, ideal, tiny),))
@@ -203,7 +204,7 @@ class TestSearch:
         main, fprod, zpn = summary.reports
         for report in (main, fprod):
             assert report.outcome == "skipped"
-            assert report.detail == "lattice members: reached 2 with cap 2"
+            assert report.detail == "module order: reached 4 with cap 2"
         assert zpn.outcome == "hypothesis_not_met"
         (searched,) = search_counterexamples("THM-MAIN", "retractable", corpus, tiny)
         assert searched == main
