@@ -104,10 +104,10 @@ class _NameBlind(_BlindToLast):
         return h
 
     def __getstate__(self):
-        # Labels are strings, whose hash depends on PYTHONHASHSEED, so a
-        # stored hash must not cross a process boundary.
+        # A hash (of string labels, so of PYTHONHASHSEED) and an analysis are per process.
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("analysis", None)
         return state
 
 
@@ -190,7 +190,7 @@ class RingElement(namedtuple("RingElement", "ring coeffs")):
         return not any(self.coeffs)
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("elements of different rings")
 
     def __repr__(self):
@@ -462,6 +462,11 @@ class FiniteModule(_NameBlind, namedtuple("FiniteModule", "ring inv_factors acti
     def generator_label(self, j: int) -> str:
         return self.labels[j] if self.labels else f"g{j}"
 
+    @functools.cached_property
+    def analysis(self) -> "ModuleAnalysis":
+        """The one analysis of all modules equal to this one; later reads hash nothing."""
+        return _ANALYSES.get(self) or _ANALYSES.setdefault(self, ModuleAnalysis())
+
     def __repr__(self):
         return f"FiniteModule({self.name} over {self.ring.name}, inv={list(self.inv_factors)})"
 
@@ -508,15 +513,10 @@ class ModuleAnalysis:
         self.sums = {}  # module b -> direct_sum(M, b)
 
 
-@functools.cache
-def analysis(module: FiniteModule) -> ModuleAnalysis:
-    """The one analysis of ``module`` and every module equal to it.
-
-    It lives as long as the process, not one instance or one suite run:
-    different corpus instances share modules (the regular module of a ring,
-    direct sums with it), and their checks reuse each other's answers.
-    """
-    return ModuleAnalysis()
+# Module -> ModuleAnalysis for the process's life, as instances share modules and
+# answers; a module that carries its analysis keeps it past ``clear_analyses()``.
+_ANALYSES = {}
+clear_analyses = _ANALYSES.clear
 
 
 class ModuleElement(namedtuple("ModuleElement", "module coeffs")):
@@ -542,7 +542,7 @@ class ModuleElement(namedtuple("ModuleElement", "module coeffs")):
         return not any(self.coeffs)
 
     def _check(self, other):
-        if self.module != other.module:
+        if self.module is not other.module and self.module != other.module:
             raise ValueError("elements of different modules")
 
     def __repr__(self):
@@ -551,7 +551,7 @@ class ModuleElement(namedtuple("ModuleElement", "module coeffs")):
 
 def act(r: RingElement, x: ModuleElement) -> ModuleElement:
     """Left action r.x; distributes over addition in both arguments."""
-    if x.module.ring != r.ring:
+    if x.module.ring is not r.ring and x.module.ring != r.ring:
         raise ValueError("ring element does not act on this module")
     return ModuleElement(x.module, x.module.act_coeffs(r.coeffs, x.coeffs))
 
@@ -651,7 +651,7 @@ def regular_module(ring: FiniteRing) -> FiniteModule:
         for i in range(r)
     )
     module = FiniteModule(ring, ring.add_orders, actions, ring.labels, f"{ring.name} regular")
-    analysis(module).free = True
+    module.analysis.free = True
     return module
 
 
@@ -689,7 +689,7 @@ def _module_from_presentation(ring, relation_rows, ambient_actions, s, name):
 def quotient_with_section(module: FiniteModule, sub):
     """Quotient data (M/S, projection matrix, section matrix); the projection
     composed with the section is the identity on the quotient."""
-    memo = analysis(module).quotients
+    memo = module.analysis.quotients
     hit = memo.get(sub)
     if hit is None:
         relation_rows = [list(r) for r in sub.subgroup.full_hnf]
@@ -725,11 +725,11 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
     """
     from .homspace import Homomorphism
 
-    memo = analysis(a).sums
+    memo = a.analysis.sums
     hit = memo.get(b)
     if hit is not None:
         return hit
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise ValidationError("direct sum requires a common ring")
     sa, sb = a.ngens, b.ngens
     s = sa + sb
@@ -778,7 +778,7 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
         ),
     )
     if a.order > 1 and b.order > 1:
-        info = analysis(total)
+        info = total.analysis
         info.summands = info.summands or (a, b)
     memo[b] = total, (inj_a, inj_b), (proj_a, proj_b)
     return memo[b]

@@ -252,10 +252,7 @@ def _rng_for(sid, instance):
 
 
 def _sample(items, rng, k):
-    items = list(items)
-    if len(items) <= k:
-        return items
-    return rng.sample(items, k)
+    return items if len(items) <= k else rng.sample(items, k)
 
 
 def _nonzero_proper_fi(module, caps):
@@ -311,9 +308,10 @@ def _end_elements_sample(module, rng, k):
 def _check_fprod(m, rng, caps):
     lat = all_submodules(m, caps)
     endos = _end_elements_sample(m, rng, 6)
+    pairs = [(x, y) for x in lat for y in lat]
     exercised = 0
     for f in endos:
-        for a, b in _sample([(x, y) for x in lat for y in lat], rng, 8):
+        for a, b in _sample(pairs, rng, 8):
             ab = product(m, a, b)
             f_ab = image(f, ab)
             f_b = image(f, b)
@@ -730,7 +728,7 @@ def _check_accmoduloann(m, rng, caps):
     group = hom_group(m, m)
     exercised = 0
     gens = list(group.generators) + [Homomorphism.identity(m)]
-    seeds = _sample(list(group.generators), rng, 2)
+    seeds = _sample(group.generators, rng, 2)
     for g in seeds:
         ideal_span = [compose(a, compose(g, b)) for a in gens for b in gens]
         n_sub = kernel_intersection(m, ideal_span)

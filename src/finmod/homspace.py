@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import mul
 
-from .algebra import FiniteRing, FiniteModule, ModuleElement, _BlindToLast, analysis, validate_ring
+from .algebra import FiniteRing, FiniteModule, ModuleElement, _BlindToLast, validate_ring
 from .config import DEFAULT_CAPS, CapExceeded
 from .intlat import generated_subgroup, solve_homogeneous_congruences
 from .lattice import Submodule
@@ -62,7 +62,7 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
         )
 
     def apply(self, x: ModuleElement) -> ModuleElement:
-        if x.module != self.source:
+        if x.module is not self.source and x.module != self.source:
             raise ValueError("element not in the source module")
         return ModuleElement(self.target, self.apply_vec(x.coeffs))
 
@@ -78,7 +78,7 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
 
 def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
     """f after g."""
-    if g.target != f.source:
+    if g.target is not f.source and g.target != f.source:
         raise ValueError("maps are not composable")
     # A map into a zero module has no rows, yet has one (empty) column per
     # source generator.
@@ -160,9 +160,9 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
     >>> end.group_invariants
     (4,)
     """
-    if source.ring != target.ring:
+    if source.ring is not target.ring and source.ring != target.ring:
         raise ValueError("modules over different rings")
-    memo = analysis(source).homs
+    memo = source.analysis.homs
     hit = memo.get(target)
     if hit is not None:
         return hit
@@ -222,14 +222,14 @@ def _regular_projections(module):
     """The projections of a free module onto its regular summands, which
     ``regular_module`` and ``direct_sum`` record; None when it is not
     recorded as free."""
-    info = analysis(module)
+    info = module.analysis
     if info.free:
         return [Homomorphism.identity(module)]
     if info.summands:
         a, b = info.summands
         parts = [_regular_projections(a), _regular_projections(b)]
         if None not in parts:
-            return [compose(q, p) for qs, p in zip(parts, analysis(a).sums[b][2]) for q in qs]
+            return [compose(q, p) for qs, p in zip(parts, a.analysis.sums[b][2]) for q in qs]
     return None
 
 
@@ -249,7 +249,7 @@ def end_ring(module: FiniteModule, caps=DEFAULT_CAPS) -> EndRing:
     A zero module gets the one-element ring (rank 0), exempt from the unit
     requirement by convention.
     """
-    memo = analysis(module).end_ring
+    memo = module.analysis.end_ring
     hit = memo.get(caps)
     if hit is not None:
         return hit

@@ -16,7 +16,7 @@ from collections import namedtuple
 from math import gcd, lcm
 from operator import mul
 
-from .algebra import FiniteModule, ModuleElement, analysis, quotient_with_section, regular_module
+from .algebra import FiniteModule, ModuleElement, quotient_with_section, regular_module
 from .config import DEFAULT_CAPS, CapExceeded
 from .intlat import CanonicalSubgroup, _intern, generated_subgroup, solve_homogeneous_congruences
 
@@ -25,15 +25,15 @@ class Submodule:
     """Action-closed subgroup of a finite module, canonically represented.
 
     ``Submodule(module, subgroup)`` returns the one instance, over the
-    interned subgroup, that ``analysis(module).submodules`` holds; a copy
-    unpickles as it.  Equality compares structure after identity, since
-    ``analysis.cache_clear()`` starts a new table.  The hash is the
+    interned subgroup, that ``module.analysis.submodules`` holds; a copy
+    unpickles as it.  Equality compares structure after identity: equal
+    modules carry different tables after ``clear_analyses()``.  The hash is the
     subgroup's, of integers only, so it is the same in every interpreter."""
 
     __slots__ = ("module", "subgroup", "_hash")
 
     def __new__(cls, module: FiniteModule, subgroup: CanonicalSubgroup):
-        table = analysis(module).submodules
+        table = module.analysis.submodules
         self = table.get(subgroup)
         if self is None:
             self = object.__new__(cls)
@@ -91,10 +91,10 @@ class Submodule:
         return self.subgroup.contains(vec)
 
     def le(self, other: "Submodule") -> bool:
+        if self is other:
+            return True
         self._check(other)
-        if other.order % self.order:
-            return False
-        return other.subgroup.contains_subgroup(self.subgroup)
+        return not other.order % self.order and other.subgroup.contains_subgroup(self.subgroup)
 
     def lt(self, other: "Submodule") -> bool:
         return self.le(other) and self != other
@@ -134,7 +134,7 @@ class Submodule:
         return "<" + ", ".join(terms) + ">"
 
     def _check(self, other):
-        if self.module != other.module:
+        if self.module is not other.module and self.module != other.module:
             raise ValueError("submodules of different modules")
 
     def __eq__(self, other):
@@ -161,7 +161,7 @@ def cyclic_submodule(module: FiniteModule, x) -> Submodule:
 def distinct_cyclic_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
     """All distinct cyclic submodules, in canonical order.  R(kx) = Rx for k
     prime to the additive order of x, so one x per <x> is spanned."""
-    memo = analysis(module).cyclics
+    memo = module.analysis.cyclics
     hit = memo.get(caps)
     if hit is None:
         if module.order > caps.max_module_order:
@@ -180,8 +180,8 @@ def distinct_cyclic_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
 def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
     """Every action-closed subgroup, in canonical order, reached from zero
     through upper covers formed with the join-irreducible cyclics; each
-    member's covers go to ``analysis(module).covers[caps]``."""
-    memo = analysis(module)
+    member's covers go to ``module.analysis.covers[caps]``."""
+    memo = module.analysis
     hit = memo.lattice.get(caps)
     if hit is None:
         cyclics = distinct_cyclic_submodules(module, caps)
@@ -255,7 +255,7 @@ def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
     from .homspace import Homomorphism
 
     M = sub.module
-    memo = analysis(M).embeddings
+    memo = M.analysis.embeddings
     hit = memo.get(sub)
     if hit is not None:
         return hit
@@ -287,7 +287,7 @@ def fully_invariant_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
     ``caps.max_lattice`` bounds their number.  A recorded direct sum takes
     them from its summands (``_fully_invariant_sums``), any other module
     from the End-closures of its cyclics (``_end_closures``)."""
-    info = analysis(module)
+    info = module.analysis
     hit = info.fully_invariant.get(caps)
     if hit is None:
         members = (_fully_invariant_sums(module, *info.summands, caps) if info.summands
@@ -320,7 +320,7 @@ def _fully_invariant_sums(module, a, b, caps):
     each Hom group decide."""
     from .homspace import hom_group
 
-    _, (inj_a, inj_b), _ = analysis(a).sums[b]
+    _, (inj_a, inj_b), _ = a.analysis.sums[b]
     xs, ys = fully_invariant_submodules(a, caps), fully_invariant_submodules(b, caps)
 
     def pushed(src, dst, sub):  # Hom(src, dst) sub
@@ -390,13 +390,13 @@ def annihilator_lattice(module: FiniteModule, caps=DEFAULT_CAPS):
     listed: that cap only decides when the family is reported."""
     from .homspace import hom_group
 
-    memo = analysis(module).annihilators
+    memo = module.analysis.annihilators
     hit = memo.get(caps)
     if hit is None:
         end = hom_group(module, module)
         if end.order > caps.max_hom_elements:
             raise CapExceeded("endomorphism count", end.order, caps.max_hom_elements)
-        lattice, covers = all_submodules(module, caps), analysis(module).covers[caps]
+        lattice, covers = all_submodules(module, caps), module.analysis.covers[caps]
         e, gens = module.inv_factors, [f.matrix for f in end.generators]
 
         def restrictions(k):  # |End| / |Ann_End(K)|
@@ -416,7 +416,7 @@ def is_retractable(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
     is isomorphic to its nonzero projection into A or into B, which receives
     a nonzero map.  Otherwise the simple submodules decide
     (``_maps_onto_simples``)."""
-    info = analysis(module)
+    info = module.analysis
     hit = info.retractable.get(caps)
     if hit is None:
         hit = info.retractable[caps] = (
@@ -441,7 +441,7 @@ def _maps_onto_simples(module, caps):
 def _annihilator(module):
     """ann_R(M) as a subgroup of R: the r with r*g = 0 for every generator g.
     One congruence solve per module."""
-    info = analysis(module)
+    info = module.analysis
     if info.annihilator is None:
         ring, s = module.ring, module.ngens
         rows = [[mat[k][j] for mat in module.actions] for j in range(s) for k in range(s)]
@@ -453,9 +453,12 @@ def _is_regular_quotient(module, ann, caps):
     """Whether M is the regular module of S = R/ann, for an ideal ann inside
     ann_R(M): whether M is cyclic with |M| |ann| = |R|.  For M = Rm, ann(m)
     holds ann and has order |R|/|M|, so the two are equal and r -> rm is
-    onto M with kernel ann."""
-    return (module.order * ann.order == module.ring.order
-            and distinct_cyclic_submodules(module, caps)[-1].is_full())
+    onto M with kernel ann.  Elements are spanned until one spans M."""
+    if module.order * ann.order != module.ring.order:
+        return False
+    if module.order > caps.max_module_order:
+        raise CapExceeded("module order", module.order, caps.max_module_order)
+    return any(cyclic_submodule(module, x).is_full() for x in module.elements())
 
 
 def is_quasi_projective(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
@@ -463,7 +466,7 @@ def is_quasi_projective(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
     M that holds iff M is projective over S = R/ann_R(M) (README, "Design
     notes"), which ``_is_projective_over`` decides with no submodule
     lattice; ``caps`` bound only the cyclic submodules its shortcut lists."""
-    info = analysis(module)
+    info = module.analysis
     hit = info.quasi_projective.get(caps)
     if hit is None:
         hit = info.quasi_projective[caps] = _is_projective_over(module, _annihilator(module), caps)
@@ -475,7 +478,7 @@ def _is_projective_over(module, ann, caps):
     ann_R(M).  A recorded sum is iff each summand is (Anderson & Fuller,
     Rings and Categories of Modules, 16.10), and the summands are S-modules
     too; M = S is (``_is_regular_quotient``); otherwise ``_splits`` decides."""
-    summands = analysis(module).summands
+    summands = module.analysis.summands
     if summands:
         return all(_is_projective_over(a, ann, caps) for a in summands)
     return _is_regular_quotient(module, ann, caps) or _splits(module, ann)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import analysis
 from .config import DEFAULT_CAPS, CapExceeded
 from .homspace import _regular_projections, compose, hom_group, scaling
 from .lattice import (
@@ -31,12 +30,12 @@ def product(module, left: Submodule, right: Submodule) -> Submodule:
     sum of images of a submodule under module maps is a submodule, so the
     rows need no closing under the ring action.
     """
-    memo = analysis(module).products
+    memo = module.analysis.products
     key = (left, right)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if left.module != module or right.module != module:
+    if not (left.module is module is right.module or left.module == module == right.module):
         raise ValueError("product arguments must live in the ambient module")
     if left.is_zero() or right.is_zero():
         out = Submodule.zero(module)
@@ -55,7 +54,7 @@ def maps_into(module, sub: Submodule):
     A free M = R^n needs no Hom solve: Hom(R^n, K) = K^n, spanned by the
     maps x -> p(x)*k, for p the projections of M onto its regular summands
     and k the basis rows of K."""
-    memo = analysis(module).maps_into
+    memo = module.analysis.maps_into
     hit = memo.get(sub)
     if hit is None:
         projections = _regular_projections(module)
@@ -84,7 +83,7 @@ class PowerTrace(namedtuple("PowerTrace", "base chain terminal nesting_divergenc
 def _left_powers(module, base: Submodule):
     """(chain, terminal) of the left-nested powers of base, as in PowerTrace,
     memoized per base."""
-    memo = analysis(module).powers
+    memo = module.analysis.powers
     hit = memo.get(base)
     if hit is None:
         hit = memo[base] = _walk_powers(module, base)

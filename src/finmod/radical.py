@@ -15,7 +15,6 @@ import functools
 from collections import namedtuple
 from operator import mul
 
-from .algebra import analysis
 from .config import DEFAULT_CAPS, CapExceeded
 from .homspace import hom_group
 from .intlat import solve_homogeneous_congruences
@@ -37,7 +36,7 @@ def ann_left(module, sub: Submodule) -> Submodule:
     contains the intersection of their kernels.  The inclusion of ``sub`` is
     injective, so the maps of ``maps_into`` have the same kernels.
     """
-    if sub.module != module:
+    if sub.module is not module and sub.module != module:
         raise ValueError("submodule of a different module")
     return kernel_intersection(module, maps_into(module, sub))
 
@@ -51,9 +50,9 @@ def ann_right(module, sub: Submodule, caps=DEFAULT_CAPS) -> Submodule:
     so no product is formed: the cyclics C whose memoized left annihilator
     holds ``sub`` are summed in one HNF.  Answers are memoized by (sub, caps).
     """
-    if sub.module != module:
+    if sub.module is not module and sub.module != module:
         raise ValueError("submodule of a different module")
-    memo = analysis(module)
+    memo = module.analysis
     hit = memo.right_annihilators.get((sub, caps))
     if hit is None:
         pairs = memo.cyclic_annihilators.get(caps)
@@ -82,7 +81,7 @@ def r_rel(module, outer: Submodule, inner: Submodule, caps=DEFAULT_CAPS) -> Subm
 def ell(module, caps=DEFAULT_CAPS) -> Submodule:
     """The largest locally nilpotent submodule: the sum of all nilpotent
     cyclic submodules."""
-    memo = analysis(module).ell
+    memo = module.analysis.ell
     hit = memo.get(caps)
     if hit is not None:
         return hit
@@ -185,7 +184,7 @@ class RadicalProfile(namedtuple("RadicalProfile", "module caps prime_radical pri
 def prime_radical(module, caps=DEFAULT_CAPS) -> RadicalProfile:
     """Intersection of all prime submodules, with its radical profile; the
     profile's other fields are computed when first read."""
-    memo = analysis(module).prime_radical
+    memo = module.analysis.prime_radical
     hit = memo.get(caps)
     if hit is not None:
         return hit
@@ -292,7 +291,7 @@ def annihilator_maps(module, sub):
 
 def _end_blocks(module):
     """End(M)'s Smith generators as s x s matrices, sliced once per module."""
-    memo, s = analysis(module), module.ngens
+    memo, s = module.analysis, module.ngens
     if memo.end_blocks is None:
         gens = hom_group(module, module).subgroup.smith_gens
         memo.end_blocks = tuple(tuple(g[k * s:(k + 1) * s] for k in range(s)) for g in gens)

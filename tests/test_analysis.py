@@ -1,10 +1,12 @@
 """The per-module analysis memo: caps isolation, copies of cached lists,
-sharing between equal modules, and warm answers against the oracle."""
+sharing between equal modules, identity checks that keep structural
+semantics, and warm answers against the oracle."""
+
+import pickle
 
 import pytest
 
 from finmod.algebra import (
-    analysis,
     cyclic_module,
     direct_sum,
     module_from_actions,
@@ -13,14 +15,17 @@ from finmod.algebra import (
     zn_ring,
 )
 from finmod.config import DEFAULT_CAPS, Caps, CapExceeded
+from finmod.homspace import Homomorphism, compose
 from finmod.lattice import (
+    Submodule,
     all_submodules,
     distinct_cyclic_submodules,
     fully_invariant_submodules,
     is_quasi_projective,
     is_retractable,
 )
-from finmod.oracle import brute_ell, brute_prime_radical
+from finmod.oracle import brute_ell, brute_prime_radical, brute_product
+from finmod.product import product
 from finmod.radical import ell, prime_radical
 
 
@@ -37,7 +42,7 @@ def test_small_caps_raise_before_and_after_a_default_call():
     # quasi-projectivity lists no lattice, so it answers under that cap
     m = plane()
     small = Caps(max_lattice=3)
-    assert DEFAULT_CAPS not in analysis(m).lattice
+    assert DEFAULT_CAPS not in m.analysis.lattice
     with pytest.raises(CapExceeded):
         all_submodules(m, small)
     assert is_quasi_projective(m, small)
@@ -45,8 +50,8 @@ def test_small_caps_raise_before_and_after_a_default_call():
     assert is_quasi_projective(m)
     with pytest.raises(CapExceeded):
         all_submodules(m, small)
-    assert small not in analysis(m).lattice
-    assert analysis(m).quasi_projective == {small: True, DEFAULT_CAPS: True}
+    assert small not in m.analysis.lattice
+    assert m.analysis.quasi_projective == {small: True, DEFAULT_CAPS: True}
 
 
 @pytest.mark.parametrize("query", [distinct_cyclic_submodules, fully_invariant_submodules])
@@ -63,14 +68,65 @@ def test_equal_modules_share_one_analysis():
     a = plane("first")
     b = plane("second")
     assert a == b and a is not b
-    assert analysis(a) is analysis(b)
+    assert a.analysis is b.analysis
     assert list(all_submodules(a)) == list(all_submodules(b))
     assert distinct_cyclic_submodules(a) == distinct_cyclic_submodules(b)
     assert is_quasi_projective(a) == is_quasi_projective(b)
     assert is_retractable(a) == is_retractable(b)
-    assert DEFAULT_CAPS in analysis(a).retractable
+    assert DEFAULT_CAPS in a.analysis.retractable
     assert ell(a) == ell(b)
     assert prime_radical(a) == prime_radical(b)
+
+
+def square(name="square"):
+    """Z_4^2 with generator labels no other test uses, so each submodule in
+    its table is made from the module object that first asks for it."""
+    return module_from_actions(
+        zn_ring(4), (4, 4), [[[1, 0], [0, 1]]], labels=("s", "t"), name=name
+    )
+
+
+def test_identity_fast_paths_keep_structural_name_blind_semantics():
+    a, b, renamed = square(), square(), square("renamed")
+    assert a is not b and a == b == renamed and not a != renamed
+    assert hash(a) == hash(b) == hash(renamed)
+    assert a.analysis is b.analysis is renamed.analysis
+    # operands from equal but distinct module objects
+    x, y = Submodule.span(a, [(2, 0)]), Submodule.span(renamed, [(0, 1)])
+    assert x.module is a and y.module is renamed
+    total = x.sum(y)
+    assert x.le(total) and y.le(total) and not total.le(x)
+    assert total == Submodule.span(b, [(2, 0), (0, 1)]) and x.intersect(y).is_zero()
+    assert product(b, x, y) == brute_product(b, x, y)
+    ident_a, ident_r = Homomorphism.identity(a), Homomorphism.identity(renamed)
+    assert compose(ident_a, ident_r) == Homomorphism(renamed, a, ident_a.matrix)
+    assert ident_a.apply(renamed.element((1, 3))).coeffs == (1, 3)
+    assert (a.element((1, 0)) + renamed.element((3, 1))).coeffs == (0, 1)
+    ring, other_ring = zn_ring(4), zn_ring(4)._replace(name="another Z4")
+    assert ring is not other_ring and (ring.one() * other_ring.one()).coeffs == (1,)
+    # modules that truly differ still raise
+    other = plane()
+    z = Submodule.zero(other)
+    for call, message in [
+        (lambda: x.le(z), "submodules of different modules"),
+        (lambda: x.sum(z), "submodules of different modules"),
+        (lambda: x.intersect(z), "submodules of different modules"),
+        (lambda: product(a, x, z), "product arguments must live in the ambient module"),
+        (lambda: compose(ident_a, Homomorphism.identity(other)), "maps are not composable"),
+        (lambda: ident_a.apply(other.zero()), "element not in the source module"),
+        (lambda: a.zero() + other.zero(), "elements of different modules"),
+        (lambda: ring.one() * zn_ring(2).one(), "elements of different rings"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            call()
+    # a pickled copy carries no analysis and finds the shared one
+    assert "analysis" in a.__dict__ and not {"_hash", "analysis"} & set(a.__getstate__())
+    data = pickle.dumps(a)
+    assert b"ModuleAnalysis" not in data
+    back = pickle.loads(data)
+    assert back is not a and back == a and "analysis" not in back.__dict__
+    assert back.analysis is a.analysis
+    assert pickle.loads(pickle.dumps(x)) is x
 
 
 @pytest.mark.parametrize(
@@ -85,8 +141,8 @@ def test_warm_radicals_match_the_oracle(module):
     for _ in range(2):
         assert ell(module) == brute_ell(module)
         assert prime_radical(module).prime_radical == brute_prime_radical(module)
-    assert DEFAULT_CAPS in analysis(module).ell
-    assert DEFAULT_CAPS in analysis(module).prime_radical
+    assert DEFAULT_CAPS in module.analysis.ell
+    assert DEFAULT_CAPS in module.analysis.prime_radical
 
 
 def test_repeat_direct_sum_returns_the_memoized_objects():
@@ -96,5 +152,5 @@ def test_repeat_direct_sum_returns_the_memoized_objects():
     first = direct_sum(plane("first"), reg)
     again = direct_sum(plane("second"), regular_module(zn_ring(2)))
     assert again is first
-    assert analysis(plane()).sums[reg] is first
+    assert plane().analysis.sums[reg] is first
     assert first[0].name == "first (+) Z2 regular"

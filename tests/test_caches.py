@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finmod import intlat
-from finmod.algebra import analysis, direct_sum, regular_module, triangular_ring, zn_ring
+from finmod.algebra import clear_analyses, direct_sum, regular_module, triangular_ring, zn_ring
 from finmod.harness import generate_corpus, run_suite
 from finmod.intlat import (
     CACHE_SIZE,
@@ -120,7 +120,7 @@ def test_a_full_cache_evicts():
 
 def test_caches_stay_bounded_and_hit_on_seed0_instances():
     # Emptied analyses make the run ask intlat again.
-    analysis.cache_clear()
+    clear_analyses()
     clear_caches()
     corpus = generate_corpus(0, budget=6)
     assert not run_suite(corpus).failed
@@ -183,15 +183,18 @@ def test_submodules_are_interned_per_analysis():
         rows = sub.basis[::-1]
         first = Submodule.from_subgroup_rows(m, rows)
         assert Submodule.from_subgroup_rows(m, rows) is first is sub
-        assert analysis(m).submodules[first.subgroup] is first
+        assert m.analysis.submodules[first.subgroup] is first
     kept = all_submodules(m)
-    analysis.cache_clear()
-    # A new analysis starts a new table: equal, not identical, and the
-    # structural comparison still finds them equal.
-    again = all_submodules(m)
-    for old, new in zip(kept, again):
+    clear_analyses()
+    # m keeps the analysis it carries, and with it the same objects.
+    assert all(a is b for a, b in zip(all_submodules(m), kept, strict=True))
+    # An equal module read first after the clear starts a new table: equal,
+    # not identical, and the structural comparison still finds them equal.
+    fresh = regular_module(triangular_ring(2, 2))
+    assert fresh == m and fresh.analysis is not m.analysis
+    for old, new in zip(kept, all_submodules(fresh), strict=True):
         assert old == new and hash(old) == hash(new) and old is not new
-        assert old.subgroup is new.subgroup
+        assert old.subgroup is new.subgroup and old.le(new) and new.le(old)
 
 
 def test_submodule_pickles_into_a_fresh_interpreter():

@@ -54,17 +54,17 @@ class TestCorpus:
     def test_corpus_decides_no_predicate_up_front(self):
         # set-up admits instances by order and |End| only; reading a
         # profile decides it, as is_goldie does
-        from finmod.algebra import analysis
+        from finmod.algebra import clear_analyses
         from finmod.lattice import is_goldie
 
-        analysis.cache_clear()
+        clear_analyses()
         corpus = generate_corpus(0, 110)
         for inst in corpus.instances:
-            info = analysis(inst.module)
+            info = inst.module.analysis
             assert not info.quasi_projective and not info.retractable, inst.name
         for inst in corpus.instances:
             assert inst.profile.is_goldie and inst.profile == is_goldie(inst.module)
-            info = analysis(inst.module)
+            info = inst.module.analysis
             assert info.quasi_projective and info.retractable, inst.name
 
     def test_instances_self_consistent(self, corpus12):

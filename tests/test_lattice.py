@@ -7,7 +7,7 @@ import pytest
 from finmod import lattice
 from finmod.algebra import (
     FiniteRing,
-    analysis,
+    clear_analyses,
     cyclic_module,
     direct_sum,
     matrix_ring,
@@ -189,7 +189,7 @@ class TestAllSubmodules:
             all_submodules(cube)
         assert time.perf_counter() - start < 20
         assert exc.value.what == "lattice members"
-        assert not analysis(cube).lattice and not analysis(cube).covers
+        assert not cube.analysis.lattice and not cube.analysis.covers
 
     def test_free_triangular_cube_count_under_a_raised_cap(self):
         # As a representation of the A2 quiver T2(Z2)^3 has
@@ -203,7 +203,7 @@ class TestAllSubmodules:
         finally:
             # analyses are shared by the whole run, and another test asks
             # that the cube's lattice stay unlisted
-            memo = analysis(cube)
+            memo = cube.analysis
             for answers in (memo.lattice, memo.covers, memo.cyclics):
                 answers.pop(caps, None)
 
@@ -399,7 +399,7 @@ class TestAnnihilatorLattice:
             annihilator_lattice(m)
         assert exc.value.what == "endomorphism count"
         assert is_goldie(m).annihilator_lattice_size is None
-        assert not analysis(m).lattice
+        assert not m.analysis.lattice
 
 
 def _rule_edge_cases():
@@ -519,9 +519,9 @@ class TestPredicates:
     def test_corpus_lists_no_annihilator_lattice(self):
         # Neither verify nor search reads the annihilator lattice, so the
         # corpus does not build it
-        analysis.cache_clear()
+        clear_analyses()
         corpus = generate_corpus(0, budget=110)
-        assert not any(analysis(i.module).annihilators for i in corpus.instances)
+        assert not any(i.module.analysis.annihilators for i in corpus.instances)
 
     def test_construction_rules_agree_with_the_general_paths(self):
         # On every distinct seed-0 module M and each M (+) M and M (+) R of
@@ -539,7 +539,7 @@ class TestPredicates:
         )
         fired = {"R/ann(M)": 0, "sum retractable": 0}
         for m in [*modules, *sums, *_rule_edge_cases()]:
-            ann, info = lattice._annihilator(m), analysis(m)
+            ann, info = lattice._annihilator(m), m.analysis
             quotient = lattice._is_regular_quotient(m, ann, caps)
             assert is_quasi_projective(m, caps) == lattice._splits(m, ann), m.name
             assert is_quasi_projective(m, caps) or not quotient, m.name
@@ -561,6 +561,38 @@ class TestPredicates:
         assert fired == {"R/ann(M)": 79, "sum retractable": 118}, fired
         dual, mixed = _rule_edge_cases()
         assert not is_quasi_projective(dual, caps) and not is_retractable(mixed, caps)
+
+    def test_regular_quotient_by_spanning_agrees_with_the_listed_cyclics(self):
+        # Spanning elements until one spans M answers as the last distinct
+        # cyclic did: on the distinct seed-0 modules, each M (+) M and M (+) R
+        # of order <= 256, the quotients of T2(Z2) by its left ideals, and
+        # the two modules no seed-0 construction gives, one of them faithful
+        # of order |R| and not cyclic, also once the cyclics are listed.
+        caps = Caps(max_lattice=4993)  # caps of their own, so nothing is listed yet
+        seed0 = dict.fromkeys(i.module for i in generate_corpus(0, budget=110).instances)
+        t2 = regular_module(triangular_ring(2, 2))
+        modules = dict.fromkeys([
+            *seed0,
+            *(direct_sum(m, n)[0] for m in seed0 for n in (m, regular_module(m.ring))
+              if m.order * n.order <= 256),
+            *(quotient_module(t2, s)[0] for s in all_submodules(t2)),
+            *_rule_edge_cases(),
+        ])
+        answers = {True: 0, False: 0}
+        for m in modules:
+            ann = lattice._annihilator(m)
+            assert caps not in m.analysis.cyclics, m.name
+            spanned = lattice._is_regular_quotient(m, ann, caps)
+            listed = m.order * ann.order == m.ring.order and distinct_cyclic_submodules(m, caps)[-1].is_full()
+            assert spanned == listed == lattice._is_regular_quotient(m, ann, caps), m.name
+            answers[spanned] += 1
+        dual = _rule_edge_cases()[0]
+        assert dual.order * lattice._annihilator(dual).order == dual.ring.order
+        assert not lattice._is_regular_quotient(dual, lattice._annihilator(dual), caps)
+        assert answers == {True: 81, False: 109}, answers
+        # past the order cap nothing is spanned, as nothing was listed
+        with pytest.raises(CapExceeded, match="module order: reached 8 with cap 4"):
+            lattice._is_regular_quotient(t2, lattice._annihilator(t2), Caps(max_module_order=4))
 
     def test_quasi_projectivity_lists_no_lattice(self, monkeypatch):
         # The split test over R/ann(M) answers with lattice enumeration
@@ -587,7 +619,7 @@ class TestPredicates:
         assert all(is_quasi_projective(r, caps) for r in regulars) and is_quasi_projective(cube, caps)
         for quotient, want in ((g7, False), (g6, True)):
             ann = lattice._annihilator(quotient)
-            assert quotient.order == 256 and not analysis(quotient).summands
+            assert quotient.order == 256 and not quotient.analysis.summands
             assert not lattice._is_regular_quotient(quotient, ann, caps)
             assert is_quasi_projective(quotient, caps) == want
 
@@ -631,7 +663,7 @@ class TestPredicates:
         assert profile.is_retractable and profile.is_quasi_projective
         assert profile.uniform_dim == 6
         assert profile.annihilator_lattice_size is None
-        assert not analysis(cube).lattice
+        assert not cube.analysis.lattice
 
 
 class TestSubmoduleAsModule:

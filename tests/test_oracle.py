@@ -7,7 +7,6 @@ import pytest
 from finmod import lattice
 from finmod.algebra import (
     _matrix_units_ring,
-    analysis,
     cyclic_module,
     direct_sum,
     module_from_actions,
@@ -395,7 +394,7 @@ class TestBruteFullyInvariant:
 def _recorded_covers(m):
     """The upper covers that the enumeration of m's lattice records."""
     all_submodules(m)
-    return analysis(m).covers[DEFAULT_CAPS]
+    return m.analysis.covers[DEFAULT_CAPS]
 
 
 class TestBruteCovers:
@@ -516,7 +515,7 @@ class TestBruteQuasiProjective:
         ring4 = zn_ring(4)
         two, four = cyclic_module(ring4, 2), regular_module(ring4)
         mixed, _, _ = direct_sum(two, four)
-        assert analysis(mixed).summands == (two, four)
+        assert mixed.analysis.summands == (two, four)
         assert all(_lifts_through(four, two, k) and _lifts_through(two, two, k)
                    for k in all_submodules(two))
         assert not all(_lifts_through(two, four, k) for k in all_submodules(four))
@@ -525,4 +524,4 @@ class TestBruteQuasiProjective:
         assert lattice._is_projective_over(four, ann, DEFAULT_CAPS)
         assert not lattice._is_projective_over(two, ann, DEFAULT_CAPS)
         assert not is_quasi_projective(mixed) and not lattice._splits(mixed, ann)
-        assert analysis(mixed).quasi_projective[DEFAULT_CAPS] is False
+        assert mixed.analysis.quasi_projective[DEFAULT_CAPS] is False

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from finmod.algebra import (
-    analysis,
+    clear_analyses,
     cyclic_module,
     direct_sum,
     matrix_ring,
@@ -320,7 +320,7 @@ class TestPrimeRadical:
             expected = expected.sum(Submodule.span(cube, [inj.apply_vec(x) for x in j.basis]))
         assert profile.prime_radical == expected
         assert profile.nilpotency_of_radical == 2
-        assert DEFAULT_CAPS not in analysis(cube).lattice
+        assert DEFAULT_CAPS not in cube.analysis.lattice
 
     def test_radical_is_intersection_of_primes(self):
         for m in [z4(), z6(), t2(), regular_module(matrix_ring(2, 2))]:
@@ -404,12 +404,12 @@ class TestMinimalMembers:
             assert profile.ell_locally_nilpotent == want, m.name
 
     def test_nilpotency_read_leaves_ell_uncomputed(self):
-        analysis.cache_clear()
+        clear_analyses()
         reg = t2()
         free2, _, _ = direct_sum(reg, reg)
         assert prime_radical(free2).nilpotency_of_radical == 2
-        assert DEFAULT_CAPS in analysis(free2).prime_radical
-        assert DEFAULT_CAPS not in analysis(free2).ell
+        assert DEFAULT_CAPS in free2.analysis.prime_radical
+        assert DEFAULT_CAPS not in free2.analysis.ell
         assert prime_radical(free2).ell == ell(free2)
 
 
