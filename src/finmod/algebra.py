@@ -478,7 +478,7 @@ class ModuleAnalysis:
 
     Answers that depend on size caps are keyed by the ``Caps`` they were
     computed under; a computation that raises ``CapExceeded`` stores nothing.
-    ``annihilator``, read by quasi-projectivity and retractability, is not.
+    ``annihilator``, read by quasi-projectivity, is not.
     Lists are stored as tuples and handed out as fresh lists.  Memos keyed
     by submodules hit on identity, since ``submodules`` makes each distinct
     submodule one object.
@@ -495,6 +495,7 @@ class ModuleAnalysis:
         self.annihilators = {}  # Caps -> tuple of Submodules
         self.quasi_projective = {}  # Caps -> bool
         self.retractable = {}  # Caps -> bool
+        self.maximal_ideals = {}  # Caps -> bases of R's maximal ideals, for R_R only
         self.ell = {}  # Caps -> Submodule
         self.prime_radical = {}  # Caps -> RadicalProfile
         self.end_ring = {}  # Caps -> EndRing
@@ -719,9 +720,8 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
     Returns (module, (inj_a, inj_b), (proj_a, proj_b)); the injections and
     projections satisfy proj_i . inj_j = delta_ij.  When both summands are
     nonzero, the analysis of the sum records them, and projectivity over
-    R/ann, retractability, the fully invariant submodules and Hom out of a
-    free sum are read off them.  Answers are memoized in the analysis of
-    ``a``, keyed by ``b``.
+    R/ann, the fully invariant submodules and Hom out of a free sum are read
+    off them.  Answers are memoized in the analysis of ``a``, keyed by ``b``.
     """
     from .homspace import Homomorphism
 

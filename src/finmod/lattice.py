@@ -1,7 +1,7 @@
 """Submodules in canonical form, full lattice enumeration, and the module
 predicates (uniform dimension, retractability, quasi-projectivity, Goldie
-profile); quasi-projectivity is one split test over R/ann(M) and lists no
-lattice.
+profile).  Quasi-projectivity is one split test over R/ann(M), retractability
+one test over the maximal two-sided ideals of R; neither lists M's lattice.
 
 A submodule is an action-closed subgroup stored as a canonical Hermite basis,
 so equality and hashing are structural, and each module keeps one object per
@@ -409,33 +409,29 @@ def annihilator_lattice(module: FiniteModule, caps=DEFAULT_CAPS):
 
 
 def is_retractable(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
-    """Nonzero maps into every nonzero submodule.  Read off the construction
-    for a free module (Hom(R^n, K) holds K), for R/ann(M)
-    (``_is_regular_quotient``: Hom(S, L) = L for every left ideal L of S),
-    and for a recorded sum of two retractable modules: a simple S <= A (+) B
-    is isomorphic to its nonzero projection into A or into B, which receives
-    a nonzero map.  Otherwise the simple submodules decide
-    (``_maps_onto_simples``)."""
+    """Nonzero maps into every nonzero submodule: iff Ann_M(P) = 0 or PM != M
+    for each maximal two-sided ideal P of R (README, "Design notes").  The P
+    are the coatoms of the fully invariant submodules of R_R, kept in its
+    analysis; each costs one congruence solve and one span, and no Hom."""
     info = module.analysis
     hit = info.retractable.get(caps)
     if hit is None:
-        hit = info.retractable[caps] = (
-            info.free
-            or info.summands is not None and all(is_retractable(a, caps) for a in info.summands)
-            or _is_regular_quotient(module, _annihilator(module), caps)
-            or _maps_onto_simples(module, caps))
+        free = regular_module(module.ring)
+        ideals = free.analysis.maximal_ideals
+        if caps not in ideals:
+            *proper, _ = fully_invariant_submodules(free, caps)
+            ideals[caps] = tuple(p.basis for p in proper if not any(p.lt(q) for q in proper))
+        e = module.inv_factors
+        units = [[int(j == k) for k in range(len(e))] for j in range(len(e))]
+
+        def fails(basis):  # PM = M and Ann_M(P) != 0; column j of each block is p*g_j
+            blocks = [[module.act_coeffs(p, g) for g in units] for p in basis]
+            return (generated_subgroup(e, [c for b in blocks for c in b]).order == module.order
+                    and solve_homogeneous_congruences([r for b in blocks for r in zip(*b)],
+                                                      e * len(blocks), e).order > 1)
+
+        hit = info.retractable[caps] = not any(map(fails, ideals[caps]))
     return hit
-
-
-def _maps_onto_simples(module, caps):
-    """Each nonzero submodule contains a simple S, and a nonzero map into S
-    is one into it, so nonzero maps onto the simples S suffice."""
-    from .homspace import hom_group
-
-    return all(
-        hom_group(module, submodule_as_module(s).module).order > 1
-        for s in _simple_submodules(module, caps)
-    )
 
 
 def _annihilator(module):
@@ -508,7 +504,8 @@ def _splits(module, ann):
 class PredicateProfile(namedtuple("PredicateProfile",
                                   "module caps is_quasi_projective is_retractable is_goldie",
                                   defaults=(True,))):
-    """Predicate summary for one module under ``caps``.  A finite module is
+    """Predicate summary for one module under ``caps``: the two hypotheses
+    the harness reads are decided when it is built.  A finite module is
     always Goldie and noetherian, with the ascending chain condition on
     annihilators, so ``is_goldie`` is always True.  ``uniform_dim`` and
     ``annihilator_lattice_size`` (None past the caps) are read on demand,
@@ -531,8 +528,9 @@ class PredicateProfile(namedtuple("PredicateProfile",
 
 
 def is_goldie(module: FiniteModule, caps=DEFAULT_CAPS) -> PredicateProfile:
-    """The predicate profile.  Quasi-projectivity (a split test, no lattice)
-    and retractability, which the harness reads, are decided here; a
-    CapExceeded from the cyclic submodules they list propagates."""
+    """The predicate profile.  Quasi-projectivity (a split test over
+    R/ann(M)) and retractability (a test over the maximal ideals of R), which
+    the harness reads, are decided here; a CapExceeded from the cyclics of M
+    or the two-sided ideals of R that they list propagates."""
     return PredicateProfile(module, caps, is_quasi_projective(module, caps),
                             is_retractable(module, caps))

@@ -186,11 +186,11 @@ class TestSearch:
 
 
     def test_cap_met_by_a_hypothesis_is_a_skip(self):
-        # The ideal T2(Z2)e22 is neither free, nor a sum, nor R/ann(M), so its
-        # retractability lists its cyclic submodules (quasi-projectivity, a
-        # split test, lists none); past a module order cap of 2 every check
-        # that reads a profile hypothesis is a SKIP with the reason, in a
-        # suite and in a search, and any other check still runs
+        # Retractability of the ideal T2(Z2)e22 lists the two-sided ideals of
+        # T2(Z2), of order 8, first (quasi-projectivity, a split test, lists
+        # none); past a module order cap of 2 every check that reads a
+        # profile hypothesis is a SKIP with the reason, in a suite and in a
+        # search, and any other check still runs
         from finmod.algebra import regular_module, triangular_ring
         from finmod.config import Caps
         from finmod.harness import Instance
@@ -204,7 +204,7 @@ class TestSearch:
         main, fprod, zpn = summary.reports
         for report in (main, fprod):
             assert report.outcome == "skipped"
-            assert report.detail == "module order: reached 4 with cap 2"
+            assert report.detail == "module order: reached 8 with cap 2"
         assert zpn.outcome == "hypothesis_not_met"
         (searched,) = search_counterexamples("THM-MAIN", "retractable", corpus, tiny)
         assert searched == main
