@@ -5,9 +5,11 @@ once, with an addition table, one action table per ring basis element and
 each element's multiples.  Element sets are int bitmasks (bit x is element
 x; the zero subgroup is 1), closed by adjoining one generator at a time
 through the tables; maps are enumerated generator by generator and filtered
-by table lookups, and the radicals are evaluated from their definitions.  No
-fast-path arithmetic happens here; the Submodule and Homomorphism
-constructors only package answers.
+by table lookups, and the radicals are evaluated from their definitions.
+Products, left annihilators and the fully invariant filter read value masks,
+{f(x)} over every map f into a subgroup: each listed map applied to x once,
+digit by digit across all the maps, and memoized like submodule masks.  No
+fast-path arithmetic happens here; the constructors only package answers.
 
 Budgets are hard caps: exceeding one raises BudgetExceeded rather than
 truncating, because a truncated oracle is worse than none.
@@ -62,14 +64,17 @@ class _Tables:
         self.weights = w = [prod(orders[j + 1:]) for j in range(len(orders))]
         self.full = (1 << len(elems)) - 1
         self.bit = [1 << x for x in range(len(elems))]
-        # row v sums, for each u in order, the weighted digits (v_j + u_j) % d_j
-        shifted = [[[(c + t) % d * wj for t in range(d)] for c, d, wj in zip(v, orders, w)]
-                   for v in elems]
-        self.add = [list(map(sum, itertools.product(*row))) for row in shifted]
+        # row v sums, for each u in order, the weighted digits (v_j + u_j) % d_j;
         # mults[x][c] is c*x for c below the exponent, which kills every element
-        plus, exponent = (lambda a, b: self.add[a][b]), lcm(*orders)
-        self.mults = [list(itertools.accumulate(itertools.repeat(x, exponent - 1), plus, initial=0))
-                      for x in range(len(elems))]
+        exponent, self.add, self.mults = lcm(*orders), [], []
+        for v in elems:
+            add, mults = [0], [0] * exponent
+            for c, d, wj in zip(v, orders, w):
+                digit = [(c + t) % d * wj for t in range(d)]
+                add = [a + b for a in add for b in digit]
+                mults = [a + t * c % d * wj for t, a in enumerate(mults)]
+            self.add.append(add)
+            self.mults.append(mults)
         self.act = [self.image([self.index(c) for c in zip(*a)], orders) for a in module.actions]
         self.gens = {1: ()}  # subgroup mask -> additive generators
         self.memo = {}  # (kind, *arguments) -> answer
@@ -90,14 +95,14 @@ class _Tables:
             arr = [row[a] for a in arr for row in rows]
         return arr
 
-    def apply(self, ys, vec) -> int:
-        """The element sum_j vec[j] * ys[j]: a map, given by its generator
-        images ys, applied to the element with coefficients vec."""
-        acc = 0
-        for y, c in zip(ys, vec):
+    def evaluate(self, maps, x: int) -> list[int]:
+        """f(x) for every map f in ``maps`` (generator images of maps out of
+        this module): the sums of c_j * f(g_j) over the digits c_j of x,
+        one digit at a time across all the maps."""
+        add, mults, acc = self.add, self.mults, [0] * len(maps)
+        for j, c in enumerate(self.elems[x]):
             if c:
-                ms = self.mults[y]
-                acc = self.add[acc][ms[c % len(ms)]]
+                acc = [add[a][mults[ys[j]][c]] for a, ys in zip(acc, maps)]
         return acc
 
     def span(self, seed, mask: int = 1, group=None) -> int:
@@ -128,10 +133,13 @@ class _Tables:
         return self.gens[mask]
 
     def mask(self, sub: Submodule) -> int:
-        return self.span(map(self.index, sub.basis))
+        key = ("mask", sub.subgroup)  # interned, so a hit compares by identity
+        if key not in self.memo:
+            self.memo[key] = self.span(map(self.index, sub.basis))
+        return self.memo[key]
 
     def join(self, masks) -> int:
-        """The sum of the subgroups ``masks``: the span of their union."""
+        """The subgroup generated by the element sets ``masks``."""
         return self.span(self.members(functools.reduce(operator.or_, masks, 1)))
 
     def package(self, mask: int) -> Submodule:
@@ -188,14 +196,20 @@ class _Tables:
                 return False
         return True
 
+    def values(self, x: int, k: int, budget: OracleBudget) -> int:
+        """{f(x) : f: M -> k}, applying every map into the subgroup k to x."""
+        key = ("values", x, k, budget)
+        if key not in self.memo:
+            values = set(self.evaluate(self.homs(self.module, k, budget), x))
+            self.memo[key] = sum(map(self.bit.__getitem__, values))
+        return self.memo[key]
+
     def product(self, n: int, k: int, budget: OracleBudget) -> int:
         """N*K: the subgroup generated by f(N) for every map f: M -> K, where
-        f(N) is generated by the images of N's generators."""
+        f(N) is generated by the values of N's generators."""
         key = ("product", n, k, budget)
         if key not in self.memo:
-            vecs = [self.elems[g] for g in self.generators(n)]
-            maps = self.homs(self.module, k, budget)
-            self.memo[key] = self.span({self.apply(ys, v) for ys in maps for v in vecs})
+            self.memo[key] = self.join(self.values(g, k, budget) for g in self.generators(n))
         return self.memo[key]
 
     def lattice(self, budget: OracleBudget) -> list[int]:
@@ -235,12 +249,11 @@ class _Tables:
 
     def fully_invariant(self, budget: OracleBudget) -> list[int]:
         """Submodules S with f(g) in S for every endomorphism f and every
-        generator g of S."""
-        endos = self.homs(self.module, self.full, budget)
+        generator g of S: the value mask of g in M."""
+        self.homs(self.module, self.full, budget)  # End(M) is listed before the lattice
         return [
             s for s in self.lattice(budget)
-            if all(s >> self.apply(ys, self.elems[g]) & 1
-                   for ys in endos for g in self.generators(s))
+            if all(_le(self.values(g, self.full, budget), s) for g in self.generators(s))
         ]
 
 
@@ -258,9 +271,9 @@ def brute_hom_group(source: FiniteModule, target: FiniteModule, budget=DEFAULT_B
     target's order is checked before its tables (quadratic in its order) are
     built."""
     t = _tables_within(target, budget)
-    rows = range(target.ngens)
+    empty = ((),) * target.ngens  # the matrix of a map out of a module with no generators
     return [
-        Homomorphism(source, target, tuple(tuple(t.elems[y][k] for y in ys) for k in rows))
+        Homomorphism(source, target, tuple(zip(*map(t.elems.__getitem__, ys))) or empty)
         for ys in t.homs(source, t.full, budget)
     ]
 
@@ -332,13 +345,11 @@ def brute_prime_radical(module: FiniteModule, budget=DEFAULT_BUDGET) -> Submodul
 
 
 def brute_ann_left(module: FiniteModule, sub: Submodule, budget=DEFAULT_BUDGET) -> Submodule:
-    """Intersection of the kernels of every map M -> sub, checked on every
-    element."""
+    """The elements that every map M -> sub sends to 0: those whose value
+    mask is the zero subgroup."""
     t = _tables_within(module, budget)
-    kernel = range(len(t.elems))
-    for ys in t.homs(module, t.mask(sub), budget):
-        kernel = [x for x in kernel if t.apply(ys, t.elems[x]) == 0]
-    return t.package(sum(map(t.bit.__getitem__, kernel)))
+    k = t.mask(sub)
+    return t.package(sum(t.bit[x] for x in range(len(t.elems)) if t.values(x, k, budget) == 1))
 
 
 def brute_ann_right(module: FiniteModule, sub: Submodule, budget=DEFAULT_BUDGET) -> Submodule:

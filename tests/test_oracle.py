@@ -4,7 +4,7 @@ suite."""
 
 import pytest
 
-from finmod import lattice
+from finmod import lattice, oracle
 from finmod.algebra import (
     _matrix_units_ring,
     cyclic_module,
@@ -17,7 +17,7 @@ from finmod.algebra import (
 )
 from finmod.config import DEFAULT_CAPS, Caps, CapExceeded
 from finmod.harness import generate_corpus
-from finmod.homspace import compose, hom_group
+from finmod.homspace import Homomorphism, compose, hom_group
 from finmod.intlat import CanonicalSubgroup
 from finmod.lattice import (
     Submodule,
@@ -30,6 +30,7 @@ from finmod.lattice import (
     submodule_as_module,
 )
 from finmod.oracle import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     OracleBudget,
     brute_all_submodules,
@@ -143,6 +144,13 @@ class TestBruteHom:
             want = {h.matrix for h in hom_group(m, m).elements()}
             assert got == want
 
+    def test_zero_modules(self):
+        # a map out of a module with no generators is a matrix of empty rows
+        m = z4()
+        zero = quotient_module(m, Submodule.full(m))[0]
+        assert brute_hom_group(zero, m) == [Homomorphism.zero(zero, m)]
+        assert brute_hom_group(zero, zero) == [Homomorphism.zero(zero, zero)]
+
     def test_matches_main_path_cross_pairs(self):
         mods = small_modules()
         pairs = [(a, b) for a in mods for b in mods if a.ring == b.ring]
@@ -167,11 +175,51 @@ class TestBruteProduct:
         ).is_zero()
 
     def test_matches_main_path(self):
-        for m in small_modules():
+        # Every pair of submodules of each distinct seed-0 corpus module of
+        # order at most 256
+        compared = 0
+        for m in _corpus_modules(256):
             lat = list(all_submodules(m))
             for a in lat:
                 for b in lat:
-                    assert brute_product(m, a, b) == product(m, a, b)
+                    assert brute_product(m, a, b) == product(m, a, b), (m.name, a, b)
+                    compared += 1
+        assert compared == 11231, compared
+
+    def test_value_masks_match_the_definition(self):
+        # The reference reads every map's value at every element off the
+        # map's image array: the span of f(g) over every map f and every
+        # generator g of N, the kernel filtered map by map, and the
+        # submodules every endomorphism maps into themselves
+        for m in [*small_modules(), *_rule_edge_cases()]:
+            t = oracle._Tables(m)  # fresh, so no answer comes from another test's memo
+            subs = {t.mask(s): s for s in all_submodules(m)}
+            for k, sub in subs.items():
+                maps = t.homs(m, k, DEFAULT_BUDGET)
+                images = [t.image(ys, m.inv_factors) for ys in maps]
+                for x in range(len(t.elems)):
+                    assert t.evaluate(maps, x) == [f[x] for f in images]
+                    assert t.values(x, k, DEFAULT_BUDGET) == sum({t.bit[f[x]] for f in images})
+                kernel = range(len(t.elems))
+                for f in images:
+                    kernel = [x for x in kernel if f[x] == 0]
+                assert brute_ann_left(m, sub) == t.package(sum(t.bit[x] for x in kernel)), m.name
+                for n in subs:
+                    want = t.span({f[g] for f in images for g in t.generators(n)})
+                    assert t.product(n, k, DEFAULT_BUDGET) == want, m.name
+            endos = [t.image(ys, m.inv_factors) for ys in t.homs(m, t.full, DEFAULT_BUDGET)]
+            invariant = [s for s in t.lattice(DEFAULT_BUDGET)
+                         if all(s >> f[g] & 1 for f in endos for g in t.generators(s))]
+            assert t.fully_invariant(DEFAULT_BUDGET) == invariant, m.name
+
+    def test_a_budget_failure_stores_nothing(self):
+        m = direct_sum(z4(), z4())[0]
+        a, full = cyclic_submodule(m, (1, 0)), Submodule.full(m)
+        tight = OracleBudget(max_hom_enumeration=4)
+        with pytest.raises(BudgetExceeded, match="^hom candidates: needs 16, budget 4$"):
+            brute_product(m, a, full, tight)
+        assert [key for key in oracle._tables(m).memo if tight in key] == []
+        assert brute_product(m, a, full) == product(m, a, full)
 
 
 class TestBruteLattice:
