@@ -507,6 +507,10 @@ class ModuleAnalysis:
         self.powers = {}  # base -> (left-nested powers, terminal), as in PowerTrace
         self.cyclic_annihilators = {}  # Caps -> ((C, ann_left(C)), ...)
         self.right_annihilators = {}  # (Submodule, Caps) -> ann_right
+        self.nil = {}  # (Submodule, Caps) -> NilVerdict
+        self.locally_nilpotent = {}  # (Submodule, Caps, force_definitional) -> bool
+        self.semiprime = {}  # (Submodule, Caps) -> (bool, witness)
+        self.zero = self.full = None  # Submodule.zero and Submodule.full
         self.end_blocks = None  # End(M)'s Smith generators as s x s matrices
         self.summands = None  # (a, b) when built as a direct sum a (+) b
         self.annihilator = None  # ann_R(M), a CanonicalSubgroup of R
@@ -514,10 +518,17 @@ class ModuleAnalysis:
         self.sums = {}  # module b -> direct_sum(M, b)
 
 
-# Module -> ModuleAnalysis for the process's life, as instances share modules and
-# answers; a module that carries its analysis keeps it past ``clear_analyses()``.
+# Module -> ModuleAnalysis and ring -> its regular module, for the process's life,
+# as instances share modules and answers; a module that carries its analysis
+# keeps it past ``clear_analyses()``.
 _ANALYSES = {}
-clear_analyses = _ANALYSES.clear
+_REGULAR = {}
+
+
+def clear_analyses():
+    """Forget every analysis and every regular module."""
+    _ANALYSES.clear()
+    _REGULAR.clear()
 
 
 class ModuleElement(namedtuple("ModuleElement", "module coeffs")):
@@ -645,14 +656,18 @@ def regular_module(ring: FiniteRing) -> FiniteModule:
 
     Built without validation: for a validated ring, associativity, the unit
     and the additive orders are exactly the module axioms of this action.
-    Its analysis records it as free."""
-    r = ring.rank
-    actions = tuple(
-        tuple(tuple(ring.struct[i][j][k] for j in range(r)) for k in range(r))
-        for i in range(r)
-    )
-    module = FiniteModule(ring, ring.add_orders, actions, ring.labels, f"{ring.name} regular")
-    module.analysis.free = True
+    Its analysis records it as free.  Equal rings get one module, the first
+    built, until ``clear_analyses()``."""
+    module = _REGULAR.get(ring)
+    if module is None:
+        r = ring.rank
+        actions = tuple(
+            tuple(tuple(ring.struct[i][j][k] for j in range(r)) for k in range(r))
+            for i in range(r)
+        )
+        module = _REGULAR[ring] = FiniteModule(
+            ring, ring.add_orders, actions, ring.labels, f"{ring.name} regular")
+        module.analysis.free = True
     return module
 
 

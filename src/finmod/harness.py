@@ -912,31 +912,24 @@ def _unmet(spec: StatementSpec, instance: Instance) -> list[str]:
 
 
 def _report(sid, instance, start, outcome, detail="", witness=None, exercised=0):
-    return VerificationReport(
-        statement=sid,
-        instance=instance.name,
-        outcome=outcome,
-        detail=detail,
-        witness=witness,
-        exercised=exercised,
-        elapsed=time.perf_counter() - start,
-    )
+    """The report, whose ``elapsed`` runs from ``start``, the one clock its
+    hypotheses and its checker share."""
+    return VerificationReport(sid, instance.name, outcome, detail, witness, exercised,
+                              time.perf_counter() - start)
 
 
-def _gate(sid: str, instance: Instance):
+def _gate(sid: str, instance: Instance, start):
     """(unmet hypotheses, None), or (None, a skipped report) when a cap or
     budget stops their evaluation."""
-    start = time.perf_counter()
     try:
         return _unmet(_spec(sid), instance), None
     except (CapExceeded, BudgetExceeded) as exc:
         return None, _report(sid, instance, start, "skipped", str(exc))
 
 
-def _evaluate(sid: str, instance: Instance, caps) -> VerificationReport:
+def _evaluate(sid: str, instance: Instance, caps, start) -> VerificationReport:
     """Run the conclusion checker: pass, fail with a witness, or skipped
     when a cap or budget stops it."""
-    start = time.perf_counter()
     try:
         checker = STATEMENTS[sid].checker
         exercised, witness, detail = checker(instance.module, _rng_for(sid, instance), caps)
@@ -949,12 +942,12 @@ def _evaluate(sid: str, instance: Instance, caps) -> VerificationReport:
 def check_statement(sid: str, instance: Instance, caps=DEFAULT_CAPS) -> VerificationReport:
     """Evaluate hypotheses first, then the conclusion checker."""
     start = time.perf_counter()
-    unmet, skipped = _gate(sid, instance)
+    unmet, skipped = _gate(sid, instance, start)
     if skipped:
         return skipped
     if unmet:
         return _report(sid, instance, start, "hypothesis_not_met", unmet[0])
-    return _evaluate(sid, instance, caps)
+    return _evaluate(sid, instance, caps, start)
 
 
 class SuiteSummary(namedtuple("SuiteSummary", "reports counts failed")):
@@ -984,16 +977,16 @@ def run_suite(corpus: Corpus, ids=None, caps=DEFAULT_CAPS, jobs: int = 1) -> Sui
     ids = list(ids) if ids else list(STATEMENT_IDS)
     for sid in ids:
         _spec(sid)
-    # One task per instance, so a worker builds each instance's analyses once.
-    tasks = [(instance, ids, caps) for instance in corpus.instances]
     if jobs > 1:
         import concurrent.futures
 
+        # One task per instance, so a worker builds each instance's analyses once.
+        tasks = [(instance, ids, caps) for instance in corpus.instances]
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(_run_instance, tasks))
+            reports = [r for block in pool.map(_run_instance, tasks) for r in block]
     else:
-        blocks = map(_run_instance, tasks)
-    reports = [r for block in blocks for r in block]
+        reports = [check_statement(sid, instance, caps)
+                   for instance in corpus.instances for sid in ids]
     counts = {"pass": 0, "fail": 0, "hypothesis_not_met": 0, "skipped": 0}
     for r in reports:
         counts[r.outcome] += 1
@@ -1017,7 +1010,8 @@ def search_counterexamples(
         )
     reports = []
     for instance in corpus.instances:
-        unmet, skipped = _gate(sid, instance)
+        start = time.perf_counter()
+        unmet, skipped = _gate(sid, instance, start)
         if skipped or unmet == [dropped_hypothesis]:
-            reports.append(skipped or _evaluate(sid, instance, caps))
+            reports.append(skipped or _evaluate(sid, instance, caps, start))
     return reports

@@ -61,15 +61,18 @@ class Submodule:
 
     @classmethod
     def zero(cls, module: FiniteModule) -> "Submodule":
-        return cls(module, generated_subgroup(module.inv_factors, ()))
+        info = module.analysis
+        if info.zero is None:
+            info.zero = cls(module, generated_subgroup(module.inv_factors, ()))
+        return info.zero
 
     @classmethod
     def full(cls, module: FiniteModule) -> "Submodule":
-        rows = [
-            [1 if t == j else 0 for t in range(module.ngens)]
-            for j in range(module.ngens)
-        ]
-        return cls(module, generated_subgroup(module.inv_factors, rows))
+        info = module.analysis
+        if info.full is None:
+            rows = [[int(t == j) for t in range(module.ngens)] for j in range(module.ngens)]
+            info.full = cls(module, generated_subgroup(module.inv_factors, rows))
+        return info.full
 
     @property
     def basis(self):

@@ -145,12 +145,15 @@ def is_nil_submodule(module, sub: Submodule, caps=DEFAULT_CAPS) -> NilVerdict:
     is the product X*C, and since M*C <= C <= M and the product is monotone
     in its left factor, the chain X_1 = M*C, X_(k+1) = X_k*C satisfies
     X_k <= C^k and C^(k+1) <= X_k: it vanishes iff the left-nested powers of
-    C do.
+    C do.  Verdicts are memoized by (sub, caps).
     """
-    for c in _cyclics_inside(module, sub, caps):
-        if nilpotency_index(module, c) is None:
-            return NilVerdict(False, c)
-    return NilVerdict(True, None)
+    memo, key = module.analysis.nil, (sub, caps)
+    hit = memo.get(key)
+    if hit is None:
+        witness = next((c for c in _cyclics_inside(module, sub, caps)
+                        if nilpotency_index(module, c) is None), None)
+        hit = memo[key] = NilVerdict(witness is None, witness)
+    return hit
 
 
 def _cyclics_inside(module, sub, caps):
@@ -175,27 +178,30 @@ def is_locally_nilpotent(
     already seen, after which the levels cycle without vanishing (False).
     ``force_definitional`` skips the reduction (useful when the reduction is
     the claim under test).  More than ``_SUBSET_CAP`` cyclics raise
-    CapExceeded.
+    CapExceeded.  Verdicts are memoized by (sub, caps, force_definitional).
     """
     if sub.is_zero():
         return True
-    if not force_definitional and is_quasi_projective(module, caps):
-        return nilpotency_index(module, sub) is not None
-    cyclics = _cyclics_inside(module, sub, caps)
+    memo, key = module.analysis.locally_nilpotent, (sub, caps, force_definitional)
+    hit = memo.get(key)
+    if hit is None:
+        if not force_definitional and is_quasi_projective(module, caps):
+            hit = nilpotency_index(module, sub) is not None
+        else:
+            hit = _levels_vanish(module, _cyclics_inside(module, sub, caps))
+        memo[key] = hit
+    return hit
+
+
+def _levels_vanish(module, cyclics):
+    """The definitional walk over the level sets of products of ``cyclics``."""
     if len(cyclics) > _SUBSET_CAP:
         raise CapExceeded("cyclic generators", len(cyclics), _SUBSET_CAP)
-    states = frozenset(cyclics)
-    seen = {states}
-    while True:
-        nxt = set()
-        for p in states:
-            for c in cyclics:
-                q = product(module, p, c)
-                if not q.is_zero():
-                    nxt.add(q)
-        if not nxt:
-            return True
-        states = frozenset(nxt)
+    states, seen = frozenset(cyclics), set()
+    while states:
+        seen.add(states)
+        states = frozenset(q for p in states for c in cyclics
+                           if not (q := product(module, p, c)).is_zero())
         if states in seen:
             return False
-        seen.add(states)
+    return True

@@ -135,11 +135,15 @@ def is_prime_submodule(module, p: Submodule, caps=DEFAULT_CAPS):
 def is_semiprime_submodule(module, p: Submodule, caps=DEFAULT_CAPS):
     """Like primeness but only over diagonal pairs N*N <= P; by the same
     monotonicity only the minimal members outside ``p`` are squared, and the
-    witness is the first of them whose square lies in ``p``."""
-    for n_sub in _minimal_outside(module, p, caps):
-        if product(module, n_sub, n_sub).le(p):
-            return False, n_sub
-    return True, None
+    witness is the first of them whose square lies in ``p``.  Verdicts are
+    memoized by (p, caps)."""
+    memo, key = module.analysis.semiprime, (p, caps)
+    hit = memo.get(key)
+    if hit is None:
+        witness = next((n for n in _minimal_outside(module, p, caps)
+                        if product(module, n, n).le(p)), None)
+        hit = memo[key] = (witness is None, witness)
+    return hit
 
 
 class RadicalProfile(namedtuple("RadicalProfile", "module caps prime_radical primes "

@@ -7,6 +7,8 @@ import pickle
 import pytest
 
 from finmod.algebra import (
+    FiniteModule,
+    ModuleAnalysis,
     cyclic_module,
     direct_sum,
     module_from_actions,
@@ -15,6 +17,7 @@ from finmod.algebra import (
     zn_ring,
 )
 from finmod.config import DEFAULT_CAPS, Caps, CapExceeded
+from finmod.harness import generate_corpus
 from finmod.homspace import Homomorphism, compose
 from finmod.lattice import (
     Submodule,
@@ -24,9 +27,16 @@ from finmod.lattice import (
     is_quasi_projective,
     is_retractable,
 )
-from finmod.oracle import brute_ell, brute_prime_radical, brute_product
-from finmod.product import product
-from finmod.radical import ell, prime_radical
+from finmod.oracle import (
+    BudgetExceeded,
+    brute_ell,
+    brute_is_locally_nilpotent,
+    brute_is_nil_submodule,
+    brute_prime_radical,
+    brute_product,
+)
+from finmod.product import is_locally_nilpotent, is_nil_submodule, product
+from finmod.radical import ell, is_semiprime_submodule, prime_radical
 
 
 def plane(name="plane"):
@@ -154,3 +164,62 @@ def test_repeat_direct_sum_returns_the_memoized_objects():
     assert again is first
     assert plane().analysis.sums[reg] is first
     assert first[0].name == "first (+) Z2 regular"
+
+
+def _fresh(module):
+    """An equal module with an analysis of its own, so that it computes every
+    answer again."""
+    copy = FiniteModule(*module)
+    copy.analysis = ModuleAnalysis()
+    return copy
+
+
+def test_verdict_memos_agree_with_fresh_computation_and_the_oracle():
+    # every submodule of the distinct seed-0 modules of order <= 64
+    corpus = generate_corpus(0, budget=110)
+    modules = dict.fromkeys(i.module for i in corpus.instances if i.module.order <= 64)
+    compared = semiprime = 0
+    for m in modules:
+        fresh, fis = _fresh(m), fully_invariant_submodules(m)
+        for s in all_submodules(m):
+            nil = is_nil_submodule(m, s)
+            assert is_nil_submodule(m, s) is nil and m.analysis.nil[s, DEFAULT_CAPS] is nil
+            assert nil == is_nil_submodule(fresh, s), (m.name, s.describe())
+            locs = set()
+            for forced in (False, True):
+                loc = is_locally_nilpotent(m, s, force_definitional=forced)
+                assert is_locally_nilpotent(m, s, force_definitional=forced) is loc
+                assert loc == is_locally_nilpotent(fresh, s, force_definitional=forced)
+                locs.add(loc)
+            try:
+                brute = brute_is_nil_submodule(m, s), {brute_is_locally_nilpotent(m, s)}
+            except BudgetExceeded:
+                continue
+            assert brute == (nil.is_nil, locs), (m.name, s.describe())
+            compared += 1
+            if s in fis and not s.is_full():
+                verdict = is_semiprime_submodule(m, s)
+                assert is_semiprime_submodule(m, s) is verdict
+                assert verdict == is_semiprime_submodule(fresh, s)
+                semiprime += 1
+        # a candidate the test rejects stores nothing
+        with pytest.raises(ValueError):
+            is_semiprime_submodule(m, Submodule.full(m))
+        assert (Submodule.full(m), DEFAULT_CAPS) not in m.analysis.semiprime
+    assert (compared, semiprime) == (717, 382)
+
+
+def test_capped_verdicts_store_nothing():
+    # F_2^7 has order 128 and 127 nonzero cyclics, past _SUBSET_CAP = 64
+    m = module_from_actions(zn_ring(2), (2,) * 7, [[[int(i == j) for j in range(7)] for i in range(7)]],
+                            labels=tuple("abcdefg"))
+    full, line = Submodule.full(m), Submodule.span(m, [(1,) + (0,) * 6])
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="cyclic generators"):
+            is_locally_nilpotent(m, full, force_definitional=True)
+        assert not m.analysis.locally_nilpotent
+        with pytest.raises(CapExceeded, match="module order"):
+            is_nil_submodule(m, line, Caps(max_module_order=64))
+        assert not m.analysis.nil
+    assert is_locally_nilpotent(m, line, force_definitional=True) is False
+    assert m.analysis.locally_nilpotent == {(line, DEFAULT_CAPS, True): False}

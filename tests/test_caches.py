@@ -197,6 +197,20 @@ def test_submodules_are_interned_per_analysis():
         assert old.subgroup is new.subgroup and old.le(new) and new.le(old)
 
 
+def test_regular_module_is_one_per_ring_until_clear_analyses():
+    ring = triangular_ring(2, 2)
+    reg = regular_module(ring)
+    assert regular_module(ring) is reg is regular_module(ring._replace(name="renamed"))
+    assert all_submodules(reg) and reg.analysis.lattice
+    clear_analyses()
+    fresh = regular_module(ring)
+    assert fresh is not reg and fresh == reg and regular_module(ring) is fresh
+    assert fresh.analysis is not reg.analysis and fresh.analysis.free and not fresh.analysis.lattice
+    # the registry lives beside the ring: neither pickles a cached module
+    assert not ring.__getstate__() and not fresh.__getstate__()
+    assert b"FiniteModule" not in pickle.dumps(ring)
+
+
 def test_submodule_pickles_into_a_fresh_interpreter():
     m, _, _ = direct_sum(regular_module(triangular_ring(2, 2)), regular_module(triangular_ring(2, 2)))
     subs = all_submodules(m)

@@ -260,3 +260,55 @@ def test_catalog_is_complete():
     for sid, spec in STATEMENTS.items():
         assert spec.description
         assert callable(spec.checker)
+
+
+def test_elapsed_counts_the_hypothesis_gate(monkeypatch, corpus12):
+    # one clock per report: a slow gate shows in the checked report's time,
+    # in check_statement and in the search alike
+    import time
+
+    from finmod import harness
+
+    def slow(holds):
+        def gate(instance):
+            time.sleep(0.02)
+            return holds
+        return gate
+
+    inst = next(i for i in corpus12.instances if i.name == "T2(Z2)-regular")
+    monkeypatch.setitem(harness._HYPOTHESES, "quasi_projective", slow(True))
+    report = check_statement("LEM-FPROD", inst)
+    assert report.outcome == "pass" and report.elapsed >= 0.02
+    monkeypatch.setitem(harness._HYPOTHESES, "quasi_projective", slow(False))
+    (found,) = search_counterexamples("LEM-FPROD", "quasi_projective", Corpus(0, (inst,)))
+    assert found.outcome == "pass" and found.elapsed >= 0.02
+
+
+def test_a_warm_check_builds_nothing(monkeypatch):
+    # Statements that share nil verdicts, semiprime verdicts and R's regular
+    # module answer a second pass from the analyses: no subgroup is built
+    # and no module is made.
+    from finmod.algebra import FiniteModule
+    from finmod.intlat import CanonicalSubgroup
+
+    corpus = generate_corpus(0, budget=6)
+    ids = ("COR-RSP", "PROP-SEMIPRIME-DIRSUM", "LEM-LSUMAS", "COR-FREE-NILP",
+           "REM-LOCNIL-NIL", "LEM-FGNILP", "LEM-NILPSUBNIL", "THM-MAIN")
+    first = run_suite(corpus)
+    builds = []
+    init, new = CanonicalSubgroup.__init__, FiniteModule.__new__
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(("CanonicalSubgroup", args))
+        init(self, *args, **kwargs)
+
+    def counted_new(cls, *args, **kwargs):
+        builds.append(("FiniteModule", args))
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(CanonicalSubgroup, "__init__", counted_init)
+    monkeypatch.setattr(FiniteModule, "__new__", staticmethod(counted_new))
+    again = run_suite(corpus, ids=ids)
+    assert not builds
+    assert set(again.reports) == {r for r in first.reports if r.statement in ids}
+    assert sum(r.exercised for r in again.reports) > 0
