@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from math import prod
 from operator import mul
 
@@ -476,46 +476,57 @@ class ModuleAnalysis:
     structurally equal to it (``name`` is not compared, so a cached quotient,
     embedding or Hom group carries the name of the first equal module seen).
 
-    Answers that depend on size caps are keyed by the ``Caps`` they were
-    computed under; a computation that raises ``CapExceeded`` stores nothing.
-    ``annihilator``, read by quasi-projectivity, is not.
-    Lists are stored as tuples and handed out as fresh lists.  Memos keyed
-    by submodules hit on identity, since ``submodules`` makes each distinct
-    submodule one object.
+    ``memos`` maps each ``memoized`` function to its answers for this
+    module, keyed by the arguments after the module.  ``submodules`` maps
+    each interned subgroup to the one Submodule over it; every Submodule is
+    action-closed, so it holds at most the module's lattice.  ``summands``
+    is (a, b) when ``direct_sum`` built the module as a (+) b, and ``free``
+    is True when ``regular_module`` built it, so it is projective.
     """
 
+    __slots__ = ("memos", "submodules", "summands", "free")
+
     def __init__(self):
-        # Interned subgroup -> the one Submodule over it; every Submodule is
-        # action-closed, so this holds at most the module's lattice.
+        self.memos = defaultdict(dict)
         self.submodules = {}
-        self.lattice = {}  # Caps -> tuple of Submodules
-        self.covers = {}  # Caps -> {Submodule: tuple of its upper covers}
-        self.cyclics = {}  # Caps -> tuple of Submodules
-        self.fully_invariant = {}  # Caps -> tuple of Submodules
-        self.annihilators = {}  # Caps -> tuple of Submodules
-        self.quasi_projective = {}  # Caps -> bool
-        self.retractable = {}  # Caps -> bool
-        self.maximal_ideals = {}  # Caps -> bases of R's maximal ideals, for R_R only
-        self.ell = {}  # Caps -> Submodule
-        self.prime_radical = {}  # Caps -> RadicalProfile
-        self.end_ring = {}  # Caps -> EndRing
-        self.homs = {}  # target module -> HomGroup
-        self.quotients = {}  # Submodule -> (M/S, proj, section)
-        self.embeddings = {}  # Submodule -> SubmoduleEmbedding
-        self.products = {}  # (left, right) -> Submodule
-        self.maps_into = {}  # Submodule K -> maps M -> M spanning Hom(M, K)
-        self.powers = {}  # base -> (left-nested powers, terminal), as in PowerTrace
-        self.cyclic_annihilators = {}  # Caps -> ((C, ann_left(C)), ...)
-        self.right_annihilators = {}  # (Submodule, Caps) -> ann_right
-        self.nil = {}  # (Submodule, Caps) -> NilVerdict
-        self.locally_nilpotent = {}  # (Submodule, Caps, force_definitional) -> bool
-        self.semiprime = {}  # (Submodule, Caps) -> (bool, witness)
-        self.zero = self.full = None  # Submodule.zero and Submodule.full
-        self.end_blocks = None  # End(M)'s Smith generators as s x s matrices
-        self.summands = None  # (a, b) when built as a direct sum a (+) b
-        self.annihilator = None  # ann_R(M), a CanonicalSubgroup of R
-        self.free = False  # built by regular_module, so projective
-        self.sums = {}  # module b -> direct_sum(M, b)
+        self.summands = None
+        self.free = False
+
+
+@functools.cache
+def _signature(fn):
+    import inspect  # deferred: it imports ast, dis and tokenize, and only keyword calls bind
+
+    return inspect.signature(fn)
+
+
+def memoized(fn):
+    """Answer ``fn(module, *args)`` from ``module.analysis.memos[fn]``, keyed
+    by the arguments after the module with ``fn``'s defaults applied, so a
+    positional, a keyword and a default-argument call share one entry.  A
+    positional call pads its key from ``fn.__defaults__``; a keyword call
+    binds against ``fn``'s signature, taken once.  A call that raises
+    (``CapExceeded`` past a cap, ``ValueError`` on a bad argument) stores
+    nothing."""
+    width, defaults = fn.__code__.co_argcount - 1, fn.__defaults__ or ()
+
+    @functools.wraps(fn)
+    def answer(module, *args, **kwargs):
+        if kwargs:
+            bound = _signature(fn).bind(module, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        elif len(args) < width:
+            args += defaults[len(args) - width:]
+        memo = module.analysis.memos[answer]
+        try:
+            return memo[args]
+        except KeyError:
+            pass
+        hit = memo[args] = fn(module, *args)
+        return hit
+
+    return answer
 
 
 # Module -> ModuleAnalysis and ring -> its regular module, for the process's life,
@@ -702,21 +713,18 @@ def _module_from_presentation(ring, relation_rows, ambient_actions, s, name):
     return module, proj, nf.section
 
 
+@memoized
 def quotient_with_section(module: FiniteModule, sub):
     """Quotient data (M/S, projection matrix, section matrix); the projection
     composed with the section is the identity on the quotient."""
-    memo = module.analysis.quotients
-    hit = memo.get(sub)
-    if hit is None:
-        relation_rows = [list(r) for r in sub.subgroup.full_hnf]
-        hit = memo[sub] = _module_from_presentation(
-            module.ring,
-            relation_rows,
-            module.actions,
-            module.ngens,
-            name=f"{module.name}/{sub.describe()}",
-        )
-    return hit
+    relation_rows = [list(r) for r in sub.subgroup.full_hnf]
+    return _module_from_presentation(
+        module.ring,
+        relation_rows,
+        module.actions,
+        module.ngens,
+        name=f"{module.name}/{sub.describe()}",
+    )
 
 
 def quotient_module(module: FiniteModule, sub):
@@ -729,6 +737,7 @@ def quotient_module(module: FiniteModule, sub):
     return quot, projection
 
 
+@memoized
 def direct_sum(a: FiniteModule, b: FiniteModule):
     """Direct sum with block actions, renormalized to invariant-factor form.
 
@@ -740,10 +749,6 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
     """
     from .homspace import Homomorphism
 
-    memo = a.analysis.sums
-    hit = memo.get(b)
-    if hit is not None:
-        return hit
     if a.ring is not b.ring and a.ring != b.ring:
         raise ValidationError("direct sum requires a common ring")
     sa, sb = a.ngens, b.ngens
@@ -795,5 +800,4 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
     if a.order > 1 and b.order > 1:
         info = total.analysis
         info.summands = info.summands or (a, b)
-    memo[b] = total, (inj_a, inj_b), (proj_a, proj_b)
-    return memo[b]
+    return total, (inj_a, inj_b), (proj_a, proj_b)

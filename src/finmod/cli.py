@@ -376,17 +376,8 @@ def _cmd_verify(args, caps):
                     "budget": args.budget,
                     "instances": len(corpus.instances),
                     "counts": summary.counts,
-                    "reports": [
-                        {
-                            "statement": r.statement,
-                            "instance": r.instance,
-                            "outcome": r.outcome,
-                            "detail": r.detail,
-                            "witness": r.witness,
-                            "exercised": r.exercised,
-                        }
-                        for r in summary.reports
-                    ],
+                    "reports": [{k: v for k, v in r._asdict().items() if k != "elapsed"}
+                                for r in summary.reports],
                 },
                 indent=2,
                 sort_keys=True,

@@ -26,6 +26,7 @@ from .algebra import (
     cyclic_module,
     direct_sum,
     matrix_ring,
+    memoized,
     opposite_ring,
     product_ring,
     quotient_module,
@@ -355,7 +356,7 @@ def _check_factornil(m, rng, caps):
 def _check_locnil_nil(m, rng, caps):
     exercised = 0
     for s in _sample(all_submodules(m, caps), rng, 8):
-        loc = is_locally_nilpotent(m, s, caps=caps)
+        loc = is_locally_nilpotent(m, s, caps)
         if loc and not is_nil_submodule(m, s, caps).is_nil:
             return exercised, f"{s.describe()} locally nilpotent but not nil", ""
         if nilpotency_index(m, s) is not None and not loc:
@@ -367,7 +368,7 @@ def _check_locnil_nil(m, rng, caps):
 def _check_fgnilp(m, rng, caps):
     exercised = 0
     for s in _sample(all_submodules(m, caps), rng, 8):
-        if is_locally_nilpotent(m, s, caps=caps, force_definitional=True):
+        if is_locally_nilpotent(m, s, caps, True):
             if nilpotency_index(m, s) is None:
                 return exercised, s.describe(), ""
             exercised += 1
@@ -390,14 +391,14 @@ def _check_finsum_nilp(m, rng, caps):
 
 
 def _check_sumlocnil(m, rng, caps):
-    return _sums_keep(m, lambda s: is_locally_nilpotent(m, s, caps=caps), rng, caps)
+    return _sums_keep(m, lambda s: is_locally_nilpotent(m, s, caps), rng, caps)
 
 
 def _check_lfiyrad(m, rng, caps):
     radical = ell(m, caps)
     if radical not in fully_invariant_submodules(m, caps):
         return 0, "radical not fully invariant", ""
-    if not is_locally_nilpotent(m, radical, caps=caps):
+    if not is_locally_nilpotent(m, radical, caps):
         return 0, "radical not locally nilpotent", ""
     quot, _ = quotient_module(m, radical)
     if not ell(quot, caps).is_zero():
@@ -616,7 +617,7 @@ def _check_nilpsubnil(m, rng, caps):
 def _check_accnillocnil(m, rng, caps):
     exercised = 0
     for n_sub in _fi_nil_submodules(m, caps):
-        if not is_locally_nilpotent(m, n_sub, caps=caps, force_definitional=True):
+        if not is_locally_nilpotent(m, n_sub, caps, True):
             return exercised, n_sub.describe(), ""
         exercised += 1
     return exercised, None, ""
@@ -754,11 +755,15 @@ def _check_mgolsgol(m, rng, caps):
     er = end_ring(m, caps)
     if er.as_ring.rank == 0:
         return 0, None, "zero module"
-    op_regular = regular_module(opposite_ring(er.as_ring))
-    if op_regular.order > caps.max_module_order:
-        raise CapExceeded("opposite regular module", op_regular.order, caps.max_module_order)
-    right_udim = uniform_dimension(op_regular, caps)
+    # End(M)^op has the order of End(M), which end_ring has held to the order cap
+    right_udim = uniform_dimension(_opposite_end_regular(m, caps), caps)
     return 1, None, f"right-udim={right_udim} |End|={er.as_ring.order}"
+
+
+@memoized
+def _opposite_end_regular(m, caps):
+    """End(M)^op as a module over itself, built once per M."""
+    return regular_module(opposite_ring(end_ring(m, caps).as_ring))
 
 
 def _check_main(m, rng, caps):

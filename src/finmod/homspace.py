@@ -14,7 +14,9 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import mul
 
-from .algebra import FiniteRing, FiniteModule, ModuleElement, _BlindToLast, validate_ring
+from .algebra import (
+    FiniteRing, FiniteModule, ModuleElement, _BlindToLast, direct_sum, memoized, validate_ring,
+)
 from .config import DEFAULT_CAPS, CapExceeded
 from .intlat import generated_subgroup, solve_homogeneous_congruences
 from .lattice import Submodule
@@ -148,6 +150,7 @@ class HomGroup(_BlindToLast, namedtuple("HomGroup", "source target generators su
         return Homomorphism.from_flat(self.source, self.target, self.subgroup.from_coords(coords))
 
 
+@memoized
 def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
     """Hom(M, N) as a finite abelian group of matrices.
 
@@ -162,10 +165,6 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
     """
     if source.ring is not target.ring and source.ring != target.ring:
         raise ValueError("modules over different rings")
-    memo = source.analysis.homs
-    hit = memo.get(target)
-    if hit is not None:
-        return hit
     projections = _regular_projections(source)
     if projections is None:
         sub = _solved_hom_subgroup(source, target)
@@ -174,14 +173,12 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
         units = [tuple(int(k == j) for j in range(t)) for k in range(t)]
         rows = [compose(scaling(p.target, target, u), p).flatten() for p in projections for u in units]
         sub = generated_subgroup([e for e in target.inv_factors for _ in range(source.ngens)], rows)
-    group = HomGroup(
+    return HomGroup(
         source=source,
         target=target,
         generators=tuple(Homomorphism.from_flat(source, target, g) for g in sub.basis),
         subgroup=sub,
     )
-    memo[target] = group
-    return group
 
 
 def _solved_hom_subgroup(source, target):
@@ -229,7 +226,7 @@ def _regular_projections(module):
         a, b = info.summands
         parts = [_regular_projections(a), _regular_projections(b)]
         if None not in parts:
-            return [compose(q, p) for qs, p in zip(parts, a.analysis.sums[b][2]) for q in qs]
+            return [compose(q, p) for qs, p in zip(parts, direct_sum(a, b)[2]) for q in qs]
     return None
 
 
@@ -242,6 +239,7 @@ class EndRing(namedtuple("EndRing", "module as_ring gens_as_homs")):
     __slots__ = ()
 
 
+@memoized
 def end_ring(module: FiniteModule, caps=DEFAULT_CAPS) -> EndRing:
     """The endomorphism ring, with basis the invariant-factor generators of
     Hom(M, M) in canonical order.
@@ -249,10 +247,6 @@ def end_ring(module: FiniteModule, caps=DEFAULT_CAPS) -> EndRing:
     A zero module gets the one-element ring (rank 0), exempt from the unit
     requirement by convention.
     """
-    memo = module.analysis.end_ring
-    hit = memo.get(caps)
-    if hit is not None:
-        return hit
     group = hom_group(module, module)
     if group.order > caps.max_module_order:
         raise CapExceeded("endomorphism ring order", group.order, caps.max_module_order)
@@ -264,8 +258,7 @@ def end_ring(module: FiniteModule, caps=DEFAULT_CAPS) -> EndRing:
             labels=(),
             name=f"End({module.name})",
         )
-        out = memo[caps] = EndRing(module=module, as_ring=ring, gens_as_homs=())
-        return out
+        return EndRing(module=module, as_ring=ring, gens_as_homs=())
     basis = group.smith_basis()
     rank = len(basis)
     struct = tuple(
@@ -281,5 +274,4 @@ def end_ring(module: FiniteModule, caps=DEFAULT_CAPS) -> EndRing:
             name=f"End({module.name})",
         )
     )
-    out = memo[caps] = EndRing(module=module, as_ring=ring, gens_as_homs=basis)
-    return out
+    return EndRing(module=module, as_ring=ring, gens_as_homs=basis)

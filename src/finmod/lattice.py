@@ -16,7 +16,9 @@ from collections import namedtuple
 from math import gcd, lcm
 from operator import mul
 
-from .algebra import FiniteModule, ModuleElement, quotient_with_section, regular_module
+from .algebra import (
+    FiniteModule, ModuleElement, direct_sum, memoized, quotient_with_section, regular_module,
+)
 from .config import DEFAULT_CAPS, CapExceeded
 from .intlat import CanonicalSubgroup, _intern, generated_subgroup, solve_homogeneous_congruences
 
@@ -59,20 +61,16 @@ class Submodule:
         from ``intlat``'s bounded row cache."""
         return cls(module, generated_subgroup(module.inv_factors, rows))
 
-    @classmethod
-    def zero(cls, module: FiniteModule) -> "Submodule":
-        info = module.analysis
-        if info.zero is None:
-            info.zero = cls(module, generated_subgroup(module.inv_factors, ()))
-        return info.zero
+    @staticmethod
+    @memoized
+    def zero(module: FiniteModule) -> "Submodule":
+        return Submodule(module, generated_subgroup(module.inv_factors, ()))
 
-    @classmethod
-    def full(cls, module: FiniteModule) -> "Submodule":
-        info = module.analysis
-        if info.full is None:
-            rows = [[int(t == j) for t in range(module.ngens)] for j in range(module.ngens)]
-            info.full = cls(module, generated_subgroup(module.inv_factors, rows))
-        return info.full
+    @staticmethod
+    @memoized
+    def full(module: FiniteModule) -> "Submodule":
+        rows = [[int(t == j) for t in range(module.ngens)] for j in range(module.ngens)]
+        return Submodule(module, generated_subgroup(module.inv_factors, rows))
 
     @property
     def basis(self):
@@ -164,34 +162,35 @@ def cyclic_submodule(module: FiniteModule, x) -> Submodule:
 def distinct_cyclic_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
     """All distinct cyclic submodules, in canonical order.  R(kx) = Rx for k
     prime to the additive order of x, so one x per <x> is spanned."""
-    memo = module.analysis.cyclics
-    hit = memo.get(caps)
-    if hit is None:
-        if module.order > caps.max_module_order:
-            raise CapExceeded("module order", module.order, caps.max_module_order)
-        e, covered, spanned = module.inv_factors, set(), {}
-        for x in (v.coeffs for v in module.elements()):
-            if x not in covered:
-                n = lcm(*(d // gcd(c, d) for c, d in zip(x, e)))
-                units = (k for k in range(2, n) if gcd(k, n) == 1)
-                covered.update(tuple(k * c % d for c, d in zip(x, e)) for k in units)
-                spanned[cyclic_submodule(module, x)] = None
-        hit = memo[caps] = tuple(sorted(spanned, key=Submodule.sort_key))
-    return list(hit)
+    return list(_cyclics(module, caps))
+
+
+@memoized
+def _cyclics(module, caps):
+    if module.order > caps.max_module_order:
+        raise CapExceeded("module order", module.order, caps.max_module_order)
+    e, covered, spanned = module.inv_factors, set(), {}
+    for x in (v.coeffs for v in module.elements()):
+        if x not in covered:
+            n = lcm(*(d // gcd(c, d) for c, d in zip(x, e)))
+            units = (k for k in range(2, n) if gcd(k, n) == 1)
+            covered.update(tuple(k * c % d for c, d in zip(x, e)) for k in units)
+            spanned[cyclic_submodule(module, x)] = None
+    return tuple(sorted(spanned, key=Submodule.sort_key))
 
 
 def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
     """Every action-closed subgroup, in canonical order, reached from zero
-    through upper covers formed with the join-irreducible cyclics; each
-    member's covers go to ``module.analysis.covers[caps]``."""
-    memo = module.analysis
-    hit = memo.lattice.get(caps)
-    if hit is None:
-        cyclics = distinct_cyclic_submodules(module, caps)
-        covers = _join_closure(cyclics[0], _join_irreducible(cyclics), caps, "lattice members")
-        memo.covers[caps] = covers
-        hit = memo.lattice[caps] = tuple(sorted(covers, key=Submodule.sort_key))
-    return list(hit)
+    through upper covers formed with the join-irreducible cyclics."""
+    return list(_lattice(module, caps)[0])
+
+
+@memoized
+def _lattice(module, caps):
+    """(the members in canonical order, {member: tuple of its upper covers})."""
+    cyclics = distinct_cyclic_submodules(module, caps)
+    covers = _join_closure(cyclics[0], _join_irreducible(cyclics), caps, "lattice members")
+    return tuple(sorted(covers, key=Submodule.sort_key)), covers
 
 
 def _join_irreducible(cyclics):
@@ -255,13 +254,13 @@ def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
     The new module's generators are the invariant-factor generators of the
     subgroup; the inclusion matrix has those generators as columns.
     """
+    return _embedding(sub.module, sub)
+
+
+@memoized
+def _embedding(M, sub):
     from .homspace import Homomorphism
 
-    M = sub.module
-    memo = M.analysis.embeddings
-    hit = memo.get(sub)
-    if hit is not None:
-        return hit
     group = sub.subgroup
     invariants = group.invariants
     gens = group.smith_gens
@@ -281,8 +280,7 @@ def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
             tuple(gens[k][j] for k in range(t)) for j in range(M.ngens)
         ),
     )
-    hit = memo[sub] = SubmoduleEmbedding(sub_mod, incl, group)
-    return hit
+    return SubmoduleEmbedding(sub_mod, incl, group)
 
 
 def fully_invariant_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
@@ -290,13 +288,15 @@ def fully_invariant_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
     ``caps.max_lattice`` bounds their number.  A recorded direct sum takes
     them from its summands (``_fully_invariant_sums``), any other module
     from the End-closures of its cyclics (``_end_closures``)."""
-    info = module.analysis
-    hit = info.fully_invariant.get(caps)
-    if hit is None:
-        members = (_fully_invariant_sums(module, *info.summands, caps) if info.summands
-                   else _end_closures(module, caps))
-        hit = info.fully_invariant[caps] = tuple(sorted(members, key=Submodule.sort_key))
-    return list(hit)
+    return list(_fully_invariant(module, caps))
+
+
+@memoized
+def _fully_invariant(module, caps):
+    summands = module.analysis.summands
+    members = (_fully_invariant_sums(module, *summands, caps) if summands
+               else _end_closures(module, caps))
+    return tuple(sorted(members, key=Submodule.sort_key))
 
 
 def _end_closures(module, caps):
@@ -323,7 +323,7 @@ def _fully_invariant_sums(module, a, b, caps):
     each Hom group decide."""
     from .homspace import hom_group
 
-    _, (inj_a, inj_b), _ = a.analysis.sums[b]
+    _, (inj_a, inj_b), _ = direct_sum(a, b)
     xs, ys = fully_invariant_submodules(a, caps), fully_invariant_submodules(b, caps)
 
     def pushed(src, dst, sub):  # Hom(src, dst) sub
@@ -367,6 +367,7 @@ def _simple_submodules(module: FiniteModule, caps):
     return simples
 
 
+@memoized
 def _socle_data(module: FiniteModule, caps):
     total = Submodule.zero(module)
     count = 0
@@ -391,96 +392,79 @@ def annihilator_lattice(module: FiniteModule, caps=DEFAULT_CAPS):
     HNF per member; no End element is enumerated.  |End| above
     ``caps.max_hom_elements`` raises CapExceeded before any lattice is
     listed: that cap only decides when the family is reported."""
+    return list(_annihilators(module, caps))
+
+
+@memoized
+def _annihilators(module, caps):
     from .homspace import hom_group
 
-    memo = module.analysis.annihilators
-    hit = memo.get(caps)
-    if hit is None:
-        end = hom_group(module, module)
-        if end.order > caps.max_hom_elements:
-            raise CapExceeded("endomorphism count", end.order, caps.max_hom_elements)
-        lattice, covers = all_submodules(module, caps), module.analysis.covers[caps]
-        e, gens = module.inv_factors, [f.matrix for f in end.generators]
+    end = hom_group(module, module)
+    if end.order > caps.max_hom_elements:
+        raise CapExceeded("endomorphism count", end.order, caps.max_hom_elements)
+    lattice, covers = _lattice(module, caps)
+    e, gens = module.inv_factors, [f.matrix for f in end.generators]
 
-        def restrictions(k):  # |End| / |Ann_End(K)|
-            rows = [[sum(map(mul, row, x)) for x in k.basis for row in g] for g in gens]
-            return CanonicalSubgroup(e * len(k.basis), rows).order
+    def restrictions(k):  # |End| / |Ann_End(K)|
+        rows = [[sum(map(mul, row, x)) for x in k.basis for row in g] for g in gens]
+        return CanonicalSubgroup(e * len(k.basis), rows).order
 
-        size = {k: restrictions(k) for k in lattice}
-        hit = memo[caps] = tuple(k for k in lattice if all(size[c] > size[k] for c in covers[k]))
-    return list(hit)
+    size = {k: restrictions(k) for k in lattice}
+    return tuple(k for k in lattice if all(size[c] > size[k] for c in covers[k]))
 
 
+@memoized
 def is_retractable(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
     """Nonzero maps into every nonzero submodule: iff Ann_M(P) = 0 or PM != M
-    for each maximal two-sided ideal P of R (README, "Design notes").  The P
-    are the coatoms of the fully invariant submodules of R_R, kept in its
-    analysis; each costs one congruence solve and one span, and no Hom."""
-    info = module.analysis
-    hit = info.retractable.get(caps)
-    if hit is None:
-        free = regular_module(module.ring)
-        ideals = free.analysis.maximal_ideals
-        if caps not in ideals:
-            *proper, _ = fully_invariant_submodules(free, caps)
-            ideals[caps] = tuple(p.basis for p in proper if not any(p.lt(q) for q in proper))
-        e = module.inv_factors
-        units = [[int(j == k) for k in range(len(e))] for j in range(len(e))]
+    for each maximal two-sided ideal P of R (README, "Design notes").  Each P
+    costs one congruence solve and one span, and no Hom."""
+    e = module.inv_factors
+    units = [[int(j == k) for k in range(len(e))] for j in range(len(e))]
 
-        def fails(basis):  # PM = M and Ann_M(P) != 0; column j of each block is p*g_j
-            blocks = [[module.act_coeffs(p, g) for g in units] for p in basis]
-            return (generated_subgroup(e, [c for b in blocks for c in b]).order == module.order
-                    and solve_homogeneous_congruences([r for b in blocks for r in zip(*b)],
-                                                      e * len(blocks), e).order > 1)
+    def fails(basis):  # PM = M and Ann_M(P) != 0; column j of each block is p*g_j
+        blocks = [[module.act_coeffs(p, g) for g in units] for p in basis]
+        return (generated_subgroup(e, [c for b in blocks for c in b]).order == module.order
+                and solve_homogeneous_congruences([r for b in blocks for r in zip(*b)],
+                                                  e * len(blocks), e).order > 1)
 
-        hit = info.retractable[caps] = not any(map(fails, ideals[caps]))
-    return hit
+    return not any(map(fails, _maximal_ideals(regular_module(module.ring), caps)))
 
 
+@memoized
+def _maximal_ideals(free, caps):
+    """Bases of the maximal two-sided ideals of R, the coatoms of the fully
+    invariant submodules of ``free`` = R_R."""
+    *proper, _ = fully_invariant_submodules(free, caps)
+    return tuple(p.basis for p in proper if not any(p.lt(q) for q in proper))
+
+
+@memoized
 def _annihilator(module):
     """ann_R(M) as a subgroup of R: the r with r*g = 0 for every generator g.
     One congruence solve per module."""
-    info = module.analysis
-    if info.annihilator is None:
-        ring, s = module.ring, module.ngens
-        rows = [[mat[k][j] for mat in module.actions] for j in range(s) for k in range(s)]
-        info.annihilator = solve_homogeneous_congruences(rows, module.inv_factors * s, ring.add_orders)
-    return info.annihilator
+    ring, s = module.ring, module.ngens
+    rows = [[mat[k][j] for mat in module.actions] for j in range(s) for k in range(s)]
+    return solve_homogeneous_congruences(rows, module.inv_factors * s, ring.add_orders)
 
 
-def _is_regular_quotient(module, ann, caps):
-    """Whether M is the regular module of S = R/ann, for an ideal ann inside
-    ann_R(M): whether M is cyclic with |M| |ann| = |R|.  For M = Rm, ann(m)
-    holds ann and has order |R|/|M|, so the two are equal and r -> rm is
-    onto M with kernel ann.  Elements are spanned until one spans M."""
-    if module.order * ann.order != module.ring.order:
-        return False
-    if module.order > caps.max_module_order:
-        raise CapExceeded("module order", module.order, caps.max_module_order)
-    return any(cyclic_submodule(module, x).is_full() for x in module.elements())
-
-
+@memoized
 def is_quasi_projective(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
     """Whether every map M -> M/K lifts to an endomorphism of M.  For a finite
     M that holds iff M is projective over S = R/ann_R(M) (README, "Design
     notes"), which ``_is_projective_over`` decides with no submodule
-    lattice; ``caps`` bound only the cyclic submodules its shortcut lists."""
-    info = module.analysis
-    hit = info.quasi_projective.get(caps)
-    if hit is None:
-        hit = info.quasi_projective[caps] = _is_projective_over(module, _annihilator(module), caps)
-    return hit
+    lattice; no cap is met, and ``caps`` only keys the memo."""
+    return _is_projective_over(module, _annihilator(module))
 
 
-def _is_projective_over(module, ann, caps):
+def _is_projective_over(module, ann):
     """Whether M is projective over S = R/ann, for an ideal ann inside
     ann_R(M).  A recorded sum is iff each summand is (Anderson & Fuller,
     Rings and Categories of Modules, 16.10), and the summands are S-modules
-    too; M = S is (``_is_regular_quotient``); otherwise ``_splits`` decides."""
+    too; otherwise ``_splits`` decides."""
     summands = module.analysis.summands
     if summands:
-        return all(_is_projective_over(a, ann, caps) for a in summands)
-    return _is_regular_quotient(module, ann, caps) or _splits(module, ann)
+        return all(_is_projective_over(a, ann) for a in summands)
+    return _splits(module, ann)
 
 
 def _splits(module, ann):
@@ -533,7 +517,7 @@ class PredicateProfile(namedtuple("PredicateProfile",
 def is_goldie(module: FiniteModule, caps=DEFAULT_CAPS) -> PredicateProfile:
     """The predicate profile.  Quasi-projectivity (a split test over
     R/ann(M)) and retractability (a test over the maximal ideals of R), which
-    the harness reads, are decided here; a CapExceeded from the cyclics of M
-    or the two-sided ideals of R that they list propagates."""
+    the harness reads, are decided here; a CapExceeded from the two-sided
+    ideals of R that retractability lists propagates."""
     return PredicateProfile(module, caps, is_quasi_projective(module, caps),
                             is_retractable(module, caps))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .algebra import memoized
 from .config import DEFAULT_CAPS, CapExceeded
 from .homspace import _regular_projections, compose, hom_group, scaling
 from .lattice import (
@@ -21,6 +22,7 @@ from .lattice import (
 )
 
 
+@memoized
 def product(module, left: Submodule, right: Submodule) -> Submodule:
     """Submodule generated by the images of ``left`` under every map from the
     ambient module into ``right``.
@@ -30,22 +32,15 @@ def product(module, left: Submodule, right: Submodule) -> Submodule:
     sum of images of a submodule under module maps is a submodule, so the
     rows need no closing under the ring action.
     """
-    memo = module.analysis.products
-    key = (left, right)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     if not (left.module is module is right.module or left.module == module == right.module):
         raise ValueError("product arguments must live in the ambient module")
     if left.is_zero() or right.is_zero():
-        out = Submodule.zero(module)
-    else:
-        rows = [f.apply_vec(row) for f in maps_into(module, right) for row in left.basis]
-        out = Submodule.from_subgroup_rows(module, rows)
-    memo[key] = out
-    return out
+        return Submodule.zero(module)
+    rows = [f.apply_vec(row) for f in maps_into(module, right) for row in left.basis]
+    return Submodule.from_subgroup_rows(module, rows)
 
 
+@memoized
 def maps_into(module, sub: Submodule):
     """Maps M -> M spanning the maps from M into ``sub``: the Hom(M, sub)
     generators followed by the inclusion of ``sub``.  Built once per ``sub``
@@ -54,17 +49,11 @@ def maps_into(module, sub: Submodule):
     A free M = R^n needs no Hom solve: Hom(R^n, K) = K^n, spanned by the
     maps x -> p(x)*k, for p the projections of M onto its regular summands
     and k the basis rows of K."""
-    memo = module.analysis.maps_into
-    hit = memo.get(sub)
-    if hit is None:
-        projections = _regular_projections(module)
-        if projections is not None:
-            hit = tuple(compose(scaling(p.target, module, k), p) for p in projections for k in sub.basis)
-        else:
-            emb = submodule_as_module(sub)
-            hit = tuple(compose(emb.inclusion, g) for g in hom_group(module, emb.module).generators)
-        memo[sub] = hit
-    return hit
+    projections = _regular_projections(module)
+    if projections is not None:
+        return tuple(compose(scaling(p.target, module, k), p) for p in projections for k in sub.basis)
+    emb = submodule_as_module(sub)
+    return tuple(compose(emb.inclusion, g) for g in hom_group(module, emb.module).generators)
 
 
 class PowerTrace(namedtuple("PowerTrace", "base chain terminal nesting_divergence")):
@@ -80,17 +69,9 @@ class PowerTrace(namedtuple("PowerTrace", "base chain terminal nesting_divergenc
     __slots__ = ()
 
 
+@memoized
 def _left_powers(module, base: Submodule):
-    """(chain, terminal) of the left-nested powers of base, as in PowerTrace,
-    memoized per base."""
-    memo = module.analysis.powers
-    hit = memo.get(base)
-    if hit is None:
-        hit = memo[base] = _walk_powers(module, base)
-    return hit
-
-
-def _walk_powers(module, base):
+    """(chain, terminal) of the left-nested powers of base, as in PowerTrace."""
     chain = [base]
     index_of = {base: 1}
     while True:
@@ -134,6 +115,7 @@ class NilVerdict(namedtuple("NilVerdict", "is_nil witness")):
     __slots__ = ()
 
 
+@memoized
 def is_nil_submodule(module, sub: Submodule, caps=DEFAULT_CAPS) -> NilVerdict:
     """Whether every map from the ambient module into each cyclic submodule
     of ``sub`` is nilpotent: exactly when each such cyclic C is a nilpotent
@@ -145,15 +127,11 @@ def is_nil_submodule(module, sub: Submodule, caps=DEFAULT_CAPS) -> NilVerdict:
     is the product X*C, and since M*C <= C <= M and the product is monotone
     in its left factor, the chain X_1 = M*C, X_(k+1) = X_k*C satisfies
     X_k <= C^k and C^(k+1) <= X_k: it vanishes iff the left-nested powers of
-    C do.  Verdicts are memoized by (sub, caps).
+    C do.
     """
-    memo, key = module.analysis.nil, (sub, caps)
-    hit = memo.get(key)
-    if hit is None:
-        witness = next((c for c in _cyclics_inside(module, sub, caps)
-                        if nilpotency_index(module, c) is None), None)
-        hit = memo[key] = NilVerdict(witness is None, witness)
-    return hit
+    witness = next((c for c in _cyclics_inside(module, sub, caps)
+                    if nilpotency_index(module, c) is None), None)
+    return NilVerdict(witness is None, witness)
 
 
 def _cyclics_inside(module, sub, caps):
@@ -165,6 +143,7 @@ def _cyclics_inside(module, sub, caps):
 _SUBSET_CAP = 64
 
 
+@memoized
 def is_locally_nilpotent(
     module, sub: Submodule, caps=DEFAULT_CAPS, force_definitional: bool = False
 ) -> bool:
@@ -178,19 +157,13 @@ def is_locally_nilpotent(
     already seen, after which the levels cycle without vanishing (False).
     ``force_definitional`` skips the reduction (useful when the reduction is
     the claim under test).  More than ``_SUBSET_CAP`` cyclics raise
-    CapExceeded.  Verdicts are memoized by (sub, caps, force_definitional).
+    CapExceeded.
     """
     if sub.is_zero():
         return True
-    memo, key = module.analysis.locally_nilpotent, (sub, caps, force_definitional)
-    hit = memo.get(key)
-    if hit is None:
-        if not force_definitional and is_quasi_projective(module, caps):
-            hit = nilpotency_index(module, sub) is not None
-        else:
-            hit = _levels_vanish(module, _cyclics_inside(module, sub, caps))
-        memo[key] = hit
-    return hit
+    if not force_definitional and is_quasi_projective(module, caps):
+        return nilpotency_index(module, sub) is not None
+    return _levels_vanish(module, _cyclics_inside(module, sub, caps))
 
 
 def _levels_vanish(module, cyclics):

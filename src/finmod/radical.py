@@ -15,6 +15,7 @@ import functools
 from collections import namedtuple
 from operator import mul
 
+from .algebra import memoized
 from .config import DEFAULT_CAPS, CapExceeded
 from .homspace import hom_group
 from .intlat import solve_homogeneous_congruences
@@ -41,6 +42,7 @@ def ann_left(module, sub: Submodule) -> Submodule:
     return kernel_intersection(module, maps_into(module, sub))
 
 
+@memoized
 def ann_right(module, sub: Submodule, caps=DEFAULT_CAPS) -> Submodule:
     """Sum of all submodules K with sub*K = 0.
 
@@ -48,20 +50,18 @@ def ann_right(module, sub: Submodule, caps=DEFAULT_CAPS) -> Submodule:
     the cyclic K equal to the full definitional sum.  And sub*C = 0 iff
     every map from the module into C kills sub, that is iff sub <= ann_left(C),
     so no product is formed: the cyclics C whose memoized left annihilator
-    holds ``sub`` are summed in one HNF.  Answers are memoized by (sub, caps).
+    holds ``sub`` are summed in one HNF.
     """
     if sub.module is not module and sub.module != module:
         raise ValueError("submodule of a different module")
-    memo = module.analysis
-    hit = memo.right_annihilators.get((sub, caps))
-    if hit is None:
-        pairs = memo.cyclic_annihilators.get(caps)
-        if pairs is None:
-            cyclics = distinct_cyclic_submodules(module, caps)
-            pairs = memo.cyclic_annihilators[caps] = tuple((c, ann_left(module, c)) for c in cyclics)
-        rows = [r for c, a in pairs if sub.le(a) for r in c.basis]
-        hit = memo.right_annihilators[sub, caps] = Submodule.from_subgroup_rows(module, rows)
-    return hit
+    rows = [r for c, a in _cyclic_annihilators(module, caps) if sub.le(a) for r in c.basis]
+    return Submodule.from_subgroup_rows(module, rows)
+
+
+@memoized
+def _cyclic_annihilators(module, caps):
+    """The pairs (C, ann_left(C)) of the distinct cyclics C."""
+    return tuple((c, ann_left(module, c)) for c in distinct_cyclic_submodules(module, caps))
 
 
 def l_rel(module, outer: Submodule, inner: Submodule) -> Submodule:
@@ -78,13 +78,10 @@ def r_rel(module, outer: Submodule, inner: Submodule, caps=DEFAULT_CAPS) -> Subm
     return ann_right(module, inner, caps).intersect(outer)
 
 
+@memoized
 def ell(module, caps=DEFAULT_CAPS) -> Submodule:
     """The largest locally nilpotent submodule: the sum of all nilpotent
     cyclic submodules."""
-    memo = module.analysis.ell
-    hit = memo.get(caps)
-    if hit is not None:
-        return hit
     # Powers are monotone in the base, so a cyclic over one that is not
     # nilpotent is not nilpotent either; one inside the sum adds nothing.
     out = Submodule.zero(module)
@@ -96,7 +93,6 @@ def ell(module, caps=DEFAULT_CAPS) -> Submodule:
             not_nilpotent.append(c)
         else:
             out = out.sum(c)
-    memo[caps] = out
     return out
 
 
@@ -132,18 +128,14 @@ def is_prime_submodule(module, p: Submodule, caps=DEFAULT_CAPS):
     return True, None
 
 
+@memoized
 def is_semiprime_submodule(module, p: Submodule, caps=DEFAULT_CAPS):
     """Like primeness but only over diagonal pairs N*N <= P; by the same
     monotonicity only the minimal members outside ``p`` are squared, and the
-    witness is the first of them whose square lies in ``p``.  Verdicts are
-    memoized by (p, caps)."""
-    memo, key = module.analysis.semiprime, (p, caps)
-    hit = memo.get(key)
-    if hit is None:
-        witness = next((n for n in _minimal_outside(module, p, caps)
-                        if product(module, n, n).le(p)), None)
-        hit = memo[key] = (witness is None, witness)
-    return hit
+    witness is the first of them whose square lies in ``p``."""
+    witness = next((n for n in _minimal_outside(module, p, caps)
+                    if product(module, n, n).le(p)), None)
+    return witness is None, witness
 
 
 class RadicalProfile(namedtuple("RadicalProfile", "module caps prime_radical primes "
@@ -180,22 +172,19 @@ class RadicalProfile(namedtuple("RadicalProfile", "module caps prime_radical pri
         if is_quasi_projective(self.module, self.caps):
             return None
         try:
-            return is_locally_nilpotent(self.module, self.ell, caps=self.caps)
+            return is_locally_nilpotent(self.module, self.ell, self.caps)
         except CapExceeded:
             return None
 
 
+@memoized
 def prime_radical(module, caps=DEFAULT_CAPS) -> RadicalProfile:
     """Intersection of all prime submodules, with its radical profile; the
     profile's other fields are computed when first read."""
-    memo = module.analysis.prime_radical
-    hit = memo.get(caps)
-    if hit is not None:
-        return hit
     fis = fully_invariant_submodules(module, caps)
     primes = tuple(p for p in fis if not p.is_full() and is_prime_submodule(module, p, caps)[0])
     radical = functools.reduce(Submodule.intersect, primes) if primes else Submodule.full(module)
-    profile = memo[caps] = RadicalProfile(
+    return RadicalProfile(
         module=module,
         caps=caps,
         prime_radical=radical,
@@ -203,7 +192,6 @@ def prime_radical(module, caps=DEFAULT_CAPS) -> RadicalProfile:
         nilpotency_of_radical=nilpotency_index(module, radical),
         no_primes=not primes,
     )
-    return profile
 
 
 class SubmSequence(namedtuple("SubmSequence", "modules_a diagnostics")):
@@ -293,13 +281,11 @@ def annihilator_maps(module, sub):
     return [end.from_coords(coeffs) for coeffs in sub.basis]
 
 
+@memoized
 def _end_blocks(module):
     """End(M)'s Smith generators as s x s matrices, sliced once per module."""
-    memo, s = module.analysis, module.ngens
-    if memo.end_blocks is None:
-        gens = hom_group(module, module).subgroup.smith_gens
-        memo.end_blocks = tuple(tuple(g[k * s:(k + 1) * s] for k in range(s)) for g in gens)
-    return memo.end_blocks
+    s, gens = module.ngens, hom_group(module, module).subgroup.smith_gens
+    return tuple(tuple(g[k * s:(k + 1) * s] for k in range(s)) for g in gens)
 
 
 def kernel_intersection(module, maps) -> Submodule:

@@ -21,6 +21,7 @@ from finmod.harness import generate_corpus
 from finmod.homspace import Homomorphism, compose
 from finmod.lattice import (
     Submodule,
+    _lattice,
     all_submodules,
     distinct_cyclic_submodules,
     fully_invariant_submodules,
@@ -52,7 +53,7 @@ def test_small_caps_raise_before_and_after_a_default_call():
     # quasi-projectivity lists no lattice, so it answers under that cap
     m = plane()
     small = Caps(max_lattice=3)
-    assert DEFAULT_CAPS not in m.analysis.lattice
+    assert (DEFAULT_CAPS,) not in m.analysis.memos[_lattice]
     with pytest.raises(CapExceeded):
         all_submodules(m, small)
     assert is_quasi_projective(m, small)
@@ -60,8 +61,8 @@ def test_small_caps_raise_before_and_after_a_default_call():
     assert is_quasi_projective(m)
     with pytest.raises(CapExceeded):
         all_submodules(m, small)
-    assert small not in m.analysis.lattice
-    assert m.analysis.quasi_projective == {small: True, DEFAULT_CAPS: True}
+    assert (small,) not in m.analysis.memos[_lattice]
+    assert m.analysis.memos[is_quasi_projective] == {(small,): True, (DEFAULT_CAPS,): True}
 
 
 @pytest.mark.parametrize("query", [distinct_cyclic_submodules, fully_invariant_submodules])
@@ -83,7 +84,7 @@ def test_equal_modules_share_one_analysis():
     assert distinct_cyclic_submodules(a) == distinct_cyclic_submodules(b)
     assert is_quasi_projective(a) == is_quasi_projective(b)
     assert is_retractable(a) == is_retractable(b)
-    assert DEFAULT_CAPS in a.analysis.retractable
+    assert (DEFAULT_CAPS,) in a.analysis.memos[is_retractable]
     assert ell(a) == ell(b)
     assert prime_radical(a) == prime_radical(b)
 
@@ -151,8 +152,8 @@ def test_warm_radicals_match_the_oracle(module):
     for _ in range(2):
         assert ell(module) == brute_ell(module)
         assert prime_radical(module).prime_radical == brute_prime_radical(module)
-    assert DEFAULT_CAPS in module.analysis.ell
-    assert DEFAULT_CAPS in module.analysis.prime_radical
+    assert (DEFAULT_CAPS,) in module.analysis.memos[ell]
+    assert (DEFAULT_CAPS,) in module.analysis.memos[prime_radical]
 
 
 def test_repeat_direct_sum_returns_the_memoized_objects():
@@ -162,7 +163,7 @@ def test_repeat_direct_sum_returns_the_memoized_objects():
     first = direct_sum(plane("first"), reg)
     again = direct_sum(plane("second"), regular_module(zn_ring(2)))
     assert again is first
-    assert plane().analysis.sums[reg] is first
+    assert plane().analysis.memos[direct_sum][reg,] is first
     assert first[0].name == "first (+) Z2 regular"
 
 
@@ -183,7 +184,7 @@ def test_verdict_memos_agree_with_fresh_computation_and_the_oracle():
         fresh, fis = _fresh(m), fully_invariant_submodules(m)
         for s in all_submodules(m):
             nil = is_nil_submodule(m, s)
-            assert is_nil_submodule(m, s) is nil and m.analysis.nil[s, DEFAULT_CAPS] is nil
+            assert is_nil_submodule(m, s) is nil and m.analysis.memos[is_nil_submodule][s, DEFAULT_CAPS] is nil
             assert nil == is_nil_submodule(fresh, s), (m.name, s.describe())
             locs = set()
             for forced in (False, True):
@@ -205,7 +206,7 @@ def test_verdict_memos_agree_with_fresh_computation_and_the_oracle():
         # a candidate the test rejects stores nothing
         with pytest.raises(ValueError):
             is_semiprime_submodule(m, Submodule.full(m))
-        assert (Submodule.full(m), DEFAULT_CAPS) not in m.analysis.semiprime
+        assert (Submodule.full(m), DEFAULT_CAPS) not in m.analysis.memos[is_semiprime_submodule]
     assert (compared, semiprime) == (717, 382)
 
 
@@ -217,9 +218,9 @@ def test_capped_verdicts_store_nothing():
     for _ in range(2):
         with pytest.raises(CapExceeded, match="cyclic generators"):
             is_locally_nilpotent(m, full, force_definitional=True)
-        assert not m.analysis.locally_nilpotent
+        assert not m.analysis.memos[is_locally_nilpotent]
         with pytest.raises(CapExceeded, match="module order"):
             is_nil_submodule(m, line, Caps(max_module_order=64))
-        assert not m.analysis.nil
+        assert not m.analysis.memos[is_nil_submodule]
     assert is_locally_nilpotent(m, line, force_definitional=True) is False
-    assert m.analysis.locally_nilpotent == {(line, DEFAULT_CAPS, True): False}
+    assert m.analysis.memos[is_locally_nilpotent] == {(line, DEFAULT_CAPS, True): False}

@@ -23,7 +23,7 @@ from finmod.intlat import (
     generated_subgroup,
     solve_homogeneous_congruences,
 )
-from finmod.lattice import Submodule, all_submodules
+from finmod.lattice import Submodule, _lattice, all_submodules
 
 CACHES = (intlat._generated, intlat._solve, intlat._meet, intlat._contains, intlat._sum)
 
@@ -201,11 +201,11 @@ def test_regular_module_is_one_per_ring_until_clear_analyses():
     ring = triangular_ring(2, 2)
     reg = regular_module(ring)
     assert regular_module(ring) is reg is regular_module(ring._replace(name="renamed"))
-    assert all_submodules(reg) and reg.analysis.lattice
+    assert all_submodules(reg) and reg.analysis.memos[_lattice]
     clear_analyses()
     fresh = regular_module(ring)
     assert fresh is not reg and fresh == reg and regular_module(ring) is fresh
-    assert fresh.analysis is not reg.analysis and fresh.analysis.free and not fresh.analysis.lattice
+    assert fresh.analysis is not reg.analysis and fresh.analysis.free and not fresh.analysis.memos[_lattice]
     # the registry lives beside the ring: neither pickles a cached module
     assert not ring.__getstate__() and not fresh.__getstate__()
     assert b"FiniteModule" not in pickle.dumps(ring)

@@ -352,9 +352,14 @@ class TestVerifyCommand:
         )
         import json
 
+        from finmod.harness import generate_corpus, run_suite
+
         assert code == 0
         data = json.loads(out)
-        assert data["counts"]["fail"] == 0
+        summary = run_suite(generate_corpus(0, budget=3), ["COR-NESL"])
+        assert data["counts"] == summary.counts and data["counts"]["fail"] == 0
+        fields = [f for f in summary.reports[0]._fields if f != "elapsed"]
+        assert data["reports"] == [dict(zip(fields, r)) for r in summary.reports]
         assert len(data["reports"]) == 3
 
     def test_witness_files_round_trip(self, tmp_path):

@@ -189,7 +189,7 @@ class TestAllSubmodules:
             all_submodules(cube)
         assert time.perf_counter() - start < 20
         assert exc.value.what == "lattice members"
-        assert not cube.analysis.lattice and not cube.analysis.covers
+        assert not cube.analysis.memos[lattice._lattice]
 
     def test_free_triangular_cube_count_under_a_raised_cap(self):
         # As a representation of the A2 quiver T2(Z2)^3 has
@@ -203,9 +203,8 @@ class TestAllSubmodules:
         finally:
             # analyses are shared by the whole run, and another test asks
             # that the cube's lattice stay unlisted
-            memo = cube.analysis
-            for answers in (memo.lattice, memo.covers, memo.cyclics):
-                answers.pop(caps, None)
+            for fn in (lattice._lattice, lattice._cyclics):
+                cube.analysis.memos[fn].pop((caps,), None)
 
 
 class TestJoinIrreducibles:
@@ -399,7 +398,7 @@ class TestAnnihilatorLattice:
             annihilator_lattice(m)
         assert exc.value.what == "endomorphism count"
         assert is_goldie(m).annihilator_lattice_size is None
-        assert not m.analysis.lattice
+        assert not m.analysis.memos[lattice._lattice]
 
 
 def _rule_edge_cases():
@@ -559,18 +558,17 @@ class TestPredicates:
         # corpus does not build it
         clear_analyses()
         corpus = generate_corpus(0, budget=110)
-        assert not any(i.module.analysis.annihilators for i in corpus.instances)
+        assert not any(i.module.analysis.memos[lattice._annihilators] for i in corpus.instances)
 
     def test_retractability_and_construction_rules_agree_with_the_general_paths(self):
         # On every distinct seed-0 module M, each M (+) M and M (+) R of
         # order <= 256, the two edge cases and the zero modules R^2/R^2:
-        # quasi-projectivity, with its summand and R/ann(M) rules, agrees
-        # with the split test over R/ann(M) on the whole module;
-        # retractability, read off the maximal ideals of R, agrees with one
-        # Hom solve into each simple submodule (``_maps_onto_simples``), and
-        # a sum's fully invariant lattice with the End-closures.  The oracle
-        # agrees with retractability, the fully invariant lattice and the
-        # R/ann(M) rule up to order 64
+        # quasi-projectivity, with its summand rule, agrees with the split
+        # test over R/ann(M) on the whole module; retractability, read off
+        # the maximal ideals of R, agrees with one Hom solve into each simple
+        # submodule (``_maps_onto_simples``), and a sum's fully invariant
+        # lattice with the End-closures.  The oracle agrees with
+        # retractability and the fully invariant lattice up to order 64
         caps = Caps(max_lattice=4995)  # caps of their own, so nothing comes from the memo
         modules = dict.fromkeys(i.module for i in generate_corpus(0, budget=110).instances)
         sums = dict.fromkeys(
@@ -586,13 +584,9 @@ class TestPredicates:
             "Z2 (+) Z4 regular (+) Z2 (+) Z4 regular",
             "Z2 (+) Z4 (+) Z2 (+) Z4",
         }
-        fired, compared, left_out = {"R/ann(M)": 0, "R/ann(M) by the oracle": 0}, 0, set()
+        compared, left_out = 0, set()
         for m in [*modules, *sums, *_rule_edge_cases(), *zeros]:
-            ann = lattice._annihilator(m)
-            quotient = lattice._is_regular_quotient(m, ann, caps)
-            assert is_quasi_projective(m, caps) == lattice._splits(m, ann), m.name
-            assert is_quasi_projective(m, caps) or not quotient, m.name
-            fired["R/ann(M)"] += quotient
+            assert is_quasi_projective(m, caps) == lattice._splits(m, lattice._annihilator(m)), m.name
             retractable = is_retractable(m, caps)
             assert retractable == _maps_onto_simples(m, caps), m.name
             fi = fully_invariant_submodules(m, caps)
@@ -603,49 +597,12 @@ class TestPredicates:
             elif m.order <= 64:
                 assert brute_is_retractable(m) == retractable, m.name
                 assert set(brute_fully_invariant_submodules(m)) == set(fi), m.name
-                if quotient:
-                    assert brute_is_quasi_projective(m), m.name
-                    fired["R/ann(M) by the oracle"] += 1
                 compared += 1
         assert len(modules) == 97 and len(sums) == 103
-        # a zero module is R/R
-        assert fired == {"R/ann(M)": 79 + len(zeros), "R/ann(M) by the oracle": 81}, fired
         assert left_out == beyond_oracle and compared == 160, compared
         dual, mixed = _rule_edge_cases()
         assert not is_quasi_projective(dual, caps) and not is_retractable(mixed, caps)
         assert all(is_retractable(z, caps) for z in zeros)
-
-    def test_regular_quotient_by_spanning_agrees_with_the_listed_cyclics(self):
-        # Spanning elements until one spans M answers as the last distinct
-        # cyclic did: on the distinct seed-0 modules, each M (+) M and M (+) R
-        # of order <= 256, the quotients of T2(Z2) by its left ideals, and
-        # the two modules no seed-0 construction gives, one of them faithful
-        # of order |R| and not cyclic, also once the cyclics are listed.
-        caps = Caps(max_lattice=4993)  # caps of their own, so nothing is listed yet
-        seed0 = dict.fromkeys(i.module for i in generate_corpus(0, budget=110).instances)
-        t2 = regular_module(triangular_ring(2, 2))
-        modules = dict.fromkeys([
-            *seed0,
-            *(direct_sum(m, n)[0] for m in seed0 for n in (m, regular_module(m.ring))
-              if m.order * n.order <= 256),
-            *(quotient_module(t2, s)[0] for s in all_submodules(t2)),
-            *_rule_edge_cases(),
-        ])
-        answers = {True: 0, False: 0}
-        for m in modules:
-            ann = lattice._annihilator(m)
-            assert caps not in m.analysis.cyclics, m.name
-            spanned = lattice._is_regular_quotient(m, ann, caps)
-            listed = m.order * ann.order == m.ring.order and distinct_cyclic_submodules(m, caps)[-1].is_full()
-            assert spanned == listed == lattice._is_regular_quotient(m, ann, caps), m.name
-            answers[spanned] += 1
-        dual = _rule_edge_cases()[0]
-        assert dual.order * lattice._annihilator(dual).order == dual.ring.order
-        assert not lattice._is_regular_quotient(dual, lattice._annihilator(dual), caps)
-        assert answers == {True: 81, False: 109}, answers
-        # past the order cap nothing is spanned, as nothing was listed
-        with pytest.raises(CapExceeded, match="module order: reached 8 with cap 4"):
-            lattice._is_regular_quotient(t2, lattice._annihilator(t2), Caps(max_module_order=4))
 
     def test_quasi_projectivity_lists_no_lattice(self, monkeypatch):
         # The split test over R/ann(M) answers with lattice enumeration
@@ -671,9 +628,7 @@ class TestPredicates:
         assert len(modules) == 97 and sum(answers) == 86
         assert all(is_quasi_projective(r, caps) for r in regulars) and is_quasi_projective(cube, caps)
         for quotient, want in ((g7, False), (g6, True)):
-            ann = lattice._annihilator(quotient)
             assert quotient.order == 256 and not quotient.analysis.summands
-            assert not lattice._is_regular_quotient(quotient, ann, caps)
             assert is_quasi_projective(quotient, caps) == want
 
     def test_projectivity_relative_to_a_free_module_is_one_split_test(self, monkeypatch):
@@ -716,7 +671,7 @@ class TestPredicates:
         assert profile.is_retractable and profile.is_quasi_projective
         assert profile.uniform_dim == 6
         assert profile.annihilator_lattice_size is None
-        assert not cube.analysis.lattice
+        assert not cube.analysis.memos[lattice._lattice]
 
 
 class TestSubmoduleAsModule:

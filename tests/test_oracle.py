@@ -442,7 +442,7 @@ class TestBruteFullyInvariant:
 def _recorded_covers(m):
     """The upper covers that the enumeration of m's lattice records."""
     all_submodules(m)
-    return m.analysis.covers[DEFAULT_CAPS]
+    return m.analysis.memos[lattice._lattice][DEFAULT_CAPS,][1]
 
 
 class TestBruteCovers:
@@ -569,7 +569,7 @@ class TestBruteQuasiProjective:
         assert not all(_lifts_through(two, four, k) for k in all_submodules(four))
         ann = lattice._annihilator(mixed)
         assert ann.order == 1
-        assert lattice._is_projective_over(four, ann, DEFAULT_CAPS)
-        assert not lattice._is_projective_over(two, ann, DEFAULT_CAPS)
+        assert lattice._is_projective_over(four, ann)
+        assert not lattice._is_projective_over(two, ann)
         assert not is_quasi_projective(mixed) and not lattice._splits(mixed, ann)
-        assert mixed.analysis.quasi_projective[DEFAULT_CAPS] is False
+        assert mixed.analysis.memos[is_quasi_projective][DEFAULT_CAPS,] is False

@@ -233,7 +233,7 @@ class TestPowers:
                     terminal = ("zero", len(chain))
                 memo = _left_powers(m, base)
                 assert memo == (tuple(chain), terminal)
-                assert _left_powers(m, base) is memo is m.analysis.powers[base]
+                assert _left_powers(m, base) is memo is m.analysis.memos[_left_powers][base,]
                 walked += 1
         assert walked >= 300
 

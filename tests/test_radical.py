@@ -24,6 +24,7 @@ from finmod.homspace import compose, hom_group, kernel
 from finmod.intlat import CanonicalSubgroup
 from finmod.lattice import (
     Submodule,
+    _lattice,
     all_submodules,
     cyclic_submodule,
     fully_invariant_submodules,
@@ -320,7 +321,7 @@ class TestPrimeRadical:
             expected = expected.sum(Submodule.span(cube, [inj.apply_vec(x) for x in j.basis]))
         assert profile.prime_radical == expected
         assert profile.nilpotency_of_radical == 2
-        assert DEFAULT_CAPS not in cube.analysis.lattice
+        assert (DEFAULT_CAPS,) not in cube.analysis.memos[_lattice]
 
     def test_radical_is_intersection_of_primes(self):
         for m in [z4(), z6(), t2(), regular_module(matrix_ring(2, 2))]:
@@ -408,8 +409,8 @@ class TestMinimalMembers:
         reg = t2()
         free2, _, _ = direct_sum(reg, reg)
         assert prime_radical(free2).nilpotency_of_radical == 2
-        assert DEFAULT_CAPS in free2.analysis.prime_radical
-        assert DEFAULT_CAPS not in free2.analysis.ell
+        assert (DEFAULT_CAPS,) in free2.analysis.memos[prime_radical]
+        assert (DEFAULT_CAPS,) not in free2.analysis.memos[ell]
         assert prime_radical(free2).ell == ell(free2)
 
 
