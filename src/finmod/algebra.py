@@ -493,40 +493,34 @@ class ModuleAnalysis:
         self.free = False
 
 
-@functools.cache
-def _signature(fn):
-    import inspect  # deferred: it imports ast, dis and tokenize, and only keyword calls bind
-
-    return inspect.signature(fn)
-
-
 def memoized(fn):
     """Answer ``fn(module, *args)`` from ``module.analysis.memos[fn]``, keyed
     by the arguments after the module with ``fn``'s defaults applied, so a
-    positional, a keyword and a default-argument call share one entry.  A
-    positional call pads its key from ``fn.__defaults__``; a keyword call
-    binds against ``fn``'s signature, taken once.  A call that raises
+    positional, a keyword and a default-argument call share one entry.  The
+    wrapper is compiled once, with ``fn``'s own parameters and defaults, so
+    Python binds each call and a hit is one tuple lookup.  A call that raises
     (``CapExceeded`` past a cap, ``ValueError`` on a bad argument) stores
     nothing."""
-    width, defaults = fn.__code__.co_argcount - 1, fn.__defaults__ or ()
-
-    @functools.wraps(fn)
-    def answer(module, *args, **kwargs):
-        if kwargs:
-            bound = _signature(fn).bind(module, *args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args[1:]
-        elif len(args) < width:
-            args += defaults[len(args) - width:]
-        memo = module.analysis.memos[answer]
-        try:
-            return memo[args]
-        except KeyError:
-            pass
-        hit = memo[args] = fn(module, *args)
-        return hit
-
-    return answer
+    code = fn.__code__
+    names = code.co_varnames[:code.co_argcount]
+    if (code.co_kwonlyargcount or code.co_flags & 0x0C  # CO_VARARGS | CO_VARKEYWORDS
+            or {"answer", "fn", "memo", "hit"} & set(names)):
+        raise TypeError(f"memoized: {fn.__qualname__} must take plain parameters, "
+                        "none named answer, fn, memo or hit")
+    params, key = ", ".join(names), "".join(f"{n}, " for n in names[1:])
+    source = (f"def answer({params}):\n"
+              f"    memo = {names[0]}.analysis.memos[answer]\n"
+              f"    try:\n"
+              f"        return memo[({key})]\n"
+              f"    except KeyError:\n"
+              f"        pass\n"
+              f"    hit = memo[({key})] = fn({params})\n"
+              f"    return hit\n")
+    namespace = {"fn": fn}
+    exec(compile(source, f"<memoized {fn.__qualname__}>", "exec"), namespace)
+    answer = namespace["answer"]
+    answer.__defaults__ = fn.__defaults__
+    return functools.wraps(fn)(answer)
 
 
 # Module -> ModuleAnalysis and ring -> its regular module, for the process's life,

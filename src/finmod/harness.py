@@ -500,7 +500,7 @@ def _quasi_projective_sums(m, caps):
         if prod(hom_group(a, b).order for a in pair for b in pair) > caps.max_hom_elements:
             continue
         total, injections, _ = direct_sum(m, other)
-        if is_quasi_projective(total, caps):
+        if is_quasi_projective(total):
             yield other, total, injections
 
 

@@ -448,11 +448,11 @@ def _annihilator(module):
 
 
 @memoized
-def is_quasi_projective(module: FiniteModule, caps=DEFAULT_CAPS) -> bool:
+def is_quasi_projective(module: FiniteModule) -> bool:
     """Whether every map M -> M/K lifts to an endomorphism of M.  For a finite
     M that holds iff M is projective over S = R/ann_R(M) (README, "Design
     notes"), which ``_is_projective_over`` decides with no submodule
-    lattice; no cap is met, and ``caps`` only keys the memo."""
+    lattice, so no cap is met."""
     return _is_projective_over(module, _annihilator(module))
 
 
@@ -519,5 +519,5 @@ def is_goldie(module: FiniteModule, caps=DEFAULT_CAPS) -> PredicateProfile:
     R/ann(M)) and retractability (a test over the maximal ideals of R), which
     the harness reads, are decided here; a CapExceeded from the two-sided
     ideals of R that retractability lists propagates."""
-    return PredicateProfile(module, caps, is_quasi_projective(module, caps),
+    return PredicateProfile(module, caps, is_quasi_projective(module),
                             is_retractable(module, caps))

@@ -161,7 +161,7 @@ def is_locally_nilpotent(
     """
     if sub.is_zero():
         return True
-    if not force_definitional and is_quasi_projective(module, caps):
+    if not force_definitional and is_quasi_projective(module):
         return nilpotency_index(module, sub) is not None
     return _levels_vanish(module, _cyclics_inside(module, sub, caps))
 

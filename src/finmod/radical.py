@@ -169,7 +169,7 @@ class RadicalProfile(namedtuple("RadicalProfile", "module caps prime_radical pri
 
     @functools.cached_property
     def ell_locally_nilpotent(self) -> bool | None:
-        if is_quasi_projective(self.module, self.caps):
+        if is_quasi_projective(self.module):
             return None
         try:
             return is_locally_nilpotent(self.module, self.ell, self.caps)

@@ -316,4 +316,5 @@ def test_a_warm_check_builds_nothing(monkeypatch):
     count_builds(FiniteRing)
     again = run_suite(corpus, ids=ids)
     assert not builds
+    assert set(again.reports) == {r for r in first.reports if r.statement in ids}
     assert sum(r.exercised for r in again.reports) > 0

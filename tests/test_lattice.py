@@ -586,7 +586,7 @@ class TestPredicates:
         }
         compared, left_out = 0, set()
         for m in [*modules, *sums, *_rule_edge_cases(), *zeros]:
-            assert is_quasi_projective(m, caps) == lattice._splits(m, lattice._annihilator(m)), m.name
+            assert is_quasi_projective(m) == lattice._splits(m, lattice._annihilator(m)), m.name
             retractable = is_retractable(m, caps)
             assert retractable == _maps_onto_simples(m, caps), m.name
             fi = fully_invariant_submodules(m, caps)
@@ -601,7 +601,7 @@ class TestPredicates:
         assert len(modules) == 97 and len(sums) == 103
         assert left_out == beyond_oracle and compared == 160, compared
         dual, mixed = _rule_edge_cases()
-        assert not is_quasi_projective(dual, caps) and not is_retractable(mixed, caps)
+        assert not is_quasi_projective(dual) and not is_retractable(mixed, caps)
         assert all(is_retractable(z, caps) for z in zeros)
 
     def test_quasi_projectivity_lists_no_lattice(self, monkeypatch):
@@ -611,6 +611,7 @@ class TestPredicates:
         # T2(Z2)^3, and on two quotients of it by a simple submodule, of
         # order 256, neither a recorded sum nor R/ann(M).  The lifting test
         # over their lattices (up to 20,000 members) gives the same answers.
+        clear_analyses()
         modules = dict.fromkeys(i.module for i in generate_corpus(0, budget=110).instances)
         regulars = [regular_module(r) for r in dict.fromkeys(m.ring for m in modules) if r.order <= 256]
         assert len(regulars) == 42 and all(brute_is_quasi_projective(r) for r in regulars)
@@ -623,13 +624,14 @@ class TestPredicates:
 
         monkeypatch.setattr(lattice, "all_submodules", refuse)
         monkeypatch.setattr(lattice, "_join_closure", refuse)
-        caps = Caps(max_lattice=4996)  # caps of their own, so nothing comes from the memo
-        answers = [is_quasi_projective(m, caps) for m in modules]
+        everything = [*modules, *regulars, cube, g7, g6]
+        assert not any(m.analysis.memos[is_quasi_projective] for m in everything)  # none from the memo
+        answers = [is_quasi_projective(m) for m in modules]
         assert len(modules) == 97 and sum(answers) == 86
-        assert all(is_quasi_projective(r, caps) for r in regulars) and is_quasi_projective(cube, caps)
+        assert all(is_quasi_projective(r) for r in regulars) and is_quasi_projective(cube)
         for quotient, want in ((g7, False), (g6, True)):
             assert quotient.order == 256 and not quotient.analysis.summands
-            assert is_quasi_projective(quotient, caps) == want
+            assert is_quasi_projective(quotient) == want
 
     def test_projectivity_relative_to_a_free_module_is_one_split_test(self, monkeypatch):
         # x is R-projective iff a free cover of x splits: the split test over

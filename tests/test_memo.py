@@ -67,6 +67,15 @@ def test_positional_keyword_and_default_calls_share_one_entry():
         is_nil_submodule(m, line, bogus=1)
 
 
+def test_memoized_refuses_parameters_it_cannot_key():
+    from finmod.algebra import memoized
+
+    for fn in (lambda module, *rest: None, lambda module, **extra: None,
+               lambda module, *, caps=None: None, lambda module, memo: None):
+        with pytest.raises(TypeError):
+            memoized(fn)
+
+
 def test_every_memoized_function_is_found():
     names = {q for _, q in memoized_functions()}
     assert {"Submodule.zero", "direct_sum", "hom_group", "_opposite_end_regular",
@@ -76,10 +85,10 @@ def test_every_memoized_function_is_found():
 
 def test_a_capped_call_stores_nothing():
     # every memoized function that takes caps, called under caps of 1 with
-    # the whole module for each submodule argument: each one meets a cap and
-    # stores nothing, except quasi-projectivity, which lists nothing
+    # the whole module for each submodule argument, meets a cap and stores
+    # nothing
     tiny = Caps(max_module_order=1, max_lattice=1, max_hom_elements=1)
-    answered, raised = set(), set()
+    raised = set()
     for module_name, qualname in memoized_functions():
         fn = resolve(module_name, qualname)
         params = list(inspect.signature(fn).parameters)
@@ -88,16 +97,10 @@ def test_a_capped_call_stores_nothing():
         m = fresh_t2()
         full = Submodule.full(m)
         fill = {"caps": tiny, "sub": full, "p": full, "base": full, "force_definitional": True}
-        args = tuple(fill[p] for p in params[1:])
-        try:
-            value = fn(m, *args)
-        except CapExceeded:
-            assert args not in m.analysis.memos[fn], qualname
-            raised.add(qualname)
-        else:
-            assert m.analysis.memos[fn][args] is value
-            answered.add(qualname)
-    assert answered == {"is_quasi_projective"}
+        with pytest.raises(CapExceeded):
+            fn(m, *(fill[p] for p in params[1:]))
+        assert not m.analysis.memos[fn], qualname
+        raised.add(qualname)
     assert len(raised) == 16
 
 

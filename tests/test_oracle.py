@@ -572,4 +572,4 @@ class TestBruteQuasiProjective:
         assert lattice._is_projective_over(four, ann)
         assert not lattice._is_projective_over(two, ann)
         assert not is_quasi_projective(mixed) and not lattice._splits(mixed, ann)
-        assert mixed.analysis.memos[is_quasi_projective][DEFAULT_CAPS,] is False
+        assert mixed.analysis.memos[is_quasi_projective][()] is False
