@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .algebra import (
     FiniteModule, ModuleElement, direct_sum, memoized, quotient_with_section, regular_module,
@@ -162,11 +162,12 @@ def cyclic_submodule(module: FiniteModule, x) -> Submodule:
 def distinct_cyclic_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
     """All distinct cyclic submodules, in canonical order.  R(kx) = Rx for k
     prime to the additive order of x, so one x per <x> is spanned."""
-    return list(_cyclics(module, caps))
+    return list(_cyclics(module, caps)[0])
 
 
 @memoized
 def _cyclics(module, caps):
+    """({C: the first x spanning C} over the distinct cyclics, sorted; their irreducibles)."""
     if module.order > caps.max_module_order:
         raise CapExceeded("module order", module.order, caps.max_module_order)
     e, covered, spanned = module.inv_factors, set(), {}
@@ -175,8 +176,9 @@ def _cyclics(module, caps):
             n = lcm(*(d // gcd(c, d) for c, d in zip(x, e)))
             units = (k for k in range(2, n) if gcd(k, n) == 1)
             covered.update(tuple(k * c % d for c, d in zip(x, e)) for k in units)
-            spanned[cyclic_submodule(module, x)] = None
-    return tuple(sorted(spanned, key=Submodule.sort_key))
+            spanned.setdefault(cyclic_submodule(module, x), x)
+    spans = dict(sorted(spanned.items(), key=lambda cx: cx[0].sort_key()))
+    return spans, _join_irreducible(spans)
 
 
 def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
@@ -188,64 +190,79 @@ def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
 @memoized
 def _lattice(module, caps):
     """(the members in canonical order, {member: tuple of its upper covers})."""
-    cyclics = distinct_cyclic_submodules(module, caps)
-    covers = _join_closure(cyclics[0], _join_irreducible(cyclics), caps, "lattice members")
+    covers = _join_closure(module, _cyclics(module, caps)[1], caps, "lattice members")
     return tuple(sorted(covers, key=Submodule.sort_key)), covers
 
 
-def _join_irreducible(cyclics):
-    """The pairs (C, C-) of the nonzero cyclics C that are not the sum C- of
-    the cyclics strictly below them; C- is then the largest proper submodule
-    of C.  Those below C come first in canonical order, and each is a sum of
-    the irreducibles found already."""
+def _join_irreducible(spans):
+    """The triples (C, C-, x), over the items (C, x) of ``spans`` with C
+    not the sum C- of the C's strictly below it; C- is then the largest
+    proper member below C.  Each C is the least member holding its x, so
+    C' <= C iff C holds the x of C'.  In canonical order those below C come
+    first, and each is a sum of the irreducibles found already."""
     found = []
-    for c in cyclics[1:]:
-        rows = [r for j, _ in found if j.le(c) for r in j.basis]
+    for c, x in sorted(spans.items(), key=lambda cx: cx[0].sort_key()):
+        rows = [r for j, _, y in found if c.contains(y) for r in j.basis]
         below = Submodule(c.module, CanonicalSubgroup(c.module.inv_factors, rows))
         if below.order != c.order:
-            found.append((c, below))
+            found.append((c, below, x))
     return found
 
 
-def _join_closure(zero, generators, caps, what):
-    """The members reached from ``zero`` by adding generators, each mapped to
-    the tuple of the members formed from it; raises CapExceeded past
-    ``caps.max_lattice`` members.  ``generators`` are pairs (G, F), and G is
-    added to each member X that holds F but not G.  With F = 0 that forms
-    every X + G.  With G join-irreducible and F = G-, (X + G)/X = G/(G meet
-    X) is simple iff G meet X = G-, so it forms exactly the upper covers of X.
-    Within one closure each pair (X, G) comes up once, so the sums bypass
-    the sum cache."""
-    module, members = zero.module, {zero}
-    covers = {}
-    frontier = [zero]
+def _join_closure(module, irreducibles, caps, what):
+    """The members reached from zero through upper covers, each mapped to
+    the tuple of its covers; raises CapExceeded past ``caps.max_lattice``
+    members.  ``irreducibles`` are the triples (G, G-, x) of a modular
+    lattice's join-irreducibles, with G <= Y iff x in Y for each member Y.
+    Each cover of X is X + G for some G not below X, and [G meet X, G] is
+    isomorphic to [X, X + G], so X + G covers X iff G- <= X.  A G whose x
+    lies in X or in a cover of X already formed forms nothing new, so
+    ``seen`` holds the residues modulo X of those members' elements: each
+    cover is built once, and its sum bypasses the sum cache."""
+    zero = Submodule.zero(module)
+    members, covers, frontier = {zero}, {}, [zero]
     while frontier:
         cur = frontier.pop()
-        formed = {}
-        for g, floor in generators:
-            if not floor.le(cur) or g.le(cur):
+        hnf, formed, seen = cur.subgroup.full_hnf, [], {(0,) * len(module.inv_factors)}
+        for g, floor, x in irreducibles:
+            if _residue(hnf, x) in seen or not floor.le(cur):
                 continue
-            nxt = g if cur is zero else Submodule(
-                module, CanonicalSubgroup(module.inv_factors, g.basis, cur.subgroup.full_hnf))
+            nxt = Submodule(module, CanonicalSubgroup(module.inv_factors, g.basis, hnf))
             if nxt not in members:
                 if len(members) >= caps.max_lattice:
                     raise CapExceeded(what, len(members), caps.max_lattice)
                 members.add(nxt)
                 frontier.append(nxt)
-            formed[nxt] = None
+            formed.append(nxt)
+            seen |= _residues(hnf, g.basis)
         covers[cur] = tuple(formed)
     return covers
 
 
-class SubmoduleEmbedding:
+def _residue(hnf, vec):
+    """The least representative of vec modulo a full HNF."""
+    v = list(vec)
+    for i, h in enumerate(hnf):
+        if q := v[i] // h[i]:
+            for k in range(i, len(v)):
+                v[k] -= q * h[k]
+    return tuple(v)
+
+
+def _residues(hnf, rows):
+    """The residues modulo a full HNF of the subgroup it generates with the rows."""
+    steps, span = [_residue(hnf, r) for r in rows], {(0,) * len(hnf)}
+    frontier = list(span)
+    for e in frontier:
+        new = {_residue(hnf, map(add, e, s)) for s in steps} - span
+        span |= new
+        frontier += new
+    return span
+
+
+class SubmoduleEmbedding(namedtuple("SubmoduleEmbedding", "module inclusion subgroup")):
     """A submodule presented as a standalone module with its inclusion."""
-
-    __slots__ = ("module", "inclusion", "subgroup")
-
-    def __init__(self, module, inclusion, subgroup):
-        self.module = module
-        self.inclusion = inclusion
-        self.subgroup = subgroup
+    __slots__ = ()
 
 
 def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
@@ -264,7 +281,6 @@ def _embedding(M, sub):
     group = sub.subgroup
     invariants = group.invariants
     gens = group.smith_gens
-    t = len(invariants)
     # column k of each action matrix holds the coordinates of mat @ gens[k];
     # coordinates are reduced, and an action-closed subgroup is a module, so
     # the module is built without validation
@@ -273,14 +289,8 @@ def _embedding(M, sub):
         for mat in M.actions
     )
     sub_mod = FiniteModule(M.ring, invariants, actions, name=f"{M.name}|{sub.describe()}")
-    incl = Homomorphism(
-        source=sub_mod,
-        target=M,
-        matrix=tuple(
-            tuple(gens[k][j] for k in range(t)) for j in range(M.ngens)
-        ),
-    )
-    return SubmoduleEmbedding(sub_mod, incl, group)
+    incl = tuple(tuple(g[j] for g in gens) for j in range(M.ngens))
+    return SubmoduleEmbedding(sub_mod, Homomorphism(sub_mod, M, incl), group)
 
 
 def fully_invariant_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
@@ -300,18 +310,19 @@ def _fully_invariant(module, caps):
 
 
 def _end_closures(module, caps):
-    """A fully invariant submodule is the sum of the End-closures of its
-    cyclic submodules, and the End-closure of C is spanned by f(x) over the
-    End generators f and a basis x of C.  So the members are the sums of the
-    closures of the distinct cyclics."""
+    """A fully invariant submodule is the sum of the End-closures of the
+    join-irreducible cyclics inside it, and the End-closure of xR is spanned
+    by f(v) over the End generators f and a basis v of xR; it lies in a
+    fully invariant Y iff x does.  Sums and meets of fully invariant
+    submodules are fully invariant, a sublattice of the modular submodule
+    lattice, so its members are walked by upper covers from the closures,
+    as ``_lattice``'s are from the cyclics."""
     from .homspace import hom_group
 
     gens = hom_group(module, module).generators
-    zero, *closures = dict.fromkeys(
-        Submodule.from_subgroup_rows(module, {f.apply_vec(x) for f in gens for x in c.basis})
-        for c in distinct_cyclic_submodules(module, caps)
-    )
-    return _join_closure(zero, [(g, zero) for g in closures], caps, "fully invariant members")
+    closures = {Submodule.from_subgroup_rows(module, {f.apply_vec(v) for f in gens for v in c.basis}): x
+                for c, _, x in _cyclics(module, caps)[1]}
+    return _join_closure(module, _join_irreducible(closures), caps, "fully invariant members")
 
 
 def _fully_invariant_sums(module, a, b, caps):
@@ -357,24 +368,13 @@ def uniform_dimension(module: FiniteModule, caps=DEFAULT_CAPS) -> int:
     return _socle_data(module, caps)[1]
 
 
-def _simple_submodules(module: FiniteModule, caps):
-    """Nonzero distinct cyclics with no smaller nonzero cyclic inside; a
-    non-simple one contains a simple one of smaller order, which comes first."""
-    simples = []
-    for c in distinct_cyclic_submodules(module, caps):
-        if not c.is_zero() and not any(s.le(c) for s in simples):
-            simples.append(c)
-    return simples
-
-
 @memoized
 def _socle_data(module: FiniteModule, caps):
-    total = Submodule.zero(module)
-    count = 0
-    for a in _simple_submodules(module, caps):
-        if not a.le(total):
-            total = total.sum(a)
-            count += 1
+    """The simple submodules are the join-irreducible cyclics with C- = 0."""
+    total, count = Submodule.zero(module), 0
+    for a, floor, x in _cyclics(module, caps)[1]:
+        if floor.is_zero() and not total.contains(x):
+            total, count = total.sum(a), count + 1
     return total, count
 
 
