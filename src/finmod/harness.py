@@ -15,6 +15,7 @@ triangular ring) always present.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import time
 import zlib
@@ -561,7 +562,7 @@ def _check_free_nilp(m, rng, caps):
 
 
 def _element_subsets(module, rng, count, size):
-    elems = [x.coeffs for x in module.elements()]
+    elems = list(itertools.product(*map(range, module.inv_factors)))
     out = []
     for _ in range(count):
         k = min(size, len(elems))

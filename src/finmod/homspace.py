@@ -12,13 +12,14 @@ module).
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd, lcm
 from operator import mul
 
 from .algebra import (
     FiniteRing, FiniteModule, ModuleElement, _BlindToLast, direct_sum, memoized, validate_ring,
 )
 from .config import DEFAULT_CAPS, CapExceeded
-from .intlat import generated_subgroup, solve_homogeneous_congruences
+from .intlat import _generated, generated_subgroup, solve_homogeneous_congruences
 from .lattice import Submodule
 
 
@@ -101,9 +102,8 @@ def scaling(free: FiniteModule, module: FiniteModule, g) -> Homomorphism:
 def image(f: Homomorphism, sub: Submodule | None = None) -> Submodule:
     """f(sub), or the image of the whole source, as a submodule of the
     target.  The images of an additive basis already span a submodule."""
-    if sub is None:
-        return Submodule.from_subgroup_rows(f.target, zip(*f.matrix))
-    return Submodule.from_subgroup_rows(f.target, [f.apply_vec(r) for r in sub.basis])
+    rows = tuple(zip(*f.matrix)) if sub is None else tuple(map(f.apply_vec, sub.basis))
+    return Submodule(f.target, _generated(f.target.inv_factors, rows))
 
 
 def kernel(f: Homomorphism) -> Submodule:
@@ -181,38 +181,38 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
     )
 
 
-def _solved_hom_subgroup(source, target):
+def _solved_hom_subgroup(source, target, span=None):
     """Hom(M, N) as the solutions T of T . A_i = B_i . T, with the column
-    order conditions, flattened row by row."""
-    s, d = source.ngens, source.inv_factors
-    t, e = target.ngens, target.inv_factors
-    nvars = t * s
-    col_moduli = tuple(e[k] for k in range(t) for _ in range(s))
-    rows = []
-    row_moduli = []
-    for k in range(t):
+    order conditions, flattened row by row.  With ``span``, rows h_t of N,
+    the maps into their span, as T = sum_t h_t^T Y[t] (the columns of such
+    a map are combinations of the h_t): the solutions Y, row t modulo the
+    order of h_t.  Without it the h_t are N's generators, and Y is T."""
+    s, d, e = source.ngens, source.inv_factors, target.inv_factors
+    h = span if span is not None else [[int(k == t) for k in range(len(e))] for t in range(len(e))]
+    nonzero = [[(t, ht[k]) for t, ht in enumerate(h) if ht[k]] for k in range(len(e))]
+    rows, nvars = [], len(h) * s
+    for k, m in enumerate(e):
         for j in range(s):
-            if d[j] % e[k]:
+            r = [0] * nvars
+            r[j::s] = [d[j] * ht[k] % m for ht in h]  # d_j T[k][j]
+            rows.append((r, m))
+    for a, b in zip(source.actions, target.actions):
+        a_cols = list(zip(*a))
+        for k, (m, b_row) in enumerate(zip(e, b)):
+            # -(B . h_t)[k] over t, which is -B[k] when the h_t are N's generators
+            minus_bh = [-sum(map(mul, b_row, ht)) for ht in h] if span is not None else [-x for x in b_row]
+            for j, a_col in enumerate(a_cols):  # (T . A - B . T)[k][j]
                 r = [0] * nvars
-                r[k * s + j] = d[j]
-                rows.append(r)
-                row_moduli.append(e[k])
-    for i in range(source.ring.rank):
-        a = source.actions[i]
-        b = target.actions[i]
-        for k in range(t):
-            for j in range(s):
-                r = [0] * nvars
-                for l in range(s):
-                    if a[l][j]:
-                        r[k * s + l] += a[l][j]
-                for l in range(t):
-                    if b[k][l]:
-                        r[l * s + j] -= b[k][l]
-                if any(v % e[k] for v in r):
-                    rows.append([v % e[k] for v in r])
-                    row_moduli.append(e[k])
-    return solve_homogeneous_congruences(rows, row_moduli, col_moduli)
+                r[j::s] = minus_bh
+                for t, c in nonzero[k]:
+                    block = [c * x for x in a_col]
+                    block[j] += r[t * s + j]
+                    r[t * s:t * s + s] = block
+                rows.append(([v % m for v in r], m))
+    rows = [(r, m) for r, m in rows if any(r)]
+    orders = [lcm(*(m // gcd(c, m) for c, m in zip(ht, e))) for ht in h]
+    return solve_homogeneous_congruences([r for r, _ in rows], [m for _, m in rows],
+                                         [o for o in orders for _ in range(s)])
 
 
 def _regular_projections(module):

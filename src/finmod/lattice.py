@@ -12,6 +12,7 @@ which makes reports and counterexamples deterministic and minimal.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import namedtuple
 from math import gcd, lcm
 from operator import add, mul
@@ -20,7 +21,8 @@ from .algebra import (
     FiniteModule, ModuleElement, direct_sum, memoized, quotient_with_section, regular_module,
 )
 from .config import DEFAULT_CAPS, CapExceeded
-from .intlat import CanonicalSubgroup, _intern, generated_subgroup, solve_homogeneous_congruences
+from .intlat import (CanonicalSubgroup, _contains, _intern, generated_subgroup,
+                     solve_homogeneous_congruences)
 
 
 class Submodule:
@@ -32,7 +34,7 @@ class Submodule:
     modules carry different tables after ``clear_analyses()``.  The hash is the
     subgroup's, of integers only, so it is the same in every interpreter."""
 
-    __slots__ = ("module", "subgroup", "_hash")
+    __slots__ = ("module", "subgroup", "order", "basis", "_hash")
 
     def __new__(cls, module: FiniteModule, subgroup: CanonicalSubgroup):
         table = module.analysis.submodules
@@ -40,7 +42,7 @@ class Submodule:
         if self is None:
             self = object.__new__(cls)
             self.module, self.subgroup = module, _intern(subgroup)
-            self._hash = subgroup._hash
+            self.order, self.basis, self._hash = subgroup.order, subgroup.basis, subgroup._hash
             table[self.subgroup] = self
         return self
 
@@ -72,14 +74,6 @@ class Submodule:
         rows = [[int(t == j) for t in range(module.ngens)] for j in range(module.ngens)]
         return Submodule(module, generated_subgroup(module.inv_factors, rows))
 
-    @property
-    def basis(self):
-        return self.subgroup.basis
-
-    @property
-    def order(self) -> int:
-        return self.subgroup.order
-
     def is_zero(self) -> bool:
         return self.order == 1
 
@@ -94,8 +88,9 @@ class Submodule:
     def le(self, other: "Submodule") -> bool:
         if self is other:
             return True
-        self._check(other)
-        return not other.order % self.order and other.subgroup.contains_subgroup(self.subgroup)
+        if self.module is not other.module and self.module != other.module:
+            raise ValueError("submodules of different modules")
+        return not other.order % self.order and _contains(other.subgroup, self.subgroup)
 
     def lt(self, other: "Submodule") -> bool:
         return self.le(other) and self != other
@@ -171,12 +166,12 @@ def _cyclics(module, caps):
     if module.order > caps.max_module_order:
         raise CapExceeded("module order", module.order, caps.max_module_order)
     e, covered, spanned = module.inv_factors, set(), {}
-    for x in (v.coeffs for v in module.elements()):
+    for x in itertools.product(*map(range, e)):
         if x not in covered:
             n = lcm(*(d // gcd(c, d) for c, d in zip(x, e)))
             units = (k for k in range(2, n) if gcd(k, n) == 1)
             covered.update(tuple(k * c % d for c, d in zip(x, e)) for k in units)
-            spanned.setdefault(cyclic_submodule(module, x), x)
+            spanned.setdefault(Submodule.span(module, (x,)), x)
     spans = dict(sorted(spanned.items(), key=lambda cx: cx[0].sort_key()))
     return spans, _join_irreducible(spans)
 
@@ -189,8 +184,33 @@ def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
 
 @memoized
 def _lattice(module, caps):
-    """(the members in canonical order, {member: tuple of its upper covers})."""
+    """(the members in canonical order, {member: tuple of its upper covers}).
+    A module built from a submodule K of M reads them off M's lattice when
+    that is within the caps, and walks them otherwise."""
+    if module.analysis.embedded:
+        ambient, sub = module.analysis.embedded
+        try:
+            return _interval(module, sub, _lattice(ambient, caps)[1])
+        except CapExceeded:
+            pass
     covers = _join_closure(module, _cyclics(module, caps)[1], caps, "lattice members")
+    return tuple(sorted(covers, key=Submodule.sort_key)), covers
+
+
+def _interval(module, sub, outer):
+    """``_lattice`` of ``module``, built from ``sub``: the X <= sub of the
+    ambient lattice with covers ``outer``, reached from zero within [0, sub]
+    and carried into ``module``'s coordinates.  No cap is met: they are fewer."""
+    group, zero = sub.subgroup, Submodule.zero(sub.module)
+    inside, frontier = {zero}, [zero]
+    while frontier:
+        for y in outer[frontier.pop()]:
+            if y not in inside and not sub.order % y.order and all(map(group.contains, y.basis)):
+                inside.add(y)
+                frontier.append(y)
+    e = module.inv_factors
+    image = {x: Submodule(module, CanonicalSubgroup(e, map(group.coords, x.basis))) for x in inside}
+    covers = {image[x]: tuple(image[y] for y in outer[x] if y in image) for x in inside}
     return tuple(sorted(covers, key=Submodule.sort_key)), covers
 
 
@@ -289,6 +309,12 @@ def _embedding(M, sub):
         for mat in M.actions
     )
     sub_mod = FiniteModule(M.ring, invariants, actions, name=f"{M.name}|{sub.describe()}")
+    # A record from the whole of M (M but for labels or coordinates) needs M's
+    # own record, if any, from a proper submodule, so no chain of records cycles.
+    info, up = sub_mod.analysis, M.analysis.embedded
+    if info is not M.analysis and not info.embedded and (
+            sub.order < M.order or not up or up[1].order < up[0].order):
+        info.embedded = (M, sub)
     incl = tuple(tuple(g[j] for g in gens) for j in range(M.ngens))
     return SubmoduleEmbedding(sub_mod, Homomorphism(sub_mod, M, incl), group)
 

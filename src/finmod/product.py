@@ -10,16 +10,12 @@ also record whether the two nestings diverge instead of assuming they agree.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import mul
 
 from .algebra import memoized
 from .config import DEFAULT_CAPS, CapExceeded
-from .homspace import _regular_projections, compose, hom_group, scaling
-from .lattice import (
-    Submodule,
-    distinct_cyclic_submodules,
-    is_quasi_projective,
-    submodule_as_module,
-)
+from .homspace import Homomorphism, _regular_projections, _solved_hom_subgroup, compose, scaling
+from .lattice import Submodule, distinct_cyclic_submodules, is_quasi_projective
 
 
 @memoized
@@ -48,12 +44,16 @@ def maps_into(module, sub: Submodule):
 
     A free M = R^n needs no Hom solve: Hom(R^n, K) = K^n, spanned by the
     maps x -> p(x)*k, for p the projections of M onto its regular summands
-    and k the basis rows of K."""
+    and k the basis rows of K.  Any other M solves for them in its own
+    coordinates, as the nonzero T = H^T Y for H the basis rows of K."""
     projections = _regular_projections(module)
     if projections is not None:
         return tuple(compose(scaling(p.target, module, k), p) for p in projections for k in sub.basis)
-    emb = submodule_as_module(sub)
-    return tuple(compose(emb.inclusion, g) for g in hom_group(module, emb.module).generators)
+    h, s = sub.basis, module.ngens
+    cols = list(zip(*h))
+    maps = (Homomorphism.of(module, module, [[sum(map(mul, c, y[j::s])) for j in range(s)] for c in cols])
+            for y in _solved_hom_subgroup(module, module, h).basis)
+    return tuple(f for f in maps if not f.is_zero())
 
 
 class PowerTrace(namedtuple("PowerTrace", "base chain terminal nesting_divergence")):

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from finmod import homspace, lattice
 from finmod.algebra import (
+    FiniteModule,
+    ModuleAnalysis,
     direct_sum,
     quotient_module,
     regular_module,
@@ -357,3 +360,57 @@ def test_maps_out_of_a_free_module_span_its_hom_group():
             assert CanonicalSubgroup(moduli, read_off) == CanonicalSubgroup(moduli, solved), (m, k)
             checked += 1
     assert len(free) == 59 and checked >= 1600
+
+
+def _is_map_into(f, k):
+    """Whether the matrix of f: M -> M keeps the generator orders, commutes
+    with every action matrix and has its image in k, checked from the
+    matrices alone."""
+    m, d = f.source, f.source.inv_factors
+    orders = all(d[j] * v % d[i] == 0 for i, row in enumerate(f.matrix) for j, v in enumerate(row))
+    actions = [Homomorphism(m, m, a) for a in m.actions]
+    return orders and all(compose(f, a) == compose(a, f) for a in actions) and image(f).le(k)
+
+
+def test_maps_into_a_submodule_of_a_non_free_module_span_its_hom_group(monkeypatch):
+    """On every non-free seed-0 module of order <= 256, and every sum M (+) M
+    and M (+) R of order <= 64, for every K: the maps that ``maps_into``
+    solves in M's coordinates are module maps into K, and they span the
+    same maps M -> M as the Hom solve into K presented as a module.  They
+    are found with no embedding and no Hom group: each module is a copy
+    with an analysis of its own, so nothing is read from a memo."""
+    modules = dict.fromkeys(i.module for i in generate_corpus(0, budget=110).instances
+                            if i.module.order <= 256)
+    sums = [direct_sum(m, x)[0] for m in modules for x in (m, regular_module(m.ring))
+            if m.order * x.order <= 64]
+    non_free = [m for m in dict.fromkeys([*modules, *sums]) if _regular_projections(m) is None]
+    built = []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def call(*args):
+            built.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(lattice, "_embedding")
+    counted(homspace, "hom_group")
+    solved = []
+    for m in non_free:
+        cold = FiniteModule(*m)
+        cold.analysis = ModuleAnalysis()
+        subs = all_submodules(cold)
+        before = len(built)
+        solved += [(cold, k, maps_into(cold, k)) for k in subs]
+        assert len(built) == before, (m, built[before:])
+    monkeypatch.undo()
+    for cold, k, maps in solved:
+        moduli = [e for e in cold.inv_factors for _ in range(cold.ngens)]
+        emb = submodule_as_module(k)
+        expected = [compose(emb.inclusion, Homomorphism.from_flat(cold, emb.module, g)).flatten()
+                    for g in _solved_hom_subgroup(cold, emb.module).basis]
+        assert all(_is_map_into(f, k) for f in maps), (cold, k)
+        assert CanonicalSubgroup(moduli, [f.flatten() for f in maps]) == CanonicalSubgroup(moduli, expected)
+    assert len(non_free) == 93 and len(solved) >= 2000, (len(non_free), len(solved))
