@@ -481,18 +481,16 @@ class ModuleAnalysis:
     each interned subgroup to the one Submodule over it; every Submodule is
     action-closed, so it holds at most the module's lattice.  ``summands``
     is (a, b) when ``direct_sum`` built the module as a (+) b, ``free`` is
-    True when ``regular_module`` built it, so it is projective, and
-    ``embedded`` is (M, K) when ``submodule_as_module`` built it from K <= M.
+    True when ``regular_module`` built it, so it is projective.
     """
 
-    __slots__ = ("memos", "submodules", "summands", "free", "embedded")
+    __slots__ = ("memos", "submodules", "summands", "free")
 
     def __init__(self):
         self.memos = defaultdict(dict)
         self.submodules = {}
         self.summands = None
         self.free = False
-        self.embedded = None
 
 
 def memoized(fn):

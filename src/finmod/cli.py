@@ -444,13 +444,21 @@ def _cmd_oracle(args, caps):
     return 0
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: a value below 1 is a usage error (exit 2)."""
+    if (value := int(text)) < 1:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finmod",
         description="exact computations with finite modules over finite rings",
+        allow_abbrev=False,  # else ``power --max`` reads as a prefix of both caps
     )
-    parser.add_argument("--max-module-order", type=int, default=None)
-    parser.add_argument("--max-lattice", type=int, default=None)
+    parser.add_argument("--max-module-order", type=positive_int, default=DEFAULT_CAPS.max_module_order)
+    parser.add_argument("--max-lattice", type=positive_int, default=DEFAULT_CAPS.max_lattice)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate an instance file, print its profile")
@@ -471,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("power", help="power trace of a submodule")
     p.add_argument("file")
     p.add_argument("--sub", required=True)
-    p.add_argument("--max", type=int, default=None)
+    p.add_argument("--max", type=positive_int, default=None)
     p.set_defaults(func=_cmd_power)
 
     p = sub.add_parser("radical", help="radical profile")
@@ -486,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=110)
     p.add_argument("--only", default=None, help="comma-separated statement ids")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--witness-dir", default="witnesses")
     p.add_argument("--json", action="store_true", help="structured report dump")
     p.set_defaults(func=_cmd_verify)
@@ -514,12 +522,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    caps = DEFAULT_CAPS
-    if args.max_module_order or args.max_lattice:
-        caps = Caps(
-            max_module_order=args.max_module_order or DEFAULT_CAPS.max_module_order,
-            max_lattice=args.max_lattice or DEFAULT_CAPS.max_lattice,
-        )
+    caps = Caps(max_module_order=args.max_module_order, max_lattice=args.max_lattice)
     try:
         return args.func(args, caps)
     except ParseError as exc:

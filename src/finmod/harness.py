@@ -14,7 +14,6 @@ triangular ring) always present.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import time
@@ -38,13 +37,11 @@ from .algebra import (
 from .config import DEFAULT_CAPS, CapExceeded
 from .homspace import Homomorphism, compose, end_ring, hom_group, image
 from .lattice import (
-    PredicateProfile,
     Submodule,
     all_submodules,
     annihilator_lattice,
     cyclic_submodule,
     fully_invariant_submodules,
-    is_goldie,
     is_quasi_projective,
     is_retractable,
     submodule_as_module,
@@ -74,13 +71,11 @@ from .radical import (
 
 
 class Instance(namedtuple("Instance", "name ring module caps", defaults=(DEFAULT_CAPS,))):
-    """A corpus entry.  Its predicate profile is computed when first read,
-    so only instances whose hypotheses are checked pay for one, and a
+    """A corpus entry.  Its hypotheses are read from the memoized predicates
+    under ``caps``, so only a statement that names one pays for it, and a
     CapExceeded it raises reaches the check that read it."""
 
-    @functools.cached_property
-    def profile(self) -> PredicateProfile:
-        return is_goldie(self.module, self.caps)
+    __slots__ = ()
 
 
 class Corpus(namedtuple("Corpus", "seed instances")):
@@ -257,6 +252,13 @@ def _sample(items, rng, k):
     return items if len(items) <= k else rng.sample(items, k)
 
 
+def _sample_pairs(items, rng, k):
+    """``_sample`` of the pairs (x, y) of ``items``, x slowest, drawn as indices
+    into that list, which ``random.sample`` reads only by length and index."""
+    n = len(items)
+    return [(items[i // n], items[i % n]) for i in _sample(range(n * n), rng, k)]
+
+
 def _nonzero_proper_fi(module, caps):
     return [
         s
@@ -283,9 +285,7 @@ def _check_proddirsumm(m, rng, caps):
         summand = any(
             n_sub.order * c.order == m.order and n_sub.intersect(c).is_zero() for c in lat
         )
-        for k_in, l_in in _sample(
-            [(a, b) for a in sub_lat for b in sub_lat], rng, 8
-        ):
+        for k_in, l_in in _sample_pairs(sub_lat, rng, 8):
             inner = product(emb.module, k_in, l_in)
             inner_in_m = image(emb.inclusion, inner)
             outer = product(m, image(emb.inclusion, k_in), image(emb.inclusion, l_in))
@@ -310,10 +310,9 @@ def _end_elements_sample(module, rng, k):
 def _check_fprod(m, rng, caps):
     lat = all_submodules(m, caps)
     endos = _end_elements_sample(m, rng, 6)
-    pairs = [(x, y) for x in lat for y in lat]
     exercised = 0
     for f in endos:
-        for a, b in _sample(pairs, rng, 8):
+        for a, b in _sample_pairs(lat, rng, 8):
             ab = product(m, a, b)
             f_ab = image(f, ab)
             f_b = image(f, b)
@@ -380,7 +379,7 @@ def _sums_keep(m, holds, rng, caps):
     """Sampled pairs of submodules with ``holds``: their sums must have it."""
     members = [s for s in all_submodules(m, caps) if holds(s)]
     exercised = 0
-    for a, b in _sample([(x, y) for x in members for y in members], rng, 10):
+    for a, b in _sample_pairs(members, rng, 10):
         if not holds(a.sum(b)):
             return exercised, f"{a.describe()}+{b.describe()}", ""
         exercised += 1
@@ -901,8 +900,8 @@ STATEMENT_IDS = tuple(STATEMENTS)
 
 
 _HYPOTHESES = {
-    "quasi_projective": lambda instance: instance.profile.is_quasi_projective,
-    "retractable": lambda instance: instance.profile.is_retractable,
+    "quasi_projective": lambda instance: is_quasi_projective(instance.module),
+    "retractable": lambda instance: is_retractable(instance.module, instance.caps),
     "prime_power_cyclic_regular": lambda instance: _zpn_shape(instance.module) is not None,
 }
 

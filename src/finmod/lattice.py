@@ -184,33 +184,8 @@ def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
 
 @memoized
 def _lattice(module, caps):
-    """(the members in canonical order, {member: tuple of its upper covers}).
-    A module built from a submodule K of M reads them off M's lattice when
-    that is within the caps, and walks them otherwise."""
-    if module.analysis.embedded:
-        ambient, sub = module.analysis.embedded
-        try:
-            return _interval(module, sub, _lattice(ambient, caps)[1])
-        except CapExceeded:
-            pass
+    """(the members in canonical order, {member: tuple of its upper covers})."""
     covers = _join_closure(module, _cyclics(module, caps)[1], caps, "lattice members")
-    return tuple(sorted(covers, key=Submodule.sort_key)), covers
-
-
-def _interval(module, sub, outer):
-    """``_lattice`` of ``module``, built from ``sub``: the X <= sub of the
-    ambient lattice with covers ``outer``, reached from zero within [0, sub]
-    and carried into ``module``'s coordinates.  No cap is met: they are fewer."""
-    group, zero = sub.subgroup, Submodule.zero(sub.module)
-    inside, frontier = {zero}, [zero]
-    while frontier:
-        for y in outer[frontier.pop()]:
-            if y not in inside and not sub.order % y.order and all(map(group.contains, y.basis)):
-                inside.add(y)
-                frontier.append(y)
-    e = module.inv_factors
-    image = {x: Submodule(module, CanonicalSubgroup(e, map(group.coords, x.basis))) for x in inside}
-    covers = {image[x]: tuple(image[y] for y in outer[x] if y in image) for x in inside}
     return tuple(sorted(covers, key=Submodule.sort_key)), covers
 
 
@@ -298,9 +273,7 @@ def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
 def _embedding(M, sub):
     from .homspace import Homomorphism
 
-    group = sub.subgroup
-    invariants = group.invariants
-    gens = group.smith_gens
+    group, gens = sub.subgroup, sub.subgroup.smith_gens
     # column k of each action matrix holds the coordinates of mat @ gens[k];
     # coordinates are reduced, and an action-closed subgroup is a module, so
     # the module is built without validation
@@ -308,13 +281,7 @@ def _embedding(M, sub):
         tuple(zip(*[group.coords([sum(map(mul, row, g)) for row in mat]) for g in gens]))
         for mat in M.actions
     )
-    sub_mod = FiniteModule(M.ring, invariants, actions, name=f"{M.name}|{sub.describe()}")
-    # A record from the whole of M (M but for labels or coordinates) needs M's
-    # own record, if any, from a proper submodule, so no chain of records cycles.
-    info, up = sub_mod.analysis, M.analysis.embedded
-    if info is not M.analysis and not info.embedded and (
-            sub.order < M.order or not up or up[1].order < up[0].order):
-        info.embedded = (M, sub)
+    sub_mod = FiniteModule(M.ring, group.invariants, actions, name=f"{M.name}|{sub.describe()}")
     incl = tuple(tuple(g[j] for g in gens) for j in range(M.ngens))
     return SubmoduleEmbedding(sub_mod, Homomorphism(sub_mod, M, incl), group)
 
@@ -517,8 +484,8 @@ def _splits(module, ann):
 class PredicateProfile(namedtuple("PredicateProfile",
                                   "module caps is_quasi_projective is_retractable is_goldie",
                                   defaults=(True,))):
-    """Predicate summary for one module under ``caps``: the two hypotheses
-    the harness reads are decided when it is built.  A finite module is
+    """Predicate summary for one module under ``caps``: quasi-projectivity
+    and retractability are decided when it is built.  A finite module is
     always Goldie and noetherian, with the ascending chain condition on
     annihilators, so ``is_goldie`` is always True.  ``uniform_dim`` and
     ``annihilator_lattice_size`` (None past the caps) are read on demand,
@@ -541,9 +508,8 @@ class PredicateProfile(namedtuple("PredicateProfile",
 
 
 def is_goldie(module: FiniteModule, caps=DEFAULT_CAPS) -> PredicateProfile:
-    """The predicate profile.  Quasi-projectivity (a split test over
-    R/ann(M)) and retractability (a test over the maximal ideals of R), which
-    the harness reads, are decided here; a CapExceeded from the two-sided
-    ideals of R that retractability lists propagates."""
+    """The predicate profile that ``finmod predicates`` and the demos print;
+    a CapExceeded from the two-sided ideals of R that retractability lists
+    propagates."""
     return PredicateProfile(module, caps, is_quasi_projective(module),
                             is_retractable(module, caps))

@@ -15,7 +15,7 @@ from operator import mul
 from .algebra import memoized
 from .config import DEFAULT_CAPS, CapExceeded
 from .homspace import Homomorphism, _regular_projections, _solved_hom_subgroup, compose, scaling
-from .lattice import Submodule, distinct_cyclic_submodules, is_quasi_projective
+from .lattice import Submodule, _cyclics, is_quasi_projective
 
 
 @memoized
@@ -135,11 +135,12 @@ def is_nil_submodule(module, sub: Submodule, caps=DEFAULT_CAPS) -> NilVerdict:
 
 
 def _cyclics_inside(module, sub, caps):
-    """The nonzero distinct cyclic submodules of ``sub``, in canonical order."""
-    return [c for c in distinct_cyclic_submodules(module, caps) if not c.is_zero() and c.le(sub)]
+    """{C: the first x spanning C} over the nonzero distinct cyclics C of
+    ``sub``, in canonical order: C is the least member holding x."""
+    return {c: x for c, x in _cyclics(module, caps)[0].items() if not c.is_zero() and sub.contains(x)}
 
 
-# Most cyclic generators the definitional locally-nilpotent test walks.
+# Most maximal cyclic submodules the definitional locally-nilpotent test walks.
 _SUBSET_CAP = 64
 
 
@@ -150,24 +151,31 @@ def is_locally_nilpotent(
     """Uniform vanishing of ordered products of the cyclic submodules.
 
     When the ambient module is quasi-projective this reduces to nilpotency of
-    the (finitely generated) submodule itself.  The definitional path walks
-    the level sets of products of cyclic generators.  Each level is a set of
-    submodules determined by the one before it, and there are finitely many
-    such sets, so the walk ends at an empty level (True) or at one it has
-    already seen, after which the levels cycle without vanishing (False).
-    ``force_definitional`` skips the reduction (useful when the reduction is
-    the claim under test).  More than ``_SUBSET_CAP`` cyclics raise
-    CapExceeded.
+    the (finitely generated) submodule itself; ``force_definitional`` skips
+    the reduction (useful when the reduction is the claim under test).
+    Otherwise ``_levels_vanish`` walks the maximal cyclics of ``sub``, taken
+    largest first: C is maximal iff no maximal one before it holds C's x.
     """
     if sub.is_zero():
         return True
     if not force_definitional and is_quasi_projective(module):
         return nilpotency_index(module, sub) is not None
-    return _levels_vanish(module, _cyclics_inside(module, sub, caps))
+    tops = []
+    for c, x in sorted(_cyclics_inside(module, sub, caps).items(), key=lambda cx: -cx[0].order):
+        if not any(d.contains(x) for d in tops):
+            tops.append(c)
+    return _levels_vanish(module, tops)
 
 
 def _levels_vanish(module, cyclics):
-    """The definitional walk over the level sets of products of ``cyclics``."""
+    """Whether the left-nested products C_1*...*C_k of ``cyclics`` all
+    vanish for some k; more than ``_SUBSET_CAP`` raise CapExceeded.  Level k,
+    the nonzero such products, determines level k+1, and there are finitely
+    many such sets, so the walk ends at an empty level (True) or at one it
+    has seen, after which the levels cycle (False).  Over the maximal cyclics
+    of N it answers as over all of them: the product is monotone in both
+    factors, so each C_1*...*C_k lies below D_1*...*D_k for maximal
+    D_i >= C_i, and level k over all the cyclics is empty iff over those."""
     if len(cyclics) > _SUBSET_CAP:
         raise CapExceeded("cyclic generators", len(cyclics), _SUBSET_CAP)
     states, seen = frozenset(cyclics), set()

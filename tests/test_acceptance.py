@@ -28,6 +28,8 @@ from finmod.lattice import (
     all_submodules,
     cyclic_submodule,
     fully_invariant_submodules,
+    is_quasi_projective,
+    is_retractable,
 )
 from finmod.oracle import (
     BudgetExceeded,
@@ -72,7 +74,7 @@ def test_criterion_2_main_theorem_sweep(corpus):
     failures = []
     exercised = 0
     for inst in corpus.instances:
-        if not (inst.profile.is_quasi_projective and inst.profile.is_retractable):
+        if not (is_quasi_projective(inst.module) and is_retractable(inst.module)):
             continue
         m = inst.module
         for n_sub in fully_invariant_submodules(m):
@@ -101,7 +103,7 @@ def test_criterion_3_radical_identity(corpus):
     checked = 0
     failures = []
     for inst in corpus.instances:
-        if not inst.profile.is_quasi_projective:
+        if not is_quasi_projective(inst.module):
             continue
         profile = prime_radical(inst.module)
         if profile.no_primes or profile.prime_radical != profile.ell:
@@ -195,7 +197,7 @@ def test_criterion_5_lemma_identities(corpus):
 
     rng = random.Random(5)
     for inst in corpus.instances[:40]:
-        if not inst.profile.is_quasi_projective:
+        if not is_quasi_projective(inst.module):
             continue
         m = inst.module
         lat = list(all_submodules(m))

@@ -211,7 +211,7 @@ def test_verdict_memos_agree_with_fresh_computation_and_the_oracle():
 
 
 def test_capped_verdicts_store_nothing():
-    # F_2^7 has order 128 and 127 nonzero cyclics, past _SUBSET_CAP = 64
+    # F_2^7 has order 128 and 127 nonzero cyclics, all maximal, past _SUBSET_CAP = 64
     m = module_from_actions(zn_ring(2), (2,) * 7, [[[int(i == j) for j in range(7)] for i in range(7)]],
                             labels=tuple("abcdefg"))
     full, line = Submodule.full(m), Submodule.span(m, [(1,) + (0,) * 6])

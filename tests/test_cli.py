@@ -268,6 +268,10 @@ class TestCommands:
         assert code == 0
         assert "terminal = zero(2)" in out
 
+    def test_power_lists_at_most_max_members(self, z4_file):
+        code, out, _ = run_cli("power", z4_file, "--sub", "<2>", "--max", "1")
+        assert (code, out) == (0, "power 1 = <2>\nterminal = zero(2)\n")
+
     def test_hom(self, z4_file):
         code, out, _ = run_cli("hom", z4_file, "--target", "<2>")
         assert code == 0
@@ -310,6 +314,26 @@ class TestCommands:
     def test_missing_file(self):
         code, _, err = run_cli("validate", "/nonexistent/file.ring")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--max-lattice", "0", "predicates", "FILE"),
+        ("--max-lattice", "-3", "predicates", "FILE"),
+        ("--max-module-order", "0", "predicates", "FILE"),
+        ("--max-lattice", "ten", "predicates", "FILE"),
+        ("verify", "--jobs", "0"),
+        ("power", "FILE", "--sub", "<2>", "--max", "0"),
+    ])
+    def test_out_of_range_numbers_are_usage_errors(self, z4_file, argv):
+        # a cap, a worker count or a power count below 1 is refused, not
+        # read as the default
+        code, out, err = run_cli(*(z4_file if a == "FILE" else a for a in argv))
+        assert code == 2 and not out
+        assert "invalid positive_int value" in err
+
+    def test_in_range_caps_are_read(self, z4_file):
+        assert run_cli("--max-lattice", "1", "predicates", z4_file)[0] == 4
+        assert run_cli("--max-module-order", "1", "predicates", z4_file)[0] == 4
+        assert run_cli("--max-lattice", "3", "--max-module-order", "4", "predicates", z4_file)[0] == 0
 
 
 class TestVerifyCommand:

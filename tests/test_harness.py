@@ -41,7 +41,9 @@ class TestCorpus:
 
     def test_contains_non_quasi_projective(self, corpus12):
         mixed = next(i for i in corpus12.instances if i.name == "Z2+Z4-over-Z4")
-        assert not mixed.profile.is_quasi_projective
+        from finmod.lattice import is_quasi_projective
+
+        assert not is_quasi_projective(mixed.module)
 
     def test_contains_non_semiprime_noncommutative(self, corpus12):
         from finmod.radical import is_semiprime_submodule
@@ -52,9 +54,10 @@ class TestCorpus:
         assert not ok
 
     def test_corpus_decides_no_predicate_up_front(self):
-        # set-up admits instances by order and |End| only; reading a
-        # profile decides it, as is_goldie does
+        # set-up admits instances by order and |End| only; a statement's
+        # hypotheses decide the predicates it names, as is_goldie does
         from finmod.algebra import clear_analyses
+        from finmod.harness import _unmet
         from finmod.lattice import is_goldie, is_quasi_projective, is_retractable
 
         clear_analyses()
@@ -63,9 +66,14 @@ class TestCorpus:
             memos = inst.module.analysis.memos
             assert not memos[is_quasi_projective] and not memos[is_retractable], inst.name
         for inst in corpus.instances:
-            assert inst.profile.is_goldie and inst.profile == is_goldie(inst.module)
+            _unmet(STATEMENTS["LEM-FPROD"], inst)
             memos = inst.module.analysis.memos
-            assert memos[is_quasi_projective] and memos[is_retractable], inst.name
+            assert memos[is_quasi_projective] and not memos[is_retractable], inst.name
+        for inst in corpus.instances:
+            profile = is_goldie(inst.module)
+            assert _unmet(STATEMENTS["THM-MAIN"], inst) == [
+                h for h, holds in (("quasi_projective", profile.is_quasi_projective),
+                                   ("retractable", profile.is_retractable)) if not holds]
 
     def test_instances_self_consistent(self, corpus12):
         from finmod.algebra import validate_module, validate_ring
@@ -150,10 +158,12 @@ class TestSearch:
         ] or len(reports) == len(direct)
 
     def test_only_violating_instances_are_searched(self, corpus12):
+        from finmod.lattice import is_quasi_projective
+
         reports = search_counterexamples("COR-NESL", "quasi_projective", corpus12)
         names = {r.instance for r in reports}
         for inst in corpus12.instances:
-            if inst.profile.is_quasi_projective:
+            if is_quasi_projective(inst.module):
                 assert inst.name not in names
 
     def test_fprod_needs_projectivity(self, corpus12):
@@ -187,10 +197,11 @@ class TestSearch:
 
     def test_cap_met_by_a_hypothesis_is_a_skip(self):
         # Retractability of the ideal T2(Z2)e22 lists the two-sided ideals of
-        # T2(Z2), of order 8, first (quasi-projectivity, a split test, lists
-        # none); past a module order cap of 2 every check that reads a
-        # profile hypothesis is a SKIP with the reason, in a suite and in a
-        # search, and any other check still runs
+        # T2(Z2), of order 8 (quasi-projectivity, a split test, lists none);
+        # past a module order cap of 2 every check that reads retractability
+        # is a SKIP with that reason, in a suite and in a search, and any
+        # other check still runs: LEM-FPROD, gated on quasi-projectivity
+        # only, meets the cap in its own lattice, of order 4
         from finmod.algebra import regular_module, triangular_ring
         from finmod.config import Caps
         from finmod.harness import Instance
@@ -202,9 +213,9 @@ class TestSearch:
         corpus = Corpus(seed=0, instances=(Instance("T2(Z2)e22", ideal.ring, ideal, tiny),))
         summary = run_suite(corpus, ["THM-MAIN", "LEM-FPROD", "EX-ZPN"], tiny)
         main, fprod, zpn = summary.reports
-        for report in (main, fprod):
+        for report, order in ((main, 8), (fprod, 4)):
             assert report.outcome == "skipped"
-            assert report.detail == "module order: reached 8 with cap 2"
+            assert report.detail == f"module order: reached {order} with cap 2"
         assert zpn.outcome == "hypothesis_not_met"
         (searched,) = search_counterexamples("THM-MAIN", "retractable", corpus, tiny)
         assert searched == main
@@ -239,10 +250,11 @@ class TestSearch:
 
 def test_end_sample_draws_what_the_listed_sample_draws():
     # Decoding sampled indices must give exactly the maps that sampling the
-    # listed End(M) gives, on every distinct seed-0 module (|End| <= 1,024).
+    # listed End(M) gives, on every distinct seed-0 module (|End| <= 1,024),
+    # and exactly the pairs that sampling the listed pairs gives.
     import random
 
-    from finmod.harness import _end_elements_sample, _sample
+    from finmod.harness import _end_elements_sample, _sample, _sample_pairs
     from finmod.homspace import hom_group
 
     modules = dict.fromkeys(i.module for i in generate_corpus(0, 110).instances)
@@ -252,6 +264,12 @@ def test_end_sample_draws_what_the_listed_sample_draws():
             got = _end_elements_sample(m, random.Random(seed), k)
             assert got == _sample(list(end.elements()), random.Random(seed), k), m.name
     assert len(modules) == 97
+    for n in range(40):
+        items = [f"x{i}" for i in range(n)]
+        listed = [(x, y) for x in items for y in items]
+        for seed, k in ((1, 8), (2, 10)):
+            got = _sample_pairs(items, random.Random(seed), k)
+            assert got == _sample(listed, random.Random(seed), k), n
 
 
 def test_catalog_is_complete():

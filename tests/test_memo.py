@@ -15,7 +15,7 @@ from finmod.lattice import Submodule, all_submodules
 from finmod.product import is_locally_nilpotent, is_nil_submodule
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "finmod"
-KEPT = {"memos", "submodules", "summands", "free", "embedded"}
+KEPT = {"memos", "submodules", "summands", "free"}
 
 
 def fresh_t2():
@@ -161,7 +161,7 @@ def test_only_memoized_reads_the_memos(path):
     assert analysis_violations(path.read_text()) == []
 
 
-def test_the_analysis_keeps_five_fields():
+def test_the_analysis_keeps_four_fields():
     init = next(n for n in ast.walk(ast.parse((SRC / "algebra.py").read_text()))
                 if isinstance(n, ast.ClassDef) and n.name == "ModuleAnalysis")
     assigned = {t.attr for n in ast.walk(init) if isinstance(n, ast.Assign)

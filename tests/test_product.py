@@ -1,5 +1,6 @@
 """Submodule product, powers, and nilpotency notions."""
 
+import importlib
 import itertools
 import random
 import runpy
@@ -12,11 +13,13 @@ from finmod.algebra import (
     FiniteModule,
     ModuleAnalysis,
     direct_sum,
+    product_ring,
     quotient_module,
     regular_module,
     triangular_ring,
     zn_ring,
 )
+from finmod.config import DEFAULT_CAPS, CapExceeded
 from finmod.harness import generate_corpus
 from finmod.homspace import (
     Homomorphism,
@@ -36,7 +39,9 @@ from finmod.lattice import (
     submodule_as_module,
 )
 from finmod.product import (
+    _cyclics_inside,
     _left_powers,
+    _levels_vanish,
     is_locally_nilpotent,
     is_nil_submodule,
     maps_into,
@@ -296,6 +301,25 @@ class TestLocallyNilpotent:
             nilpotents = [s for s in lat if nilpotency_index(m, s) is not None]
             for a, b in itertools.product(nilpotents, repeat=2):
                 assert nilpotency_index(m, a.sum(b)) is not None
+
+    def test_maximal_cyclics_answer_as_all_cyclics(self, monkeypatch):
+        # (Z2 x T2(Z2))^2 / <g6> is not quasi-projective and has 95 nonzero
+        # cyclics, 39 of them maximal; the walk over all 95, past the cap
+        # once raised, gives the verdict of the walk over the 39
+        reg = regular_module(product_ring([zn_ring(2), triangular_ring(2, 2)]))
+        square = direct_sum(reg, reg)[0]
+        quot, _ = quotient_module(square, cyclic_submodule(square, [int(j == 6) for j in range(8)]))
+        full, product_module = Submodule.full(quot), importlib.import_module("finmod.product")
+        cyclics = list(_cyclics_inside(quot, full, DEFAULT_CAPS))
+        assert len(cyclics) == 95
+        with pytest.raises(CapExceeded, match="reached 95 with cap 64"):
+            _levels_vanish(quot, cyclics)
+        monkeypatch.setattr(product_module, "_SUBSET_CAP", 38)
+        with pytest.raises(CapExceeded, match="reached 39 with cap 38"):
+            is_locally_nilpotent(quot, full, DEFAULT_CAPS, True)
+        monkeypatch.setattr(product_module, "_SUBSET_CAP", 95)
+        verdict = is_locally_nilpotent(quot, full, DEFAULT_CAPS, True)
+        assert _levels_vanish(quot, cyclics) is verdict is False
 
 
 def _maps_out_of(m, rng):
