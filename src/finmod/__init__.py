@@ -81,7 +81,6 @@ from .lattice import (
 )
 from .oracle import (
     BudgetExceeded,
-    OracleBudget,
     brute_all_submodules,
     brute_annihilator_lattice,
     brute_ell,

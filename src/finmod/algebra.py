@@ -480,8 +480,8 @@ class ModuleAnalysis:
     module, keyed by the arguments after the module.  ``submodules`` maps
     each interned subgroup to the one Submodule over it; every Submodule is
     action-closed, so it holds at most the module's lattice.  ``summands``
-    is (a, b) when ``direct_sum`` built the module as a (+) b, ``free`` is
-    True when ``regular_module`` built it, so it is projective.
+    is (a, b) when ``direct_sum`` built the module as a (+) b, and ``free``
+    its projections onto regular summands, or None unless it was built free.
     """
 
     __slots__ = ("memos", "submodules", "summands", "free")
@@ -490,7 +490,7 @@ class ModuleAnalysis:
         self.memos = defaultdict(dict)
         self.submodules = {}
         self.summands = None
-        self.free = False
+        self.free = None
 
 
 def memoized(fn):
@@ -665,6 +665,8 @@ def regular_module(ring: FiniteRing) -> FiniteModule:
     built, until ``clear_analyses()``."""
     module = _REGULAR.get(ring)
     if module is None:
+        from .homspace import Homomorphism  # deferred; homspace imports this module
+
         r = ring.rank
         actions = tuple(
             tuple(tuple(ring.struct[i][j][k] for j in range(r)) for k in range(r))
@@ -672,7 +674,7 @@ def regular_module(ring: FiniteRing) -> FiniteModule:
         )
         module = _REGULAR[ring] = FiniteModule(
             ring, ring.add_orders, actions, ring.labels, f"{ring.name} regular")
-        module.analysis.free = True
+        module.analysis.free = (Homomorphism.identity(module),)
     return module
 
 
@@ -737,11 +739,12 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
 
     Returns (module, (inj_a, inj_b), (proj_a, proj_b)); the injections and
     projections satisfy proj_i . inj_j = delta_ij.  When both summands are
-    nonzero, the analysis of the sum records them, and projectivity over
-    R/ann, the fully invariant submodules and Hom out of a free sum are read
-    off them.  Answers are memoized in the analysis of ``a``, keyed by ``b``.
+    nonzero, the analysis of the sum records them, and its projections onto
+    their regular summands when both are free: projectivity over R/ann, the
+    fully invariant submodules and Hom out of a free sum are read off these.
+    Answers are memoized in the analysis of ``a``, keyed by ``b``.
     """
-    from .homspace import Homomorphism
+    from .homspace import Homomorphism, compose
 
     if a.ring is not b.ring and a.ring != b.ring:
         raise ValidationError("direct sum requires a common ring")
@@ -794,4 +797,7 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
     if a.order > 1 and b.order > 1:
         info = total.analysis
         info.summands = info.summands or (a, b)
+        if info.free is None and a.analysis.free and b.analysis.free:
+            info.free = tuple(compose(q, p) for p, side in ((proj_a, a), (proj_b, b))
+                              for q in side.analysis.free)
     return total, (inj_a, inj_b), (proj_a, proj_b)

@@ -48,7 +48,6 @@ from .lattice import (
 )
 from .oracle import (
     BudgetExceeded,
-    OracleBudget,
     brute_all_submodules,
     brute_ell,
     brute_hom_group,
@@ -427,20 +426,19 @@ def _cmd_search(args, caps):
 
 def _cmd_oracle(args, caps):
     ring, module = parse_instance(args.file)
-    budget = OracleBudget()
     if args.op == "hom":
-        homs = brute_hom_group(module, module, budget)
+        homs = brute_hom_group(module, module)
         print(f"endomorphisms = {len(homs)}")
         for h in homs[: args.limit]:
             print(_matrix_text(h.matrix))
     elif args.op == "product":
         left = resolve_submodule(module, args.left or "<0>")
         right = resolve_submodule(module, args.right or "<0>")
-        print(brute_product(module, left, right, budget).describe())
+        print(brute_product(module, left, right).describe())
     elif args.op == "radical":
-        print(f"L = {brute_ell(module, budget).describe()}")
-        print(f"prime_radical = {brute_prime_radical(module, budget).describe()}")
-        print(f"submodules = {len(brute_all_submodules(module, budget))}")
+        print(f"L = {brute_ell(module).describe()}")
+        print(f"prime_radical = {brute_prime_radical(module).describe()}")
+        print(f"submodules = {len(brute_all_submodules(module))}")
     return 0
 
 
@@ -492,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the statement suite on a corpus")
     p.add_argument("--corpus-seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=110)
+    p.add_argument("--budget", type=positive_int, default=110)
     p.add_argument("--only", default=None, help="comma-separated statement ids")
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--witness-dir", default="witnesses")
@@ -503,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--statement", required=True, choices=STATEMENT_IDS)
     p.add_argument("--drop", required=True)
     p.add_argument("--corpus-seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=110)
+    p.add_argument("--budget", type=positive_int, default=110)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("oracle", help="run the brute-force path only")
@@ -511,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True, choices=["hom", "product", "radical"])
     p.add_argument("--left", default=None)
     p.add_argument("--right", default=None)
-    p.add_argument("--limit", type=int, default=16)
+    p.add_argument("--limit", type=positive_int, default=16)
     p.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -10,12 +10,15 @@ from __future__ import annotations
 from collections import namedtuple
 
 
-class Caps(namedtuple("Caps", "max_module_order max_lattice max_hom_elements",
-                      defaults=(4096, 5000, 4096))):
+class Caps(namedtuple("Caps", "max_module_order max_lattice", defaults=(4096, 5000))):
     __slots__ = ()
 
 
 DEFAULT_CAPS = Caps()
+
+# |End(M)| past which annihilator_lattice is not reported, and M (+) N is
+# not tried for quasi-projectivity
+MAX_END_ELEMENTS = 4096
 
 
 class CapExceeded(Exception):

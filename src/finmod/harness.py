@@ -34,7 +34,7 @@ from .algebra import (
     triangular_ring,
     zn_ring,
 )
-from .config import DEFAULT_CAPS, CapExceeded
+from .config import DEFAULT_CAPS, MAX_END_ELEMENTS, CapExceeded
 from .homspace import Homomorphism, compose, end_ring, hom_group, image
 from .lattice import (
     Submodule,
@@ -47,7 +47,6 @@ from .lattice import (
     submodule_as_module,
     uniform_dimension,
 )
-from .oracle import BudgetExceeded
 from .product import (
     is_locally_nilpotent,
     is_nil_submodule,
@@ -228,7 +227,7 @@ def generate_corpus(seed: int, budget: int = 110, caps=DEFAULT_CAPS) -> Corpus:
 # Each checker takes (module, rng, caps), the rng seeded by the statement id
 # and the instance name, and returns (exercised_count, witness_or_None,
 # detail).  A witness means the conclusion failed.  Checkers may raise
-# CapExceeded/BudgetExceeded.
+# CapExceeded.
 
 
 class _LazyRandom:
@@ -488,7 +487,7 @@ def _quasi_projective_sums(m, caps):
     """(partner, M (+) partner, its injections) for the partners M and R
     whose sum with M is within the caps and quasi-projective.  End(M (+) N)
     has the order of Hom(M, M) x Hom(M, N) x Hom(N, M) x Hom(N, N), so the
-    sum is built only once that order is within the caps."""
+    sum is built only once that order is within ``MAX_END_ELEMENTS``."""
     partners = [m]
     reg = regular_module(m.ring)
     if reg != m:
@@ -497,7 +496,7 @@ def _quasi_projective_sums(m, caps):
         if m.order * other.order > caps.max_module_order:
             continue
         pair = (m, other)
-        if prod(hom_group(a, b).order for a in pair for b in pair) > caps.max_hom_elements:
+        if prod(hom_group(a, b).order for a in pair for b in pair) > MAX_END_ELEMENTS:
             continue
         total, injections, _ = direct_sum(m, other)
         if is_quasi_projective(total):
@@ -583,11 +582,11 @@ def _end_annihilator_identity(m, rng):
 
 
 def _check_maccsacc(m, rng, caps):
-    er = end_ring(m, caps)  # finite ring: chain conditions hold with evidence
+    # End(M) is a finite ring, so its chain conditions hold with evidence
     exercised, held = _end_annihilator_identity(m, rng) if m.order > 1 else (0, True)
     if not held:
         return exercised, "dual annihilator identity failed", ""
-    return exercised, None, f"|End|={er.as_ring.order}"
+    return exercised, None, f"|End|={hom_group(m, m).order}"
 
 
 def _check_nilpsubnil(m, rng, caps):
@@ -752,18 +751,18 @@ def _check_fmret(m, rng, caps):
 
 
 def _check_mgolsgol(m, rng, caps):
-    er = end_ring(m, caps)
+    er = end_ring(m)
     if er.as_ring.rank == 0:
         return 0, None, "zero module"
-    # End(M)^op has the order of End(M), which end_ring has held to the order cap
-    right_udim = uniform_dimension(_opposite_end_regular(m, caps), caps)
+    # End(M)^op has the order of End(M): its lattice meets the module-order cap
+    right_udim = uniform_dimension(_opposite_end_regular(m), caps)
     return 1, None, f"right-udim={right_udim} |End|={er.as_ring.order}"
 
 
 @memoized
-def _opposite_end_regular(m, caps):
+def _opposite_end_regular(m):
     """End(M)^op as a module over itself, built once per M."""
-    return regular_module(opposite_ring(end_ring(m, caps).as_ring))
+    return regular_module(opposite_ring(end_ring(m).as_ring))
 
 
 def _check_main(m, rng, caps):
@@ -924,22 +923,22 @@ def _report(sid, instance, start, outcome, detail="", witness=None, exercised=0)
 
 
 def _gate(sid: str, instance: Instance, start):
-    """(unmet hypotheses, None), or (None, a skipped report) when a cap or
-    budget stops their evaluation."""
+    """(unmet hypotheses, None), or (None, a skipped report) when a cap
+    stops their evaluation."""
     try:
         return _unmet(_spec(sid), instance), None
-    except (CapExceeded, BudgetExceeded) as exc:
+    except CapExceeded as exc:
         return None, _report(sid, instance, start, "skipped", str(exc))
 
 
 def _evaluate(sid: str, instance: Instance, caps, start) -> VerificationReport:
     """Run the conclusion checker: pass, fail with a witness, or skipped
-    when a cap or budget stops it."""
+    when a cap stops it."""
     try:
         checker = STATEMENTS[sid].checker
         exercised, witness, detail = checker(instance.module, _rng_for(sid, instance), caps)
         outcome = "pass" if witness is None else "fail"
-    except (CapExceeded, BudgetExceeded) as exc:
+    except CapExceeded as exc:
         exercised, witness, detail, outcome = 0, None, str(exc), "skipped"
     return _report(sid, instance, start, outcome, detail, witness, exercised)
 

@@ -16,9 +16,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .algebra import (
-    FiniteRing, FiniteModule, ModuleElement, _BlindToLast, direct_sum, memoized, validate_ring,
+    FiniteRing, FiniteModule, ModuleElement, _BlindToLast, memoized,
 )
-from .config import DEFAULT_CAPS, CapExceeded
 from .intlat import _generated, generated_subgroup, solve_homogeneous_congruences
 from .lattice import Submodule
 
@@ -165,7 +164,7 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
     """
     if source.ring is not target.ring and source.ring != target.ring:
         raise ValueError("modules over different rings")
-    projections = _regular_projections(source)
+    projections = source.analysis.free
     if projections is None:
         sub = _solved_hom_subgroup(source, target)
     else:
@@ -215,21 +214,6 @@ def _solved_hom_subgroup(source, target, span=None):
                                          [o for o in orders for _ in range(s)])
 
 
-def _regular_projections(module):
-    """The projections of a free module onto its regular summands, which
-    ``regular_module`` and ``direct_sum`` record; None when it is not
-    recorded as free."""
-    info = module.analysis
-    if info.free:
-        return [Homomorphism.identity(module)]
-    if info.summands:
-        a, b = info.summands
-        parts = [_regular_projections(a), _regular_projections(b)]
-        if None not in parts:
-            return [compose(q, p) for qs, p in zip(parts, direct_sum(a, b)[2]) for q in qs]
-    return None
-
-
 class EndRing(namedtuple("EndRing", "module as_ring gens_as_homs")):
     """End(M) materialized as a finite ring; composition is multiplication.
 
@@ -240,38 +224,19 @@ class EndRing(namedtuple("EndRing", "module as_ring gens_as_homs")):
 
 
 @memoized
-def end_ring(module: FiniteModule, caps=DEFAULT_CAPS) -> EndRing:
+def end_ring(module: FiniteModule) -> EndRing:
     """The endomorphism ring, with basis the invariant-factor generators of
-    Hom(M, M) in canonical order.
-
-    A zero module gets the one-element ring (rank 0), exempt from the unit
-    requirement by convention.
+    Hom(M, M) in canonical order.  It is built without validation:
+    composition is associative and the identity is its unit.  A zero module
+    gets the one-element ring (rank 0).
     """
     group = hom_group(module, module)
-    if group.order > caps.max_module_order:
-        raise CapExceeded("endomorphism ring order", group.order, caps.max_module_order)
-    if group.order == 1:
-        ring = FiniteRing(
-            add_orders=(),
-            struct=(),
-            unit=(),
-            labels=(),
-            name=f"End({module.name})",
-        )
-        return EndRing(module=module, as_ring=ring, gens_as_homs=())
     basis = group.smith_basis()
-    rank = len(basis)
-    struct = tuple(
-        tuple(group.coords(compose(basis[i], basis[j])) for j in range(rank))
-        for i in range(rank)
-    )
-    ring = validate_ring(
-        FiniteRing(
-            add_orders=group.group_invariants,
-            struct=struct,
-            unit=group.coords(Homomorphism.identity(module)),
-            labels=tuple(f"f{i}" for i in range(rank)),
-            name=f"End({module.name})",
-        )
+    ring = FiniteRing(
+        add_orders=group.group_invariants,
+        struct=tuple(tuple(group.coords(compose(f, g)) for g in basis) for f in basis),
+        unit=group.coords(Homomorphism.identity(module)),
+        labels=tuple(f"f{i}" for i in range(len(basis))),
+        name=f"End({module.name})",
     )
     return EndRing(module=module, as_ring=ring, gens_as_homs=basis)

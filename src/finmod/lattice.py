@@ -20,7 +20,7 @@ from operator import add, mul
 from .algebra import (
     FiniteModule, ModuleElement, direct_sum, memoized, quotient_with_section, regular_module,
 )
-from .config import DEFAULT_CAPS, CapExceeded
+from .config import DEFAULT_CAPS, MAX_END_ELEMENTS, CapExceeded
 from .intlat import (CanonicalSubgroup, _contains, _intern, generated_subgroup,
                      solve_homogeneous_congruences)
 
@@ -383,8 +383,8 @@ def annihilator_lattice(module: FiniteModule, caps=DEFAULT_CAPS):
     (f in End(M)) than K has: their number is |End| / |Ann_End|, the order
     of the subgroup spanned by the generators' values on a basis of K.  One
     HNF per member; no End element is enumerated.  |End| above
-    ``caps.max_hom_elements`` raises CapExceeded before any lattice is
-    listed: that cap only decides when the family is reported."""
+    ``MAX_END_ELEMENTS`` raises CapExceeded before any lattice is listed:
+    that cap only decides when the family is reported."""
     return list(_annihilators(module, caps))
 
 
@@ -393,8 +393,8 @@ def _annihilators(module, caps):
     from .homspace import hom_group
 
     end = hom_group(module, module)
-    if end.order > caps.max_hom_elements:
-        raise CapExceeded("endomorphism count", end.order, caps.max_hom_elements)
+    if end.order > MAX_END_ELEMENTS:
+        raise CapExceeded("endomorphism count", end.order, MAX_END_ELEMENTS)
     lattice, covers = _lattice(module, caps)
     e, gens = module.inv_factors, [f.matrix for f in end.generators]
 

@@ -11,8 +11,8 @@ Products, left annihilators and the fully invariant filter read value masks,
 digit by digit across all the maps, and memoized like submodule masks.  No
 fast-path arithmetic happens here; the constructors only package answers.
 
-Budgets are hard caps: exceeding one raises BudgetExceeded rather than
-truncating, because a truncated oracle is worse than none.
+The budgets below are hard caps: exceeding one raises BudgetExceeded rather
+than truncating, because a truncated oracle is worse than none.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections import namedtuple
 from math import lcm, prod
 
 from .algebra import FiniteModule
@@ -28,25 +27,22 @@ from .homspace import Homomorphism
 from .lattice import Submodule
 
 
-class OracleBudget(namedtuple("OracleBudget", "max_module_order max_hom_enumeration max_lattice",
-                              defaults=(256, 65536, 2000))):
-    __slots__ = ()
-
-
-DEFAULT_BUDGET = OracleBudget()
+MAX_ORDER = 256  # module order
+MAX_CANDIDATES = 65536  # partial maps or relation choices listed at once
+MAX_LATTICE = 2000  # submodules
 
 
 class BudgetExceeded(Exception):
-    def __init__(self, what: str, needed, budget):
-        super().__init__(f"{what}: needs {needed}, budget {budget}")
+    def __init__(self, what: str, needed, cap):
+        super().__init__(f"{what}: needs {needed}, budget {cap}")
         self.what = what
         self.needed = needed
-        self.budget = budget
+        self.budget = cap
 
 
-def _enumerable(count: int, what: str, budget: OracleBudget):
-    if count > budget.max_hom_enumeration:
-        raise BudgetExceeded(what, count, budget.max_hom_enumeration)
+def _enumerable(count: int, what: str):
+    if count > MAX_CANDIDATES:
+        raise BudgetExceeded(what, count, MAX_CANDIDATES)
 
 
 def _le(a: int, b: int) -> bool:
@@ -55,7 +51,7 @@ def _le(a: int, b: int) -> bool:
 
 class _Tables:
     """One module's element tables and the memos of everything derived from
-    them; |M|^2 entries, at most 65,536 under the default order budget."""
+    them; |M|^2 entries, at most 65,536 under ``MAX_ORDER``."""
 
     def __init__(self, module: FiniteModule):
         orders = module.inv_factors
@@ -152,15 +148,15 @@ class _Tables:
         """Rx for every element x: the closure of the b_i * x."""
         return [self.span([a[x] for a in self.act]) for x in range(len(self.elems))]
 
-    def homs(self, source: FiniteModule, k: int, budget: OracleBudget):
+    def homs(self, source: FiniteModule, k: int):
         """Every map source -> this module with image in the subgroup k, as
         generator images in lexicographic order.  Generator j may map to any
         element of k killed by its order; b_i * g_j = sum_t a_i[t][j] g_t is
         checked once the images it names are chosen.  After generator 0, each
         level tries every generator left and keeps the one that leaves the
-        fewest partial maps (README, "Design notes").  The budget bounds each
-        trial: the maps kept so far times the generator's pool."""
-        key = ("homs", source, k, budget)
+        fewest partial maps (README, "Design notes").  ``MAX_CANDIDATES``
+        bounds each trial: the maps kept so far times the generator's pool."""
+        key = ("homs", source, k)
         if key not in self.memo:
             d, allowed = source.inv_factors, self.members(k)
             pools = [[y for y in allowed if self.mults[y][dj % len(self.mults[y])] == 0]
@@ -170,9 +166,9 @@ class _Tables:
             order, maps = [], [()]
             while len(order) < len(d):
                 rest = [g for g in range(len(d)) if g not in order] if order else [0]
-                _enumerable(len(maps) * min(len(pools[g]) for g in rest), "hom candidates", budget)
+                _enumerable(len(maps) * min(len(pools[g]) for g in rest), "hom candidates")
                 order, maps = min((self._extend(maps, order + [g], pools[g], checks) for g in rest
-                                   if len(maps) * len(pools[g]) <= budget.max_hom_enumeration),
+                                   if len(maps) * len(pools[g]) <= MAX_CANDIDATES),
                                   key=lambda trial: len(trial[1]))
             if order != sorted(order):  # back to generator order, then lexicographic
                 maps = sorted(tuple(ys[order.index(j)] for j in range(len(d))) for ys in maps)
@@ -196,44 +192,42 @@ class _Tables:
                 return False
         return True
 
-    def values(self, x: int, k: int, budget: OracleBudget) -> int:
+    def values(self, x: int, k: int) -> int:
         """{f(x) : f: M -> k}, applying every map into the subgroup k to x."""
-        key = ("values", x, k, budget)
+        key = ("values", x, k)
         if key not in self.memo:
-            values = set(self.evaluate(self.homs(self.module, k, budget), x))
+            values = set(self.evaluate(self.homs(self.module, k), x))
             self.memo[key] = sum(map(self.bit.__getitem__, values))
         return self.memo[key]
 
-    def product(self, n: int, k: int, budget: OracleBudget) -> int:
+    def product(self, n: int, k: int) -> int:
         """N*K: the subgroup generated by f(N) for every map f: M -> K, where
         f(N) is generated by the values of N's generators."""
-        key = ("product", n, k, budget)
+        key = ("product", n, k)
         if key not in self.memo:
-            self.memo[key] = self.join(self.values(g, k, budget) for g in self.generators(n))
+            self.memo[key] = self.join(self.values(g, k) for g in self.generators(n))
         return self.memo[key]
 
-    def lattice(self, budget: OracleBudget) -> list[int]:
+    @functools.cached_property
+    def lattice(self) -> list[int]:
         """Every submodule, adding each distinct cyclic to each member found."""
-        key = ("lattice", budget)
-        if key not in self.memo:
-            cyclics = list(dict.fromkeys(self.cyclic))
-            found, frontier = {1: None}, [1]
-            while frontier:
-                cur = frontier.pop()
-                group = self.members(cur)
-                for c in cyclics:
-                    if _le(c, cur):
-                        continue
-                    bigger = self.span(self.gens[c], cur, group)
-                    if bigger not in found:
-                        if len(found) >= budget.max_lattice:
-                            raise BudgetExceeded("lattice", len(found), budget.max_lattice)
-                        found[bigger] = None
-                        frontier.append(bigger)
-            self.memo[key] = list(found)
-        return self.memo[key]
+        cyclics = list(dict.fromkeys(self.cyclic))
+        found, frontier = {1: None}, [1]
+        while frontier:
+            cur = frontier.pop()
+            group = self.members(cur)
+            for c in cyclics:
+                if _le(c, cur):
+                    continue
+                bigger = self.span(self.gens[c], cur, group)
+                if bigger not in found:
+                    if len(found) >= MAX_LATTICE:
+                        raise BudgetExceeded("lattice", len(found), MAX_LATTICE)
+                    found[bigger] = None
+                    frontier.append(bigger)
+        return list(found)
 
-    def locally_nilpotent(self, sub: int, budget: OracleBudget) -> bool:
+    def locally_nilpotent(self, sub: int) -> bool:
         """The cyclic submodules of ``sub`` admit a uniform length at which
         all ordered products vanish: walk the level sets of products until
         one is empty or one repeats."""
@@ -243,70 +237,70 @@ class _Tables:
             if states in seen:
                 return False
             seen.add(states)
-            products = (self.product(p, c, budget) for p in states for c in cyclics)
+            products = (self.product(p, c) for p in states for c in cyclics)
             states = frozenset(products) - {1}
         return True
 
-    def fully_invariant(self, budget: OracleBudget) -> list[int]:
+    def fully_invariant(self) -> list[int]:
         """Submodules S with f(g) in S for every endomorphism f and every
         generator g of S: the value mask of g in M."""
-        self.homs(self.module, self.full, budget)  # End(M) is listed before the lattice
+        self.homs(self.module, self.full)  # End(M) is listed before the lattice
         return [
-            s for s in self.lattice(budget)
-            if all(_le(self.values(g, self.full, budget), s) for g in self.generators(s))
+            s for s in self.lattice
+            if all(_le(self.values(g, self.full), s) for g in self.generators(s))
         ]
 
 
 _tables = functools.lru_cache(maxsize=4)(_Tables)
 
 
-def _tables_within(module: FiniteModule, budget: OracleBudget) -> _Tables:
-    if module.order > budget.max_module_order:
-        raise BudgetExceeded("module order", module.order, budget.max_module_order)
+def _tables_within(module: FiniteModule) -> _Tables:
+    if module.order > MAX_ORDER:
+        raise BudgetExceeded("module order", module.order, MAX_ORDER)
     return _tables(module)
 
 
-def brute_hom_group(source: FiniteModule, target: FiniteModule, budget=DEFAULT_BUDGET):
+def brute_hom_group(source: FiniteModule, target: FiniteModule):
     """All homomorphisms, by enumerating generator images and filtering; the
     target's order is checked before its tables (quadratic in its order) are
     built."""
-    t = _tables_within(target, budget)
+    t = _tables_within(target)
     empty = ((),) * target.ngens  # the matrix of a map out of a module with no generators
     return [
         Homomorphism(source, target, tuple(zip(*map(t.elems.__getitem__, ys))) or empty)
-        for ys in t.homs(source, t.full, budget)
+        for ys in t.homs(source, t.full)
     ]
 
 
-def brute_product(module: FiniteModule, left: Submodule, right: Submodule, budget=DEFAULT_BUDGET):
+def brute_product(module: FiniteModule, left: Submodule, right: Submodule):
     """The product evaluated over every map, definitionally."""
-    t = _tables_within(module, budget)
-    return t.package(t.product(t.mask(left), t.mask(right), budget))
+    t = _tables_within(module)
+    return t.package(t.product(t.mask(left), t.mask(right)))
 
 
-def brute_all_submodules(module: FiniteModule, budget=DEFAULT_BUDGET):
+def brute_all_submodules(module: FiniteModule):
     """Every action-closed subgroup, by closing element sets under addition,
     extending by cyclic submodules."""
-    t = _tables_within(module, budget)
-    return [t.package(s) for s in t.lattice(budget)]
+    t = _tables_within(module)
+    return [t.package(s) for s in t.lattice]
 
 
-def brute_is_locally_nilpotent(module: FiniteModule, sub: Submodule, budget=DEFAULT_BUDGET) -> bool:
+def brute_is_locally_nilpotent(module: FiniteModule, sub: Submodule) -> bool:
     """Definitional check: the cyclic submodules of ``sub`` admit a uniform
     length at which all ordered products vanish.  Exact via cycle detection
     on the level sets of reachable products."""
-    t = _tables_within(module, budget)
-    return t.locally_nilpotent(t.mask(sub), budget)
+    t = _tables_within(module)
+    return t.locally_nilpotent(t.mask(sub))
 
 
-def brute_is_nil_submodule(module: FiniteModule, sub: Submodule, budget=DEFAULT_BUDGET) -> bool:
+def brute_is_nil_submodule(module: FiniteModule, sub: Submodule) -> bool:
     """Definitional check: every map from the module into each cyclic
     submodule of ``sub`` is nilpotent.  Each map is iterated on its image
     array until it reaches zero (nilpotent) or repeats (not)."""
-    t = _tables_within(module, budget)
+    t = _tables_within(module)
     zero = [0] * len(t.elems)
     for c in {t.cyclic[x] for x in t.members(t.mask(sub))}:
-        for ys in t.homs(module, c, budget):
+        for ys in t.homs(module, c):
             f = power = t.image(ys, module.inv_factors)
             seen = set()
             while power != zero:
@@ -317,25 +311,25 @@ def brute_is_nil_submodule(module: FiniteModule, sub: Submodule, budget=DEFAULT_
     return True
 
 
-def brute_ell(module: FiniteModule, budget=DEFAULT_BUDGET) -> Submodule:
+def brute_ell(module: FiniteModule) -> Submodule:
     """Sum of all locally nilpotent submodules, each classified definitionally."""
-    t = _tables_within(module, budget)
-    return t.package(t.join(s for s in t.lattice(budget) if t.locally_nilpotent(s, budget)))
+    t = _tables_within(module)
+    return t.package(t.join(s for s in t.lattice if t.locally_nilpotent(s)))
 
 
-def brute_fully_invariant_submodules(module: FiniteModule, budget=DEFAULT_BUDGET):
+def brute_fully_invariant_submodules(module: FiniteModule):
     """Submodules that every endomorphism maps into themselves, checked on
     every generator."""
-    t = _tables_within(module, budget)
-    return [t.package(s) for s in t.fully_invariant(budget)]
+    t = _tables_within(module)
+    return [t.package(s) for s in t.fully_invariant()]
 
 
-def brute_prime_radical(module: FiniteModule, budget=DEFAULT_BUDGET) -> Submodule:
+def brute_prime_radical(module: FiniteModule) -> Submodule:
     """Intersection of all prime submodules, fully definitionally: a proper
     fully invariant P is prime when N*K <= P forces N <= P or K <= P."""
-    t = _tables_within(module, budget)
-    fi = t.fully_invariant(budget)
-    below = {(n, k): t.product(n, k, budget) for n in fi for k in fi}
+    t = _tables_within(module)
+    fi = t.fully_invariant()
+    below = {(n, k): t.product(n, k) for n in fi for k in fi}
     primes = [
         p for p in fi
         if p != t.full
@@ -344,35 +338,35 @@ def brute_prime_radical(module: FiniteModule, budget=DEFAULT_BUDGET) -> Submodul
     return t.package(functools.reduce(operator.and_, primes)) if primes else Submodule.full(module)
 
 
-def brute_ann_left(module: FiniteModule, sub: Submodule, budget=DEFAULT_BUDGET) -> Submodule:
+def brute_ann_left(module: FiniteModule, sub: Submodule) -> Submodule:
     """The elements that every map M -> sub sends to 0: those whose value
     mask is the zero subgroup."""
-    t = _tables_within(module, budget)
+    t = _tables_within(module)
     k = t.mask(sub)
-    return t.package(sum(t.bit[x] for x in range(len(t.elems)) if t.values(x, k, budget) == 1))
+    return t.package(sum(t.bit[x] for x in range(len(t.elems)) if t.values(x, k) == 1))
 
 
-def brute_ann_right(module: FiniteModule, sub: Submodule, budget=DEFAULT_BUDGET) -> Submodule:
+def brute_ann_right(module: FiniteModule, sub: Submodule) -> Submodule:
     """Sum of every submodule K with sub*K = 0."""
-    t = _tables_within(module, budget)
+    t = _tables_within(module)
     n = t.mask(sub)
-    return t.package(t.join(k for k in t.lattice(budget) if t.product(n, k, budget) == 1))
+    return t.package(t.join(k for k in t.lattice if t.product(n, k) == 1))
 
 
-def brute_annihilator_lattice(module: FiniteModule, budget=DEFAULT_BUDGET):
+def brute_annihilator_lattice(module: FiniteModule):
     """Every intersection of endomorphism kernels, M being the empty one:
     each endomorphism's kernel is read off its image array, and the kernels
     are closed under intersection."""
-    t = _tables_within(module, budget)
+    t = _tables_within(module)
     family = {t.full}
-    for ys in t.homs(module, t.full, budget):
+    for ys in t.homs(module, t.full):
         arr = t.image(ys, module.inv_factors)
         ker = sum(t.bit[x] for x, y in enumerate(arr) if y == 0)
         family |= {s & ker for s in family}
     return [t.package(s) for s in sorted(family)]
 
 
-def brute_is_quasi_projective(module: FiniteModule, budget=DEFAULT_BUDGET) -> bool:
+def brute_is_quasi_projective(module: FiniteModule) -> bool:
     """Lifting checked by counting maps: composing with M -> M/K sends End(M)
     onto the maps that lift, with kernel Hom(M, K), so every map M -> M/K
     lifts iff |Hom(M, M/K)| |Hom(M, K)| = |End(M)|; ``_Tables.homs`` lists
@@ -382,14 +376,14 @@ def brute_is_quasi_projective(module: FiniteModule, budget=DEFAULT_BUDGET) -> bo
     coefficient differ by one that ends earlier, so one relation per last
     coefficient at each j, checked once y_0, ..., y_j are chosen, checks
     them all."""
-    t = _tables_within(module, budget)
+    t = _tables_within(module)
     size, gens, span = len(t.elems), [], 1
     while span != t.full:
         # |S + Rx| = |S| |Rx| / |S & Rx|: take the x that grows the span most
         x = max(range(size), key=lambda x: (c := t.cyclic[x]).bit_count() / (c & span).bit_count())
         gens.append(x)
         span = t.span(t.generators(t.cyclic[x]), span)
-    _enumerable(module.ring.order ** len(gens), "relation candidates", budget)
+    _enumerable(module.ring.order ** len(gens), "relation candidates")
     # times[y][r]: the ring element with index r acting on element y
     times = [t.image([a[y] for a in t.act], module.ring.add_orders) for y in range(size)]
 
@@ -417,18 +411,18 @@ def brute_is_quasi_projective(module: FiniteModule, budget=DEFAULT_BUDGET) -> bo
                     rep[t.add[x][y]] = x
         reps, maps = sorted(set(rep)), [()]
         for kept in levels:
-            _enumerable(len(maps) * len(reps), "hom candidates", budget)
+            _enumerable(len(maps) * len(reps), "hom candidates")
             maps = [ys for ys in (pre + (y,) for pre in maps for y in reps)
                     if all(k >> combine(rs, ys) & 1 for rs in kept)]
         return len(maps)
 
-    ends = len(t.homs(module, t.full, budget))
-    return all(maps_modulo(k) * len(t.homs(module, k, budget)) == ends for k in t.lattice(budget))
+    ends = len(t.homs(module, t.full))
+    return all(maps_modulo(k) * len(t.homs(module, k)) == ends for k in t.lattice)
 
 
-def brute_is_retractable(module: FiniteModule, budget=DEFAULT_BUDGET) -> bool:
+def brute_is_retractable(module: FiniteModule) -> bool:
     """Every nonzero submodule S receives a nonzero map, checked member by
     member; a map into S is an endomorphism with generator images in S."""
-    t = _tables_within(module, budget)
-    images = [sum({t.bit[y] for y in ys}) for ys in t.homs(module, t.full, budget) if any(ys)]
-    return all(s == 1 or any(_le(im, s) for im in images) for s in t.lattice(budget))
+    t = _tables_within(module)
+    images = [sum({t.bit[y] for y in ys}) for ys in t.homs(module, t.full) if any(ys)]
+    return all(s == 1 or any(_le(im, s) for im in images) for s in t.lattice)

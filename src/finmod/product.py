@@ -14,7 +14,7 @@ from operator import mul
 
 from .algebra import memoized
 from .config import DEFAULT_CAPS, CapExceeded
-from .homspace import Homomorphism, _regular_projections, _solved_hom_subgroup, compose, scaling
+from .homspace import Homomorphism, _solved_hom_subgroup, compose, scaling
 from .lattice import Submodule, _cyclics, is_quasi_projective
 
 
@@ -46,7 +46,7 @@ def maps_into(module, sub: Submodule):
     maps x -> p(x)*k, for p the projections of M onto its regular summands
     and k the basis rows of K.  Any other M solves for them in its own
     coordinates, as the nonzero T = H^T Y for H the basis rows of K."""
-    projections = _regular_projections(module)
+    projections = module.analysis.free
     if projections is not None:
         return tuple(compose(scaling(p.target, module, k), p) for p in projections for k in sub.basis)
     h, s = sub.basis, module.ngens

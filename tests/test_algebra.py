@@ -265,15 +265,17 @@ def test_self_consistency_of_constructors():
         assert validate_ring(ring) is ring
         m = regular_module(ring)
         assert validate_module(ring, m) is m
-    # regular_module skips validation; the regular modules of the seed-0
-    # rings, of their opposites, and of the opposite End rings that
-    # LEM-MGOLSGOL builds still pass it
+    # regular_module and end_ring skip validation; the End rings of the
+    # seed-0 modules, and the regular modules of the seed-0 rings, of their
+    # opposites, and of the opposite End rings that LEM-MGOLSGOL builds
+    # still pass it
     from finmod.harness import generate_corpus
     from finmod.homspace import end_ring
 
     rings = {}
     for inst in generate_corpus(0, 110).instances:
         end = end_ring(inst.module).as_ring
+        assert validate_ring(end) is end, inst.name
         for ring in (inst.ring, opposite_ring(inst.ring), opposite_ring(end)):
             rings.setdefault(ring, None)
     for ring in rings:

@@ -213,7 +213,7 @@ class TestCommands:
                 "annihilator_lattice_size = 8\n",
             ),
             (
-                # End(Z2^4) = M4(Z2) has 2^16 elements, past max_hom_elements
+                # End(Z2^4) = M4(Z2) has 2^16 elements, past MAX_END_ELEMENTS
                 "Z2^4",
                 "module = Z2 regular (+) Z2 regular (+) Z2 regular (+) Z2 regular\n"
                 "order = 16\n"
@@ -272,6 +272,16 @@ class TestCommands:
         code, out, _ = run_cli("power", z4_file, "--sub", "<2>", "--max", "1")
         assert (code, out) == (0, "power 1 = <2>\nterminal = zero(2)\n")
 
+    def test_power_prints_the_nesting_divergence(self, tmp_path):
+        ring = zn_ring(27)
+        module = direct_sum(cyclic_module(ring, 3), cyclic_module(ring, 27))[0]
+        path = tmp_path / "z3z27.ring"
+        path.write_text(serialize_instance(ring, module))
+        code, out, _ = run_cli("power", str(path), "--sub", "<g0+3*g1, 9*g1>")
+        assert code == 0
+        assert out == ("power 1 = <g0+3*g1, 9*g1>\npower 2 = <9*g1>\npower 3 = <0>\n"
+                       "terminal = zero(3)\nnesting_divergence = 3\n")
+
     def test_hom(self, z4_file):
         code, out, _ = run_cli("hom", z4_file, "--target", "<2>")
         assert code == 0
@@ -286,6 +296,11 @@ class TestCommands:
         code, out, _ = run_cli("predicates", z4_file)
         assert code == 0
         assert "uniform_dim = 1" in out
+
+    def test_oracle_hom_lists_up_to_the_limit(self, z4_file):
+        code, out, _ = run_cli("oracle", z4_file, "--op", "hom", "--limit", "2")
+        assert code == 0
+        assert out == "endomorphisms = 4\n[[0]]\n[[1]]\n"
 
     def test_oracle_radical(self, z4_file):
         code, out, _ = run_cli("oracle", z4_file, "--op", "radical")
@@ -322,10 +337,17 @@ class TestCommands:
         ("--max-lattice", "ten", "predicates", "FILE"),
         ("verify", "--jobs", "0"),
         ("power", "FILE", "--sub", "<2>", "--max", "0"),
+        ("verify", "--budget", "0"),
+        ("verify", "--budget", "-5"),
+        ("search", "--statement", "THM-MAIN", "--drop", "retractable", "--budget", "0"),
+        ("oracle", "FILE", "--op", "hom", "--limit", "-1"),
+        ("oracle", "FILE", "--op", "hom", "--limit", "0"),
     ])
     def test_out_of_range_numbers_are_usage_errors(self, z4_file, argv):
-        # a cap, a worker count or a power count below 1 is refused, not
-        # read as the default
+        # a cap, a worker count, a power count, a corpus budget or a listing
+        # limit below 1 is refused: not read as the default, as an empty
+        # corpus whose all-zero summary exits 0, or as a slice that drops
+        # the last endomorphism
         code, out, err = run_cli(*(z4_file if a == "FILE" else a for a in argv))
         assert code == 2 and not out
         assert "invalid positive_int value" in err

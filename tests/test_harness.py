@@ -1,16 +1,30 @@
 """Statement catalog, corpus generation, and the verification loop."""
 
+import time
+
 import pytest
 
+from finmod.algebra import direct_sum, regular_module, triangular_ring, zn_ring
+from finmod.config import MAX_END_ELEMENTS, Caps
 from finmod.harness import (
     STATEMENT_IDS,
     STATEMENTS,
     Corpus,
+    Instance,
     check_statement,
     generate_corpus,
     run_suite,
     search_counterexamples,
 )
+from finmod.homspace import end_ring, hom_group
+
+
+def _free_instance(ring, n, caps=Caps()):
+    """R^n as an instance named like the corpus's free modules."""
+    reg = module = regular_module(ring)
+    for _ in range(n - 1):
+        module = direct_sum(module, reg)[0]
+    return Instance(f"{ring.name}^{n}-free", ring, module, caps)
 
 
 @pytest.fixture(scope="module")
@@ -222,30 +236,43 @@ class TestSearch:
 
     def test_end_cap_in_a_quotient_is_a_reported_skip(self, corpus12):
         # the quotients' annihilator lattices raise CapExceeded themselves,
-        # so a check past the End cap is a SKIP with its reason
-        from finmod.config import Caps
-
-        tiny = Caps(max_hom_elements=1)
+        # so a check past the End cap is a SKIP with its reason: the sampled
+        # N of Z2^4 have ann_right(N) = 0, and End(Z2^4) is simple, so each
+        # check meets the quotient Z2^4 itself, with 2^16 endomorphisms
         t2 = next(i for i in corpus12.instances if i.name == "T2(Z2)-regular")
+        z2_4 = _free_instance(zn_ring(2), 4)
         for sid in ("PROP-FACTORRIGHTACC", "LEM-ACCMODULOANN"):
             assert check_statement(sid, t2).outcome == "pass"
-            report = check_statement(sid, t2, tiny)
+            report = check_statement(sid, z2_4)
             assert report.outcome == "skipped"
-            assert report.detail.startswith("endomorphism count")
+            assert report.detail == "endomorphism count: reached 65536 with cap 4096"
 
-    def test_end_samples_ignore_the_end_cap(self, corpus12):
+    def test_end_samples_ignore_the_end_cap(self):
         # End elements are drawn by index, never listed, so the End cap
-        # neither skips LEM-FPROD nor leaves out LEM-DCCL's identity (2):
-        # 4 element subsets for identity (1), then 3 draws for identity (2)
-        from finmod.config import Caps
-
-        tiny = Caps(max_hom_elements=1)
-        t2 = next(i for i in corpus12.instances if i.name == "T2(Z2)-regular")
+        # neither skips LEM-FPROD nor leaves out LEM-DCCL's identity (2) on
+        # Z2^4, past it: 4 element subsets for identity (1), then 3 draws
+        # for identity (2)
+        z2_4 = _free_instance(zn_ring(2), 4)
+        assert hom_group(z2_4.module, z2_4.module).order > MAX_END_ELEMENTS
         for sid in ("LEM-FPROD", "LEM-DCCL"):
-            report = check_statement(sid, t2, tiny)
-            assert report.outcome == "pass"
-            assert report == check_statement(sid, t2)
-        assert check_statement("LEM-DCCL", t2, tiny).exercised == 4 + 3
+            assert check_statement(sid, z2_4).outcome == "pass"
+        assert check_statement("LEM-DCCL", z2_4).exercised == 4 + 3
+
+    def test_end_ring_is_built_past_every_cap(self):
+        # PROP-MACCSACC reads |End| off the Hom group, and End(M)^op meets
+        # the module-order cap only when LEM-MGOLSGOL lists its lattice
+        caps = Caps(max_lattice=6000)
+        cube = _free_instance(triangular_ring(2, 2), 3, caps)
+        start = time.process_time()
+        end = end_ring(cube.module)
+        assert time.process_time() - start < 1
+        assert end.as_ring.order == 2**27
+        for inst, order in ((_free_instance(zn_ring(2), 4), 2**16), (cube, 2**27)):
+            maccsacc = check_statement("PROP-MACCSACC", inst, caps)
+            assert maccsacc.outcome == "pass" and maccsacc.detail == f"|End|={order}"
+            mgolsgol = check_statement("LEM-MGOLSGOL", inst, caps)
+            assert mgolsgol.outcome == "skipped"
+            assert mgolsgol.detail == f"module order: reached {order} with cap 4096"
 
 
 def test_end_sample_draws_what_the_listed_sample_draws():

@@ -19,7 +19,6 @@ from finmod.algebra import (
 from finmod.harness import generate_corpus
 from finmod.homspace import (
     Homomorphism,
-    _regular_projections,
     _solved_hom_subgroup,
     compose,
     end_ring,
@@ -122,7 +121,7 @@ class TestHomGroup:
             if n.ring.order <= 27:
                 sources.append(direct_sum(reg, reg)[0])
             for free in sources:
-                assert _regular_projections(free) is not None
+                assert free.analysis.free is not None
                 solved = _solved_hom_subgroup(free, n)
                 group = hom_group(free, n)
                 assert group.subgroup is solved, (free, n)

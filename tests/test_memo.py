@@ -87,7 +87,7 @@ def test_a_capped_call_stores_nothing():
     # every memoized function that takes caps, called under caps of 1 with
     # the whole module for each submodule argument, meets a cap and stores
     # nothing
-    tiny = Caps(max_module_order=1, max_lattice=1, max_hom_elements=1)
+    tiny = Caps(max_module_order=1, max_lattice=1)
     raised = set()
     for module_name, qualname in memoized_functions():
         fn = resolve(module_name, qualname)
@@ -101,7 +101,7 @@ def test_a_capped_call_stores_nothing():
             fn(m, *(fill[p] for p in params[1:]))
         assert not m.analysis.memos[fn], qualname
         raised.add(qualname)
-    assert len(raised) == 16
+    assert len(raised) == 14
 
 
 class _AnalysisUses(ast.NodeVisitor):

@@ -30,9 +30,7 @@ from finmod.lattice import (
     submodule_as_module,
 )
 from finmod.oracle import (
-    DEFAULT_BUDGET,
     BudgetExceeded,
-    OracleBudget,
     brute_all_submodules,
     brute_ann_left,
     brute_annihilator_lattice,
@@ -58,6 +56,14 @@ def z4():
 
 def z6():
     return regular_module(zn_ring(6))
+
+
+def _tighten(monkeypatch, **budgets):
+    """Lower oracle budgets for one test, over tables built afresh: a memo
+    filled under the defaults would answer past the lower budget."""
+    oracle._tables.cache_clear()
+    for name, value in budgets.items():
+        monkeypatch.setattr(oracle, name, value)
 
 
 SMALL_MODULES = []
@@ -100,32 +106,36 @@ class TestBruteHom:
         homs = brute_hom_group(src, dst)
         assert len(homs) == 1 and homs[0].is_zero()
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         m = regular_module(triangular_ring(2, 2))
+        _tighten(monkeypatch, MAX_CANDIDATES=4)
         with pytest.raises(BudgetExceeded):
-            brute_hom_group(m, m, OracleBudget(max_hom_enumeration=4))
+            brute_hom_group(m, m)
 
-    def test_budget_bounds_each_level(self):
+    def test_budget_bounds_each_level(self, monkeypatch):
         # The product of T3(Z2)'s candidate pools is 2^36, but the pruned
         # search, in its greedy generator order, holds at most 4,096
         # candidates at one level (2^15 in the order of the generators)
         m = regular_module(triangular_ring(3, 2))
         assert len(brute_hom_group(m, m)) == 64
+        _tighten(monkeypatch, MAX_CANDIDATES=4095)
         with pytest.raises(BudgetExceeded) as exc:
-            brute_hom_group(m, m, OracleBudget(max_hom_enumeration=4095))
+            brute_hom_group(m, m)
         assert exc.value.needed == 4096
 
-    def test_greedy_order_returns_maps_in_lexicographic_order(self):
+    def test_greedy_order_returns_maps_in_lexicographic_order(self, monkeypatch):
         # End(T2(Z2) (+) T2(Z2)) peaks at 16,384 candidates in the greedy
         # order (2^20 in the order of the generators); the maps still come
         # back sorted by their generator images, the matrices' columns
         t2 = regular_module(triangular_ring(2, 2))
         m = direct_sum(t2, t2)[0]
-        homs = brute_hom_group(m, m, OracleBudget(max_hom_enumeration=2**14))
+        _tighten(monkeypatch, MAX_CANDIDATES=2**14)
+        homs = brute_hom_group(m, m)
         images = [tuple(zip(*h.matrix)) for h in homs]
         assert len(images) == 4096 and images == sorted(images)
+        _tighten(monkeypatch, MAX_CANDIDATES=2**14 - 1)
         with pytest.raises(BudgetExceeded):
-            brute_hom_group(m, m, OracleBudget(max_hom_enumeration=2**14 - 1))
+            brute_hom_group(m, m)
 
     def test_target_order_budget(self):
         # the target's tables are quadratic in its order, so an order past
@@ -195,30 +205,31 @@ class TestBruteProduct:
             t = oracle._Tables(m)  # fresh, so no answer comes from another test's memo
             subs = {t.mask(s): s for s in all_submodules(m)}
             for k, sub in subs.items():
-                maps = t.homs(m, k, DEFAULT_BUDGET)
+                maps = t.homs(m, k)
                 images = [t.image(ys, m.inv_factors) for ys in maps]
                 for x in range(len(t.elems)):
                     assert t.evaluate(maps, x) == [f[x] for f in images]
-                    assert t.values(x, k, DEFAULT_BUDGET) == sum({t.bit[f[x]] for f in images})
+                    assert t.values(x, k) == sum({t.bit[f[x]] for f in images})
                 kernel = range(len(t.elems))
                 for f in images:
                     kernel = [x for x in kernel if f[x] == 0]
                 assert brute_ann_left(m, sub) == t.package(sum(t.bit[x] for x in kernel)), m.name
                 for n in subs:
                     want = t.span({f[g] for f in images for g in t.generators(n)})
-                    assert t.product(n, k, DEFAULT_BUDGET) == want, m.name
-            endos = [t.image(ys, m.inv_factors) for ys in t.homs(m, t.full, DEFAULT_BUDGET)]
-            invariant = [s for s in t.lattice(DEFAULT_BUDGET)
+                    assert t.product(n, k) == want, m.name
+            endos = [t.image(ys, m.inv_factors) for ys in t.homs(m, t.full)]
+            invariant = [s for s in t.lattice
                          if all(s >> f[g] & 1 for f in endos for g in t.generators(s))]
-            assert t.fully_invariant(DEFAULT_BUDGET) == invariant, m.name
+            assert t.fully_invariant() == invariant, m.name
 
-    def test_a_budget_failure_stores_nothing(self):
+    def test_a_budget_failure_stores_nothing(self, monkeypatch):
         m = direct_sum(z4(), z4())[0]
         a, full = cyclic_submodule(m, (1, 0)), Submodule.full(m)
-        tight = OracleBudget(max_hom_enumeration=4)
+        _tighten(monkeypatch, MAX_CANDIDATES=4)
         with pytest.raises(BudgetExceeded, match="^hom candidates: needs 16, budget 4$"):
-            brute_product(m, a, full, tight)
-        assert [key for key in oracle._tables(m).memo if tight in key] == []
+            brute_product(m, a, full)
+        assert [key[0] for key in oracle._tables(m).memo] == ["mask", "mask"]
+        monkeypatch.undo()
         assert brute_product(m, a, full) == product(m, a, full)
 
 
@@ -232,9 +243,10 @@ class TestBruteLattice:
             want = list(all_submodules(m))
             assert got == want
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        _tighten(monkeypatch, MAX_LATTICE=2)
         with pytest.raises(BudgetExceeded):
-            brute_all_submodules(z6(), OracleBudget(max_lattice=2))
+            brute_all_submodules(z6())
 
 
 class TestBruteRadicals:
@@ -318,12 +330,15 @@ class TestBruteAnnihilators:
         m6 = z6()
         assert brute_ann_right(m6, cyclic_submodule(m6, (2,))) == cyclic_submodule(m6, (3,))
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         m = regular_module(triangular_ring(2, 2))
+        _tighten(monkeypatch, MAX_CANDIDATES=4)
         with pytest.raises(BudgetExceeded):
-            brute_ann_left(m, Submodule.full(m), OracleBudget(max_hom_enumeration=4))
+            brute_ann_left(m, Submodule.full(m))
+        monkeypatch.undo()
+        _tighten(monkeypatch, MAX_LATTICE=2)
         with pytest.raises(BudgetExceeded):
-            brute_ann_right(m, Submodule.full(m), OracleBudget(max_lattice=2))
+            brute_ann_right(m, Submodule.full(m))
 
     def test_matches_main_path(self):
         # Every submodule of each distinct seed-0 corpus module of order at
@@ -345,10 +360,11 @@ class TestBruteAnnihilatorLattice:
         assert [s.order for s in brute_annihilator_lattice(z4())] == [1, 2, 4]
         assert [s.order for s in brute_annihilator_lattice(z6())] == [1, 2, 3, 6]
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         m = regular_module(triangular_ring(2, 2))
+        _tighten(monkeypatch, MAX_CANDIDATES=4)
         with pytest.raises(BudgetExceeded):
-            brute_annihilator_lattice(m, OracleBudget(max_hom_enumeration=4))
+            brute_annihilator_lattice(m)
 
     def test_matches_main_path(self):
         # Every distinct seed-0 corpus module of order at most 256, under
@@ -538,9 +554,10 @@ class TestBruteQuasiProjective:
         zero_mod, _ = quotient_module(z4(), Submodule.full(z4()))
         assert brute_is_quasi_projective(zero_mod)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        _tighten(monkeypatch, MAX_CANDIDATES=2)
         with pytest.raises(BudgetExceeded):
-            brute_is_quasi_projective(z6(), OracleBudget(max_hom_enumeration=2))
+            brute_is_quasi_projective(z6())
 
     def test_matches_main_path(self, oracle_scale_modules):
         # every oracle-scale module, the small direct sums among them, and

@@ -12,6 +12,7 @@ from finmod import homspace, lattice
 from finmod.algebra import (
     FiniteModule,
     ModuleAnalysis,
+    cyclic_module,
     direct_sum,
     product_ring,
     quotient_module,
@@ -23,7 +24,6 @@ from finmod.config import DEFAULT_CAPS, CapExceeded
 from finmod.harness import generate_corpus
 from finmod.homspace import (
     Homomorphism,
-    _regular_projections,
     _solved_hom_subgroup,
     compose,
     hom_group,
@@ -36,8 +36,10 @@ from finmod.lattice import (
     cyclic_submodule,
     distinct_cyclic_submodules,
     fully_invariant_submodules,
+    is_quasi_projective,
     submodule_as_module,
 )
+from finmod.oracle import brute_product
 from finmod.product import (
     _cyclics_inside,
     _left_powers,
@@ -217,6 +219,23 @@ class TestPowers:
             assert power(m, n, k) == n
         assert power_trace(m, n).terminal == ("cycle", 1)
 
+    def test_right_nesting_diverges_off_quasi_projective(self):
+        # On Z3 (+) Z27 over Z27, which is not quasi-projective, the
+        # product is not associative: for N = <g0+3*g1, 9*g1>, N*N = <9*g1>
+        # and N^3 = (N*N)*N = 0, but N*(N*N) = <9*g1>.  The oracle agrees.
+        ring = zn_ring(27)
+        m = direct_sum(cyclic_module(ring, 3), cyclic_module(ring, 27))[0]
+        assert not is_quasi_projective(m)
+        n = Submodule.span(m, [(1, 3), (0, 9)])
+        nn = Submodule.span(m, [(0, 9)])
+        trace = power_trace(m, n)
+        assert trace.chain == (n, nn, Submodule.zero(m))
+        assert trace.terminal == ("zero", 3)
+        assert trace.nesting_divergence == 3
+        assert brute_product(m, n, n) == nn
+        assert brute_product(m, nn, n).is_zero()
+        assert brute_product(m, n, nn) == nn
+
     def test_nilpotency_index(self):
         m = z8()
         assert nilpotency_index(m, Submodule.zero(m)) == 1
@@ -271,15 +290,17 @@ class TestNilSubmodule:
         assert is_nil_submodule(m, j).is_nil
 
     def test_bounded_fallback(self):
-        # the verdict enumerates no Hom elements, so even a Hom element cap
-        # of 1 leaves it exact
-        from finmod.config import Caps
+        # the verdict enumerates no Hom elements, so it stays exact on Z4^3,
+        # whose 4^9 endomorphisms are past the End cap: 2M is nil, M is not
+        from finmod.config import MAX_END_ELEMENTS
 
-        tight = Caps(max_hom_elements=1)
-        m = z4()
-        assert is_nil_submodule(m, cyclic_submodule(m, (2,)), caps=tight).is_nil
-        m6 = z6()
-        assert not is_nil_submodule(m6, cyclic_submodule(m6, (2,)), caps=tight).is_nil
+        z4_reg = regular_module(zn_ring(4))
+        m = direct_sum(direct_sum(z4_reg, z4_reg)[0], z4_reg)[0]
+        assert hom_group(m, m).order > MAX_END_ELEMENTS
+        assert m.inv_factors == (4, 4, 4)
+        two_m = Submodule.span(m, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+        assert is_nil_submodule(m, two_m).is_nil
+        assert not is_nil_submodule(m, Submodule.full(m)).is_nil
 
 
 class TestLocallyNilpotent:
@@ -372,7 +393,7 @@ def test_maps_out_of_a_free_module_span_its_hom_group():
     free += [direct_sum(f, f)[0] for f in free if f.order ** 2 <= 256]
     checked = 0
     for m in free:
-        assert _regular_projections(m) is not None, m
+        assert m.analysis.free is not None, m
         moduli = [e for e in m.inv_factors for _ in range(m.ngens)]
         for k in all_submodules(m):
             emb = submodule_as_module(k)
@@ -407,7 +428,7 @@ def test_maps_into_a_submodule_of_a_non_free_module_span_its_hom_group(monkeypat
                             if i.module.order <= 256)
     sums = [direct_sum(m, x)[0] for m in modules for x in (m, regular_module(m.ring))
             if m.order * x.order <= 64]
-    non_free = [m for m in dict.fromkeys([*modules, *sums]) if _regular_projections(m) is None]
+    non_free = [m for m in dict.fromkeys([*modules, *sums]) if m.analysis.free is None]
     built = []
 
     def counted(owner, name):
