@@ -9,16 +9,9 @@ endomorphism is nilpotent is read off its powers, up to the composition
 length of the module.
 """
 
-from finmod.algebra import direct_sum, regular_module, validate_ring, zn_ring
-from finmod.homspace import (
-    Homomorphism,
-    compose,
-    end_ring,
-    hom_group,
-    image,
-    kernel,
-)
-from finmod.lattice import cyclic_submodule, submodule_as_module
+from finmod.algebra import Homomorphism, compose, direct_sum, regular_module, validate_ring, zn_ring
+from finmod.homspace import end_ring, hom_group
+from finmod.lattice import cyclic_submodule, image, kernel, submodule_as_module
 
 
 def _omega(n: int) -> int:

@@ -1,15 +1,17 @@
 """Exact computation with finite rings, finite left modules, submodule
 products, radicals, and Goldie-style predicates.
 
-The layers, bottom up:
+The layers, bottom up; each imports only from the layers listed before it:
 
+- ``config``: caps and the fixed size bounds.
 - ``intlat``: Smith/Hermite normal forms, congruence solving, canonical
   subgroups of finite abelian groups.
 - ``algebra``: rings from structure constants, modules from action matrices,
-  quotients and direct sums.
-- ``lattice``: canonical submodules, lattice enumeration, fully invariant
-  members, predicate profiles.
-- ``homspace``: Hom groups and endomorphism rings, exactly.
+  module maps, quotients and direct sums.
+- ``homspace``: Hom groups, the maps into a submodule, and endomorphism
+  rings, exactly.
+- ``lattice``: canonical submodules, images and kernels, lattice
+  enumeration, fully invariant members, predicate profiles.
 - ``product``: the submodule product, powers, nil and locally nilpotent
   tests.
 - ``radical``: annihilator operators, the locally nilpotent radical, prime
@@ -23,10 +25,12 @@ The layers, bottom up:
 from .algebra import (
     FiniteModule,
     FiniteRing,
+    Homomorphism,
     ModuleElement,
     RingElement,
     ValidationError,
     act,
+    compose,
     cyclic_module,
     direct_sum,
     matrix_ring,
@@ -53,12 +57,8 @@ from .harness import (
 from .homspace import (
     EndRing,
     HomGroup,
-    Homomorphism,
-    compose,
     end_ring,
     hom_group,
-    image,
-    kernel,
 )
 from .intlat import (
     CanonicalSubgroup,
@@ -72,9 +72,11 @@ from .lattice import (
     annihilator_lattice,
     cyclic_submodule,
     fully_invariant_submodules,
+    image,
     is_goldie,
     is_quasi_projective,
     is_retractable,
+    kernel,
     socle,
     submodule_as_module,
     uniform_dimension,

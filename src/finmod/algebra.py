@@ -3,9 +3,10 @@ them given by action matrices.
 
 A ring is described by the invariant factors of its additive group together
 with one coefficient vector per basis pair; a module by its additive invariant
-factors and one action matrix per ring basis element.  Constructors always
-renormalize additive groups into invariant-factor (divisibility chain) form,
-so equal objects are structurally identical.
+factors and one action matrix per ring basis element; a module map by its
+integer matrix (``Homomorphism``).  Constructors always renormalize additive
+groups into invariant-factor (divisibility chain) form, so equal objects are
+structurally identical.
 """
 
 from __future__ import annotations
@@ -573,6 +574,77 @@ def act(r: RingElement, x: ModuleElement) -> ModuleElement:
     return ModuleElement(x.module, x.module.act_coeffs(r.coeffs, x.coeffs))
 
 
+class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
+    """Module map stored as a (target gens) x (source gens) integer matrix,
+    rows reduced modulo the target orders."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, source, target, rows) -> "Homomorphism":
+        e = target.inv_factors
+        mat = tuple(
+            tuple(v % e[k] for v in row) for k, row in enumerate(rows)
+        )
+        return cls(source, target, mat)
+
+    @classmethod
+    def zero(cls, source, target) -> "Homomorphism":
+        return cls(source, target, tuple((0,) * source.ngens for _ in range(target.ngens)))
+
+    @classmethod
+    def identity(cls, module) -> "Homomorphism":
+        s = module.ngens
+        return cls(
+            module,
+            module,
+            tuple(tuple(1 if k == j else 0 for j in range(s)) for k in range(s)),
+        )
+
+    @classmethod
+    def from_flat(cls, source, target, flat) -> "Homomorphism":
+        """The map whose ``flatten`` is ``flat``: matrix row k is
+        flat[k*s:(k+1)*s] for s source generators."""
+        s = source.ngens
+        rows = tuple(tuple(flat[k * s:(k + 1) * s]) for k in range(target.ngens))
+        return cls(source, target, rows)
+
+    def apply_vec(self, vec) -> tuple[int, ...]:
+        return tuple(
+            sum(map(mul, row, vec)) % ek
+            for row, ek in zip(self.matrix, self.target.inv_factors)
+        )
+
+    def flatten(self) -> tuple[int, ...]:
+        return tuple(v for row in self.matrix for v in row)
+
+    def is_zero(self) -> bool:
+        return not any(self.flatten())
+
+    def __repr__(self):
+        return f"Homomorphism({self.source.name} -> {self.target.name}, {self.matrix})"
+
+
+def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
+    """f after g."""
+    if g.target is not f.source and g.target != f.source:
+        raise ValueError("maps are not composable")
+    # A map into a zero module has no rows, yet has one (empty) column per
+    # source generator.
+    cols = list(zip(*g.matrix)) or [()] * g.source.ngens
+    rows = tuple(
+        tuple(sum(map(mul, frow, col)) % ek for col in cols)
+        for frow, ek in zip(f.matrix, f.target.inv_factors)
+    )
+    return Homomorphism(g.source, f.target, rows)
+
+
+def scaling(free: FiniteModule, module: FiniteModule, g) -> Homomorphism:
+    """The map r -> r*g from ``free``, the regular module, into ``module``."""
+    cols = [module.reduce([sum(map(mul, row, g)) for row in mat]) for mat in module.actions]
+    return Homomorphism(free, module, tuple(zip(*cols)))
+
+
 def _mat_mod_rows(mat, inv_factors):
     return tuple(
         tuple(v % d for v in row) for row, d in zip(mat, inv_factors)
@@ -665,8 +737,6 @@ def regular_module(ring: FiniteRing) -> FiniteModule:
     built, until ``clear_analyses()``."""
     module = _REGULAR.get(ring)
     if module is None:
-        from .homspace import Homomorphism  # deferred; homspace imports this module
-
         r = ring.rank
         actions = tuple(
             tuple(tuple(ring.struct[i][j][k] for j in range(r)) for k in range(r))
@@ -726,8 +796,6 @@ def quotient_with_section(module: FiniteModule, sub):
 def quotient_module(module: FiniteModule, sub):
     """Quotient M/S by an action-closed submodule, with the canonical
     projection.  |M| = |S| * |M/S|."""
-    from .homspace import Homomorphism  # deferred; homspace imports this module
-
     quot, proj_mat, _ = quotient_with_section(module, sub)
     projection = Homomorphism(source=module, target=quot, matrix=proj_mat)
     return quot, projection
@@ -744,8 +812,6 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
     fully invariant submodules and Hom out of a free sum are read off these.
     Answers are memoized in the analysis of ``a``, keyed by ``b``.
     """
-    from .homspace import Homomorphism, compose
-
     if a.ring is not b.ring and a.ring != b.ring:
         raise ValidationError("direct sum requires a common ring")
     sa, sb = a.ngens, b.ngens

@@ -30,6 +30,7 @@ from .algebra import (
     FiniteModule,
     FiniteRing,
     ValidationError,
+    compose,
     validate_module,
     validate_ring,
 )
@@ -83,7 +84,9 @@ def _parse_matrix(text: str, line_no: int):
         raise ParseError(line_no, f"expected a nested list matrix: {text!r}")
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise ParseError(line_no, "matrix must be a list of rows")
-    return tuple(tuple(int(x) for x in row) for row in value)
+    if not all(type(x) is int for row in value for x in row):
+        raise ParseError(line_no, f"matrix entries must be integers: {text.strip()!r}")
+    return tuple(map(tuple, value))
 
 
 def parse_instance_text(text: str):
@@ -301,8 +304,6 @@ def _cmd_hom(args, caps):
     target = resolve_submodule(module, args.target)
     emb = submodule_as_module(target)
     group = hom_group(module, emb.module)
-    from .homspace import compose
-
     print(f"invariants = [{_vector_text(group.group_invariants)}]")
     print(f"order = {group.order}")
     for idx, gen in enumerate(group.generators):
@@ -364,7 +365,7 @@ def _cmd_predicates(args, caps):
 def _cmd_verify(args, caps):
     ids = args.only.split(",") if args.only else None
     corpus = generate_corpus(args.corpus_seed, args.budget, caps)
-    summary = run_suite(corpus, ids, caps, jobs=args.jobs)
+    summary = run_suite(corpus, ids, jobs=args.jobs)
     if args.json:
         import json
 
@@ -412,7 +413,7 @@ def write_witness_files(summary, corpus, witness_dir):
 
 def _cmd_search(args, caps):
     corpus = generate_corpus(args.corpus_seed, args.budget, caps)
-    reports = search_counterexamples(args.statement, args.drop, corpus, caps)
+    reports = search_counterexamples(args.statement, args.drop, corpus)
     print(
         f"search statement={args.statement} drop={args.drop} "
         f"candidates={len(reports)}"

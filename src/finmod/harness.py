@@ -22,7 +22,9 @@ from collections import namedtuple
 from math import prod
 
 from .algebra import (
+    Homomorphism,
     _BlindToLast,
+    compose,
     cyclic_module,
     direct_sum,
     matrix_ring,
@@ -35,13 +37,14 @@ from .algebra import (
     zn_ring,
 )
 from .config import DEFAULT_CAPS, MAX_END_ELEMENTS, CapExceeded
-from .homspace import Homomorphism, compose, end_ring, hom_group, image
+from .homspace import end_ring, hom_group
 from .lattice import (
     Submodule,
     all_submodules,
     annihilator_lattice,
     cyclic_submodule,
     fully_invariant_submodules,
+    image,
     is_quasi_projective,
     is_retractable,
     submodule_as_module,
@@ -931,27 +934,28 @@ def _gate(sid: str, instance: Instance, start):
         return None, _report(sid, instance, start, "skipped", str(exc))
 
 
-def _evaluate(sid: str, instance: Instance, caps, start) -> VerificationReport:
-    """Run the conclusion checker: pass, fail with a witness, or skipped
-    when a cap stops it."""
+def _evaluate(sid: str, instance: Instance, start) -> VerificationReport:
+    """Run the conclusion checker under the instance's caps: pass, fail with
+    a witness, or skipped when a cap stops it."""
     try:
         checker = STATEMENTS[sid].checker
-        exercised, witness, detail = checker(instance.module, _rng_for(sid, instance), caps)
+        exercised, witness, detail = checker(instance.module, _rng_for(sid, instance), instance.caps)
         outcome = "pass" if witness is None else "fail"
     except CapExceeded as exc:
         exercised, witness, detail, outcome = 0, None, str(exc), "skipped"
     return _report(sid, instance, start, outcome, detail, witness, exercised)
 
 
-def check_statement(sid: str, instance: Instance, caps=DEFAULT_CAPS) -> VerificationReport:
-    """Evaluate hypotheses first, then the conclusion checker."""
+def check_statement(sid: str, instance: Instance) -> VerificationReport:
+    """Evaluate hypotheses first, then the conclusion checker, both under
+    ``instance.caps``."""
     start = time.perf_counter()
     unmet, skipped = _gate(sid, instance, start)
     if skipped:
         return skipped
     if unmet:
         return _report(sid, instance, start, "hypothesis_not_met", unmet[0])
-    return _evaluate(sid, instance, caps, start)
+    return _evaluate(sid, instance, start)
 
 
 class SuiteSummary(namedtuple("SuiteSummary", "reports counts failed")):
@@ -971,11 +975,11 @@ class SuiteSummary(namedtuple("SuiteSummary", "reports counts failed")):
 
 
 def _run_instance(args):
-    instance, ids, caps = args
-    return [check_statement(sid, instance, caps) for sid in ids]
+    instance, ids = args
+    return [check_statement(sid, instance) for sid in ids]
 
 
-def run_suite(corpus: Corpus, ids=None, caps=DEFAULT_CAPS, jobs: int = 1) -> SuiteSummary:
+def run_suite(corpus: Corpus, ids=None, jobs: int = 1) -> SuiteSummary:
     """Run every requested statement on every instance; deterministic
     report order regardless of parallelism."""
     ids = list(ids) if ids else list(STATEMENT_IDS)
@@ -985,11 +989,11 @@ def run_suite(corpus: Corpus, ids=None, caps=DEFAULT_CAPS, jobs: int = 1) -> Sui
         import concurrent.futures
 
         # One task per instance, so a worker builds each instance's analyses once.
-        tasks = [(instance, ids, caps) for instance in corpus.instances]
+        tasks = [(instance, ids) for instance in corpus.instances]
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = [r for block in pool.map(_run_instance, tasks) for r in block]
     else:
-        reports = [check_statement(sid, instance, caps)
+        reports = [check_statement(sid, instance)
                    for instance in corpus.instances for sid in ids]
     counts = {"pass": 0, "fail": 0, "hypothesis_not_met": 0, "skipped": 0}
     for r in reports:
@@ -998,15 +1002,13 @@ def run_suite(corpus: Corpus, ids=None, caps=DEFAULT_CAPS, jobs: int = 1) -> Sui
     return SuiteSummary(reports=tuple(reports), counts=counts, failed=failed)
 
 
-def search_counterexamples(
-    sid: str, dropped_hypothesis: str | None, corpus: Corpus, caps=DEFAULT_CAPS
-):
+def search_counterexamples(sid: str, dropped_hypothesis: str | None, corpus: Corpus):
     """Re-evaluate a conclusion on instances violating exactly the dropped
     hypothesis; failures here are findings about necessity, not bugs.  An
     instance whose hypotheses a cap stops is reported skipped."""
     spec = _spec(sid)
     if dropped_hypothesis is None:
-        return [check_statement(sid, inst, caps) for inst in corpus.instances]
+        return [check_statement(sid, inst) for inst in corpus.instances]
     if dropped_hypothesis not in spec.hypotheses:
         raise ValueError(
             f"{sid} does not hypothesize {dropped_hypothesis!r}; "
@@ -1017,5 +1019,5 @@ def search_counterexamples(
         start = time.perf_counter()
         unmet, skipped = _gate(sid, instance, start)
         if skipped or unmet == [dropped_hypothesis]:
-            reports.append(skipped or _evaluate(sid, instance, caps, start))
+            reports.append(skipped or _evaluate(sid, instance, start))
     return reports

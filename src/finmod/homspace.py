@@ -1,5 +1,6 @@
 """Hom groups between finite modules, computed exactly by congruence solving,
-and endomorphism rings materialized as finite rings.
+the maps from a module into each of its submodules, and endomorphism rings
+materialized as finite rings.
 
 A homomorphism M -> N is a matrix T with T . A_i = B_i . T modulo the target
 orders for every ring basis action pair (A_i, B_i), plus order-compatibility
@@ -16,100 +17,9 @@ from math import gcd, lcm
 from operator import mul
 
 from .algebra import (
-    FiniteRing, FiniteModule, ModuleElement, _BlindToLast, memoized,
+    FiniteRing, FiniteModule, Homomorphism, _BlindToLast, compose, memoized, scaling,
 )
-from .intlat import _generated, generated_subgroup, solve_homogeneous_congruences
-from .lattice import Submodule
-
-
-class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
-    """Module map stored as a (target gens) x (source gens) integer matrix,
-    rows reduced modulo the target orders."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, source, target, rows) -> "Homomorphism":
-        e = target.inv_factors
-        mat = tuple(
-            tuple(v % e[k] for v in row) for k, row in enumerate(rows)
-        )
-        return cls(source, target, mat)
-
-    @classmethod
-    def zero(cls, source, target) -> "Homomorphism":
-        return cls(source, target, tuple((0,) * source.ngens for _ in range(target.ngens)))
-
-    @classmethod
-    def identity(cls, module) -> "Homomorphism":
-        s = module.ngens
-        return cls(
-            module,
-            module,
-            tuple(tuple(1 if k == j else 0 for j in range(s)) for k in range(s)),
-        )
-
-    @classmethod
-    def from_flat(cls, source, target, flat) -> "Homomorphism":
-        """The map whose ``flatten`` is ``flat``: matrix row k is
-        flat[k*s:(k+1)*s] for s source generators."""
-        s = source.ngens
-        rows = tuple(tuple(flat[k * s:(k + 1) * s]) for k in range(target.ngens))
-        return cls(source, target, rows)
-
-    def apply_vec(self, vec) -> tuple[int, ...]:
-        return tuple(
-            sum(map(mul, row, vec)) % ek
-            for row, ek in zip(self.matrix, self.target.inv_factors)
-        )
-
-    def apply(self, x: ModuleElement) -> ModuleElement:
-        if x.module is not self.source and x.module != self.source:
-            raise ValueError("element not in the source module")
-        return ModuleElement(self.target, self.apply_vec(x.coeffs))
-
-    def flatten(self) -> tuple[int, ...]:
-        return tuple(v for row in self.matrix for v in row)
-
-    def is_zero(self) -> bool:
-        return not any(self.flatten())
-
-    def __repr__(self):
-        return f"Homomorphism({self.source.name} -> {self.target.name}, {self.matrix})"
-
-
-def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
-    """f after g."""
-    if g.target is not f.source and g.target != f.source:
-        raise ValueError("maps are not composable")
-    # A map into a zero module has no rows, yet has one (empty) column per
-    # source generator.
-    cols = list(zip(*g.matrix)) or [()] * g.source.ngens
-    rows = tuple(
-        tuple(sum(map(mul, frow, col)) % ek for col in cols)
-        for frow, ek in zip(f.matrix, f.target.inv_factors)
-    )
-    return Homomorphism(g.source, f.target, rows)
-
-
-def scaling(free: FiniteModule, module: FiniteModule, g) -> Homomorphism:
-    """The map r -> r*g from ``free``, the regular module, into ``module``."""
-    cols = [module.reduce([sum(map(mul, row, g)) for row in mat]) for mat in module.actions]
-    return Homomorphism(free, module, tuple(zip(*cols)))
-
-
-def image(f: Homomorphism, sub: Submodule | None = None) -> Submodule:
-    """f(sub), or the image of the whole source, as a submodule of the
-    target.  The images of an additive basis already span a submodule."""
-    rows = tuple(zip(*f.matrix)) if sub is None else tuple(map(f.apply_vec, sub.basis))
-    return Submodule(f.target, _generated(f.target.inv_factors, rows))
-
-
-def kernel(f: Homomorphism) -> Submodule:
-    return Submodule(
-        f.source,
-        solve_homogeneous_congruences(f.matrix, f.target.inv_factors, f.source.inv_factors),
-    )
+from .intlat import generated_subgroup, solve_homogeneous_congruences
 
 
 class HomGroup(_BlindToLast, namedtuple("HomGroup", "source target generators subgroup")):
@@ -164,13 +74,12 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
     """
     if source.ring is not target.ring and source.ring != target.ring:
         raise ValueError("modules over different rings")
-    projections = source.analysis.free
-    if projections is None:
+    if source.analysis.free is None:
         sub = _solved_hom_subgroup(source, target)
     else:
         t = target.ngens
         units = [tuple(int(k == j) for j in range(t)) for k in range(t)]
-        rows = [compose(scaling(p.target, target, u), p).flatten() for p in projections for u in units]
+        rows = [f.flatten() for f in _free_maps(source, target, units)]
         sub = generated_subgroup([e for e in target.inv_factors for _ in range(source.ngens)], rows)
     return HomGroup(
         source=source,
@@ -178,6 +87,32 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
         generators=tuple(Homomorphism.from_flat(source, target, g) for g in sub.basis),
         subgroup=sub,
     )
+
+
+def _free_maps(free, target, vectors):
+    """The maps x -> p(x)*v, for p the projections of ``free``, a module
+    recorded as free, onto its regular summands and v the ``vectors`` of
+    ``target``.  Hom(R^n, N) = N^n, so they span Hom(free, N) for N the
+    span of the v."""
+    return [compose(scaling(p.target, target, v), p) for p in free.analysis.free for v in vectors]
+
+
+@memoized
+def maps_into(module, sub):
+    """Maps M -> M spanning the maps from M into the submodule ``sub``: the
+    Hom(M, sub) generators followed by the inclusion of ``sub``.  Built
+    once per ``sub`` and shared by every product with right factor ``sub``.
+
+    A free M = R^n needs no Hom solve: its maps are read off the basis rows
+    of K (``_free_maps``).  Any other M solves for them in its own
+    coordinates, as the nonzero T = H^T Y for H the basis rows of K."""
+    if module.analysis.free is not None:
+        return tuple(_free_maps(module, module, sub.basis))
+    h, s = sub.basis, module.ngens
+    cols = list(zip(*h))
+    maps = (Homomorphism.of(module, module, [[sum(map(mul, c, y[j::s])) for j in range(s)] for c in cols])
+            for y in _solved_hom_subgroup(module, module, h).basis)
+    return tuple(f for f in maps if not f.is_zero())
 
 
 def _solved_hom_subgroup(source, target, span=None):

@@ -319,9 +319,6 @@ class CanonicalSubgroup:
     def contains(self, vec) -> bool:
         return self.express(vec) is not None
 
-    def contains_subgroup(self, other: "CanonicalSubgroup") -> bool:
-        return _contains(self, other)
-
     def sum(self, other: "CanonicalSubgroup") -> "CanonicalSubgroup":
         if self.moduli != other.moduli:
             raise ValueError("ambient mismatch")

@@ -18,9 +18,11 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .algebra import (
-    FiniteModule, ModuleElement, direct_sum, memoized, quotient_with_section, regular_module,
+    FiniteModule, Homomorphism, ModuleElement, compose, direct_sum, memoized,
+    quotient_with_section, regular_module, scaling,
 )
 from .config import DEFAULT_CAPS, MAX_END_ELEMENTS, CapExceeded
+from .homspace import hom_group
 from .intlat import (CanonicalSubgroup, _contains, _intern, generated_subgroup,
                      solve_homogeneous_congruences)
 
@@ -147,6 +149,20 @@ class Submodule:
         return f"Submodule({self.describe()}, order={self.order})"
 
 
+def image(f: Homomorphism, sub: Submodule | None = None) -> Submodule:
+    """f(sub), or the image of the whole source, as a submodule of the
+    target.  The images of an additive basis already span a submodule."""
+    rows = tuple(zip(*f.matrix)) if sub is None else tuple(map(f.apply_vec, sub.basis))
+    return Submodule.from_subgroup_rows(f.target, rows)
+
+
+def kernel(f: Homomorphism) -> Submodule:
+    return Submodule(
+        f.source,
+        solve_homogeneous_congruences(f.matrix, f.target.inv_factors, f.source.inv_factors),
+    )
+
+
 def cyclic_submodule(module: FiniteModule, x) -> Submodule:
     """Smallest action-closed subgroup containing x."""
     if isinstance(x, ModuleElement):
@@ -271,8 +287,6 @@ def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
 
 @memoized
 def _embedding(M, sub):
-    from .homspace import Homomorphism
-
     group, gens = sub.subgroup, sub.subgroup.smith_gens
     # column k of each action matrix holds the coordinates of mat @ gens[k];
     # coordinates are reduced, and an action-closed subgroup is a module, so
@@ -310,8 +324,6 @@ def _end_closures(module, caps):
     submodules are fully invariant, a sublattice of the modular submodule
     lattice, so its members are walked by upper covers from the closures,
     as ``_lattice``'s are from the cyclics."""
-    from .homspace import hom_group
-
     gens = hom_group(module, module).generators
     closures = {Submodule.from_subgroup_rows(module, {f.apply_vec(v) for f in gens for v in c.basis}): x
                 for c, _, x in _cyclics(module, caps)[1]}
@@ -325,8 +337,6 @@ def _fully_invariant_sums(module, a, b, caps):
     e_A U (+) e_B U, and an endomorphism keeps X (+) Y iff each block of its
     matrix does; the maps that keep it form a subgroup, so the generators of
     each Hom group decide."""
-    from .homspace import hom_group
-
     _, (inj_a, inj_b), _ = direct_sum(a, b)
     xs, ys = fully_invariant_submodules(a, caps), fully_invariant_submodules(b, caps)
 
@@ -390,8 +400,6 @@ def annihilator_lattice(module: FiniteModule, caps=DEFAULT_CAPS):
 
 @memoized
 def _annihilators(module, caps):
-    from .homspace import hom_group
-
     end = hom_group(module, module)
     if end.order > MAX_END_ELEMENTS:
         raise CapExceeded("endomorphism count", end.order, MAX_END_ELEMENTS)
@@ -431,7 +439,6 @@ def _maximal_ideals(free, caps):
     return tuple(p.basis for p in proper if not any(p.lt(q) for q in proper))
 
 
-@memoized
 def _annihilator(module):
     """ann_R(M) as a subgroup of R: the r with r*g = 0 for every generator g.
     One congruence solve per module."""
@@ -466,8 +473,6 @@ def _splits(module, ann):
     p_i h with h: M -> S and p_i(s) = s*g_i.  p_i is r -> r*g_i after the
     section of R -> S, well defined since ann kills g_i.  Hom(M, S^m) is
     Hom(M, S)^m, so one Hom solve serves every i."""
-    from .homspace import Homomorphism, compose, hom_group, scaling
-
     free = regular_module(module.ring)
     if ann.order == 1:  # S is R, and Hom(M, R) is shared with other callers
         quotient, section = free, Homomorphism.identity(free)

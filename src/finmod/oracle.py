@@ -22,8 +22,7 @@ import itertools
 import operator
 from math import lcm, prod
 
-from .algebra import FiniteModule
-from .homspace import Homomorphism
+from .algebra import FiniteModule, Homomorphism
 from .lattice import Submodule
 
 

@@ -10,11 +10,10 @@ also record whether the two nestings diverge instead of assuming they agree.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import mul
 
 from .algebra import memoized
 from .config import DEFAULT_CAPS, CapExceeded
-from .homspace import Homomorphism, _solved_hom_subgroup, compose, scaling
+from .homspace import maps_into
 from .lattice import Submodule, _cyclics, is_quasi_projective
 
 
@@ -34,26 +33,6 @@ def product(module, left: Submodule, right: Submodule) -> Submodule:
         return Submodule.zero(module)
     rows = [f.apply_vec(row) for f in maps_into(module, right) for row in left.basis]
     return Submodule.from_subgroup_rows(module, rows)
-
-
-@memoized
-def maps_into(module, sub: Submodule):
-    """Maps M -> M spanning the maps from M into ``sub``: the Hom(M, sub)
-    generators followed by the inclusion of ``sub``.  Built once per ``sub``
-    and shared by every product with right factor ``sub``.
-
-    A free M = R^n needs no Hom solve: Hom(R^n, K) = K^n, spanned by the
-    maps x -> p(x)*k, for p the projections of M onto its regular summands
-    and k the basis rows of K.  Any other M solves for them in its own
-    coordinates, as the nonzero T = H^T Y for H the basis rows of K."""
-    projections = module.analysis.free
-    if projections is not None:
-        return tuple(compose(scaling(p.target, module, k), p) for p in projections for k in sub.basis)
-    h, s = sub.basis, module.ngens
-    cols = list(zip(*h))
-    maps = (Homomorphism.of(module, module, [[sum(map(mul, c, y[j::s])) for j in range(s)] for c in cols])
-            for y in _solved_hom_subgroup(module, module, h).basis)
-    return tuple(f for f in maps if not f.is_zero())
 
 
 class PowerTrace(namedtuple("PowerTrace", "base chain terminal nesting_divergence")):

@@ -17,7 +17,7 @@ from operator import mul
 
 from .algebra import memoized
 from .config import DEFAULT_CAPS, CapExceeded
-from .homspace import hom_group
+from .homspace import hom_group, maps_into
 from .intlat import solve_homogeneous_congruences
 from .lattice import (
     Submodule,
@@ -26,7 +26,7 @@ from .lattice import (
     is_quasi_projective,
 )
 from .product import (
-    is_locally_nilpotent, is_nil_submodule, maps_into, nilpotency_index, power_trace, product,
+    is_locally_nilpotent, is_nil_submodule, nilpotency_index, power_trace, product,
 )
 
 

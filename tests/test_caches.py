@@ -53,7 +53,7 @@ def _answers(moduli, g1, g2, rows, row_moduli):
     b = generated_subgroup(moduli, g2)
     return (
         a, b, a.intersect(b), solve_homogeneous_congruences(rows, row_moduli, moduli),
-        a.sum(b), a.contains_subgroup(b),
+        a.sum(b), intlat._contains(a, b),
     )
 
 

@@ -313,6 +313,15 @@ class TestCommands:
         code, _, err = run_cli("validate", str(bad))
         assert code == 3
 
+    @pytest.mark.parametrize("matrix", ["[[1.9]]", "[['1']]", "[[True]]", "[[[1]]]"])
+    def test_non_integer_matrix_entries_are_parse_errors(self, tmp_path, matrix):
+        bad = tmp_path / "bad.ring"
+        bad.write_text(Z4_TEXT.replace("action 0 = [[1]]", f"action 0 = {matrix}"))
+        with pytest.raises(ParseError, match="matrix entries must be integers"):
+            parse_instance_text(bad.read_text())
+        code, out, _ = run_cli("predicates", str(bad))
+        assert (code, out) == (3, "")
+
     def test_exit_code_validation_error(self, tmp_path):
         bad = tmp_path / "bad.ring"
         bad.write_text(

@@ -196,12 +196,12 @@ class TestSearch:
         from finmod.lattice import all_submodules
 
         tiny = Caps(max_lattice=2)
-        mixed = next(i for i in corpus12.instances if i.name == "Z2+Z4-over-Z4")
+        mixed = next(i for i in corpus12.instances if i.name == "Z2+Z4-over-Z4")._replace(caps=tiny)
         with pytest.raises(CapExceeded) as exc:
             all_submodules(mixed.module, tiny)
-        checked = check_statement("LEM-PRODDIRSUMM", mixed, tiny)
+        checked = check_statement("LEM-PRODDIRSUMM", mixed)
         searched = search_counterexamples(
-            "LEM-FPROD", "quasi_projective", Corpus(seed=0, instances=(mixed,)), tiny
+            "LEM-FPROD", "quasi_projective", Corpus(seed=0, instances=(mixed,))
         )
         for report in [checked, *searched]:
             assert report.outcome == "skipped"
@@ -225,13 +225,13 @@ class TestSearch:
         t2 = regular_module(triangular_ring(2, 2))
         ideal = submodule_as_module(cyclic_submodule(t2, (0, 0, 1))).module
         corpus = Corpus(seed=0, instances=(Instance("T2(Z2)e22", ideal.ring, ideal, tiny),))
-        summary = run_suite(corpus, ["THM-MAIN", "LEM-FPROD", "EX-ZPN"], tiny)
+        summary = run_suite(corpus, ["THM-MAIN", "LEM-FPROD", "EX-ZPN"])
         main, fprod, zpn = summary.reports
         for report, order in ((main, 8), (fprod, 4)):
             assert report.outcome == "skipped"
             assert report.detail == f"module order: reached {order} with cap 2"
         assert zpn.outcome == "hypothesis_not_met"
-        (searched,) = search_counterexamples("THM-MAIN", "retractable", corpus, tiny)
+        (searched,) = search_counterexamples("THM-MAIN", "retractable", corpus)
         assert searched == main
 
     def test_end_cap_in_a_quotient_is_a_reported_skip(self, corpus12):
@@ -267,10 +267,10 @@ class TestSearch:
         end = end_ring(cube.module)
         assert time.process_time() - start < 1
         assert end.as_ring.order == 2**27
-        for inst, order in ((_free_instance(zn_ring(2), 4), 2**16), (cube, 2**27)):
-            maccsacc = check_statement("PROP-MACCSACC", inst, caps)
+        for inst, order in ((_free_instance(zn_ring(2), 4, caps), 2**16), (cube, 2**27)):
+            maccsacc = check_statement("PROP-MACCSACC", inst)
             assert maccsacc.outcome == "pass" and maccsacc.detail == f"|End|={order}"
-            mgolsgol = check_statement("LEM-MGOLSGOL", inst, caps)
+            mgolsgol = check_statement("LEM-MGOLSGOL", inst)
             assert mgolsgol.outcome == "skipped"
             assert mgolsgol.detail == f"module order: reached {order} with cap 4096"
 

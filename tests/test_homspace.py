@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from finmod.algebra import (
+    Homomorphism,
+    compose,
     cyclic_module,
     direct_sum,
     matrix_ring,
@@ -17,20 +19,14 @@ from finmod.algebra import (
     zn_ring,
 )
 from finmod.harness import generate_corpus
-from finmod.homspace import (
-    Homomorphism,
-    _solved_hom_subgroup,
-    compose,
-    end_ring,
-    hom_group,
-    image,
-    kernel,
-)
+from finmod.homspace import _solved_hom_subgroup, end_ring, hom_group
 from finmod.intlat import CanonicalSubgroup
 from finmod.lattice import (
     Submodule,
     cyclic_submodule,
     fully_invariant_submodules,
+    image,
+    kernel,
     submodule_as_module,
 )
 

@@ -507,7 +507,8 @@ def _simple_submodules(module, caps):
 def _lifts_to_quotients(x, y, caps):
     """The plain lifting test: whether every map x -> y/K lifts to y, for
     every K <= y in the lattice ``caps`` allow.  It never splits a sum."""
-    from finmod.homspace import compose, hom_group
+    from finmod.algebra import compose
+    from finmod.homspace import hom_group
 
     gens = hom_group(x, y).generators
     for k_sub in all_submodules(y, caps):
@@ -530,11 +531,9 @@ class TestPredicates:
         # calls hom_group only as End(R_R), while it lists the two-sided
         # ideals of R, and only for the first module over each ring: never
         # with M as the source, unless M is R_R
-        from finmod import homspace
-
         modules = dict.fromkeys(i.module for i in generate_corpus(0, budget=110).instances)
-        calls, real = [], homspace.hom_group
-        monkeypatch.setattr(homspace, "hom_group", lambda a, b: calls.append((a, b)) or real(a, b))
+        calls, real = [], lattice.hom_group
+        monkeypatch.setattr(lattice, "hom_group", lambda a, b: calls.append((a, b)) or real(a, b))
         caps, listed = Caps(max_lattice=4991), set()  # caps of their own, so no ideal is listed yet
         for m in modules:
             free = regular_module(m.ring)

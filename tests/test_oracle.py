@@ -6,7 +6,9 @@ import pytest
 
 from finmod import lattice, oracle
 from finmod.algebra import (
+    Homomorphism,
     _matrix_units_ring,
+    compose,
     cyclic_module,
     direct_sum,
     module_from_actions,
@@ -17,7 +19,7 @@ from finmod.algebra import (
 )
 from finmod.config import DEFAULT_CAPS, Caps, CapExceeded
 from finmod.harness import generate_corpus
-from finmod.homspace import Homomorphism, compose, hom_group
+from finmod.homspace import hom_group
 from finmod.intlat import CanonicalSubgroup
 from finmod.lattice import (
     Submodule,

@@ -11,7 +11,9 @@ import pytest
 from finmod import homspace, lattice
 from finmod.algebra import (
     FiniteModule,
+    Homomorphism,
     ModuleAnalysis,
+    compose,
     cyclic_module,
     direct_sum,
     product_ring,
@@ -22,13 +24,7 @@ from finmod.algebra import (
 )
 from finmod.config import DEFAULT_CAPS, CapExceeded
 from finmod.harness import generate_corpus
-from finmod.homspace import (
-    Homomorphism,
-    _solved_hom_subgroup,
-    compose,
-    hom_group,
-    image,
-)
+from finmod.homspace import _solved_hom_subgroup, hom_group, maps_into
 from finmod.intlat import CanonicalSubgroup
 from finmod.lattice import (
     Submodule,
@@ -36,6 +32,7 @@ from finmod.lattice import (
     cyclic_submodule,
     distinct_cyclic_submodules,
     fully_invariant_submodules,
+    image,
     is_quasi_projective,
     submodule_as_module,
 )
@@ -46,7 +43,6 @@ from finmod.product import (
     _levels_vanish,
     is_locally_nilpotent,
     is_nil_submodule,
-    maps_into,
     nilpotency_index,
     power_trace,
     product,

@@ -10,6 +10,7 @@ import pytest
 
 from finmod.algebra import (
     clear_analyses,
+    compose,
     cyclic_module,
     direct_sum,
     matrix_ring,
@@ -20,7 +21,7 @@ from finmod.algebra import (
 )
 from finmod.config import DEFAULT_CAPS, CapExceeded
 from finmod.harness import generate_corpus
-from finmod.homspace import compose, hom_group, kernel
+from finmod.homspace import hom_group
 from finmod.intlat import CanonicalSubgroup
 from finmod.lattice import (
     Submodule,
@@ -29,6 +30,7 @@ from finmod.lattice import (
     cyclic_submodule,
     fully_invariant_submodules,
     is_quasi_projective,
+    kernel,
     submodule_as_module,
 )
 from finmod.product import is_locally_nilpotent, nilpotency_index, product
