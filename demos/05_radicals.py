@@ -81,7 +81,7 @@ print("T2(Z2) radical:", profile.prime_radical.describe(),
 print("T2(Z2) primes:", [p.describe() for p in profile.primes])
 
 # The orthogonal-sequence construction needs every annihilator slice of the
-# powers to vanish; on finite modules a nonzero nil submodule always
-# violates that, consistent with the nilpotency theorem.
+# powers to vanish; a nonzero nilpotent submodule always violates that, since
+# its last power is zero and that slice is the whole submodule.
 out = subm_sequence(t2, cyclic_submodule(t2, (0, 1, 0)))
-print("sequence construction:", out.diagnostics[0], "at power", out.diagnostics[1])
+print("sequence construction:", out[0], "at power", out[1])

@@ -104,7 +104,6 @@ from .product import (
 )
 from .radical import (
     RadicalProfile,
-    SubmSequence,
     ann_left,
     ann_right,
     ell,

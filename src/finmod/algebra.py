@@ -589,10 +589,6 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
         return cls(source, target, mat)
 
     @classmethod
-    def zero(cls, source, target) -> "Homomorphism":
-        return cls(source, target, tuple((0,) * source.ngens for _ in range(target.ngens)))
-
-    @classmethod
     def identity(cls, module) -> "Homomorphism":
         s = module.ngens
         return cls(

@@ -24,6 +24,8 @@ Exit codes: 0 success / no failures, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import ast
+import re
 import sys
 
 from .algebra import (
@@ -65,28 +67,40 @@ class ParseError(Exception):
         self.line_no = line_no
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _parse_int(text: str, line_no: int, message: str) -> int:
+    """An optional '-' then ASCII digits: the one integer form of an
+    instance file, so '1_0', '+1' or a full-width digit is a ParseError."""
+    if not _INTEGER.fullmatch(text):
+        raise ParseError(line_no, f"{message}: {text!r}")
+    return int(text)
+
+
 def _parse_vector(text: str, line_no: int):
     text = text.strip()
     if not text:
         return ()
-    try:
-        return tuple(int(p.strip()) for p in text.split(","))
-    except ValueError:
-        raise ParseError(line_no, f"expected a comma-separated integer vector: {text!r}")
+    message = "expected a comma-separated integer vector"
+    return tuple(_parse_int(p.strip(), line_no, message) for p in text.split(","))
 
 
 def _parse_matrix(text: str, line_no: int):
-    import ast
-
+    text = text.strip()
     try:
-        value = ast.literal_eval(text.strip())
+        rows = ast.parse(text, mode="eval").body
     except (ValueError, SyntaxError):
         raise ParseError(line_no, f"expected a nested list matrix: {text!r}")
-    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
+    if not isinstance(rows, ast.List) or not all(isinstance(r, ast.List) for r in rows.elts):
         raise ParseError(line_no, "matrix must be a list of rows")
-    if not all(type(x) is int for row in value for x in row):
-        raise ParseError(line_no, f"matrix entries must be integers: {text.strip()!r}")
-    return tuple(map(tuple, value))
+    return tuple(
+        tuple(
+            _parse_int(ast.get_source_segment(text, x), line_no, "matrix entries must be integers")
+            for x in row.elts
+        )
+        for row in rows.elts
+    )
 
 
 def parse_instance_text(text: str):
@@ -125,10 +139,7 @@ def parse_instance_text(text: str):
                 parts = key.split()
                 if len(parts) != 3:
                     raise ParseError(line_no, "expected 'mul i j = vector'")
-                try:
-                    i, j = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise ParseError(line_no, "mul indices must be integers")
+                i, j = (_parse_int(p, line_no, "mul indices must be integers") for p in parts[1:])
                 ring_data["mul"][(i, j)] = _parse_vector(value, line_no)
             else:
                 raise ParseError(line_no, f"unknown ring key {key!r}")
@@ -143,10 +154,7 @@ def parse_instance_text(text: str):
                 parts = key.split()
                 if len(parts) != 2:
                     raise ParseError(line_no, "expected 'action i = [[...]]'")
-                try:
-                    i = int(parts[1])
-                except ValueError:
-                    raise ParseError(line_no, "action index must be an integer")
+                i = _parse_int(parts[1], line_no, "action index must be an integer")
                 module_data["action"][i] = _parse_matrix(value, line_no)
             else:
                 raise ParseError(line_no, f"unknown module key {key!r}")

@@ -1,6 +1,6 @@
 """Annihilator operators, the locally nilpotent radical, prime and semiprime
-submodules, the prime radical, and the orthogonal-sequence construction for
-nil submodules.
+submodules, the prime radical, and the hypothesis of the orthogonal-sequence
+construction for nil submodules.
 
 The locally nilpotent radical is computed as the sum of the nilpotent cyclic
 submodules: every locally nilpotent submodule is a sum of nilpotent cyclics,
@@ -194,67 +194,31 @@ def prime_radical(module, caps=DEFAULT_CAPS) -> RadicalProfile:
     )
 
 
-class SubmSequence(namedtuple("SubmSequence", "modules_a diagnostics")):
-    """Outcome of the orthogonal-sequence construction: the submodules A_i
-    built, and its diagnostics.
+def subm_sequence(module, sub: Submodule, caps=DEFAULT_CAPS) -> tuple:
+    """Test the hypothesis of the orthogonal-sequence construction
+    A_1 = r_N(N), A_{i+1} = r_N(A_1 * ... * A_i * N) for a fully invariant
+    nil submodule N: that every left annihilator slice l_N(N^j) is zero.
 
-    diagnostics is ("complete", k), ("hypothesis_violated", j, witness) with
-    witness the nonzero left annihilator slice (or, when j = 0, a cyclic
-    submodule of N that is not nilpotent), or ("cap_reached", _MAX_STEPS).
-    """
-
-    __slots__ = ()
-
-
-# Most steps the orthogonal-sequence construction takes.
-_MAX_STEPS = 8
-
-
-def subm_sequence(module, sub: Submodule, caps=DEFAULT_CAPS) -> SubmSequence:
-    """Attempt the inductive construction A_1 = r_N(N),
-    A_{i+1} = r_N(A_1 * ... * A_i * N) for a fully invariant nil submodule
-    with all left annihilator slices l_N(N^j) zero.
-
-    Hypotheses are checked first; on finite modules with a nonzero nil
-    submodule some slice is always nonzero, so the construction is expected
-    to report a hypothesis violation rather than run.
+    Returns ("complete", 0) when N is zero; ("hypothesis_violated", j,
+    witness) with witness the first nonzero slice l_N(N^j), or, when j = 0,
+    a cyclic submodule of N that is not nilpotent; and ("no_slice", k) when
+    every slice of the k powers in N's chain is zero.  A nilpotent N has the
+    slice l_N(0) = N, so "no_slice" names a nil N that is not nilpotent.
     """
     fis = fully_invariant_submodules(module, caps)
     if sub not in fis:
         raise ValueError("sequence construction needs a fully invariant submodule")
     if sub.is_zero():
-        return SubmSequence(modules_a=(), diagnostics=("complete", 0))
+        return ("complete", 0)
     verdict = is_nil_submodule(module, sub, caps)
     if not verdict.is_nil:
-        return SubmSequence(
-            modules_a=(), diagnostics=("hypothesis_violated", 0, verdict.witness)
-        )
-    trace = power_trace(module, sub)
-    for j, pow_j in enumerate(trace.chain, start=1):
+        return ("hypothesis_violated", 0, verdict.witness)
+    chain = power_trace(module, sub).chain
+    for j, pow_j in enumerate(chain, start=1):
         slice_j = l_rel(module, sub, pow_j)
         if not slice_j.is_zero():
-            return SubmSequence(
-                modules_a=(), diagnostics=("hypothesis_violated", j, slice_j)
-            )
-    sequence = []
-    prefix = None  # A_1 * ... * A_i
-    for _step in range(_MAX_STEPS):
-        if prefix is None:
-            nxt = r_rel(module, sub, sub, caps)
-        else:
-            nxt = r_rel(module, sub, product(module, prefix, sub), caps)
-        sequence.append(nxt)
-        prefix = nxt if prefix is None else product(module, prefix, nxt)
-        if prefix.is_zero():
-            raise ArithmeticError(
-                "orthogonality contract failed: prefix product vanished"
-            )
-        for j, a_j in enumerate(sequence):
-            if not product(module, prefix, a_j).is_zero():
-                raise ArithmeticError(
-                    f"orthogonality contract failed at pair ({len(sequence)},{j + 1})"
-                )
-    return SubmSequence(modules_a=tuple(sequence), diagnostics=("cap_reached", _MAX_STEPS))
+            return ("hypothesis_violated", j, slice_j)
+    return ("no_slice", len(chain))
 
 
 def end_left_annihilator(module, vectors):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from finmod.algebra import (
+    ValidationError,
     cyclic_module,
     direct_sum,
     matrix_ring,
@@ -321,6 +322,35 @@ class TestCommands:
             parse_instance_text(bad.read_text())
         code, out, _ = run_cli("predicates", str(bad))
         assert (code, out) == (3, "")
+
+    @pytest.mark.parametrize("old, new", [
+        ("orders = 4", "orders = 1_0"),
+        ("inv_factors = 4", "inv_factors = 1_0"),
+        ("orders = 4", "orders = ４"),
+        ("unit = 1", "unit = +1"),
+        ("mul 0 0", "mul 0_0 0"),
+        ("mul 0 0", "mul ０ 0"),
+        ("action 0 =", "action 0_0 ="),
+        ("action 0 =", "action ０ ="),
+        ("action 0 = [[1]]", "action 0 = [[1_0]]"),
+        ("action 0 = [[1]]", "action 0 = [[- 1]]"),
+    ])
+    def test_integers_are_ascii_decimal(self, tmp_path, old, new):
+        # an optional '-' then ASCII digits; Python's other integer forms
+        # (underscores, a sign '+', full-width digits) are parse errors
+        bad = tmp_path / "bad.ring"
+        bad.write_text(Z4_TEXT.replace(old, new, 1))
+        with pytest.raises(ParseError):
+            parse_instance_text(bad.read_text())
+        code, out, _ = run_cli("validate", str(bad))
+        assert (code, out) == (3, "")
+
+    def test_negative_integers_parse(self):
+        # '-3' is an integer, so the file is read and the module's
+        # validation rejects the unreduced entry
+        bad = Z4_TEXT.replace("action 0 = [[1]]", "action 0 = [[-3]]")
+        with pytest.raises(ValidationError, match="not reduced"):
+            parse_instance_text(bad)
 
     def test_exit_code_validation_error(self, tmp_path):
         bad = tmp_path / "bad.ring"

@@ -363,3 +363,48 @@ def test_a_warm_check_builds_nothing(monkeypatch):
     assert not builds
     assert set(again.reports) == {r for r in first.reports if r.statement in ids}
     assert sum(r.exercised for r in again.reports) > 0
+
+
+def test_the_order_24_witness_needs_quasi_projectivity():
+    # D (+) Z3 over S x Z3, with S = F2[x,y]/(x,y)^2 and D its dual: it is
+    # retractable and not quasi-projective, and N = <g0, g1, 3*g2> is fully
+    # invariant and nil with N*N = N.  With quasi-projectivity dropped the
+    # main theorem and its neighbours FAIL on it, and no search raises.
+    # LEM-FGNILP samples 8 of the 12 members, seeded by the instance name:
+    # under the file's name the sample misses N and passes, under "D+Z3" it
+    # meets N and fails.
+    from pathlib import Path
+
+    from finmod.cli import parse_instance, resolve_submodule, serialize_instance
+    from finmod.oracle import (
+        brute_is_nil_submodule, brute_is_quasi_projective, brute_is_retractable, brute_product,
+    )
+    from finmod.product import is_locally_nilpotent, nilpotency_index
+    from finmod.radical import subm_sequence
+
+    path = Path(__file__).resolve().parent / "golden" / "d-plus-z3.ring"
+    ring, m = parse_instance(str(path))
+    assert serialize_instance(ring, m) == path.read_text()
+    assert (m.inv_factors, m.order) == ((2, 2, 6), 24)
+    n_sub = resolve_submodule(m, "<g0, g1, 3*g2>")
+    assert brute_is_nil_submodule(m, n_sub)
+    assert brute_product(m, n_sub, n_sub) == n_sub
+    assert not brute_is_quasi_projective(m) and brute_is_retractable(m)
+    assert subm_sequence(m, n_sub) == ("no_slice", 1)
+    corpus = Corpus(0, (Instance(m.name, ring, m),))
+    outcomes = {}
+    for sid, spec in STATEMENTS.items():
+        for hyp in spec.hypotheses:
+            for report in search_counterexamples(sid, hyp, corpus):
+                outcomes[sid] = report
+    assert {r.outcome for r in outcomes.values()} == {"pass", "fail"}
+    for sid in ("PROP-SUBM", "THM-MAIN", "COR-PRIMENILGOLDIE", "LEM-RANNNCERO"):
+        assert outcomes[sid].outcome == "fail", outcomes[sid].line()
+    assert outcomes["PROP-SUBM"].witness == "no nonzero slice on <g0, g1, 3*g2>"
+    for sid in ("THM-MAIN", "COR-PRIMENILGOLDIE"):
+        assert outcomes[sid].witness == "<g0, g1, 3*g2>"
+    assert outcomes["LEM-FGNILP"].line() == "PASS LEM-FGNILP D (+) Z3 exercised=3"
+    assert is_locally_nilpotent(m, n_sub) and nilpotency_index(m, n_sub) is None
+    fgnilp = Instance("D+Z3", ring, m)
+    (found,) = search_counterexamples("LEM-FGNILP", "quasi_projective", Corpus(0, (fgnilp,)))
+    assert (found.outcome, found.witness) == ("fail", "<g0, g1, 3*g2>")

@@ -160,8 +160,8 @@ class TestBruteHom:
         # a map out of a module with no generators is a matrix of empty rows
         m = z4()
         zero = quotient_module(m, Submodule.full(m))[0]
-        assert brute_hom_group(zero, m) == [Homomorphism.zero(zero, m)]
-        assert brute_hom_group(zero, zero) == [Homomorphism.zero(zero, zero)]
+        assert brute_hom_group(zero, m) == [Homomorphism.from_flat(zero, m, ())]
+        assert brute_hom_group(zero, zero) == [Homomorphism.from_flat(zero, zero, ())]
 
     def test_matches_main_path_cross_pairs(self):
         mods = small_modules()
