@@ -414,6 +414,8 @@ def _check_lsp(m, rng, caps):
     radical = ell(m, caps)
     if radical.is_full():
         return 0, "radical is the whole module", ""
+    if radical not in fully_invariant_submodules(m, caps):
+        return 0, f"radical {radical.describe()} is not fully invariant", ""
     ok, witness = is_semiprime_submodule(m, radical, caps)
     if not ok:
         return 0, witness.describe(), ""

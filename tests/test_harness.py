@@ -408,3 +408,28 @@ def test_the_order_24_witness_needs_quasi_projectivity():
     fgnilp = Instance("D+Z3", ring, m)
     (found,) = search_counterexamples("LEM-FGNILP", "quasi_projective", Corpus(0, (fgnilp,)))
     assert (found.outcome, found.witness) == ("fail", "<g0, g1, 3*g2>")
+
+
+def test_cor_lsp_fails_where_the_radical_is_not_fully_invariant():
+    # An order-16 module over S = F2[x,y]/(x,y)^2, x: g0 -> g2, y: g1 -> g3,
+    # not quasi-projective: the sum of its nilpotent cyclics is not fully
+    # invariant, so it is not a semiprime submodule, and COR-LSP's search
+    # reports that as a FAIL rather than raising the semiprime test's
+    # ValueError.
+    from finmod.algebra import FiniteRing, module_from_actions, validate_ring
+    from finmod.oracle import brute_ell, brute_fully_invariant_submodules
+
+    s = validate_ring(FiniteRing(
+        (2, 2, 2),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 0), (0, 0, 0)),
+         ((0, 0, 1), (0, 0, 0), (0, 0, 0))),
+        (1, 0, 0), ("1", "x", "y"), "F2[x,y]/(x,y)^2"))
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    x_act = [[int((i, j) == (2, 0)) for j in range(4)] for i in range(4)]
+    y_act = [[int((i, j) == (3, 1)) for j in range(4)] for i in range(4)]
+    m = module_from_actions(s, (2, 2, 2, 2), [identity, x_act, y_act], name="S-module of order 16")
+    radical = brute_ell(m)
+    assert radical.describe() == "<g0+g1, g2, g3>"
+    assert radical not in brute_fully_invariant_submodules(m)
+    (found,) = search_counterexamples("COR-LSP", "quasi_projective", Corpus(0, (Instance(m.name, s, m),)))
+    assert (found.outcome, found.witness) == ("fail", "radical <g0+g1, g2, g3> is not fully invariant")
