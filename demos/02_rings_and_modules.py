@@ -8,7 +8,6 @@ module law against the structure constants.
 """
 
 from finmod.algebra import (
-    act,
     cyclic_module,
     direct_sum,
     matrix_ring,
@@ -36,9 +35,7 @@ print("opposite is involutive:", opposite_ring(opposite_ring(t2)) == t2)
 
 # Modules: the ring acting on itself, and small cyclic quotients.
 reg = regular_module(t2)
-e11 = t2.element((1, 0, 0))
-e12 = reg.element((0, 1, 0))
-print("e11 . e12 =", act(e11, e12).coeffs, " (left multiplication)")
+print("e11 . e12 =", reg.act_coeffs((1, 0, 0), (0, 1, 0)), " (left multiplication)")
 
 # Quotients and direct sums come with projections and injections.
 half = cyclic_module(z4, 2)

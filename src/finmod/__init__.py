@@ -26,10 +26,7 @@ from .algebra import (
     FiniteModule,
     FiniteRing,
     Homomorphism,
-    ModuleElement,
-    RingElement,
     ValidationError,
-    act,
     compose,
     cyclic_module,
     direct_sum,

@@ -12,7 +12,6 @@ structurally identical.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import defaultdict, namedtuple
 from math import prod
 from operator import mul
@@ -150,52 +149,8 @@ class FiniteRing(_NameBlind, namedtuple("FiniteRing", "add_orders struct unit la
                     out[k] += xi * yj * c[k]
         return self.reduce(out)
 
-    def add_coeffs(self, x, y) -> tuple[int, ...]:
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.add_orders))
-
-    def element(self, coeffs) -> "RingElement":
-        return RingElement(self, self.reduce(coeffs))
-
-    def one(self) -> "RingElement":
-        return RingElement(self, self.unit)
-
-    def zero(self) -> "RingElement":
-        return RingElement(self, (0,) * self.rank)
-
-    def elements(self):
-        for coeffs in itertools.product(*[range(m) for m in self.add_orders]):
-            yield RingElement(self, coeffs)
-
     def __repr__(self):
         return f"FiniteRing({self.name}, orders={list(self.add_orders)})"
-
-
-class RingElement(namedtuple("RingElement", "ring coeffs")):
-    __slots__ = ()
-
-    def __add__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.add_coeffs(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.reduce([-c for c in self.coeffs]))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.mul_coeffs(self.coeffs, other.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _check(self, other):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("elements of different rings")
-
-    def __repr__(self):
-        return f"RingElement{self.coeffs}"
 
 
 def validate_ring(ring: FiniteRing) -> FiniteRing:
@@ -430,19 +385,6 @@ class FiniteModule(_NameBlind, namedtuple("FiniteModule", "ring inv_factors acti
     def reduce(self, coeffs) -> tuple[int, ...]:
         return tuple(c % d for c, d in zip(coeffs, self.inv_factors))
 
-    def element(self, coeffs) -> "ModuleElement":
-        return ModuleElement(self, self.reduce(coeffs))
-
-    def zero(self) -> "ModuleElement":
-        return ModuleElement(self, (0,) * self.ngens)
-
-    def generator(self, j: int) -> "ModuleElement":
-        return self.element(tuple(1 if t == j else 0 for t in range(self.ngens)))
-
-    def elements(self):
-        for coeffs in itertools.product(*[range(d) for d in self.inv_factors]):
-            yield ModuleElement(self, coeffs)
-
     def act_coeffs(self, ring_coeffs, vec) -> tuple[int, ...]:
         s = self.ngens
         out = [0] * s
@@ -535,43 +477,6 @@ def clear_analyses():
     """Forget every analysis and every regular module."""
     _ANALYSES.clear()
     _REGULAR.clear()
-
-
-class ModuleElement(namedtuple("ModuleElement", "module coeffs")):
-    __slots__ = ()
-
-    def __add__(self, other):
-        self._check(other)
-        return ModuleElement(
-            self.module,
-            tuple(
-                (a + b) % d
-                for a, b, d in zip(self.coeffs, other.coeffs, self.module.inv_factors)
-            ),
-        )
-
-    def __neg__(self):
-        return ModuleElement(self.module, self.module.reduce([-c for c in self.coeffs]))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _check(self, other):
-        if self.module is not other.module and self.module != other.module:
-            raise ValueError("elements of different modules")
-
-    def __repr__(self):
-        return f"ModuleElement{self.coeffs}"
-
-
-def act(r: RingElement, x: ModuleElement) -> ModuleElement:
-    """Left action r.x; distributes over addition in both arguments."""
-    if x.module.ring is not r.ring and x.module.ring != r.ring:
-        raise ValueError("ring element does not act on this module")
-    return ModuleElement(x.module, x.module.act_coeffs(r.coeffs, x.coeffs))
 
 
 class Homomorphism(namedtuple("Homomorphism", "source target matrix")):

@@ -15,7 +15,7 @@ Instance file format (line oriented, '#' starts a comment):
 
 Vectors are comma separated; matrices are nested bracket lists with rows
 indexed by target coordinates.  An optional ``labels`` line in either section
-names the basis elements.  Unknown keys are rejected.
+names each basis element once.  Unknown keys are rejected.
 
 Exit codes: 0 success / no failures, 1 verification failure, 2 usage error,
 3 validation error, 4 budget or cap exceeded.
@@ -86,6 +86,15 @@ def _parse_vector(text: str, line_no: int):
     return tuple(_parse_int(p.strip(), line_no, message) for p in text.split(","))
 
 
+def _parse_labels(text: str, line_no: int):
+    labels = tuple(p.strip() for p in text.split(","))
+    if not all(labels):
+        raise ParseError(line_no, f"empty label in {text!r}")
+    if len(set(labels)) != len(labels):
+        raise ParseError(line_no, f"repeated label in {text!r}")
+    return labels
+
+
 def _parse_matrix(text: str, line_no: int):
     text = text.strip()
     try:
@@ -134,7 +143,7 @@ def parse_instance_text(text: str):
             elif key == "unit":
                 ring_data["unit"] = _parse_vector(value, line_no)
             elif key == "labels":
-                ring_data["labels"] = tuple(p.strip() for p in value.split(","))
+                ring_data["labels"] = _parse_labels(value, line_no)
             elif key.startswith("mul "):
                 parts = key.split()
                 if len(parts) != 3:
@@ -149,7 +158,7 @@ def parse_instance_text(text: str):
             elif key == "inv_factors":
                 module_data["inv_factors"] = _parse_vector(value, line_no)
             elif key == "labels":
-                module_data["labels"] = tuple(p.strip() for p in value.split(","))
+                module_data["labels"] = _parse_labels(value, line_no)
             elif key.startswith("action "):
                 parts = key.split()
                 if len(parts) != 2:
@@ -163,6 +172,9 @@ def parse_instance_text(text: str):
     if "unit" not in ring_data:
         raise ParseError(0, "missing ring unit")
     rank = len(ring_data["orders"])
+    labels = ring_data["labels"]
+    if labels is not None and len(labels) != rank:
+        raise ParseError(0, f"{len(labels)} ring labels for {rank} basis elements")
     struct = []
     for i in range(rank):
         row = []
@@ -188,6 +200,9 @@ def parse_instance_text(text: str):
     if "inv_factors" not in module_data:
         raise ParseError(0, "missing module inv_factors")
     ngens = len(module_data["inv_factors"])
+    labels = module_data["labels"]
+    if labels is not None and len(labels) != ngens:
+        raise ParseError(0, f"{len(labels)} module labels for {ngens} generators")
     actions = []
     for i in range(rank):
         if i not in module_data["action"]:
@@ -243,7 +258,8 @@ def serialize_instance(ring: FiniteRing, module: FiniteModule) -> str:
 
 def resolve_submodule(module: FiniteModule, text: str) -> Submodule:
     """Resolve '<gen, gen, ...>' into a submodule: each generator is a sum of
-    terms 'coeff', 'label' or 'coeff*label'."""
+    terms 'coeff', 'label' or 'coeff*label', each coeff an optional '-' then
+    ASCII digits."""
     text = text.strip()
     if not (text.startswith("<") and text.endswith(">")):
         raise ValueError(f"submodule syntax is '<gen, gen, ...>': {text!r}")
@@ -262,26 +278,21 @@ def resolve_submodule(module: FiniteModule, text: str) -> Submodule:
                 raise ValueError(f"empty term in generator {gen_text!r}")
             if "*" in term:
                 c_text, label = (p.strip() for p in term.split("*", 1))
-                try:
-                    c = int(c_text)
-                except ValueError:
+                if not _INTEGER.fullmatch(c_text):
                     raise ValueError(f"bad coefficient in {term!r}")
                 if label not in labels:
                     raise ValueError(f"unknown basis label {label!r}")
-                coeffs[labels[label]] += c
+                coeffs[labels[label]] += int(c_text)
             elif term in labels:
                 coeffs[labels[term]] += 1
             else:
-                try:
-                    c = int(term)
-                except ValueError:
+                if not _INTEGER.fullmatch(term):
                     raise ValueError(f"unknown basis label {term!r}")
                 if module.ngens != 1 and "1" not in labels:
                     raise ValueError(
                         f"plain integers need a rank-1 module or a '1' label: {term!r}"
                     )
-                idx = labels.get("1", 0)
-                coeffs[idx] += c
+                coeffs[labels.get("1", 0)] += int(term)
         rows.append(coeffs)
     return Submodule.span(module, rows)
 

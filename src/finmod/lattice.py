@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .algebra import (
-    FiniteModule, Homomorphism, ModuleElement, compose, direct_sum, memoized,
+    FiniteModule, Homomorphism, compose, direct_sum, memoized,
     quotient_with_section, regular_module, scaling,
 )
 from .config import DEFAULT_CAPS, MAX_END_ELEMENTS, CapExceeded
@@ -83,8 +83,6 @@ class Submodule:
         return self.order == self.module.order
 
     def contains(self, vec) -> bool:
-        if isinstance(vec, ModuleElement):
-            vec = vec.coeffs
         return self.subgroup.contains(vec)
 
     def le(self, other: "Submodule") -> bool:
@@ -104,10 +102,6 @@ class Submodule:
     def intersect(self, other: "Submodule") -> "Submodule":
         self._check(other)
         return Submodule(self.module, self.subgroup.intersect(other.subgroup))
-
-    def elements(self):
-        for vec in self.subgroup.elements():
-            yield ModuleElement(self.module, vec)
 
     def sort_key(self):
         return (self.order, self.subgroup.basis)
@@ -165,8 +159,6 @@ def kernel(f: Homomorphism) -> Submodule:
 
 def cyclic_submodule(module: FiniteModule, x) -> Submodule:
     """Smallest action-closed subgroup containing x."""
-    if isinstance(x, ModuleElement):
-        x = x.coeffs
     return Submodule.span(module, [x])
 
 

@@ -1,6 +1,8 @@
 """Ring and module data model: validation, builtins, constructors."""
 
+import itertools
 import pickle
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,6 @@ from finmod.algebra import (
     NotAssociative,
     OrderViolation,
     ValidationError,
-    act,
     compose,
     cyclic_module,
     direct_sum,
@@ -110,9 +111,9 @@ class TestProductRing:
 
     def test_unit_is_identity(self):
         pr = product_ring([zn_ring(2), t2f2()])
-        for x in pr.elements():
-            assert pr.mul_coeffs(pr.unit, x.coeffs) == x.coeffs
-            assert pr.mul_coeffs(x.coeffs, pr.unit) == x.coeffs
+        for x in itertools.product(*map(range, pr.add_orders)):
+            assert pr.mul_coeffs(pr.unit, x) == x
+            assert pr.mul_coeffs(x, pr.unit) == x
 
 
 class TestValidateModule:
@@ -153,12 +154,10 @@ class TestRegularModule:
         ring = t2f2()
         m = regular_module(ring)
         assert m.order == 8
-        # act(e11, e12) = e12, act(e22, e12) = 0
-        e11 = ring.element((1, 0, 0))
-        e12 = m.element((0, 1, 0))
-        assert act(e11, e12).coeffs == (0, 1, 0)
-        e22 = ring.element((0, 0, 1))
-        assert act(e22, e12).coeffs == (0, 0, 0)
+        # e11 . e12 = e12, e22 . e12 = 0
+        e11, e12, e22 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+        assert m.act_coeffs(e11, e12) == (0, 1, 0)
+        assert m.act_coeffs(e22, e12) == (0, 0, 0)
 
     def test_matrix_ring_regular(self):
         m = regular_module(matrix_ring(2, 2))
@@ -168,26 +167,26 @@ class TestRegularModule:
 class TestAct:
     def test_unit_acts_trivially(self):
         m = regular_module(zn_ring(6))
-        one = m.ring.one()
-        for x in m.elements():
-            assert act(one, x) == x
+        for x in itertools.product(*map(range, m.inv_factors)):
+            assert m.act_coeffs(m.ring.unit, x) == x
 
     def test_z4_scalar(self):
         m = regular_module(zn_ring(4))
-        assert act(m.ring.element((2,)), m.element((3,))).coeffs == (2,)
+        assert m.act_coeffs((2,), (3,)) == (2,)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
     def test_linearity_triangular(self, a, b, c):
         ring = t2f2()
         m = regular_module(ring)
-        elems = list(m.elements())
-        rings = list(ring.elements())
+        elems = list(itertools.product(*map(range, m.inv_factors)))
+        rings = list(itertools.product(*map(range, ring.add_orders)))
         r, x, y = rings[a], elems[b], elems[c]
-        assert act(r, x + y) == act(r, x) + act(r, y)
+        act, plus = m.act_coeffs, lambda u, v: m.reduce(map(add, u, v))
+        assert act(r, plus(x, y)) == plus(act(r, x), act(r, y))
         s = rings[(a * 3 + 1) % 8]
-        assert act(r + s, x) == act(r, x) + act(s, x)
-        assert act(r * s, x) == act(r, act(s, x))
+        assert act(ring.reduce(map(add, r, s)), x) == plus(act(r, x), act(s, x))
+        assert act(ring.mul_coeffs(r, s), x) == act(r, act(s, x))
 
 
 class TestQuotient:
@@ -219,11 +218,9 @@ class TestQuotient:
         m = regular_module(t2f2())
         s = cyclic_submodule(m, (0, 1, 0))
         q, p = quotient_module(m, s)
-        for r in m.ring.elements():
-            for x in list(m.elements())[:4]:
-                assert p.apply_vec(act(r, x).coeffs) == act(
-                    q.ring.element(r.coeffs), q.element(p.apply_vec(x.coeffs))
-                ).coeffs
+        for r in itertools.product(*map(range, m.ring.add_orders)):
+            for x in list(itertools.product(*map(range, m.inv_factors)))[:4]:
+                assert p.apply_vec(m.act_coeffs(r, x)) == q.act_coeffs(r, p.apply_vec(x))
 
 
 class TestDirectSum:

@@ -43,6 +43,8 @@ labels = 1
 action 0 = [[1]]      # action matrix of ring basis element 0
 """
 
+WITNESS = str(Path(__file__).resolve().parent / "golden" / "d-plus-z3.ring")
+
 
 def run_cli(*argv):
     out = io.StringIO()
@@ -351,6 +353,41 @@ class TestCommands:
         bad = Z4_TEXT.replace("action 0 = [[1]]", "action 0 = [[-3]]")
         with pytest.raises(ValidationError, match="not reduced"):
             parse_instance_text(bad)
+
+    @pytest.mark.parametrize("section", ["ring", "module"])
+    @pytest.mark.parametrize("labels", ["e11, e12", "e11, e11, e22", "", "e11, , e22"])
+    def test_labels_name_each_basis_element_once(self, tmp_path, section, labels):
+        # a short, repeated or empty label would resolve '<e11>' to another
+        # generator, or index past the last one
+        ring = triangular_ring(2, 2)
+        head, sep, tail = serialize_instance(ring, regular_module(ring)).partition("[module]")
+        old, new = "labels = e11, e12, e22", f"labels = {labels}"
+        if section == "ring":
+            head = head.replace(old, new)
+        else:
+            tail = tail.replace(old, new)
+        bad = tmp_path / "bad.ring"
+        bad.write_text(head + sep + tail)
+        with pytest.raises(ParseError):
+            parse_instance_text(bad.read_text())
+        code, out, _ = run_cli("product", str(bad), "--left", "<e11>", "--right", "<e11>")
+        assert (code, out) == (3, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("power", WITNESS, "--sub", "<3_0*g2>"),
+        ("product", WITNESS, "--left", "<１*g0>", "--right", "<g0>"),
+        ("power", "FILE", "--sub", "<1_0>"),
+    ])
+    def test_submodule_coefficients_are_ascii_decimal(self, z4_file, argv):
+        # the instance file's integer rule: not 30, 1 and 10 as int() reads them
+        code, out, _ = run_cli(*(z4_file if a == "FILE" else a for a in argv))
+        assert (code, out) == (2, "")
+
+    def test_negative_submodule_coefficients_parse(self, z4_file):
+        t2 = regular_module(triangular_ring(2, 2))
+        assert resolve_submodule(t2, "<-1*e12>") == resolve_submodule(t2, "<e12>")
+        assert run_cli("power", z4_file, "--sub", "<-2>") == (
+            0, "power 1 = <2>\npower 2 = <0>\nterminal = zero(2)\n", "")
 
     def test_exit_code_validation_error(self, tmp_path):
         bad = tmp_path / "bad.ring"

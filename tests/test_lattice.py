@@ -1,5 +1,6 @@
 """Submodule lattices, fully invariant members, and module predicates."""
 
+import itertools
 import time
 
 import pytest
@@ -49,8 +50,8 @@ from finmod.oracle import (
 
 def brute_action_closed_subgroups(module):
     """Element-set closure, independent of the canonical-form machinery."""
-    elems = [x.coeffs for x in module.elements()]
-    ring_elems = [r.coeffs for r in module.ring.elements()]
+    elems = list(itertools.product(*map(range, module.inv_factors)))
+    ring_elems = list(itertools.product(*map(range, module.ring.add_orders)))
 
     def close(seed):
         group = {tuple(0 for _ in module.inv_factors)}
@@ -103,7 +104,7 @@ class TestCyclic:
         m = regular_module(triangular_ring(2, 2))
         c = cyclic_submodule(m, (0, 1, 0))
         assert c.order == 2
-        assert sorted(e.coeffs for e in c.elements()) == [(0, 0, 0), (0, 1, 0)]
+        assert sorted(c.subgroup.elements()) == [(0, 0, 0), (0, 1, 0)]
 
     def test_one_span_per_additive_cyclic_subgroup(self):
         # distinct_cyclic_submodules spans one element of each additive
@@ -119,7 +120,8 @@ class TestCyclic:
         end = end_ring(direct_sum(z5, z5)[0]).as_ring
         modules.append(regular_module(opposite_ring(end)))
         for m in modules:
-            every = dict.fromkeys(cyclic_submodule(m, x) for x in m.elements())
+            every = dict.fromkeys(cyclic_submodule(m, x)
+                                  for x in itertools.product(*map(range, m.inv_factors)))
             assert distinct_cyclic_submodules(m) == sorted(every, key=Submodule.sort_key), m.name
         assert len(modules) > 110 and modules[-1].order == 625
 
@@ -153,7 +155,7 @@ class TestAllSubmodules:
             lat = all_submodules(module)
             brute = brute_action_closed_subgroups(module)
             assert len(lat) == len(brute)
-            as_sets = {frozenset(e.coeffs for e in s.elements()) for s in lat}
+            as_sets = {frozenset(s.subgroup.elements()) for s in lat}
             assert as_sets == brute
 
     def test_closed_under_join_meet(self):
@@ -745,16 +747,17 @@ class TestSubmoduleAsModule:
             emb = submodule_as_module(s)
             assert emb.module.order == s.order
             # inclusion is injective with image s
-            imgs = {emb.inclusion.apply_vec(x.coeffs) for x in emb.module.elements()}
-            assert imgs == {e.coeffs for e in s.elements()}
+            inner = itertools.product(*map(range, emb.module.inv_factors))
+            imgs = {emb.inclusion.apply_vec(x) for x in inner}
+            assert imgs == set(s.subgroup.elements())
 
     def test_coords_inverse_of_inclusion(self):
         m = regular_module(zn_ring(8))
         s = cyclic_submodule(m, (2,))
         emb = submodule_as_module(s)
-        for x in emb.module.elements():
-            back = emb.subgroup.coords(emb.inclusion.apply_vec(x.coeffs))
-            assert back == x.coeffs
+        for x in itertools.product(*map(range, emb.module.inv_factors)):
+            back = emb.subgroup.coords(emb.inclusion.apply_vec(x))
+            assert back == x
 
 
 def _subgroups(answer):

@@ -113,9 +113,9 @@ def _ideal_product(m, left, right):
     """Elementwise ideal product on a regular module, via ring arithmetic."""
     ring = m.ring
     rows = []
-    for a in left.elements():
-        for b in right.elements():
-            rows.append(ring.mul_coeffs(a.coeffs, b.coeffs))
+    for a in left.subgroup.elements():
+        for b in right.subgroup.elements():
+            rows.append(ring.mul_coeffs(a, b))
     return Submodule.span(m, rows)
 
 

@@ -140,7 +140,7 @@ class TestEndAnnihilators:
     def test_dual_kernel_identity(self):
         # l_S of the common kernel of l_S(X) recovers l_S(X)
         for m in [z4(), z6(), t2()]:
-            elems = [x.coeffs for x in m.elements()]
+            elems = list(itertools.product(*map(range, m.inv_factors)))
             subsets = [elems[:1], elems[:2], elems[1:3], elems]
             for x in subsets:
                 sub = end_left_annihilator(m, x)
