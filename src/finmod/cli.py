@@ -15,16 +15,18 @@ Instance file format (line oriented, '#' starts a comment):
 
 Vectors are comma separated; matrices are nested bracket lists with rows
 indexed by target coordinates.  An optional ``labels`` line in either section
-names each basis element once.  Unknown keys are rejected.
+names each basis element once, with no '+', '*', '<' or '>' in a label.
+Unknown keys are rejected.
 
 Exit codes: 0 success / no failures, 1 verification failure, 2 usage error,
-3 validation error, 4 budget or cap exceeded.
+3 validation error, 4 budget or cap exceeded, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import os
 import re
 import sys
 
@@ -92,6 +94,8 @@ def _parse_labels(text: str, line_no: int):
         raise ParseError(line_no, f"empty label in {text!r}")
     if len(set(labels)) != len(labels):
         raise ParseError(line_no, f"repeated label in {text!r}")
+    if any(set(label) & set("+*<>") for label in labels):
+        raise ParseError(line_no, f"label holding '+', '*', '<' or '>' in {text!r}")
     return labels
 
 
@@ -414,8 +418,6 @@ def _cmd_verify(args, caps):
 def write_witness_files(summary, corpus, witness_dir):
     """One reproducible file per failure: the statement, the reported
     witness data, and the instance itself in the canonical file format."""
-    import os
-
     os.makedirs(witness_dir, exist_ok=True)
     by_instance = {inst.name: inst for inst in corpus.instances}
     paths = []
@@ -542,7 +544,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     caps = Caps(max_module_order=args.max_module_order, max_lattice=args.max_lattice)
     try:
-        return args.func(args, caps)
+        code = args.func(args, caps)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left: say nothing, and give the exit flush somewhere to go
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

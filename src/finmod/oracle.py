@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .algebra import FiniteModule, Homomorphism
 from .lattice import Submodule
@@ -144,8 +144,17 @@ class _Tables:
 
     @functools.cached_property
     def cyclic(self) -> list[int]:
-        """Rx for every element x: the closure of the b_i * x."""
-        return [self.span([a[x] for a in self.act]) for x in range(len(self.elems))]
+        """Rx for every element x: the closure of the b_i * x, spanned once
+        per class {kx : k prime to the order of x}.  Each kx spans Rx: it
+        lies in Rx, and x = k'(kx) for k' inverse to k modulo that order."""
+        cyclic = [0] * len(self.elems)
+        for x, ms in enumerate(self.mults):
+            if not cyclic[x]:
+                c, order = self.span([a[x] for a in self.act]), len(ms) // ms.count(0)
+                for k in range(order):
+                    if gcd(k, order) == 1:
+                        cyclic[ms[k]] = c
+        return cyclic
 
     def homs(self, source: FiniteModule, k: int):
         """Every map source -> this module with image in the subgroup k, as
@@ -311,9 +320,20 @@ def brute_is_nil_submodule(module: FiniteModule, sub: Submodule) -> bool:
 
 
 def brute_ell(module: FiniteModule) -> Submodule:
-    """Sum of all locally nilpotent submodules, each classified definitionally."""
+    """Sum of all locally nilpotent submodules, each classified
+    definitionally, walked up the lattice by size: a member below the sum
+    so far adds nothing, and one above a member that is not locally
+    nilpotent has that member's cyclics among its own, so it is not either."""
     t = _tables_within(module)
-    return t.package(t.join(s for s in t.lattice if t.locally_nilpotent(s)))
+    total, failed = 1, []
+    for s in sorted(t.lattice, key=int.bit_count):
+        if _le(s, total) or any(_le(f, s) for f in failed):
+            continue
+        if t.locally_nilpotent(s):
+            total = t.span(t.generators(s), total)
+        else:
+            failed.append(s)
+    return t.package(total)
 
 
 def brute_fully_invariant_submodules(module: FiniteModule):
@@ -325,14 +345,14 @@ def brute_fully_invariant_submodules(module: FiniteModule):
 
 def brute_prime_radical(module: FiniteModule) -> Submodule:
     """Intersection of all prime submodules, fully definitionally: a proper
-    fully invariant P is prime when N*K <= P forces N <= P or K <= P."""
+    fully invariant P is prime when N*K <= P forces N <= P or K <= P.  N*K
+    is formed only for a pair with both factors outside some candidate P."""
     t = _tables_within(module)
     fi = t.fully_invariant()
-    below = {(n, k): t.product(n, k) for n in fi for k in fi}
     primes = [
         p for p in fi
         if p != t.full
-        and all(_le(n, p) or _le(k, p) or not _le(q, p) for (n, k), q in below.items())
+        and all(_le(n, p) or _le(k, p) or not _le(t.product(n, k), p) for n in fi for k in fi)
     ]
     return t.package(functools.reduce(operator.and_, primes)) if primes else Submodule.full(module)
 

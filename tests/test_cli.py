@@ -355,10 +355,14 @@ class TestCommands:
             parse_instance_text(bad)
 
     @pytest.mark.parametrize("section", ["ring", "module"])
-    @pytest.mark.parametrize("labels", ["e11, e12", "e11, e11, e22", "", "e11, , e22"])
+    @pytest.mark.parametrize("labels", [
+        "e11, e12", "e11, e11, e22", "", "e11, , e22",
+        "e11, e1+2, e22", "e11, e1*2, e22", "e11, <e12, e22", "e11, e12>, e22",
+    ])
     def test_labels_name_each_basis_element_once(self, tmp_path, section, labels):
         # a short, repeated or empty label would resolve '<e11>' to another
-        # generator, or index past the last one
+        # generator, or index past the last one; '<e1+2>' would not read
+        # back the generator that describe() prints with the label 'e1+2'
         ring = triangular_ring(2, 2)
         head, sep, tail = serialize_instance(ring, regular_module(ring)).partition("[module]")
         old, new = "labels = e11, e12, e22", f"labels = {labels}"
@@ -372,6 +376,21 @@ class TestCommands:
             parse_instance_text(bad.read_text())
         code, out, _ = run_cli("product", str(bad), "--left", "<e11>", "--right", "<e11>")
         assert (code, out) == (3, "")
+
+    def test_a_closed_stdout_exits_141_in_silence(self):
+        # the read end is closed before the command starts, so its one
+        # write of the buffered report always meets a broken pipe
+        src = Path(__file__).resolve().parent.parent / "src"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "finmod.cli", "radical", WITNESS],
+                env={**os.environ, "PYTHONPATH": str(src)}, stdout=write, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
 
     @pytest.mark.parametrize("argv", [
         ("power", WITNESS, "--sub", "<3_0*g2>"),

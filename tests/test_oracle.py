@@ -2,6 +2,10 @@
 instances.  The full corpus-wide equivalence run lives in the acceptance
 suite."""
 
+import functools
+import operator
+from pathlib import Path
+
 import pytest
 
 from finmod import lattice, oracle
@@ -17,6 +21,7 @@ from finmod.algebra import (
     triangular_ring,
     zn_ring,
 )
+from finmod.cli import parse_instance
 from finmod.config import DEFAULT_CAPS, Caps, CapExceeded
 from finmod.harness import generate_corpus
 from finmod.homspace import hom_group
@@ -275,6 +280,41 @@ class TestBruteRadicals:
 def _corpus_modules(max_order):
     corpus = generate_corpus(0, budget=110)
     return list(dict.fromkeys(i.module for i in corpus.instances if i.module.order <= max_order))
+
+
+def _shortcut_modules():
+    """Every distinct seed-0 module of order at most 256, the order-24
+    witness and the modules of ``_rule_edge_cases``: on the last two nil
+    differs from nilpotent."""
+    _, witness = parse_instance(str(Path(__file__).resolve().parent / "golden" / "d-plus-z3.ring"))
+    return [*_corpus_modules(256), witness, *_rule_edge_cases()]
+
+
+class TestShortcutsMatchTheExhaustiveDefinitions:
+    """The oracle skips work that its definitions decide; each eager form
+    here skips nothing."""
+
+    def test_one_span_per_unit_class(self):
+        for m in _shortcut_modules():
+            t = oracle._Tables(m)  # fresh, so no span comes from another test's memo
+            assert t.cyclic == [t.span([a[x] for a in t.act]) for x in range(len(t.elems))], m.name
+
+    def test_ell_joins_every_locally_nilpotent_member(self):
+        for m in _shortcut_modules():
+            t = oracle._tables(m)
+            want = t.package(t.join(s for s in t.lattice if t.locally_nilpotent(s)))
+            assert brute_ell(m) == want, m.name
+
+    def test_prime_test_reads_the_whole_product_table(self):
+        for m in _shortcut_modules():
+            t = oracle._tables(m)
+            fi = t.fully_invariant()
+            below = {(n, k): t.product(n, k) for n in fi for k in fi}
+            le = oracle._le
+            primes = [p for p in fi if p != t.full and all(
+                le(n, p) or le(k, p) or not le(q, p) for (n, k), q in below.items())]
+            want = t.package(functools.reduce(operator.and_, primes)) if primes else Submodule.full(m)
+            assert brute_prime_radical(m) == want, m.name
 
 
 class TestBruteLocallyNilpotent:
