@@ -283,9 +283,10 @@ def _corpus_modules(max_order):
 
 
 def _shortcut_modules():
-    """Every distinct seed-0 module of order at most 256, the order-24
-    witness and the modules of ``_rule_edge_cases``: on the last two nil
-    differs from nilpotent."""
+    """Every distinct seed-0 module of order at most 256, then the order-24
+    witness and the modules of ``_rule_edge_cases``, none quasi-projective:
+    on the witness and on the dual of F2[x,y]/(x,y)^2 nil differs from
+    nilpotent."""
     _, witness = parse_instance(str(Path(__file__).resolve().parent / "golden" / "d-plus-z3.ring"))
     return [*_corpus_modules(256), witness, *_rule_edge_cases()]
 
