@@ -511,10 +511,10 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
         return cls(source, target, rows)
 
     def apply_vec(self, vec) -> tuple[int, ...]:
-        return tuple(
+        return tuple([
             sum(map(mul, row, vec)) % ek
             for row, ek in zip(self.matrix, self.target.inv_factors)
-        )
+        ])
 
     def flatten(self) -> tuple[int, ...]:
         return tuple(v for row in self.matrix for v in row)
@@ -533,10 +533,10 @@ def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
     # A map into a zero module has no rows, yet has one (empty) column per
     # source generator.
     cols = list(zip(*g.matrix)) or [()] * g.source.ngens
-    rows = tuple(
-        tuple(sum(map(mul, frow, col)) % ek for col in cols)
+    rows = tuple([
+        tuple([sum(map(mul, frow, col)) % ek for col in cols])
         for frow, ek in zip(f.matrix, f.target.inv_factors)
-    )
+    ])
     return Homomorphism(g.source, f.target, rows)
 
 

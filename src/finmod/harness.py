@@ -14,7 +14,6 @@ triangular ring) always present.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 import zlib
@@ -299,14 +298,20 @@ def _check_proddirsumm(m, rng, caps):
     return exercised, None, ""
 
 
+def _product_entry(i, radices):
+    """The i-th tuple of ``itertools.product(*map(range, radices))``, the
+    last coordinate running fastest."""
+    return tuple([i // prod(radices[j + 1:]) % d for j, d in enumerate(radices)])
+
+
 def _end_elements_sample(module, rng, k):
     """``_sample(list(End(M).elements()), rng, k)`` without listing End: the
     draws are indices into that list, decoded into the Smith coordinates
-    that ``elements`` gives each map, the last coordinate running fastest."""
+    that ``elements`` gives each map."""
     end = hom_group(module, module)
     n, inv = end.order, end.group_invariants
     picks = range(n) if n <= k else rng.sample(range(n), k)
-    return [end.from_coords([i // prod(inv[j + 1:]) % d for j, d in enumerate(inv)]) for i in picks]
+    return [end.from_coords(_product_entry(i, inv)) for i in picks]
 
 
 def _check_fprod(m, rng, caps):
@@ -565,11 +570,13 @@ def _check_free_nilp(m, rng, caps):
 
 
 def _element_subsets(module, rng, count, size):
-    elems = list(itertools.product(*map(range, module.inv_factors)))
-    out = []
+    """``count`` draws of ``rng.sample(elements, rng.randint(1, size))``, the
+    elements listed in ``itertools.product`` order, drawn as indices into
+    that list, which ``random.sample`` reads only by length and index."""
+    n, out = module.order, []
     for _ in range(count):
-        k = min(size, len(elems))
-        out.append(rng.sample(elems, rng.randint(1, k)))
+        picks = rng.sample(range(n), rng.randint(1, min(size, n)))
+        out.append([_product_entry(i, module.inv_factors) for i in picks])
     return out
 
 

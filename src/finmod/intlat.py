@@ -12,7 +12,11 @@ lattice, each entry right of the diagonal, in the inserted vector and in the
 basis rows, may be kept reduced modulo its column modulus, so entries never
 grow.  Meets and congruence kernels are lower-right blocks of one larger
 insertion HNF: the rows (a, a) and (b, 0) give the meet of <a> and <b>, and
-the rows (B[:, j], e_j) give {x : Bx = 0}.
+the rows (B[:, j], e_j) give {x : Bx = 0}.  A single modulus needs no sweep:
+the form over Z/m is the gcd of the start pivot and the entries, and the
+solutions of one column are generated by lcm_i(m_i/gcd(a_i, m_i)), since
+a*x = 0 (mod m) iff m/gcd(a, m) divides x.  A form that arrives with no rows
+to insert is already final and is taken as it is.
 
 Matrices go in as lists of rows, and every subgroup comes out as a
 ``CanonicalSubgroup``, whether it was generated or solved for.
@@ -39,7 +43,7 @@ import functools
 import itertools
 import weakref
 from collections import namedtuple
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 # Entries kept by each of the LRU caches below.
@@ -189,9 +193,17 @@ def _full_hnf(gen_rows, moduli, start=None):
     step replaces (h_i, v) by (s*h_i + t*v, (b/g)*h_i - (a/g)*v), which is
     unimodular and clears v[i].  Rows below i still span every m_j*e_j with
     j > i, so the entries right of the diagonal are kept mod m_j.  Entries
-    above each pivot are reduced into [0, pivot) once at the end.
+    above each pivot are reduced into [0, pivot) once at the end.  Over one
+    modulus the form is the gcd of the start pivot and the entries.
     """
     n = len(moduli)
+    if n == 1:
+        g = moduli[0] if start is None else start[0][0]
+        for row in gen_rows:
+            if len(row) != 1:
+                raise ValueError("row length does not match moduli")
+            g = gcd(g, row[0])
+        return [[g]]
     if start is None:
         h = [[0] * n for _ in range(n)]
         for j, mj in enumerate(moduli):
@@ -270,15 +282,22 @@ class CanonicalSubgroup:
 
     def __init__(self, moduli, generator_rows, hnf=None):
         """``hnf``, when given, is the full HNF of a subgroup over the same
-        moduli; the generator rows are inserted into it."""
+        moduli; the generator rows are inserted into it.  With no rows it is
+        the finished form, taken as it is."""
         moduli = tuple(moduli)
         if moduli and min(moduli) < 1:
             raise ValueError("moduli must be positive")
-        full = _full_hnf(generator_rows, moduli, hnf)
+        if hnf is None or generator_rows:
+            hnf = _full_hnf(generator_rows, moduli, hnf)
         self.moduli = moduli
-        self.full_hnf = tuple(map(tuple, full))
-        self.basis = tuple(_basis(self.full_hnf, moduli))
-        self.order = prod(moduli) // prod(r[i] for i, r in enumerate(full))
+        self.full_hnf = full = tuple(map(tuple, hnf))
+        basis, index = [], 1
+        for i, r in enumerate(full):
+            index *= r[i]
+            if r[i] != moduli[i]:
+                basis.append(r)
+        self.basis = tuple(basis)
+        self.order = prod(moduli) // index
         self._smith = None
         self._hash = hash((moduli, self.full_hnf))
 
@@ -442,6 +461,12 @@ def solve_homogeneous_congruences(rows, row_moduli, col_moduli) -> CanonicalSubg
     rows.  The solutions are then the lower-right block of the HNF of the
     rows (B[:, j], e_j) over (big,)*k + col_moduli.
 
+    One column needs no HNF: its solutions are generated by
+    lcm_i(m_i/gcd(a_i, m_i)).
+
+    >>> solve_homogeneous_congruences([[2]], [4], [4]).basis
+    ((2,),)
+
     Answers are cached by (rows, row_moduli, col_moduli) as given; an input
     that raises is not stored.
     """
@@ -464,6 +489,9 @@ def _solve(rows, row_moduli, col_moduli):
                 raise ValueError(
                     f"system is not defined modulo column modulus at ({i},{j})"
                 )
+    if n == 1:
+        d = lcm(*(m // gcd(row[0], m) for row, m in zip(rows, row_moduli)))
+        return _intern(CanonicalSubgroup(col_moduli, (), [[d]]))
     big = lcm(*row_moduli)
     lifted = {
         tuple(x * (big // m) % big for x in row)

@@ -145,9 +145,15 @@ class Submodule:
 
 def image(f: Homomorphism, sub: Submodule | None = None) -> Submodule:
     """f(sub), or the image of the whole source, as a submodule of the
-    target.  The images of an additive basis already span a submodule."""
+    target.  The images of an additive basis already span a submodule.
+    Answers are memoized in the target's analysis, keyed by (f, sub)."""
+    return _image(f.target, f, sub)
+
+
+@memoized
+def _image(target, f, sub):
     rows = tuple(zip(*f.matrix)) if sub is None else tuple(map(f.apply_vec, sub.basis))
-    return Submodule.from_subgroup_rows(f.target, rows)
+    return Submodule.from_subgroup_rows(target, rows)
 
 
 def kernel(f: Homomorphism) -> Submodule:
@@ -165,12 +171,12 @@ def cyclic_submodule(module: FiniteModule, x) -> Submodule:
 def distinct_cyclic_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
     """All distinct cyclic submodules, in canonical order.  R(kx) = Rx for k
     prime to the additive order of x, so one x per <x> is spanned."""
-    return list(_cyclics(module, caps)[0])
+    return list(_cyclics(module, caps))
 
 
 @memoized
 def _cyclics(module, caps):
-    """({C: the first x spanning C} over the distinct cyclics, sorted; their irreducibles)."""
+    """{C: the first x spanning C} over the distinct cyclics, sorted."""
     if module.order > caps.max_module_order:
         raise CapExceeded("module order", module.order, caps.max_module_order)
     e, covered, spanned = module.inv_factors, set(), {}
@@ -180,8 +186,13 @@ def _cyclics(module, caps):
             units = (k for k in range(2, n) if gcd(k, n) == 1)
             covered.update(tuple(k * c % d for c, d in zip(x, e)) for k in units)
             spanned.setdefault(Submodule.span(module, (x,)), x)
-    spans = dict(sorted(spanned.items(), key=lambda cx: cx[0].sort_key()))
-    return spans, _join_irreducible(spans)
+    return dict(sorted(spanned.items(), key=lambda cx: cx[0].sort_key()))
+
+
+@memoized
+def _irreducibles(module, caps):
+    """The join-irreducible cyclics, built when first read."""
+    return _join_irreducible(_cyclics(module, caps))
 
 
 def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
@@ -193,7 +204,7 @@ def all_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
 @memoized
 def _lattice(module, caps):
     """(the members in canonical order, {member: tuple of its upper covers})."""
-    covers = _join_closure(module, _cyclics(module, caps)[1], caps, "lattice members")
+    covers = _join_closure(module, _irreducibles(module, caps), caps, "lattice members")
     return tuple(sorted(covers, key=Submodule.sort_key)), covers
 
 
@@ -318,7 +329,7 @@ def _end_closures(module, caps):
     as ``_lattice``'s are from the cyclics."""
     gens = hom_group(module, module).generators
     closures = {Submodule.from_subgroup_rows(module, {f.apply_vec(v) for f in gens for v in c.basis}): x
-                for c, _, x in _cyclics(module, caps)[1]}
+                for c, _, x in _irreducibles(module, caps)}
     return _join_closure(module, _join_irreducible(closures), caps, "fully invariant members")
 
 
@@ -367,7 +378,7 @@ def uniform_dimension(module: FiniteModule, caps=DEFAULT_CAPS) -> int:
 def _socle_data(module: FiniteModule, caps):
     """The simple submodules are the join-irreducible cyclics with C- = 0."""
     total, count = Submodule.zero(module), 0
-    for a, floor, x in _cyclics(module, caps)[1]:
+    for a, floor, x in _irreducibles(module, caps):
         if floor.is_zero() and not total.contains(x):
             total, count = total.sum(a), count + 1
     return total, count

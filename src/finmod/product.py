@@ -116,7 +116,7 @@ def is_nil_submodule(module, sub: Submodule, caps=DEFAULT_CAPS) -> NilVerdict:
 def _cyclics_inside(module, sub, caps):
     """{C: the first x spanning C} over the nonzero distinct cyclics C of
     ``sub``, in canonical order: C is the least member holding x."""
-    return {c: x for c, x in _cyclics(module, caps)[0].items() if not c.is_zero() and sub.contains(x)}
+    return {c: x for c, x in _cyclics(module, caps).items() if not c.is_zero() and sub.contains(x)}
 
 
 # Most maximal cyclic submodules the definitional locally-nilpotent test walks.

@@ -6,10 +6,12 @@ import pickle
 
 import pytest
 
+from finmod import lattice
 from finmod.algebra import (
     FiniteModule,
     Homomorphism,
     ModuleAnalysis,
+    clear_analyses,
     compose,
     cyclic_module,
     direct_sum,
@@ -26,6 +28,7 @@ from finmod.lattice import (
     all_submodules,
     distinct_cyclic_submodules,
     fully_invariant_submodules,
+    image,
     is_quasi_projective,
     is_retractable,
 )
@@ -218,3 +221,33 @@ def test_capped_verdicts_store_nothing():
         assert not m.analysis.memos[is_nil_submodule]
     assert is_locally_nilpotent(m, line, force_definitional=True) is False
     assert m.analysis.memos[is_locally_nilpotent] == {(line, DEFAULT_CAPS, True): False}
+
+
+def test_a_repeated_image_is_the_memoized_submodule(monkeypatch):
+    m = plane("image")
+    swap = Homomorphism(m, m, ((0, 1), (1, 0)))
+    line = Submodule.span(m, [(1, 0)])
+    first = image(swap, line)
+    monkeypatch.setattr(lattice, "generated_subgroup", lambda *args: pytest.fail("image rebuilt"))
+    assert image(swap, line) is first and image(swap, sub=line) is first
+    monkeypatch.undo()
+    assert first == Submodule.span(m, [(0, 1)])
+    # a fresh analysis builds the image again, to an equal submodule
+    clear_analyses()
+    cold = plane("image")
+    again = image(Homomorphism(cold, cold, swap.matrix), Submodule(cold, line.subgroup))
+    assert again is not first and again == first
+
+
+def test_a_cold_ell_of_a_direct_sum_lists_no_join_irreducibles(monkeypatch):
+    # ell reads the distinct cyclics only, so no module it meets builds the
+    # join-irreducibles that lattice walks read
+    clear_analyses()
+    calls = []
+    join_irreducible = lattice._join_irreducible
+    monkeypatch.setattr(lattice, "_join_irreducible",
+                        lambda spans: calls.append(spans) or join_irreducible(spans))
+    reg = regular_module(zn_ring(4))
+    total = direct_sum(reg, reg)[0]
+    assert ell(total) == brute_ell(total) == Submodule.span(total, [(2, 0), (0, 2)])
+    assert not calls

@@ -361,6 +361,8 @@ def _reference_full_hnf(rows, moduli):
 
 
 NON_CHAIN = [(6, 4), (4, 6), (3, 2, 2), (2, 3, 4), (1, 6, 4), (9, 6)]
+# One column: the solve's closed form, d = lcm_i(m_i/gcd(a_i, m_i)).
+ONE_COLUMN = [(6,), (4,), (12,), (1,)]
 
 
 def _rows_for(moduli, max_rows):
@@ -417,7 +419,7 @@ class TestInsertionKernel:
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
-        st.sampled_from(NON_CHAIN).flatmap(
+        st.sampled_from(NON_CHAIN + ONE_COLUMN).flatmap(
             lambda col: st.tuples(
                 st.just(col),
                 st.lists(
@@ -440,6 +442,16 @@ class TestInsertionKernel:
         sols = brute_solutions(rows, row_moduli, col_moduli)
         assert out.moduli == col_moduli
         assert frozenset(out.elements()) == sols
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(mixed_moduli.flatmap(lambda mod: st.tuples(st.just(mod), _rows_for(mod, 4))))
+    def test_no_row_build_onto_its_own_form_is_the_subgroup(self, case):
+        # a form that arrives with nothing to insert is taken as finished
+        moduli, rows = case
+        sub = CanonicalSubgroup(moduli, rows)
+        again = CanonicalSubgroup(moduli, (), sub.full_hnf)
+        assert again == sub
+        assert (again.full_hnf, again.basis, again.order) == (sub.full_hnf, sub.basis, sub.order)
 
     def test_congruences_many_redundant_rows(self):
         col_moduli = (6, 4, 3)

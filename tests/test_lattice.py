@@ -207,7 +207,7 @@ class TestAllSubmodules:
         finally:
             # analyses are shared by the whole run, and another test asks
             # that the cube's lattice stay unlisted
-            for fn in (lattice._lattice, lattice._cyclics):
+            for fn in (lattice._lattice, lattice._irreducibles, lattice._cyclics):
                 cube.analysis.memos[fn].pop((caps,), None)
 
 
@@ -220,7 +220,8 @@ class TestJoinIrreducibles:
         corpus = generate_corpus(0, budget=110)
         counts = [0, 0]
         for m in dict.fromkeys(i.module for i in corpus.instances):
-            spans, irreducibles = lattice._cyclics(m, DEFAULT_CAPS)
+            spans = lattice._cyclics(m, DEFAULT_CAPS)
+            irreducibles = lattice._irreducibles(m, DEFAULT_CAPS)
             cyclics = distinct_cyclic_submodules(m)
             assert list(spans) == cyclics and all(cyclic_submodule(m, x) == c for c, x in spans.items())
             want = []
@@ -251,7 +252,7 @@ def _cold_builds(module, monkeypatch, walk):
     join-irreducibles (one C- each), is listed before the count starts."""
     cold = FiniteModule(*module)
     cold.analysis = ModuleAnalysis()
-    lattice._cyclics(cold, DEFAULT_CAPS)
+    lattice._irreducibles(cold, DEFAULT_CAPS)
     count, init = [0], CanonicalSubgroup.__init__
 
     def counting(self, *args, **kwargs):
@@ -503,7 +504,7 @@ def _maps_onto_simples(module, caps):
 def _simple_submodules(module, caps):
     """The simple submodules: the join-irreducible cyclics with C- = 0, in
     canonical order."""
-    return [c for c, floor, _ in lattice._cyclics(module, caps)[1] if floor.is_zero()]
+    return [c for c, floor, _ in lattice._irreducibles(module, caps) if floor.is_zero()]
 
 
 def _lifts_to_quotients(x, y, caps):
