@@ -254,13 +254,6 @@ def _full_hnf(gen_rows, moduli, start=None):
     return h
 
 
-def _basis(full, moduli):
-    """Nonzero rows of a reduced full HNF, read mod the moduli: entries above
-    a pivot are already below it, and a pivot equal to its modulus makes
-    its row m_i*e_i, which is zero."""
-    return [r for i, r in enumerate(full) if r[i] != moduli[i]]
-
-
 def _lower_block(rows, top_moduli, moduli):
     """Full HNF over ``moduli`` of {x : (0, x) in the span of ``rows``} inside
     prod Z/top_moduli x prod Z/moduli: the lower-right block of the HNF."""
@@ -291,6 +284,7 @@ class CanonicalSubgroup:
             hnf = _full_hnf(generator_rows, moduli, hnf)
         self.moduli = moduli
         self.full_hnf = full = tuple(map(tuple, hnf))
+        # a reduced row is nonzero mod the moduli unless its pivot is its modulus
         basis, index = [], 1
         for i, r in enumerate(full):
             index *= r[i]
@@ -497,7 +491,8 @@ def _solve(rows, row_moduli, col_moduli):
         tuple(x * (big // m) % big for x in row)
         for row, m in zip(rows, row_moduli)
     }
-    b_rows = _basis(_full_hnf(lifted, (big,) * n), (big,) * n)
+    # rows with pivot big are big*e_i, zero mod big
+    b_rows = [r for i, r in enumerate(_full_hnf(lifted, (big,) * n)) if r[i] != big]
     graph = [
         tuple(r[j] for r in b_rows) + tuple(int(i == j) for i in range(n))
         for j in range(n)

@@ -191,7 +191,8 @@ def _cyclics(module, caps):
 
 @memoized
 def _irreducibles(module, caps):
-    """The join-irreducible cyclics, built when first read."""
+    """The triples (C, C-, x) of the join-irreducible cyclics, built when
+    a walk or the socle first reads them: ``ell`` never does."""
     return _join_irreducible(_cyclics(module, caps))
 
 
