@@ -226,10 +226,12 @@ def generate_corpus(seed: int, budget: int = 110, caps=DEFAULT_CAPS) -> Corpus:
 # ---------------------------------------------------------------------------
 # statement checkers
 #
-# Each checker takes (module, rng, caps), the rng seeded by the statement id
-# and the instance name, and returns (exercised_count, witness_or_None,
-# detail).  A witness means the conclusion failed.  Checkers may raise
-# CapExceeded.
+# Each checker is a generator over (module, rng, caps), the rng seeded by the
+# statement id and the instance name.  It yields one verdict per case it
+# checks: None when the conclusion held, or the witness text when it failed.
+# It returns the detail of a pass, if it has one.  ``_conclude`` runs it up
+# to its first witness, so nothing after a witness runs, and counts the
+# cases.  Checkers may raise CapExceeded.
 
 
 class _LazyRandom:
@@ -278,7 +280,6 @@ def _fi_nil_submodules(module, caps):
 
 def _check_proddirsumm(m, rng, caps):
     lat = all_submodules(m, caps)
-    exercised = 0
     for n_sub in _sample([s for s in lat if not s.is_zero()], rng, 5):
         emb = submodule_as_module(n_sub)
         sub_lat = all_submodules(emb.module, caps)
@@ -291,11 +292,11 @@ def _check_proddirsumm(m, rng, caps):
             inner_in_m = image(emb.inclusion, inner)
             outer = product(m, image(emb.inclusion, k_in), image(emb.inclusion, l_in))
             if not outer.le(inner_in_m):
-                return exercised, f"{n_sub.describe()}:{k_in.describe()}*{l_in.describe()}", ""
-            if summand and outer != inner_in_m:
-                return exercised, f"summand {n_sub.describe()} equality", ""
-            exercised += 1
-    return exercised, None, ""
+                yield f"{n_sub.describe()}:{k_in.describe()}*{l_in.describe()}"
+            elif summand and outer != inner_in_m:
+                yield f"summand {n_sub.describe()} equality"
+            else:
+                yield None
 
 
 def _product_entry(i, radices):
@@ -316,141 +317,118 @@ def _end_elements_sample(module, rng, k):
 
 def _check_fprod(m, rng, caps):
     lat = all_submodules(m, caps)
-    endos = _end_elements_sample(m, rng, 6)
-    exercised = 0
-    for f in endos:
+    for f in _end_elements_sample(m, rng, 6):
         for a, b in _sample_pairs(lat, rng, 8):
             ab = product(m, a, b)
-            f_ab = image(f, ab)
-            f_b = image(f, b)
-            if f_ab != product(m, a, f_b):
-                return exercised, f"f({a.describe()}*{b.describe()})", ""
-            f_a = image(f, a)
-            if not product(m, f_a, b).le(ab):
-                return exercised, f"f({a.describe()})*{b.describe()}", ""
-            exercised += 1
-    return exercised, None, ""
+            if image(f, ab) != product(m, a, image(f, b)):
+                yield f"f({a.describe()}*{b.describe()})"
+            elif not product(m, image(f, a), b).le(ab):
+                yield f"f({a.describe()})*{b.describe()}"
+            else:
+                yield None
 
 
 def _check_epiproduct(m, rng, caps):
     lat = all_submodules(m, caps)
-    exercised = 0
     for k_sub in _sample(fully_invariant_submodules(m, caps), rng, 4):
         quot, proj = quotient_module(m, k_sub)
         for n_sub in _sample(lat, rng, 6):
             pn = image(proj, n_sub)
-            lhs = image(proj, product(m, n_sub, n_sub))
-            if lhs != product(quot, pn, pn):
-                return exercised, f"K={k_sub.describe()} N={n_sub.describe()}", ""
-            exercised += 1
-    return exercised, None, ""
+            same = image(proj, product(m, n_sub, n_sub)) == product(quot, pn, pn)
+            yield None if same else f"K={k_sub.describe()} N={n_sub.describe()}"
 
 
 def _check_factornil(m, rng, caps):
     lat = all_submodules(m, caps)
     nils = [s for s in lat if is_nil_submodule(m, s, caps).is_nil]
-    exercised = 0
     for n_sub in _sample(nils, rng, 3):
         for k_sub in _sample(lat, rng, 4):
             quot, proj = quotient_module(m, k_sub)
-            pushed = image(proj, n_sub)
-            if not is_nil_submodule(quot, pushed, caps).is_nil:
-                return exercised, f"N={n_sub.describe()} K={k_sub.describe()}", ""
-            exercised += 1
-    return exercised, None, ""
+            nil = is_nil_submodule(quot, image(proj, n_sub), caps).is_nil
+            yield None if nil else f"N={n_sub.describe()} K={k_sub.describe()}"
 
 
 def _check_locnil_nil(m, rng, caps):
-    exercised = 0
     for s in _sample(all_submodules(m, caps), rng, 8):
         loc = is_locally_nilpotent(m, s, caps)
         if loc and not is_nil_submodule(m, s, caps).is_nil:
-            return exercised, f"{s.describe()} locally nilpotent but not nil", ""
-        if nilpotency_index(m, s) is not None and not loc:
-            return exercised, f"{s.describe()} nilpotent but not locally nilpotent", ""
-        exercised += 1
-    return exercised, None, ""
+            yield f"{s.describe()} locally nilpotent but not nil"
+        elif nilpotency_index(m, s) is not None and not loc:
+            yield f"{s.describe()} nilpotent but not locally nilpotent"
+        else:
+            yield None
 
 
 def _check_fgnilp(m, rng, caps):
-    exercised = 0
     for s in _sample(all_submodules(m, caps), rng, 8):
         if is_locally_nilpotent(m, s, caps, True):
-            if nilpotency_index(m, s) is None:
-                return exercised, s.describe(), ""
-            exercised += 1
-    return exercised, None, ""
+            yield s.describe() if nilpotency_index(m, s) is None else None
 
 
 def _sums_keep(m, holds, rng, caps):
     """Sampled pairs of submodules with ``holds``: their sums must have it."""
     members = [s for s in all_submodules(m, caps) if holds(s)]
-    exercised = 0
     for a, b in _sample_pairs(members, rng, 10):
-        if not holds(a.sum(b)):
-            return exercised, f"{a.describe()}+{b.describe()}", ""
-        exercised += 1
-    return exercised, None, ""
+        yield None if holds(a.sum(b)) else f"{a.describe()}+{b.describe()}"
 
 
 def _check_finsum_nilp(m, rng, caps):
-    return _sums_keep(m, lambda s: nilpotency_index(m, s) is not None, rng, caps)
+    yield from _sums_keep(m, lambda s: nilpotency_index(m, s) is not None, rng, caps)
 
 
 def _check_sumlocnil(m, rng, caps):
-    return _sums_keep(m, lambda s: is_locally_nilpotent(m, s, caps), rng, caps)
+    yield from _sums_keep(m, lambda s: is_locally_nilpotent(m, s, caps), rng, caps)
 
 
 def _check_lfiyrad(m, rng, caps):
+    # three conclusions, the first two one case: a pass counts 3, a failure
+    # of the quotient's radical 1
     radical = ell(m, caps)
-    if radical not in fully_invariant_submodules(m, caps):
-        return 0, "radical not fully invariant", ""
-    if not is_locally_nilpotent(m, radical, caps):
-        return 0, "radical not locally nilpotent", ""
+    yield ("radical not fully invariant" if radical not in fully_invariant_submodules(m, caps)
+           else "radical not locally nilpotent" if not is_locally_nilpotent(m, radical, caps)
+           else None)
     quot, _ = quotient_module(m, radical)
-    if not ell(quot, caps).is_zero():
-        return 1, "quotient has nonzero radical", ""
-    return 3, None, ""
+    yield None if ell(quot, caps).is_zero() else "quotient has nonzero radical"
+    yield None
 
 
 def _check_lsp(m, rng, caps):
     if m.order == 1:
-        return 0, None, "zero module"
+        return "zero module"
     radical = ell(m, caps)
     if radical.is_full():
-        return 0, "radical is the whole module", ""
-    if radical not in fully_invariant_submodules(m, caps):
-        return 0, f"radical {radical.describe()} is not fully invariant", ""
-    ok, witness = is_semiprime_submodule(m, radical, caps)
-    if not ok:
-        return 0, witness.describe(), ""
-    return 1, None, ""
+        yield "radical is the whole module"
+    elif radical not in fully_invariant_submodules(m, caps):
+        yield f"radical {radical.describe()} is not fully invariant"
+    else:
+        ok, witness = is_semiprime_submodule(m, radical, caps)
+        yield None if ok else witness.describe()
 
 
 def _check_nesl(m, rng, caps):
     if m.order == 1:
-        return 0, None, "zero module"
+        return "zero module"
     profile = prime_radical(m, caps)
     if profile.no_primes:
-        return 0, "empty prime spectrum", ""
-    if profile.prime_radical != profile.ell:
-        return 0, (
-            f"radical={profile.prime_radical.describe()} "
-            f"locnil={profile.ell.describe()}"
-        ), ""
-    return 1, None, ""
+        yield "empty prime spectrum"
+    elif profile.prime_radical != profile.ell:
+        yield f"radical={profile.prime_radical.describe()} locnil={profile.ell.describe()}"
+    else:
+        yield None
 
 
 def _check_prnilnet(m, rng, caps):
     # Spec(0) is empty and the radical of 0 is 0, which is nilpotent.
     if m.order == 1:
-        return 0, None, "zero module"
+        return "zero module"
     profile = prime_radical(m, caps)
     if profile.no_primes:
-        return 0, "empty prime spectrum", ""
-    if profile.nilpotency_of_radical is None:
-        return 0, profile.prime_radical.describe(), ""
-    return 1, None, f"index={profile.nilpotency_of_radical}"
+        yield "empty prime spectrum"
+    elif profile.nilpotency_of_radical is None:
+        yield profile.prime_radical.describe()
+    else:
+        yield None
+    return f"index={profile.nilpotency_of_radical}"
 
 
 def _prime_power(n):
@@ -481,16 +459,15 @@ def _zpn_shape(module):
 def _check_zpn(m, rng, caps):
     pk = _zpn_shape(m)
     if pk is None:
-        return 0, None, "not a cyclic prime-power regular module"
+        return "not a cyclic prime-power regular module"
     p, n = pk
     radical = ell(m, caps)
-    expected = cyclic_submodule(m, (p,))
-    if radical != expected:
-        return 0, radical.describe(), ""
-    idx = nilpotency_index(m, radical)
-    if idx != n:
-        return 0, f"index={idx}", ""
-    return 1, None, f"p={p} n={n}"
+    if radical != cyclic_submodule(m, (p,)):
+        yield radical.describe()
+    else:
+        idx = nilpotency_index(m, radical)
+        yield None if idx == n else f"index={idx}"
+    return f"p={p} n={n}"
 
 
 def _quasi_projective_sums(m, caps):
@@ -514,25 +491,18 @@ def _quasi_projective_sums(m, caps):
 
 
 def _check_lsumas(m, rng, caps):
-    exercised = 0
     for other, total, (ia, ib) in _quasi_projective_sums(m, caps):
         lhs = ell(total, caps)
         rhs = image(ia, ell(m, caps)).sum(image(ib, ell(other, caps)))
-        if lhs != rhs:
-            return exercised, f"{m.name}(+){other.name}", ""
-        exercised += 1
-    return exercised, None, ""
+        yield None if lhs == rhs else f"{m.name}(+){other.name}"
 
 
 def _check_semiprime_dirsum(m, rng, caps):
     if m.order == 1:
-        return 0, None, "zero module"
-    exercised = 0
+        return "zero module"
     for other, total, _ in _quasi_projective_sums(m, caps):
-        if _semiprime(total, caps) != (_semiprime(m, caps) and _semiprime(other, caps)):
-            return exercised, f"{m.name}(+){other.name}", ""
-        exercised += 1
-    return exercised, None, ""
+        agrees = _semiprime(total, caps) == (_semiprime(m, caps) and _semiprime(other, caps))
+        yield None if agrees else f"{m.name}(+){other.name}"
 
 
 def _semiprime(module, caps):
@@ -545,28 +515,27 @@ def _radical_nilpotent(module, caps):
 
 
 def _free_rank2_agrees(ring, holds, caps):
-    """(exercised, witness, value on the ring) comparing ``holds`` on the
-    regular module and on the rank-2 free module."""
+    """Yields the case of the regular module, then, for an oracle-scale
+    ring, whether ``holds`` agrees on the rank-2 free module; returns
+    ``holds`` on the regular module."""
     reg = regular_module(ring)
     base = holds(reg, caps)
+    yield None
     # rank-2 free modules only for oracle-scale rings; larger rings still
     # exercise the rank-1 direction
-    if reg.order**2 > 256:
-        return 1, None, base
-    free2 = holds(direct_sum(reg, reg)[0], caps)
-    if free2 != base:
-        return 1, f"rank2 free disagrees (ring {base}, free {free2})", base
-    return 2, None, base
+    if reg.order**2 <= 256:
+        free2 = holds(direct_sum(reg, reg)[0], caps)
+        yield None if free2 == base else f"rank2 free disagrees (ring {base}, free {free2})"
+    return base
 
 
 def _check_rsp(m, rng, caps):
-    exercised, witness, base = _free_rank2_agrees(m.ring, _semiprime, caps)
-    return exercised, witness, "" if witness else f"semiprime={base}"
+    base = yield from _free_rank2_agrees(m.ring, _semiprime, caps)
+    return f"semiprime={base}"
 
 
 def _check_free_nilp(m, rng, caps):
-    exercised, witness, _ = _free_rank2_agrees(m.ring, _radical_nilpotent, caps)
-    return exercised, witness, ""
+    yield from _free_rank2_agrees(m.ring, _radical_nilpotent, caps)
 
 
 def _element_subsets(module, rng, count, size):
@@ -580,37 +549,27 @@ def _element_subsets(module, rng, count, size):
     return out
 
 
-def _end_annihilator_identity(m, rng):
-    """(exercised, held) over sampled element subsets x: the End-annihilator
-    A of x must equal the End-annihilator of the common kernel of A's
-    generators."""
-    exercised = 0
+def _end_annihilator_identity(m, rng, witness):
+    """Over sampled element subsets x, the End-annihilator A of x must equal
+    the End-annihilator of the common kernel of A's generators; ``witness``
+    is the failure's text."""
     for x in _element_subsets(m, rng, 4, 3):
         sub = end_left_annihilator(m, x)
-        if end_left_annihilator(m, kernel_intersection(m, annihilator_maps(m, sub)).basis) != sub:
-            return exercised, False
-        exercised += 1
-    return exercised, True
+        common = kernel_intersection(m, annihilator_maps(m, sub))
+        yield None if end_left_annihilator(m, common.basis) == sub else witness
 
 
 def _check_maccsacc(m, rng, caps):
     # End(M) is a finite ring, so its chain conditions hold with evidence
-    exercised, held = _end_annihilator_identity(m, rng) if m.order > 1 else (0, True)
-    if not held:
-        return exercised, "dual annihilator identity failed", ""
-    return exercised, None, f"|End|={hom_group(m, m).order}"
+    if m.order > 1:
+        yield from _end_annihilator_identity(m, rng, "dual annihilator identity failed")
+    return f"|End|={hom_group(m, m).order}"
 
 
 def _check_nilpsubnil(m, rng, caps):
     fis = fully_invariant_submodules(m, caps)
-    nil_fis = _fi_nil_submodules(m, caps)
-    exercised = 0
-    for n_sub in nil_fis:
-        if n_sub.is_zero():
-            continue
-        for k_sub in fis:
-            if not (k_sub.lt(n_sub)):
-                continue
+    for n_sub in _fi_nil_submodules(m, caps):
+        for k_sub in [k for k in fis if k.lt(n_sub)]:  # none when N = 0
             quot, proj = quotient_module(m, k_sub)
             pushed = image(proj, n_sub)
             found = any(
@@ -619,24 +578,16 @@ def _check_nilpsubnil(m, rng, caps):
                 and nilpotency_index(quot, s) is not None
                 for s in all_submodules(quot, caps)
             )
-            if not found:
-                return exercised, f"N={n_sub.describe()} K={k_sub.describe()}", ""
-            exercised += 1
-    return exercised, None, ""
+            yield None if found else f"N={n_sub.describe()} K={k_sub.describe()}"
 
 
 def _check_accnillocnil(m, rng, caps):
-    exercised = 0
     for n_sub in _fi_nil_submodules(m, caps):
-        if not is_locally_nilpotent(m, n_sub, caps, True):
-            return exercised, n_sub.describe(), ""
-        exercised += 1
-    return exercised, None, ""
+        yield None if is_locally_nilpotent(m, n_sub, caps, True) else n_sub.describe()
 
 
 def _check_rannintersection(m, rng, caps):
     lat = all_submodules(m, caps)
-    exercised = 0
     for _ in range(6):
         family = _sample(lat, rng, rng.randint(2, 3))
         meet = Submodule.full(m)
@@ -644,53 +595,38 @@ def _check_rannintersection(m, rng, caps):
         for n_sub in family:
             meet = meet.intersect(ann_right(m, n_sub, caps))
             total = total.sum(n_sub)
-        if meet != ann_right(m, total, caps):
-            return exercised, "+".join(s.describe() for s in family), ""
-        exercised += 1
-    return exercised, None, ""
+        yield None if meet == ann_right(m, total, caps) else "+".join(s.describe() for s in family)
 
 
 def _check_dccannr(m, rng, caps):
-    lat = all_submodules(m, caps)
-    exercised = 0
     seen = set()
-    for n_sub in _sample(lat, rng, 8):
+    for n_sub in _sample(all_submodules(m, caps), rng, 8):
         rn = ann_right(m, n_sub, caps)
         seen.add(rn)
-        if ann_right(m, ann_left(m, rn), caps) != rn:
-            return exercised, n_sub.describe(), ""
-        exercised += 1
-    return exercised, None, f"right-annihilator values={len(seen)}"
+        yield None if ann_right(m, ann_left(m, rn), caps) == rn else n_sub.describe()
+    return f"right-annihilator values={len(seen)}"
 
 
 def _check_dccl(m, rng, caps):
     if m.order == 1:
-        return 0, None, "zero module"
-    exercised, held = _end_annihilator_identity(m, rng)
-    if not held:
-        return exercised, "identity (1) failed", ""
+        return "zero module"
+    yield from _end_annihilator_identity(m, rng, "identity (1) failed")
     for _ in range(3):
         common = kernel_intersection(m, _end_elements_sample(m, rng, 2))
         gens = annihilator_maps(m, end_left_annihilator(m, common.basis))
-        if kernel_intersection(m, gens) != common:
-            return exercised, "identity (2) failed", ""
-        exercised += 1
-    return exercised, None, ""
+        yield None if kernel_intersection(m, gens) == common else "identity (2) failed"
 
 
 def _check_factorrightacc(m, rng, caps):
-    lat = all_submodules(m, caps)
-    exercised = 0
     sizes = []
-    for n_sub in _sample(lat, rng, 4):
+    for n_sub in _sample(all_submodules(m, caps), rng, 4):
         quot, _ = quotient_module(m, ann_right(m, n_sub, caps))
         sizes.append(len(annihilator_lattice(quot, caps)))
-        exercised += 1
-    return exercised, None, f"annihilator poset sizes={sizes}"
+        yield None
+    return f"annihilator poset sizes={sizes}"
 
 
 def _check_dccrn(m, rng, caps):
-    exercised = 0
     l_values = set()
     r_values = set()
     for n_sub in _sample(_nonzero_proper_fi(m, caps) or all_submodules(m, caps), rng, 3):
@@ -700,68 +636,53 @@ def _check_dccrn(m, rng, caps):
             k_sub = image(emb.inclusion, k_in)
             l_values.add(l_rel(m, n_sub, k_sub))
             r_values.add(r_rel(m, n_sub, k_sub, caps))
-            exercised += 1
-    return exercised, None, f"l-values={len(l_values)} r-values={len(r_values)}"
+            yield None
+    return f"l-values={len(l_values)} r-values={len(r_values)}"
 
 
 def _check_rannncero(m, rng, caps):
-    exercised = 0
     for n_sub in _fi_nil_submodules(m, caps):
-        if n_sub.is_zero():
-            continue
-        if r_rel(m, n_sub, n_sub, caps).is_zero():
-            return exercised, n_sub.describe(), ""
-        exercised += 1
-    return exercised, None, ""
+        if not n_sub.is_zero():
+            yield n_sub.describe() if r_rel(m, n_sub, n_sub, caps).is_zero() else None
 
 
 def _check_subm(m, rng, caps):
-    exercised = 0
     for n_sub in _fi_nil_submodules(m, caps):
         if n_sub.is_zero():
             continue
         if subm_sequence(m, n_sub, caps=caps)[0] != "hypothesis_violated":
-            return exercised, f"no nonzero slice on {n_sub.describe()}", ""
-        chain, (kind, idx) = _left_powers(m, n_sub)
-        if kind == "zero" and idx >= 2 and l_rel(m, n_sub, chain[idx - 2]).is_zero():
-            return exercised, f"vacuity reasoning failed on {n_sub.describe()}", ""
-        exercised += 1
-    return exercised, None, ""
+            yield f"no nonzero slice on {n_sub.describe()}"
+        else:
+            chain, (kind, idx) = _left_powers(m, n_sub)
+            vacuous = kind == "zero" and idx >= 2 and l_rel(m, n_sub, chain[idx - 2]).is_zero()
+            yield f"vacuity reasoning failed on {n_sub.describe()}" if vacuous else None
 
 
 def _check_accmoduloann(m, rng, caps):
     group = hom_group(m, m)
-    exercised = 0
     gens = list(group.generators) + [Homomorphism.identity(m)]
-    seeds = _sample(group.generators, rng, 2)
-    for g in seeds:
+    for g in _sample(group.generators, rng, 2):
         ideal_span = [compose(a, compose(g, b)) for a in gens for b in gens]
-        n_sub = kernel_intersection(m, ideal_span)
-        quot, _ = quotient_module(m, n_sub)
+        quot, _ = quotient_module(m, kernel_intersection(m, ideal_span))
         annihilator_lattice(quot, caps)  # finite evidence for the chain condition
-        exercised += 1
-    return exercised, None, ""
+        yield None
 
 
 def _check_fmret(m, rng, caps):
-    lat = all_submodules(m, caps)
-    exercised = 0
-    for n_sub in _sample(lat, rng, 4):
+    for n_sub in _sample(all_submodules(m, caps), rng, 4):
         for killer in (ann_right(m, n_sub, caps), ann_left(m, n_sub)):
             quot, _ = quotient_module(m, killer)
-            if not is_retractable(quot, caps):
-                return exercised, f"N={n_sub.describe()}", ""
-            exercised += 1
-    return exercised, None, ""
+            yield None if is_retractable(quot, caps) else f"N={n_sub.describe()}"
 
 
 def _check_mgolsgol(m, rng, caps):
     er = end_ring(m)
     if er.as_ring.rank == 0:
-        return 0, None, "zero module"
+        return "zero module"
     # End(M)^op has the order of End(M): its lattice meets the module-order cap
     right_udim = uniform_dimension(_opposite_end_regular(m), caps)
-    return 1, None, f"right-udim={right_udim} |End|={er.as_ring.order}"
+    yield None
+    return f"right-udim={right_udim} |End|={er.as_ring.order}"
 
 
 @memoized
@@ -771,13 +692,11 @@ def _opposite_end_regular(m):
 
 
 def _check_main(m, rng, caps):
-    exercised = 0
     for n_sub in _fi_nil_submodules(m, caps):
         if nilpotency_index(m, n_sub) is None:
-            return exercised, n_sub.describe(), ""
-        if not n_sub.is_zero():
-            exercised += 1
-    return exercised, None, ""
+            yield n_sub.describe()
+        elif not n_sub.is_zero():
+            yield None
 
 
 class StatementSpec(namedtuple("StatementSpec", "hypotheses description checker")):
@@ -936,12 +855,28 @@ def _gate(sid: str, instance: Instance, start):
         return None, _report(sid, instance, start, "skipped", str(exc))
 
 
+def _conclude(sid: str, instance: Instance):
+    """(cases, witness, detail): run the checker under the instance's caps up
+    to its first witness, counting the cases it yielded before it.  A pass
+    has no witness and the detail the checker returned; a CapExceeded
+    propagates."""
+    verdicts = STATEMENTS[sid].checker(instance.module, _rng_for(sid, instance), instance.caps)
+    exercised = 0
+    while True:
+        try:
+            witness = next(verdicts)
+        except StopIteration as done:
+            return exercised, None, done.value or ""
+        if witness is not None:
+            return exercised, witness, ""
+        exercised += 1
+
+
 def _evaluate(sid: str, instance: Instance, start) -> VerificationReport:
-    """Run the conclusion checker under the instance's caps: pass, fail with
-    a witness, or skipped when a cap stops it."""
+    """Run the conclusion checker: pass, fail with a witness, or skipped
+    when a cap stops it."""
     try:
-        checker = STATEMENTS[sid].checker
-        exercised, witness, detail = checker(instance.module, _rng_for(sid, instance), instance.caps)
+        exercised, witness, detail = _conclude(sid, instance)
         outcome = "pass" if witness is None else "fail"
     except CapExceeded as exc:
         exercised, witness, detail, outcome = 0, None, str(exc), "skipped"

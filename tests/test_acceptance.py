@@ -17,8 +17,7 @@ from finmod.algebra import (
     zn_ring,
 )
 from finmod.harness import (
-    STATEMENTS,
-    _rng_for,
+    _conclude,
     check_statement,
     generate_corpus,
 )
@@ -217,19 +216,15 @@ def test_criterion_5_lemma_identities(corpus):
 
 
 def test_criterion_6_end_ring_checks(corpus):
-    from finmod.config import DEFAULT_CAPS
-
     start = time.perf_counter()
     failures = []
     for inst in corpus.instances:
         # conclusions checked directly on every instance, not behind the
         # hypothesis gate: finite endomorphism rings must satisfy both
-        sid = "PROP-MACCSACC"
-        macc = STATEMENTS[sid].checker(inst.module, _rng_for(sid, inst), DEFAULT_CAPS)
+        macc = _conclude("PROP-MACCSACC", inst)
         if macc[1] is not None:
             failures.append((inst.name, "acc on right annihilators", macc[1]))
-        sid = "LEM-MGOLSGOL"
-        gol = STATEMENTS[sid].checker(inst.module, _rng_for(sid, inst), DEFAULT_CAPS)
+        gol = _conclude("LEM-MGOLSGOL", inst)
         if gol[1] is not None:
             failures.append((inst.name, "right Goldie", gol[1]))
     elapsed = time.perf_counter() - start
