@@ -311,8 +311,7 @@ def _end_elements_sample(module, rng, k):
     that ``elements`` gives each map."""
     end = hom_group(module, module)
     n, inv = end.order, end.group_invariants
-    picks = range(n) if n <= k else rng.sample(range(n), k)
-    return [end.from_coords(_product_entry(i, inv)) for i in picks]
+    return [end.from_coords(_product_entry(i, inv)) for i in _sample(range(n), rng, k)]
 
 
 def _check_fprod(m, rng, caps):
@@ -361,7 +360,7 @@ def _check_locnil_nil(m, rng, caps):
 
 def _check_fgnilp(m, rng, caps):
     for s in _sample(all_submodules(m, caps), rng, 8):
-        if is_locally_nilpotent(m, s, caps, True):
+        if is_locally_nilpotent(m, s, caps):
             yield s.describe() if nilpotency_index(m, s) is None else None
 
 
@@ -583,7 +582,7 @@ def _check_nilpsubnil(m, rng, caps):
 
 def _check_accnillocnil(m, rng, caps):
     for n_sub in _fi_nil_submodules(m, caps):
-        yield None if is_locally_nilpotent(m, n_sub, caps, True) else n_sub.describe()
+        yield None if is_locally_nilpotent(m, n_sub, caps) else n_sub.describe()
 
 
 def _check_rannintersection(m, rng, caps):

@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import memoized
-from .config import DEFAULT_CAPS, CapExceeded
+from .config import DEFAULT_CAPS
 from .homspace import maps_into
-from .lattice import Submodule, _cyclics, is_quasi_projective
+from .lattice import Submodule, _cyclics
 
 
 @memoized
@@ -119,49 +119,33 @@ def _cyclics_inside(module, sub, caps):
     return {c: x for c, x in _cyclics(module, caps).items() if not c.is_zero() and sub.contains(x)}
 
 
-# Most maximal cyclic submodules the definitional locally-nilpotent test walks.
-_SUBSET_CAP = 64
-
-
 @memoized
-def is_locally_nilpotent(
-    module, sub: Submodule, caps=DEFAULT_CAPS, force_definitional: bool = False
-) -> bool:
-    """Uniform vanishing of ordered products of the cyclic submodules.
+def is_locally_nilpotent(module, sub: Submodule, caps=DEFAULT_CAPS) -> bool:
+    """Whether the left-nested products C_1*...*C_k of the cyclic
+    submodules of ``sub`` all vanish for some k.
 
-    When the ambient module is quasi-projective this reduces to nilpotency of
-    the (finitely generated) submodule itself; ``force_definitional`` skips
-    the reduction (useful when the reduction is the claim under test).
-    Otherwise ``_levels_vanish`` walks the maximal cyclics of ``sub``, taken
-    largest first: C is maximal iff no maximal one before it holds C's x.
+    The product is additive in its left factor, (A + B)*K = A*K + B*K, so
+    the sum S_k of the level-k products satisfies S_1 = N and
+    S_(k+1) = sum_C S_k*C.  Over the maximal cyclics of N this sum is the one
+    over all of them, since the product is monotone in its right factor.
+    S_2 <= S_1, as S_1*C <= C, and monotonicity in the left factor carries
+    S_(k+1) <= S_k down the chain: it falls until it reaches 0 (True) or
+    stops (False).  A maximal C that is not nilpotent puts C^k in every
+    level, so that answers False before the chain.  The maximal cyclics are
+    taken largest first: C is maximal iff no maximal one before it holds
+    C's x.
     """
-    if sub.is_zero():
-        return True
-    if not force_definitional and is_quasi_projective(module):
-        return nilpotency_index(module, sub) is not None
     tops = []
     for c, x in sorted(_cyclics_inside(module, sub, caps).items(), key=lambda cx: -cx[0].order):
         if not any(d.contains(x) for d in tops):
             tops.append(c)
-    return _levels_vanish(module, tops)
-
-
-def _levels_vanish(module, cyclics):
-    """Whether the left-nested products C_1*...*C_k of ``cyclics`` all
-    vanish for some k; more than ``_SUBSET_CAP`` raise CapExceeded.  Level k,
-    the nonzero such products, determines level k+1, and there are finitely
-    many such sets, so the walk ends at an empty level (True) or at one it
-    has seen, after which the levels cycle (False).  Over the maximal cyclics
-    of N it answers as over all of them: the product is monotone in both
-    factors, so each C_1*...*C_k lies below D_1*...*D_k for maximal
-    D_i >= C_i, and level k over all the cyclics is empty iff over those."""
-    if len(cyclics) > _SUBSET_CAP:
-        raise CapExceeded("cyclic generators", len(cyclics), _SUBSET_CAP)
-    states, seen = frozenset(cyclics), set()
-    while states:
-        seen.add(states)
-        states = frozenset(q for p in states for c in cyclics
-                           if not (q := product(module, p, c)).is_zero())
-        if states in seen:
+    if any(nilpotency_index(module, c) is None for c in tops):
+        return False
+    level = sub
+    while not level.is_zero():
+        below = Submodule.from_subgroup_rows(
+            module, [row for c in tops for row in product(module, level, c).basis])
+        if below == level:
             return False
+        level = below
     return True

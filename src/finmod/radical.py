@@ -26,7 +26,7 @@ from .lattice import (
     is_quasi_projective,
 )
 from .product import (
-    is_locally_nilpotent, is_nil_submodule, nilpotency_index, power_trace, product,
+    _left_powers, is_locally_nilpotent, is_nil_submodule, nilpotency_index, product,
 )
 
 
@@ -150,7 +150,7 @@ class RadicalProfile(namedtuple("RadicalProfile", "module caps prime_radical pri
     ``ell``, ``semiprimes`` and ``ell_locally_nilpotent`` are computed on
     first read.  ``ell_locally_nilpotent`` reports, for ambients that are
     not quasi-projective, whether ``ell`` is itself locally nilpotent (None
-    otherwise, or when the test exceeds a cap); the closure-under-sums
+    otherwise, or when ``ell`` itself meets a cap); the closure-under-sums
     argument needs projectivity, so this is diagnostic rather than
     guaranteed.  They are stored in the instance dict.
     """
@@ -213,7 +213,7 @@ def subm_sequence(module, sub: Submodule, caps=DEFAULT_CAPS) -> tuple:
     verdict = is_nil_submodule(module, sub, caps)
     if not verdict.is_nil:
         return ("hypothesis_violated", 0, verdict.witness)
-    chain = power_trace(module, sub).chain
+    chain = _left_powers(module, sub)[0]
     for j, pow_j in enumerate(chain, start=1):
         slice_j = l_rel(module, sub, pow_j)
         if not slice_j.is_zero():

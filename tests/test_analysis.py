@@ -183,17 +183,14 @@ def test_verdict_memos_agree_with_fresh_computation_and_the_oracle():
             nil = is_nil_submodule(m, s)
             assert is_nil_submodule(m, s) is nil and m.analysis.memos[is_nil_submodule][s, DEFAULT_CAPS] is nil
             assert nil == is_nil_submodule(fresh, s), (m.name, s.describe())
-            locs = set()
-            for forced in (False, True):
-                loc = is_locally_nilpotent(m, s, force_definitional=forced)
-                assert is_locally_nilpotent(m, s, force_definitional=forced) is loc
-                assert loc == is_locally_nilpotent(fresh, s, force_definitional=forced)
-                locs.add(loc)
+            loc = is_locally_nilpotent(m, s)
+            assert is_locally_nilpotent(m, s) is loc
+            assert loc == is_locally_nilpotent(fresh, s)
             try:
-                brute = brute_is_nil_submodule(m, s), {brute_is_locally_nilpotent(m, s)}
+                brute = brute_is_nil_submodule(m, s), brute_is_locally_nilpotent(m, s)
             except BudgetExceeded:
                 continue
-            assert brute == (nil.is_nil, locs), (m.name, s.describe())
+            assert brute == (nil.is_nil, loc), (m.name, s.describe())
             compared += 1
             if s in fis and not s.is_full():
                 verdict = is_semiprime_submodule(m, s)
@@ -208,19 +205,17 @@ def test_verdict_memos_agree_with_fresh_computation_and_the_oracle():
 
 
 def test_capped_verdicts_store_nothing():
-    # F_2^7 has order 128 and 127 nonzero cyclics, all maximal, past _SUBSET_CAP = 64
+    # F_2^7 has order 128 and 127 nonzero cyclics, all maximal and none
+    # nilpotent: the whole module answers False under the default caps
     m = module_from_actions(zn_ring(2), (2,) * 7, [[[int(i == j) for j in range(7)] for i in range(7)]],
                             labels=tuple("abcdefg"))
     full, line = Submodule.full(m), Submodule.span(m, [(1,) + (0,) * 6])
     for _ in range(2):
-        with pytest.raises(CapExceeded, match="cyclic generators"):
-            is_locally_nilpotent(m, full, force_definitional=True)
-        assert not m.analysis.memos[is_locally_nilpotent]
         with pytest.raises(CapExceeded, match="module order"):
             is_nil_submodule(m, line, Caps(max_module_order=64))
         assert not m.analysis.memos[is_nil_submodule]
-    assert is_locally_nilpotent(m, line, force_definitional=True) is False
-    assert m.analysis.memos[is_locally_nilpotent] == {(line, DEFAULT_CAPS, True): False}
+    assert is_locally_nilpotent(m, full) is False
+    assert m.analysis.memos[is_locally_nilpotent] == {(full, DEFAULT_CAPS): False}
 
 
 def test_a_repeated_image_is_the_memoized_submodule(monkeypatch):

@@ -52,12 +52,11 @@ def test_positional_keyword_and_default_calls_share_one_entry():
     calls = [
         lambda: is_locally_nilpotent(m, line),
         lambda: is_locally_nilpotent(m, line, DEFAULT_CAPS),
-        lambda: is_locally_nilpotent(m, line, DEFAULT_CAPS, False),
         lambda: is_locally_nilpotent(m, line, caps=DEFAULT_CAPS),
-        lambda: is_locally_nilpotent(m, force_definitional=False, sub=line),
+        lambda: is_locally_nilpotent(m, caps=DEFAULT_CAPS, sub=line),
     ]
     assert len({id(call()) for call in calls}) == 1
-    assert list(m.analysis.memos[is_locally_nilpotent]) == [(line, DEFAULT_CAPS, False)]
+    assert list(m.analysis.memos[is_locally_nilpotent]) == [(line, DEFAULT_CAPS)]
     verdict = is_nil_submodule(m, line)
     assert is_nil_submodule(m, sub=line) is is_nil_submodule(m, line, caps=DEFAULT_CAPS) is verdict
     assert m.analysis.memos[is_nil_submodule] == {(line, DEFAULT_CAPS): verdict}
@@ -96,7 +95,7 @@ def test_a_capped_call_stores_nothing():
             continue
         m = fresh_t2()
         full = Submodule.full(m)
-        fill = {"caps": tiny, "sub": full, "p": full, "base": full, "force_definitional": True}
+        fill = {"caps": tiny, "sub": full, "p": full, "base": full}
         with pytest.raises(CapExceeded):
             fn(m, *(fill[p] for p in params[1:]))
         assert not m.analysis.memos[fn], qualname

@@ -52,7 +52,7 @@ from finmod.oracle import (
     brute_product,
     brute_prime_radical,
 )
-from finmod.product import is_locally_nilpotent, is_nil_submodule, product
+from finmod.product import is_locally_nilpotent, is_nil_submodule, nilpotency_index, product
 from finmod.radical import ann_left, ann_right, ell, prime_radical
 from test_lattice import _rule_edge_cases
 
@@ -318,22 +318,34 @@ class TestShortcutsMatchTheExhaustiveDefinitions:
             assert brute_prime_radical(m) == want, m.name
 
 
+def _s_square_quotients():
+    """The 78 distinct nonzero quotients S^2/K, S = F2[x,y]/(x,y)^2: among
+    their members are 23 that are locally nilpotent but not nilpotent."""
+    reg = regular_module(_rule_edge_cases()[0].ring)
+    square = direct_sum(reg, reg)[0]
+    return list(dict.fromkeys(quotient_module(square, k)[0]
+                              for k in all_submodules(square) if not k.is_full()))
+
+
 class TestBruteLocallyNilpotent:
     def test_definitional_path_matches(self):
         # Every submodule of each distinct seed-0 corpus module of order at
-        # most 256 (the oracle's order budget), through the definitional path
-        # the quasi-projective reduction would otherwise skip.
+        # most 256 (the oracle's order budget), then of each S^2/K, 23 of
+        # whose members are locally nilpotent but not nilpotent.
         compared = {True: 0, False: 0}
-        for m in _corpus_modules(256):
+        loc_not_nilpotent = 0
+        for m in [*_corpus_modules(256), *_s_square_quotients()]:
             for s in all_submodules(m):
                 try:
                     brute = brute_is_locally_nilpotent(m, s)
-                    fast = is_locally_nilpotent(m, s, force_definitional=True)
+                    fast = is_locally_nilpotent(m, s)
                 except (CapExceeded, BudgetExceeded):
                     continue
                 assert brute == fast, (m.name, s.describe())
                 compared[brute] += 1
-        assert sum(compared.values()) >= 700 and min(compared.values()) >= 200, compared
+                loc_not_nilpotent += brute and nilpotency_index(m, s) is None
+        assert sum(compared.values()) >= 1900 and min(compared.values()) >= 900, compared
+        assert loc_not_nilpotent >= 23, loc_not_nilpotent
 
 
 class TestBruteNil:
