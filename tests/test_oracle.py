@@ -338,10 +338,9 @@ class TestBruteLocallyNilpotent:
             for s in all_submodules(m):
                 try:
                     brute = brute_is_locally_nilpotent(m, s)
-                    fast = is_locally_nilpotent(m, s)
-                except (CapExceeded, BudgetExceeded):
+                except BudgetExceeded:
                     continue
-                assert brute == fast, (m.name, s.describe())
+                assert brute == is_locally_nilpotent(m, s), (m.name, s.describe())
                 compared[brute] += 1
                 loc_not_nilpotent += brute and nilpotency_index(m, s) is None
         assert sum(compared.values()) >= 1900 and min(compared.values()) >= 900, compared
