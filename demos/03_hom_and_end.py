@@ -57,7 +57,7 @@ z4 = regular_module(zn_ring(4))
 
 # Hom from Z/4 into its submodule 2*Z/4 is cyclic of order 2.
 two = cyclic_submodule(z4, (2,))
-emb = submodule_as_module(two)
+emb = submodule_as_module(z4, two)
 h = hom_group(z4, emb.module)
 print("Hom(Z4, 2Z4) invariants:", h.group_invariants)
 gen = compose(emb.inclusion, h.generators[0])

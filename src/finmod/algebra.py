@@ -405,35 +405,42 @@ class FiniteModule(_NameBlind, namedtuple("FiniteModule", "ring inv_factors acti
     def generator_label(self, j: int) -> str:
         return self.labels[j] if self.labels else f"g{j}"
 
+    def acts_like(self, other: "FiniteModule") -> bool:
+        """Whether ``other`` has this module's presentation (``inv_factors``,
+        ``actions``, ``labels``), whatever its ring: then the two have the
+        same submodules and maps, and share one analysis."""
+        return self is other or self[1:4] == other[1:4]
+
     @functools.cached_property
     def analysis(self) -> "ModuleAnalysis":
-        """The one analysis of all modules equal to this one; later reads hash nothing."""
-        return _ANALYSES.get(self) or _ANALYSES.setdefault(self, ModuleAnalysis())
+        """The one analysis of all modules with this presentation, over any
+        ring; later reads hash nothing."""
+        key = self[1:4]
+        return _ANALYSES.get(key) or _ANALYSES.setdefault(key, ModuleAnalysis())
 
     def __repr__(self):
         return f"FiniteModule({self.name} over {self.ring.name}, inv={list(self.inv_factors)})"
 
 
 class ModuleAnalysis:
-    """What has been computed about one module, shared by every module
-    structurally equal to it (``name`` is not compared, so a cached quotient,
-    embedding or Hom group carries the name of the first equal module seen).
+    """What has been computed about one presentation (``inv_factors``,
+    ``actions``, ``labels``), shared by every module with it over any ring:
+    the submodules are the subgroups the action matrices keep, and the maps
+    the group maps that commute with them.  An answer holds the modules of
+    the call that made it, so a Submodule's ``module`` may be over another
+    ring, with another name; an answer that is a module over the ring is
+    keyed by the ring too.
 
-    ``memos`` maps each ``memoized`` function to its answers for this
-    module, keyed by the arguments after the module.  ``submodules`` maps
-    each interned subgroup to the one Submodule over it; every Submodule is
-    action-closed, so it holds at most the module's lattice.  ``summands``
-    is (a, b) when ``direct_sum`` built the module as a (+) b, and ``free``
-    its projections onto regular summands, or None unless it was built free.
+    ``memos`` maps each ``memoized`` function to its answers, keyed by the
+    arguments after the module.  ``submodules`` maps each interned subgroup
+    to the one Submodule over it, so it holds at most the lattice.
     """
 
-    __slots__ = ("memos", "submodules", "summands", "free")
+    __slots__ = ("memos", "submodules")
 
     def __init__(self):
         self.memos = defaultdict(dict)
         self.submodules = {}
-        self.summands = None
-        self.free = None
 
 
 def memoized(fn):
@@ -466,17 +473,22 @@ def memoized(fn):
     return functools.wraps(fn)(answer)
 
 
-# Module -> ModuleAnalysis and ring -> its regular module, for the process's life,
-# as instances share modules and answers; a module that carries its analysis
-# keeps it past ``clear_analyses()``.
+# Presentation -> ModuleAnalysis and ring -> its regular module, for the
+# process's life, as instances share modules and answers; a module that carries
+# its analysis keeps it past ``clear_analyses()``.  What ``direct_sum`` built a
+# module from, and a free module's projections onto its regular summands, are
+# kept by module, ring included: Z2 is free over Z2 and not over Z12.
 _ANALYSES = {}
 _REGULAR = {}
+_SUMMANDS = {}
+_FREE = {}
 
 
 def clear_analyses():
-    """Forget every analysis and every regular module."""
-    _ANALYSES.clear()
-    _REGULAR.clear()
+    """Forget every analysis, every regular module, and what modules were
+    built as."""
+    for table in (_ANALYSES, _REGULAR, _SUMMANDS, _FREE):
+        table.clear()
 
 
 class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
@@ -527,8 +539,9 @@ class Homomorphism(namedtuple("Homomorphism", "source target matrix")):
 
 
 def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
-    """f after g."""
-    if g.target is not f.source and g.target != f.source:
+    """f after g; g's target need only act like f's source, as maps out of
+    a shared answer may carry a module over another ring."""
+    if not g.target.acts_like(f.source):
         raise ValueError("maps are not composable")
     # A map into a zero module has no rows, yet has one (empty) column per
     # source generator.
@@ -634,8 +647,8 @@ def regular_module(ring: FiniteRing) -> FiniteModule:
 
     Built without validation: for a validated ring, associativity, the unit
     and the additive orders are exactly the module axioms of this action.
-    Its analysis records it as free.  Equal rings get one module, the first
-    built, until ``clear_analyses()``."""
+    It is recorded as free.  Equal rings get one module, the first built,
+    until ``clear_analyses()``."""
     module = _REGULAR.get(ring)
     if module is None:
         r = ring.rank
@@ -645,7 +658,7 @@ def regular_module(ring: FiniteRing) -> FiniteModule:
         )
         module = _REGULAR[ring] = FiniteModule(
             ring, ring.add_orders, actions, ring.labels, f"{ring.name} regular")
-        module.analysis.free = (Homomorphism.identity(module),)
+        _FREE[module] = (Homomorphism.identity(module),)
     return module
 
 
@@ -681,12 +694,14 @@ def _module_from_presentation(ring, relation_rows, ambient_actions, s, name):
 
 
 @memoized
-def quotient_with_section(module: FiniteModule, sub):
-    """Quotient data (M/S, projection matrix, section matrix); the projection
-    composed with the section is the identity on the quotient."""
+def quotient_with_section(module: FiniteModule, sub, ring):
+    """Quotient data (M/S, projection matrix, section matrix) for M over
+    ``ring``, M's ring; the projection composed with the section is the
+    identity on the quotient.  Modules over other rings share M's analysis,
+    so the ring is part of the key."""
     relation_rows = [list(r) for r in sub.subgroup.full_hnf]
     return _module_from_presentation(
-        module.ring,
+        ring,
         relation_rows,
         module.actions,
         module.ngens,
@@ -697,24 +712,32 @@ def quotient_with_section(module: FiniteModule, sub):
 def quotient_module(module: FiniteModule, sub):
     """Quotient M/S by an action-closed submodule, with the canonical
     projection.  |M| = |S| * |M/S|."""
-    quot, proj_mat, _ = quotient_with_section(module, sub)
+    quot, proj_mat, _ = quotient_with_section(module, sub, module.ring)
     projection = Homomorphism(source=module, target=quot, matrix=proj_mat)
     return quot, projection
 
 
-@memoized
 def direct_sum(a: FiniteModule, b: FiniteModule):
     """Direct sum with block actions, renormalized to invariant-factor form.
 
     Returns (module, (inj_a, inj_b), (proj_a, proj_b)); the injections and
     projections satisfy proj_i . inj_j = delta_ij.  When both summands are
-    nonzero, the analysis of the sum records them, and its projections onto
-    their regular summands when both are free: projectivity over R/ann, the
-    fully invariant submodules and Hom out of a free sum are read off these.
-    Answers are memoized in the analysis of ``a``, keyed by ``b``.
+    nonzero, the sum is recorded as built from them, and as free, with its
+    projections onto their regular summands, when both are free:
+    projectivity over R/ann, the fully invariant submodules and Hom out of a
+    free sum are read off these.
     """
     if a.ring is not b.ring and a.ring != b.ring:
         raise ValidationError("direct sum requires a common ring")
+    return _direct_sum(a, b)
+
+
+@memoized
+def _direct_sum(a, b):
+    """``direct_sum`` over one ring, memoized in the analysis of ``a`` keyed
+    by ``b``, whose ring is part of the key.  A module over another ring
+    that acts like ``a`` shares the analysis, so the rings are compared
+    before the memo is read."""
     sa, sb = a.ngens, b.ngens
     s = sa + sb
     raw_orders = list(a.inv_factors) + list(b.inv_factors)
@@ -762,9 +785,8 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
         ),
     )
     if a.order > 1 and b.order > 1:
-        info = total.analysis
-        info.summands = info.summands or (a, b)
-        if info.free is None and a.analysis.free and b.analysis.free:
-            info.free = tuple(compose(q, p) for p, side in ((proj_a, a), (proj_b, b))
-                              for q in side.analysis.free)
+        _SUMMANDS.setdefault(total, (a, b))
+        if total not in _FREE and a in _FREE and b in _FREE:
+            _FREE[total] = tuple(compose(q, p) for p, side in ((proj_a, a), (proj_b, b))
+                                 for q in _FREE[side])
     return total, (inj_a, inj_b), (proj_a, proj_b)

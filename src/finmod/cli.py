@@ -325,7 +325,7 @@ def _cmd_validate(args, caps):
 def _cmd_hom(args, caps):
     ring, module = parse_instance(args.file)
     target = resolve_submodule(module, args.target)
-    emb = submodule_as_module(target)
+    emb = submodule_as_module(module, target)
     group = hom_group(module, emb.module)
     print(f"invariants = [{_vector_text(group.group_invariants)}]")
     print(f"order = {group.order}")

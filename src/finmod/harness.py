@@ -39,6 +39,7 @@ from .config import DEFAULT_CAPS, MAX_END_ELEMENTS, CapExceeded
 from .homspace import end_ring, hom_group
 from .lattice import (
     Submodule,
+    _lattice,
     all_submodules,
     annihilator_lattice,
     cyclic_submodule,
@@ -187,7 +188,7 @@ def _family_list(caps):
     for idx, sub in enumerate(ideals):
         if sub.is_zero() or sub.is_full():
             continue
-        out.append((f"T2(Z2)-ideal{idx}", submodule_as_module(sub).module))
+        out.append((f"T2(Z2)-ideal{idx}", submodule_as_module(t2, sub).module))
     # direct sums mixing shapes
     t2r = regular_module(triangular_ring(2, 2))
     t2sq, _, _ = direct_sum(t2r, t2r)
@@ -281,22 +282,23 @@ def _fi_nil_submodules(module, caps):
 def _check_proddirsumm(m, rng, caps):
     lat = all_submodules(m, caps)
     for n_sub in _sample([s for s in lat if not s.is_zero()], rng, 5):
-        emb = submodule_as_module(n_sub)
+        emb = submodule_as_module(m, n_sub)
         sub_lat = all_submodules(emb.module, caps)
-        # |N|*|C| = |M| and N meet C = 0 give |N + C| = |M|, so N + C = M.
-        summand = any(
-            n_sub.order * c.order == m.order and n_sub.intersect(c).is_zero() for c in lat
-        )
+        summand = None  # decided by the first pair whose products differ
         for k_in, l_in in _sample_pairs(sub_lat, rng, 8):
             inner = product(emb.module, k_in, l_in)
             inner_in_m = image(emb.inclusion, inner)
             outer = product(m, image(emb.inclusion, k_in), image(emb.inclusion, l_in))
             if not outer.le(inner_in_m):
                 yield f"{n_sub.describe()}:{k_in.describe()}*{l_in.describe()}"
-            elif summand and outer != inner_in_m:
-                yield f"summand {n_sub.describe()} equality"
-            else:
+            elif outer == inner_in_m:
                 yield None
+            else:
+                if summand is None:
+                    # |N|*|C| = |M| and N meet C = 0 give |N + C| = |M|, so N + C = M.
+                    summand = any(n_sub.order * c.order == m.order
+                                  and n_sub.intersect(c).is_zero() for c in lat)
+                yield f"summand {n_sub.describe()} equality" if summand else None
 
 
 def _product_entry(i, radices):
@@ -364,10 +366,28 @@ def _check_fgnilp(m, rng, caps):
             yield s.describe() if nilpotency_index(m, s) is None else None
 
 
+def _down_set(m, holds, caps):
+    """The submodules with ``holds``, in canonical order, for a property
+    that passes to submodules, as nilpotency and local nilpotency do.  They
+    form a down-set, and every member of one is reached from zero through
+    the covers inside it, so only those members and their covers are
+    tested."""
+    covers, zero = _lattice(m, caps)[1], Submodule.zero(m)
+    members, seen, frontier = [], {zero}, [zero] if holds(zero) else []
+    while frontier:
+        cur = frontier.pop()
+        members.append(cur)
+        for nxt in covers[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                if holds(nxt):
+                    frontier.append(nxt)
+    return sorted(members, key=Submodule.sort_key)
+
+
 def _sums_keep(m, holds, rng, caps):
     """Sampled pairs of submodules with ``holds``: their sums must have it."""
-    members = [s for s in all_submodules(m, caps) if holds(s)]
-    for a, b in _sample_pairs(members, rng, 10):
+    for a, b in _sample_pairs(_down_set(m, holds, caps), rng, 10):
         yield None if holds(a.sum(b)) else f"{a.describe()}+{b.describe()}"
 
 
@@ -629,7 +649,7 @@ def _check_dccrn(m, rng, caps):
     l_values = set()
     r_values = set()
     for n_sub in _sample(_nonzero_proper_fi(m, caps) or all_submodules(m, caps), rng, 3):
-        emb = submodule_as_module(n_sub)
+        emb = submodule_as_module(m, n_sub)
         inner = all_submodules(emb.module, caps)
         for k_in in _sample(inner, rng, 6):
             k_sub = image(emb.inclusion, k_in)

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .algebra import (
-    FiniteRing, FiniteModule, Homomorphism, _BlindToLast, compose, memoized, scaling,
+    _FREE, FiniteRing, FiniteModule, Homomorphism, _BlindToLast, compose, memoized, scaling,
 )
 from .intlat import generated_subgroup, solve_homogeneous_congruences
 
@@ -59,7 +59,6 @@ class HomGroup(_BlindToLast, namedtuple("HomGroup", "source target generators su
         return Homomorphism.from_flat(self.source, self.target, self.subgroup.from_coords(coords))
 
 
-@memoized
 def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
     """Hom(M, N) as a finite abelian group of matrices.
 
@@ -74,7 +73,15 @@ def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
     """
     if source.ring is not target.ring and source.ring != target.ring:
         raise ValueError("modules over different rings")
-    if source.analysis.free is None:
+    return _hom_group(source, target)
+
+
+@memoized
+def _hom_group(source, target):
+    """``hom_group`` for M and N over one ring, memoized in M's analysis
+    keyed by N.  A module over another ring that acts like M shares the
+    analysis, so the rings are compared before the memo is read."""
+    if source not in _FREE:
         sub = _solved_hom_subgroup(source, target)
     else:
         t = target.ngens
@@ -94,7 +101,7 @@ def _free_maps(free, target, vectors):
     recorded as free, onto its regular summands and v the ``vectors`` of
     ``target``.  Hom(R^n, N) = N^n, so they span Hom(free, N) for N the
     span of the v."""
-    return [compose(scaling(p.target, target, v), p) for p in free.analysis.free for v in vectors]
+    return [compose(scaling(p.target, target, v), p) for p in _FREE[free] for v in vectors]
 
 
 @memoized
@@ -106,7 +113,7 @@ def maps_into(module, sub):
     A free M = R^n needs no Hom solve: its maps are read off the basis rows
     of K (``_free_maps``).  Any other M solves for them in its own
     coordinates, as the nonzero T = H^T Y for H the basis rows of K."""
-    if module.analysis.free is not None:
+    if module in _FREE:
         return tuple(_free_maps(module, module, sub.basis))
     h, s = sub.basis, module.ngens
     cols = list(zip(*h))

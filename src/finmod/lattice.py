@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .algebra import (
-    FiniteModule, Homomorphism, compose, direct_sum, memoized,
+    _SUMMANDS, FiniteModule, Homomorphism, compose, direct_sum, memoized,
     quotient_with_section, regular_module, scaling,
 )
 from .config import DEFAULT_CAPS, MAX_END_ELEMENTS, CapExceeded
@@ -32,9 +32,12 @@ class Submodule:
 
     ``Submodule(module, subgroup)`` returns the one instance, over the
     interned subgroup, that ``module.analysis.submodules`` holds; a copy
-    unpickles as it.  Equality compares structure after identity: equal
-    modules carry different tables after ``clear_analyses()``.  The hash is the
-    subgroup's, of integers only, so it is the same in every interpreter."""
+    unpickles as it.  Its ``module`` is the first module of the presentation
+    that asked, perhaps over another ring, so a caller passes the ambient
+    module it means.  Equality compares presentations after identity: equal
+    modules carry different tables after ``clear_analyses()``.  The hash is
+    the subgroup's, of integers only, so it is the same in every
+    interpreter."""
 
     __slots__ = ("module", "subgroup", "order", "basis", "_hash")
 
@@ -88,7 +91,7 @@ class Submodule:
     def le(self, other: "Submodule") -> bool:
         if self is other:
             return True
-        if self.module is not other.module and self.module != other.module:
+        if self.module is not other.module and not self.module.acts_like(other.module):
             raise ValueError("submodules of different modules")
         return not other.order % self.order and _contains(other.subgroup, self.subgroup)
 
@@ -126,7 +129,7 @@ class Submodule:
         return "<" + ", ".join(terms) + ">"
 
     def _check(self, other):
-        if self.module is not other.module and self.module != other.module:
+        if self.module is not other.module and not self.module.acts_like(other.module):
             raise ValueError("submodules of different modules")
 
     def __eq__(self, other):
@@ -134,7 +137,8 @@ class Submodule:
             return True
         if not isinstance(other, Submodule):
             return NotImplemented
-        return self.subgroup == other.subgroup and self.module == other.module
+        return self.subgroup == other.subgroup and (
+            self.module is other.module or self.module.acts_like(other.module))
 
     def __hash__(self):
         return self._hash
@@ -146,14 +150,19 @@ class Submodule:
 def image(f: Homomorphism, sub: Submodule | None = None) -> Submodule:
     """f(sub), or the image of the whole source, as a submodule of the
     target.  The images of an additive basis already span a submodule.
-    Answers are memoized in the target's analysis, keyed by (f, sub)."""
-    return _image(f.target, f, sub)
+    Answers are memoized in the target's analysis, keyed by (f's matrix,
+    sub): maps between modules that act alike over different rings share
+    them."""
+    return _image(f.target, f.matrix, sub)
 
 
 @memoized
-def _image(target, f, sub):
-    rows = tuple(zip(*f.matrix)) if sub is None else tuple(map(f.apply_vec, sub.basis))
-    return Submodule.from_subgroup_rows(target, rows)
+def _image(target, matrix, sub):
+    if sub is None:
+        return Submodule.from_subgroup_rows(target, tuple(zip(*matrix)))
+    e = target.inv_factors
+    return Submodule.from_subgroup_rows(target, tuple(
+        tuple([sum(map(mul, row, v)) % ek for row, ek in zip(matrix, e)]) for v in sub.basis))
 
 
 def kernel(f: Homomorphism) -> Submodule:
@@ -280,17 +289,20 @@ class SubmoduleEmbedding(namedtuple("SubmoduleEmbedding", "module inclusion subg
     __slots__ = ()
 
 
-def submodule_as_module(sub: Submodule) -> SubmoduleEmbedding:
-    """Present an action-closed submodule as a module in its own right.
+def submodule_as_module(module: FiniteModule, sub: Submodule) -> SubmoduleEmbedding:
+    """Present an action-closed submodule of ``module`` as a module in its
+    own right, over ``module``'s ring.
 
     The new module's generators are the invariant-factor generators of the
     subgroup; the inclusion matrix has those generators as columns.
     """
-    return _embedding(sub.module, sub)
+    return _embedding(module, sub, module.ring)
 
 
 @memoized
-def _embedding(M, sub):
+def _embedding(M, sub, ring):
+    """The embedding over ``ring``, M's ring: the key carries it, as modules
+    over other rings share M's analysis."""
     group, gens = sub.subgroup, sub.subgroup.smith_gens
     # column k of each action matrix holds the coordinates of mat @ gens[k];
     # coordinates are reduced, and an action-closed subgroup is a module, so
@@ -299,7 +311,7 @@ def _embedding(M, sub):
         tuple(zip(*[group.coords([sum(map(mul, row, g)) for row in mat]) for g in gens]))
         for mat in M.actions
     )
-    sub_mod = FiniteModule(M.ring, group.invariants, actions, name=f"{M.name}|{sub.describe()}")
+    sub_mod = FiniteModule(ring, group.invariants, actions, name=f"{M.name}|{sub.describe()}")
     incl = tuple(tuple(g[j] for g in gens) for j in range(M.ngens))
     return SubmoduleEmbedding(sub_mod, Homomorphism(sub_mod, M, incl), group)
 
@@ -314,7 +326,7 @@ def fully_invariant_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
 
 @memoized
 def _fully_invariant(module, caps):
-    summands = module.analysis.summands
+    summands = _SUMMANDS.get(module)
     members = (_fully_invariant_sums(module, *summands, caps) if summands
                else _end_closures(module, caps))
     return tuple(sorted(members, key=Submodule.sort_key))
@@ -465,7 +477,7 @@ def _is_projective_over(module, ann):
     ann_R(M).  A recorded sum is iff each summand is (Anderson & Fuller,
     Rings and Categories of Modules, 16.10), and the summands are S-modules
     too; otherwise ``_splits`` decides."""
-    summands = module.analysis.summands
+    summands = _SUMMANDS.get(module)
     if summands:
         return all(_is_projective_over(a, ann) for a in summands)
     return _splits(module, ann)
@@ -481,7 +493,7 @@ def _splits(module, ann):
     if ann.order == 1:  # S is R, and Hom(M, R) is shared with other callers
         quotient, section = free, Homomorphism.identity(free)
     else:
-        quotient, _, rows = quotient_with_section(free, Submodule(free, ann))
+        quotient, _, rows = quotient_with_section(free, Submodule(free, ann), free.ring)
         section = Homomorphism(quotient, free, rows)
     identity = Homomorphism.identity(module)
     covers = [compose(scaling(free, module, g), section) for g in zip(*identity.matrix)]

@@ -27,7 +27,7 @@ def product(module, left: Submodule, right: Submodule) -> Submodule:
     sum of images of a submodule under module maps is a submodule, so the
     rows need no closing under the ring action.
     """
-    if not (left.module is module is right.module or left.module == module == right.module):
+    if not (module.acts_like(left.module) and module.acts_like(right.module)):
         raise ValueError("product arguments must live in the ambient module")
     if left.is_zero() or right.is_zero():
         return Submodule.zero(module)

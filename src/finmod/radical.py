@@ -37,7 +37,7 @@ def ann_left(module, sub: Submodule) -> Submodule:
     contains the intersection of their kernels.  The inclusion of ``sub`` is
     injective, so the maps of ``maps_into`` have the same kernels.
     """
-    if sub.module is not module and sub.module != module:
+    if not module.acts_like(sub.module):
         raise ValueError("submodule of a different module")
     return kernel_intersection(module, maps_into(module, sub))
 
@@ -52,7 +52,7 @@ def ann_right(module, sub: Submodule, caps=DEFAULT_CAPS) -> Submodule:
     so no product is formed: the cyclics C whose memoized left annihilator
     holds ``sub`` are summed in one HNF.
     """
-    if sub.module is not module and sub.module != module:
+    if not module.acts_like(sub.module):
         raise ValueError("submodule of a different module")
     rows = [r for c, a in _cyclic_annihilators(module, caps) if sub.le(a) for r in c.basis]
     return Submodule.from_subgroup_rows(module, rows)

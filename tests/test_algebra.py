@@ -309,7 +309,7 @@ def test_derived_modules_are_valid_by_construction():
         derived = [direct_sum(m, m)[0], direct_sum(m, regular_module(m.ring))[0]]
         for sub in all_submodules(m):
             derived.append(quotient_module(m, sub)[0])
-            derived.append(submodule_as_module(sub).module)
+            derived.append(submodule_as_module(m, sub).module)
         for d in derived:
             assert validate_module(m.ring, d) is d
         checked += len(derived)

@@ -11,6 +11,7 @@ from finmod.algebra import (
     FiniteModule,
     Homomorphism,
     ModuleAnalysis,
+    _direct_sum,
     clear_analyses,
     compose,
     cyclic_module,
@@ -160,7 +161,7 @@ def test_repeat_direct_sum_returns_the_memoized_objects():
     first = direct_sum(plane("first"), reg)
     again = direct_sum(plane("second"), regular_module(zn_ring(2)))
     assert again is first
-    assert plane().analysis.memos[direct_sum][reg,] is first
+    assert plane().analysis.memos[_direct_sum][reg,] is first
     assert first[0].name == "first (+) Z2 regular"
 
 

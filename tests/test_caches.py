@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finmod import intlat
+from finmod import algebra, intlat
 from finmod.algebra import clear_analyses, direct_sum, regular_module, triangular_ring, zn_ring
 from finmod.harness import generate_corpus, run_suite
 from finmod.intlat import (
@@ -205,7 +205,8 @@ def test_regular_module_is_one_per_ring_until_clear_analyses():
     clear_analyses()
     fresh = regular_module(ring)
     assert fresh is not reg and fresh == reg and regular_module(ring) is fresh
-    assert fresh.analysis is not reg.analysis and fresh.analysis.free and not fresh.analysis.memos[_lattice]
+    assert fresh.analysis is not reg.analysis and not fresh.analysis.memos[_lattice]
+    assert fresh in algebra._FREE
     # the registry lives beside the ring: neither pickles a cached module
     assert not ring.__getstate__() and not fresh.__getstate__()
     assert b"FiniteModule" not in pickle.dumps(ring)

@@ -225,7 +225,7 @@ class TestSearch:
 
         tiny = Caps(max_module_order=2)
         t2 = regular_module(triangular_ring(2, 2))
-        ideal = submodule_as_module(cyclic_submodule(t2, (0, 0, 1))).module
+        ideal = submodule_as_module(t2, cyclic_submodule(t2, (0, 0, 1))).module
         corpus = Corpus(seed=0, instances=(Instance("T2(Z2)e22", ideal.ring, ideal, tiny),))
         summary = run_suite(corpus, ["THM-MAIN", "LEM-FPROD", "EX-ZPN"])
         main, fprod, zpn = summary.reports
@@ -542,3 +542,31 @@ def test_cor_lsp_fails_where_the_radical_is_not_fully_invariant():
     assert radical not in brute_fully_invariant_submodules(m)
     (found,) = search_counterexamples("COR-LSP", "quasi_projective", Corpus(0, (Instance(m.name, s, m),)))
     assert (found.outcome, found.witness) == ("fail", "radical <g0+g1, g2, g3> is not fully invariant")
+
+
+@pytest.mark.parametrize("which", ["nilpotent", "locally nilpotent"])
+def test_down_set_walk_lists_what_the_member_wise_filter_lists(which):
+    # the walk tests only the members of the down-set and their covers, and
+    # lists the same members, in the same order, as testing every member
+    from finmod.lattice import all_submodules
+    from finmod.product import is_locally_nilpotent, nilpotency_index
+
+    reg2 = regular_module(zn_ring(2))
+    z2_4 = reg2
+    for _ in range(3):
+        z2_4 = direct_sum(z2_4, reg2)[0]
+    modules = dict.fromkeys([z2_4, *(i.module for i in generate_corpus(0, budget=110).instances)])
+    caps, tested, members = Caps(), [], 0
+    for m in modules:
+        def holds(s):
+            tested.append(s)
+            if which == "nilpotent":
+                return nilpotency_index(m, s) is not None
+            return is_locally_nilpotent(m, s, caps)
+
+        walked = harness._down_set(m, holds, caps)
+        lat = all_submodules(m, caps)
+        assert walked == [s for s in lat if holds(s)], m.name
+        members += len(lat)
+    # the filter tested every member once; the walk tested fewer
+    assert len(modules) == 98 and len(tested) - members < members, (len(tested), members)

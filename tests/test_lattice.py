@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from finmod import lattice
+from finmod import algebra, lattice
 from finmod.algebra import (
     FiniteModule,
     FiniteRing,
@@ -478,7 +478,7 @@ def _rule_edge_cases():
         [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
     ], name="dual of F2[x,y]/(x,y)^2")
     t2 = regular_module(triangular_ring(2, 2))
-    ideal = submodule_as_module(cyclic_submodule(t2, (0, 0, 1))).module
+    ideal = submodule_as_module(t2, cyclic_submodule(t2, (0, 0, 1))).module
     return dual, direct_sum(ideal, quotient_module(ideal, socle(ideal))[0])[0]
 
 
@@ -496,7 +496,7 @@ def _maps_onto_simples(module, caps):
     from finmod.homspace import hom_group
 
     return all(
-        hom_group(module, submodule_as_module(s).module).order > 1
+        hom_group(module, submodule_as_module(module, s).module).order > 1
         for s in _simple_submodules(module, caps)
     )
 
@@ -533,18 +533,23 @@ class TestPredicates:
         # Under fresh caps, on each distinct seed-0 module M, retractability
         # calls hom_group only as End(R_R), while it lists the two-sided
         # ideals of R, and only for the first module over each ring: never
-        # with M as the source, unless M is R_R
+        # with M as the source, unless M is R_R.  A module that acts like
+        # one answered before, over another ring, reads its answer.
         modules = dict.fromkeys(i.module for i in generate_corpus(0, budget=110).instances)
         calls, real = [], lattice.hom_group
         monkeypatch.setattr(lattice, "hom_group", lambda a, b: calls.append((a, b)) or real(a, b))
-        caps, listed = Caps(max_lattice=4991), set()  # caps of their own, so no ideal is listed yet
+        caps, listed, shared = Caps(max_lattice=4991), set(), 0  # caps of their own, so no ideal is listed yet
         for m in modules:
             free = regular_module(m.ring)
             calls.clear()
+            answered = (caps,) in m.analysis.memos[is_retractable]
             is_retractable(m, caps)
-            assert calls == ([] if m.ring in listed else [(free, free)]), m.name
-            listed.add(m.ring)
-        assert len(listed) == 42
+            assert calls == ([] if answered or m.ring in listed else [(free, free)]), m.name
+            if answered:
+                shared += 1
+            else:
+                listed.add(m.ring)
+        assert (len(listed), shared) == (41, 20), (len(listed), shared)
 
     def test_quasi_projective_prime_power(self):
         assert is_quasi_projective(regular_module(zn_ring(8)))
@@ -695,7 +700,7 @@ class TestPredicates:
         assert len(modules) == 97 and sum(answers) == 86
         assert all(is_quasi_projective(r) for r in regulars) and is_quasi_projective(cube)
         for quotient, want in ((g7, False), (g6, True)):
-            assert quotient.order == 256 and not quotient.analysis.summands
+            assert quotient.order == 256 and quotient not in algebra._SUMMANDS
             assert is_quasi_projective(quotient) == want
 
     def test_projectivity_relative_to_a_free_module_is_one_split_test(self, monkeypatch):
@@ -745,7 +750,7 @@ class TestSubmoduleAsModule:
     def test_round_trip(self):
         m = regular_module(triangular_ring(2, 2))
         for s in all_submodules(m):
-            emb = submodule_as_module(s)
+            emb = submodule_as_module(m, s)
             assert emb.module.order == s.order
             # inclusion is injective with image s
             inner = itertools.product(*map(range, emb.module.inv_factors))
@@ -755,7 +760,7 @@ class TestSubmoduleAsModule:
     def test_coords_inverse_of_inclusion(self):
         m = regular_module(zn_ring(8))
         s = cyclic_submodule(m, (2,))
-        emb = submodule_as_module(s)
+        emb = submodule_as_module(m, s)
         for x in itertools.product(*map(range, emb.module.inv_factors)):
             back = emb.subgroup.coords(emb.inclusion.apply_vec(x))
             assert back == x
@@ -783,14 +788,14 @@ class TestLatticeFromAmbient:
         small = Caps(max_lattice=10)
         with pytest.raises(CapExceeded):
             all_submodules(m, small)
-        sub = submodule_as_module(k).module
+        sub = submodule_as_module(m, k).module
         assert _subgroups(lattice._lattice(sub, small)) == _subgroups(lattice._lattice(sub, DEFAULT_CAPS))
         assert len(all_submodules(sub, small)) == 5
 
     def test_child_over_the_cap(self):
         m, k = self._plane()
         tiny = Caps(max_lattice=4)
-        sub = submodule_as_module(k).module
+        sub = submodule_as_module(m, k).module
         with pytest.raises(CapExceeded) as walked:
             all_submodules(sub, tiny)
         assert str(walked.value) == "lattice members: reached 4 with cap 4"

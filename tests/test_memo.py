@@ -15,7 +15,7 @@ from finmod.lattice import Submodule, all_submodules
 from finmod.product import is_locally_nilpotent, is_nil_submodule
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "finmod"
-KEPT = {"memos", "submodules", "summands", "free"}
+KEPT = {"memos", "submodules"}
 
 
 def fresh_t2():
@@ -77,7 +77,7 @@ def test_memoized_refuses_parameters_it_cannot_key():
 
 def test_every_memoized_function_is_found():
     names = {q for _, q in memoized_functions()}
-    assert {"Submodule.zero", "direct_sum", "hom_group", "_opposite_end_regular",
+    assert {"Submodule.zero", "_direct_sum", "_hom_group", "_opposite_end_regular",
             "is_locally_nilpotent", "prime_radical"} <= names
     assert len(names) == 29
 
@@ -151,6 +151,8 @@ def test_scan_sees_each_kind_of_use():
     assert analysis_violations(source) == [
         "f uses .analysis.memos (line 4)",
         "g uses .analysis.lattice (line 7)",
+        "g uses .analysis.summands (line 7)",
+        "g uses .analysis.free (line 7)",
         "h uses .analysis.covers (line 9)",
     ]
 
@@ -160,7 +162,7 @@ def test_only_memoized_reads_the_memos(path):
     assert analysis_violations(path.read_text()) == []
 
 
-def test_the_analysis_keeps_four_fields():
+def test_the_analysis_keeps_two_fields():
     init = next(n for n in ast.walk(ast.parse((SRC / "algebra.py").read_text()))
                 if isinstance(n, ast.ClassDef) and n.name == "ModuleAnalysis")
     assigned = {t.attr for n in ast.walk(init) if isinstance(n, ast.Assign)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from finmod import homspace, lattice
+from finmod import algebra, homspace, lattice
 from finmod.algebra import (
     FiniteModule,
     Homomorphism,
@@ -159,7 +159,7 @@ class TestRestrictedAmbient:
         for n_sub in lat:
             if n_sub.is_zero():
                 continue
-            emb = submodule_as_module(n_sub)
+            emb = submodule_as_module(m, n_sub)
             sub_lat = all_submodules(emb.module)
             for k_inner, l_inner in itertools.product(sub_lat, repeat=2):
                 k_outer = Submodule.span(
@@ -362,7 +362,7 @@ def test_images_and_products_need_no_action_closure():
                 right = image(f)
                 if right.is_zero():
                     continue
-                emb = submodule_as_module(right)
+                emb = submodule_as_module(x, right)
                 rows = [
                     compose(emb.inclusion, g).apply_vec(r)
                     for g in hom_group(x, emb.module).generators
@@ -382,10 +382,10 @@ def test_maps_out_of_a_free_module_span_its_hom_group():
     free += [direct_sum(f, f)[0] for f in free if f.order ** 2 <= 256]
     checked = 0
     for m in free:
-        assert m.analysis.free is not None, m
+        assert m in algebra._FREE, m
         moduli = [e for e in m.inv_factors for _ in range(m.ngens)]
         for k in all_submodules(m):
-            emb = submodule_as_module(k)
+            emb = submodule_as_module(m, k)
             solved = [
                 compose(emb.inclusion, Homomorphism.from_flat(m, emb.module, g)).flatten()
                 for g in _solved_hom_subgroup(m, emb.module).basis
@@ -417,7 +417,7 @@ def test_maps_into_a_submodule_of_a_non_free_module_span_its_hom_group(monkeypat
                             if i.module.order <= 256)
     sums = [direct_sum(m, x)[0] for m in modules for x in (m, regular_module(m.ring))
             if m.order * x.order <= 64]
-    non_free = [m for m in dict.fromkeys([*modules, *sums]) if m.analysis.free is None]
+    non_free = [m for m in dict.fromkeys([*modules, *sums]) if m not in algebra._FREE]
     built = []
 
     def counted(owner, name):
@@ -442,7 +442,7 @@ def test_maps_into_a_submodule_of_a_non_free_module_span_its_hom_group(monkeypat
     monkeypatch.undo()
     for cold, k, maps in solved:
         moduli = [e for e in cold.inv_factors for _ in range(cold.ngens)]
-        emb = submodule_as_module(k)
+        emb = submodule_as_module(cold, k)
         expected = [compose(emb.inclusion, Homomorphism.from_flat(cold, emb.module, g)).flatten()
                     for g in _solved_hom_subgroup(cold, emb.module).basis]
         assert all(_is_map_into(f, k) for f in maps), (cold, k)

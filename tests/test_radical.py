@@ -178,7 +178,7 @@ class TestClosureHelpers:
             end = hom_group(m, m)
             families = [[], list(end.generators), list(end.smith_basis())]
             families += [
-                list(hom_group(m, submodule_as_module(s).module).generators)
+                list(hom_group(m, submodule_as_module(m, s).module).generators)
                 for s in all_submodules(m)[1:4]
             ]
             for maps in families:
