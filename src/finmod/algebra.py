@@ -476,18 +476,18 @@ def memoized(fn):
 # Presentation -> ModuleAnalysis and ring -> its regular module, for the
 # process's life, as instances share modules and answers; a module that carries
 # its analysis keeps it past ``clear_analyses()``.  What ``direct_sum`` built a
-# module from, and a free module's projections onto its regular summands, are
-# kept by module, ring included: Z2 is free over Z2 and not over Z12.
+# module from is kept by module, ring included, as (A, B, the projections onto
+# its leaves, the summands that are no recorded sum): Hom out of the sum is read
+# off the leaves, and Z2 is the regular module over Z2 and not over Z12.
 _ANALYSES = {}
 _REGULAR = {}
 _SUMMANDS = {}
-_FREE = {}
 
 
 def clear_analyses():
     """Forget every analysis, every regular module, and what modules were
     built as."""
-    for table in (_ANALYSES, _REGULAR, _SUMMANDS, _FREE):
+    for table in (_ANALYSES, _REGULAR, _SUMMANDS):
         table.clear()
 
 
@@ -647,8 +647,7 @@ def regular_module(ring: FiniteRing) -> FiniteModule:
 
     Built without validation: for a validated ring, associativity, the unit
     and the additive orders are exactly the module axioms of this action.
-    It is recorded as free.  Equal rings get one module, the first built,
-    until ``clear_analyses()``."""
+    Equal rings get one module, the first built, until ``clear_analyses()``."""
     module = _REGULAR.get(ring)
     if module is None:
         r = ring.rank
@@ -658,7 +657,6 @@ def regular_module(ring: FiniteRing) -> FiniteModule:
         )
         module = _REGULAR[ring] = FiniteModule(
             ring, ring.add_orders, actions, ring.labels, f"{ring.name} regular")
-        _FREE[module] = (Homomorphism.identity(module),)
     return module
 
 
@@ -693,20 +691,24 @@ def _module_from_presentation(ring, relation_rows, ambient_actions, s, name):
     return module, proj, nf.section
 
 
+def _twin(derived, module, matrix):
+    """``derived`` with ``module``'s labels, and so its analysis, when it is
+    ``module`` itself (M/0, M as its own submodule): it acts like module
+    but for the labels, and ``matrix``, the map between them, is the identity."""
+    if derived[1:3] == module[1:3] and matrix == Homomorphism.identity(module).matrix:
+        return derived._replace(labels=module.labels)
+    return derived
+
+
 @memoized
 def quotient_with_section(module: FiniteModule, sub, ring):
     """Quotient data (M/S, projection matrix, section matrix) for M over
     ``ring``, M's ring; the projection composed with the section is the
     identity on the quotient.  Modules over other rings share M's analysis,
     so the ring is part of the key."""
-    relation_rows = [list(r) for r in sub.subgroup.full_hnf]
-    return _module_from_presentation(
-        ring,
-        relation_rows,
-        module.actions,
-        module.ngens,
-        name=f"{module.name}/{sub.describe()}",
-    )
+    quot, proj, section = _module_from_presentation(
+        ring, sub.subgroup.full_hnf, module.actions, module.ngens, f"{module.name}/{sub.describe()}")
+    return _twin(quot, module, proj), proj, section
 
 
 def quotient_module(module: FiniteModule, sub):
@@ -722,10 +724,10 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
 
     Returns (module, (inj_a, inj_b), (proj_a, proj_b)); the injections and
     projections satisfy proj_i . inj_j = delta_ij.  When both summands are
-    nonzero, the sum is recorded as built from them, and as free, with its
-    projections onto their regular summands, when both are free:
-    projectivity over R/ann, the fully invariant submodules and Hom out of a
-    free sum are read off these.
+    nonzero, the sum is recorded as built from them, with its projections
+    onto its leaves, each composed once here: projectivity over R/ann and
+    the fully invariant submodules are read off the summands, Hom out of
+    the sum off the leaves.
     """
     if a.ring is not b.ring and a.ring != b.ring:
         raise ValidationError("direct sum requires a common ring")
@@ -784,9 +786,10 @@ def _direct_sum(a, b):
             for j in range(sb)
         ),
     )
-    if a.order > 1 and b.order > 1:
-        _SUMMANDS.setdefault(total, (a, b))
-        if total not in _FREE and a in _FREE and b in _FREE:
-            _FREE[total] = tuple(compose(q, p) for p, side in ((proj_a, a), (proj_b, b))
-                                 for q in _FREE[side])
+    if a.order > 1 and b.order > 1 and total not in _SUMMANDS:
+        leaves = []
+        for p in (proj_a, proj_b):
+            built = _SUMMANDS.get(p.target)
+            leaves += [compose(q, p) for q in built[2]] if built else [p]
+        _SUMMANDS[total] = (a, b, tuple(leaves))
     return total, (inj_a, inj_b), (proj_a, proj_b)

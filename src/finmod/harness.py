@@ -341,7 +341,7 @@ def _check_epiproduct(m, rng, caps):
 
 def _check_factornil(m, rng, caps):
     lat = all_submodules(m, caps)
-    nils = [s for s in lat if is_nil_submodule(m, s, caps).is_nil]
+    nils = _down_set(m, lambda s: is_nil_submodule(m, s, caps).is_nil, caps)
     for n_sub in _sample(nils, rng, 3):
         for k_sub in _sample(lat, rng, 4):
             quot, proj = quotient_module(m, k_sub)
@@ -368,10 +368,10 @@ def _check_fgnilp(m, rng, caps):
 
 def _down_set(m, holds, caps):
     """The submodules with ``holds``, in canonical order, for a property
-    that passes to submodules, as nilpotency and local nilpotency do.  They
-    form a down-set, and every member of one is reached from zero through
-    the covers inside it, so only those members and their covers are
-    tested."""
+    that passes to submodules, as being nil, nilpotent or locally nilpotent
+    does.  They form a down-set, and every member of one is reached from
+    zero through the covers inside it, so only those members and their
+    covers are tested."""
     covers, zero = _lattice(m, caps)[1], Submodule.zero(m)
     members, seen, frontier = [], {zero}, [zero] if holds(zero) else []
     while frontier:

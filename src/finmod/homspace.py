@@ -4,10 +4,10 @@ materialized as finite rings.
 
 A homomorphism M -> N is a matrix T with T . A_i = B_i . T modulo the target
 orders for every ring basis action pair (A_i, B_i), plus order-compatibility
-of the columns.  The full solution group is found in one congruence solve,
-or, out of a module recorded as free, read off the target; element
-enumeration is never used here (the brute-force path lives in the oracle
-module).
+of the columns.  The maps out of the regular module are read off the target,
+those out of a recorded sum off its leaves, and those out of any other module
+found in one congruence solve; element enumeration is never used here (the
+brute-force path lives in the oracle module).
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from collections import namedtuple
 from math import gcd, lcm
 from operator import mul
 
-from .algebra import (
-    _FREE, FiniteRing, FiniteModule, Homomorphism, _BlindToLast, compose, memoized, scaling,
-)
+from .algebra import (_REGULAR, _SUMMANDS, FiniteRing, FiniteModule, Homomorphism, _BlindToLast,
+                      compose, memoized, scaling)
 from .intlat import generated_subgroup, solve_homogeneous_congruences
 
 
@@ -60,11 +59,8 @@ class HomGroup(_BlindToLast, namedtuple("HomGroup", "source target generators su
 
 
 def hom_group(source: FiniteModule, target: FiniteModule) -> HomGroup:
-    """Hom(M, N) as a finite abelian group of matrices.
-
-    A free M = R^n needs no solve: Hom(R^n, N) = N^n, spanned by the maps
-    x -> p(x)*e_k, for p the projections of M onto its regular summands and
-    e_k the generators of N.  Any other M solves its congruences.
+    """Hom(M, N) as a finite abelian group of matrices, spanned by the maps
+    ``_maps_out`` lists into N's generators.
 
     >>> from finmod.algebra import zn_ring, regular_module
     >>> end = hom_group(*(regular_module(zn_ring(4)),) * 2)
@@ -81,13 +77,10 @@ def _hom_group(source, target):
     """``hom_group`` for M and N over one ring, memoized in M's analysis
     keyed by N.  A module over another ring that acts like M shares the
     analysis, so the rings are compared before the memo is read."""
-    if source not in _FREE:
-        sub = _solved_hom_subgroup(source, target)
-    else:
-        t = target.ngens
-        units = [tuple(int(k == j) for j in range(t)) for k in range(t)]
-        rows = [f.flatten() for f in _free_maps(source, target, units)]
-        sub = generated_subgroup([e for e in target.inv_factors for _ in range(source.ngens)], rows)
+    t, e = target.ngens, target.inv_factors
+    units = [tuple(int(k == j) for j in range(t)) for k in range(t)]
+    rows = [f.flatten() for f in _maps_out(source, target, units)]
+    sub = generated_subgroup([x for x in e for _ in range(source.ngens)], rows)
     return HomGroup(
         source=source,
         target=target,
@@ -96,30 +89,32 @@ def _hom_group(source, target):
     )
 
 
-def _free_maps(free, target, vectors):
-    """The maps x -> p(x)*v, for p the projections of ``free``, a module
-    recorded as free, onto its regular summands and v the ``vectors`` of
-    ``target``.  Hom(R^n, N) = N^n, so they span Hom(free, N) for N the
-    span of the v."""
-    return [compose(scaling(p.target, target, v), p) for p in _FREE[free] for v in vectors]
-
-
 @memoized
 def maps_into(module, sub):
-    """Maps M -> M spanning the maps from M into the submodule ``sub``: the
-    Hom(M, sub) generators followed by the inclusion of ``sub``.  Built
-    once per ``sub`` and shared by every product with right factor ``sub``.
+    """Maps M -> M spanning the maps from M into the submodule ``sub``
+    (``_maps_out``).  Built once per ``sub`` and shared by every product
+    with right factor ``sub``."""
+    return tuple(_maps_out(module, module, sub.basis))
 
-    A free M = R^n needs no Hom solve: its maps are read off the basis rows
-    of K (``_free_maps``).  Any other M solves for them in its own
-    coordinates, as the nonzero T = H^T Y for H the basis rows of K."""
-    if module in _FREE:
-        return tuple(_free_maps(module, module, sub.basis))
-    h, s = sub.basis, module.ngens
-    cols = list(zip(*h))
-    maps = (Homomorphism.of(module, module, [[sum(map(mul, c, y[j::s])) for j in range(s)] for c in cols])
-            for y in _solved_hom_subgroup(module, module, h).basis)
-    return tuple(f for f in maps if not f.is_zero())
+
+def _maps_out(source, target, span):
+    """Maps M -> N spanning Hom(M, K), for K the span of the rows ``span``
+    of N.  Out of the regular module, R itself with its ring, they are
+    r -> r*v for v in ``span``.  Out of a recorded sum they are the maps out
+    of each leaf after the projection onto it, since a direct sum is a
+    biproduct: Hom(A (+) B, K) = Hom(A, K) x Hom(B, K).  Out of any other M
+    they are the nonzero T = H^T Y of the congruence solve, for H the rows
+    ``span``.  Z2 over Z12 acts like the regular Z2 but is not it, so the
+    whole module is compared, ring included."""
+    if source == _REGULAR.get(source.ring):
+        return [scaling(source, target, v) for v in span]
+    built = _SUMMANDS.get(source)
+    if built:
+        return [compose(f, p) for p in built[2] for f in _maps_out(p.target, target, span)]
+    s, cols = source.ngens, list(zip(*span))
+    maps = (Homomorphism.of(source, target, [[sum(map(mul, c, y[j::s])) for j in range(s)] for c in cols])
+            for y in _solved_hom_subgroup(source, target, span).basis)
+    return [f for f in maps if not f.is_zero()]
 
 
 def _solved_hom_subgroup(source, target, span=None):

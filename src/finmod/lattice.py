@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .algebra import (
-    _SUMMANDS, FiniteModule, Homomorphism, compose, direct_sum, memoized,
+    _SUMMANDS, FiniteModule, Homomorphism, _twin, compose, direct_sum, memoized,
     quotient_with_section, regular_module, scaling,
 )
 from .config import DEFAULT_CAPS, MAX_END_ELEMENTS, CapExceeded
@@ -313,6 +313,7 @@ def _embedding(M, sub, ring):
     )
     sub_mod = FiniteModule(ring, group.invariants, actions, name=f"{M.name}|{sub.describe()}")
     incl = tuple(tuple(g[j] for g in gens) for j in range(M.ngens))
+    sub_mod = _twin(sub_mod, M, incl)
     return SubmoduleEmbedding(sub_mod, Homomorphism(sub_mod, M, incl), group)
 
 
@@ -326,8 +327,8 @@ def fully_invariant_submodules(module: FiniteModule, caps=DEFAULT_CAPS):
 
 @memoized
 def _fully_invariant(module, caps):
-    summands = _SUMMANDS.get(module)
-    members = (_fully_invariant_sums(module, *summands, caps) if summands
+    built = _SUMMANDS.get(module)
+    members = (_fully_invariant_sums(module, *built[:2], caps) if built
                else _end_closures(module, caps))
     return tuple(sorted(members, key=Submodule.sort_key))
 
@@ -477,9 +478,9 @@ def _is_projective_over(module, ann):
     ann_R(M).  A recorded sum is iff each summand is (Anderson & Fuller,
     Rings and Categories of Modules, 16.10), and the summands are S-modules
     too; otherwise ``_splits`` decides."""
-    summands = _SUMMANDS.get(module)
-    if summands:
-        return all(_is_projective_over(a, ann) for a in summands)
+    built = _SUMMANDS.get(module)
+    if built:
+        return all(_is_projective_over(a, ann) for a in built[:2])
     return _splits(module, ann)
 
 

@@ -206,7 +206,7 @@ def test_regular_module_is_one_per_ring_until_clear_analyses():
     fresh = regular_module(ring)
     assert fresh is not reg and fresh == reg and regular_module(ring) is fresh
     assert fresh.analysis is not reg.analysis and not fresh.analysis.memos[_lattice]
-    assert fresh in algebra._FREE
+    assert algebra._REGULAR[ring] is fresh and fresh not in algebra._SUMMANDS  # Hom out of it is read off
     # the registry lives beside the ring: neither pickles a cached module
     assert not ring.__getstate__() and not fresh.__getstate__()
     assert b"FiniteModule" not in pickle.dumps(ring)

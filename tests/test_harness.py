@@ -488,7 +488,7 @@ def test_the_order_24_witness_needs_quasi_projectivity():
     from finmod.oracle import (
         brute_is_nil_submodule, brute_is_quasi_projective, brute_is_retractable, brute_product,
     )
-    from finmod.product import is_locally_nilpotent, nilpotency_index
+    from finmod.product import is_locally_nilpotent, is_nil_submodule, nilpotency_index
     from finmod.radical import subm_sequence
 
     path = Path(__file__).resolve().parent / "golden" / "d-plus-z3.ring"
@@ -544,12 +544,12 @@ def test_cor_lsp_fails_where_the_radical_is_not_fully_invariant():
     assert (found.outcome, found.witness) == ("fail", "radical <g0+g1, g2, g3> is not fully invariant")
 
 
-@pytest.mark.parametrize("which", ["nilpotent", "locally nilpotent"])
+@pytest.mark.parametrize("which", ["nilpotent", "locally nilpotent", "nil"])
 def test_down_set_walk_lists_what_the_member_wise_filter_lists(which):
     # the walk tests only the members of the down-set and their covers, and
     # lists the same members, in the same order, as testing every member
     from finmod.lattice import all_submodules
-    from finmod.product import is_locally_nilpotent, nilpotency_index
+    from finmod.product import is_locally_nilpotent, is_nil_submodule, nilpotency_index
 
     reg2 = regular_module(zn_ring(2))
     z2_4 = reg2
@@ -562,6 +562,8 @@ def test_down_set_walk_lists_what_the_member_wise_filter_lists(which):
             tested.append(s)
             if which == "nilpotent":
                 return nilpotency_index(m, s) is not None
+            if which == "nil":
+                return is_nil_submodule(m, s, caps).is_nil
             return is_locally_nilpotent(m, s, caps)
 
         walked = harness._down_set(m, holds, caps)

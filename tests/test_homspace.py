@@ -1,12 +1,13 @@
 """Hom group and endomorphism ring computation."""
 
 import itertools
+import math
 import runpy
 from pathlib import Path
 
 import pytest
 
-from finmod import algebra
+from finmod import algebra, homspace
 from finmod.algebra import (
     Homomorphism,
     compose,
@@ -20,8 +21,9 @@ from finmod.algebra import (
     zn_ring,
 )
 from finmod.harness import generate_corpus
-from finmod.homspace import _solved_hom_subgroup, end_ring, hom_group
+from finmod.homspace import _solved_hom_subgroup, end_ring, hom_group, maps_into
 from finmod.intlat import CanonicalSubgroup
+from finmod.oracle import BudgetExceeded, brute_hom_group
 from finmod.lattice import (
     Submodule,
     cyclic_submodule,
@@ -122,7 +124,8 @@ class TestHomGroup:
             if n.ring.order <= 27:
                 sources.append(direct_sum(reg, reg)[0])
             for free in sources:
-                assert free in algebra._FREE
+                leaves = algebra._SUMMANDS[free][2] if free is not reg else [Homomorphism.identity(reg)]
+                assert all(p.target is reg for p in leaves)
                 solved = _solved_hom_subgroup(free, n)
                 group = hom_group(free, n)
                 assert group.subgroup is solved, (free, n)
@@ -131,6 +134,99 @@ class TestHomGroup:
                 ]
                 pairs += 1
         assert pairs == 162
+
+
+def _read_off_cases():
+    """A source of each kind the read-off meets, by name: sums of a
+    non-free and a free summand, of non-free summands, nested with R, and
+    T2(Z2)^3 three levels deep; Z2 over Z4 and over Z8, one presentation
+    over two rings; and (Z2 over Z12) (+) Z12."""
+    z4, t2 = regular_module(zn_ring(4)), regular_module(triangular_ring(2, 2))
+    m = next(i.module for i in generate_corpus(0, 110).instances if i.name == "T2(Z2)-regular/fi1")
+    mm = direct_sum(m, m)[0]
+    two12 = cyclic_module(zn_ring(12), 2)
+    return {
+        "Z2+Z4/Z4": direct_sum(cyclic_module(z4.ring, 2), z4)[0],
+        "M+M": mm,
+        "(M+M)+R": direct_sum(mm, t2)[0],
+        "T2(Z2)^3": direct_sum(direct_sum(t2, t2)[0], t2)[0],
+        "Z2/Z4": cyclic_module(z4.ring, 2),
+        "Z2/Z8": cyclic_module(zn_ring(8), 2),
+        "Z2/Z12+Z12": direct_sum(two12, regular_module(two12.ring))[0],
+    }
+
+
+def _test_submodules(m):
+    """0, M, and the submodules one generator, and the first plus the last,
+    span."""
+    units = Homomorphism.identity(m).matrix
+    rows = [[u] for u in units] + [[[a + b for a, b in zip(units[0], units[-1])]]]
+    return dict.fromkeys([Submodule.zero(m), Submodule.full(m), *(Submodule.span(m, r) for r in rows)])
+
+
+def test_every_read_off_spans_what_the_solve_and_the_oracle_span():
+    """Hom(A (+) B, K) = Hom(A, K) x Hom(B, K): on sources of every kind,
+    into the modules over their ring and into its regular module, the maps
+    ``hom_group`` and ``maps_into`` read off span the congruence solve's
+    group on the same pair, and, where the oracle reaches, its list."""
+    cases = _read_off_cases()
+    t2 = regular_module(triangular_ring(2, 2))
+    assert [p.target for p in algebra._SUMMANDS[cases["T2(Z2)^3"]][2]] == [t2] * 3
+    assert algebra._SUMMANDS[cases["(M+M)+R"]][2][-1].target is t2
+    homs = maps = brute = 0
+    for src in cases.values():
+        if src in algebra._SUMMANDS:  # a sum's order is the product of its leaves'
+            assert math.prod(p.target.order for p in algebra._SUMMANDS[src][2]) == src.order
+        moduli = [e for e in src.inv_factors for _ in range(src.ngens)]
+        for tgt in dict.fromkeys([regular_module(src.ring), *(t for t in cases.values() if t.ring == src.ring)]):
+            group = hom_group(src, tgt)
+            assert group.subgroup == _solved_hom_subgroup(src, tgt), (src, tgt)
+            homs += 1
+            try:
+                listed = brute_hom_group(src, tgt)
+            except BudgetExceeded:
+                continue
+            t_moduli = [e for e in tgt.inv_factors for _ in range(src.ngens)]
+            assert CanonicalSubgroup(t_moduli, [f.flatten() for f in listed]) == group.subgroup
+            assert len(listed) == group.order
+            brute += 1
+        try:
+            ends = brute_hom_group(src, src)
+        except BudgetExceeded:
+            ends = None
+        for k in _test_submodules(src):
+            emb = submodule_as_module(src, k)
+            solved = [compose(emb.inclusion, Homomorphism.from_flat(src, emb.module, g)).flatten()
+                      for g in _solved_hom_subgroup(src, emb.module).basis]
+            got = CanonicalSubgroup(moduli, [f.flatten() for f in maps_into(src, k)])
+            assert got == CanonicalSubgroup(moduli, solved), (src, k)
+            maps += 1
+            if ends is not None:
+                assert got == CanonicalSubgroup(moduli, [f.flatten() for f in ends if image(f).le(k)])
+                brute += 1
+    assert (homs, maps, brute) == (22, 43, 17 + 21), (homs, maps, brute)
+
+
+def test_a_deep_sum_composes_each_map_once(monkeypatch):
+    # the projections onto the leaves were composed when the sum was built
+    cube = _read_off_cases()["T2(Z2)^3"]
+    calls = []
+    monkeypatch.setattr(homspace, "compose", lambda f, g: calls.append(f) or compose(f, g))
+    maps = homspace._maps_out(cube, cube, Homomorphism.identity(cube).matrix)
+    assert len(maps) == len(calls) == 3 * 9
+
+
+def test_a_module_that_acts_like_a_regular_one_over_another_ring_is_solved():
+    # Z2 over Z12 shares the analysis of the regular Z2 over Z2, but is not
+    # free over Z12: Hom(Z2, Z12) = {0, 6}, not Z12
+    reg2 = regular_module(zn_ring(2))
+    assert hom_group(reg2, reg2).order == 2 and maps_into(reg2, Submodule.full(reg2))
+    z12 = zn_ring(12)
+    two = cyclic_module(z12, 2)
+    assert two.analysis is reg2.analysis and two != reg2
+    assert {f.matrix for f in hom_group(two, regular_module(z12)).elements()} == {((0,),), ((6,),)}
+    assert {f.matrix for f in hom_group(cyclic_module(zn_ring(4), 2), regular_module(zn_ring(4))).elements()} \
+        == {((0,),), ((2,),)}
 
 
 def _elementary_divisors(invariants):

@@ -561,9 +561,10 @@ class TestBruteQuasiProjective:
         # included, and never splits a sum.  The split test over R/ann(M)
         # must agree with it on the oracle-scale modules, their M (+) M and
         # M (+) R of order <= 64, the quiver module, both rule edge cases
-        # and the seven quotients of T2(Z2), the zero module among them.  A
-        # module with more than 250 submodules is left out for time: that is
-        # Z2^6 alone, which agrees too but takes 8 s for its 2,825.
+        # and the seven quotients of T2(Z2), the zero module among them; T2(Z2)/0
+        # is T2(Z2) itself, so 132 distinct modules are compared.  A module
+        # with more than 250 submodules is left out for time: that is Z2^6
+        # alone, which agrees too but takes 8 s for its 2,825.
         caps, skipped = Caps(max_lattice=250), []
         t2 = regular_module(triangular_ring(2, 2))
         sums = [direct_sum(m, n)[0] for m in oracle_scale_modules
@@ -582,7 +583,8 @@ class TestBruteQuasiProjective:
             assert is_quasi_projective(m) == want, m.name
             compared[want] += 1
         assert len(quotients) == 7 and quotients[-1].order == 1 and skipped == [(2,) * 6]
-        assert compared == {True: 133, False: 21}, compared
+        assert quotients[0] == t2 and quotients[0].analysis is t2.analysis
+        assert compared == {True: 132, False: 21}, compared
 
     def test_meet_irreducible_quotients_do_not_decide(self):
         # M lifts to M/K for the three K with one upper cover (0, U1, U2),
@@ -632,7 +634,8 @@ class TestBruteQuasiProjective:
         ring4 = zn_ring(4)
         two, four = cyclic_module(ring4, 2), regular_module(ring4)
         mixed, _, _ = direct_sum(two, four)
-        assert algebra._SUMMANDS[mixed] == (two, four)
+        a, b, leaves = algebra._SUMMANDS[mixed]
+        assert (a, b) == (two, four) == tuple(p.target for p in leaves)
         assert all(_lifts_through(four, two, k) and _lifts_through(two, two, k)
                    for k in all_submodules(two))
         assert not all(_lifts_through(two, four, k) for k in all_submodules(four))

@@ -373,6 +373,14 @@ def test_images_and_products_need_no_action_closure():
     assert checked >= 200
 
 
+def _free_by_record(m):
+    """Whether Hom out of m is read off its target: m is the regular module,
+    or a recorded sum whose leaves all are."""
+    reg = algebra._REGULAR.get(m.ring)
+    built = algebra._SUMMANDS.get(m)
+    return m == reg or bool(built) and all(p.target == reg for p in built[2])
+
+
 def test_maps_out_of_a_free_module_span_its_hom_group():
     """Hom(R^n, K) = K^n: on every regular module of order <= 256 of the
     seed-0 corpus rings, and every R (+) R of that order, the maps read off
@@ -382,7 +390,7 @@ def test_maps_out_of_a_free_module_span_its_hom_group():
     free += [direct_sum(f, f)[0] for f in free if f.order ** 2 <= 256]
     checked = 0
     for m in free:
-        assert m in algebra._FREE, m
+        assert _free_by_record(m), m
         moduli = [e for e in m.inv_factors for _ in range(m.ngens)]
         for k in all_submodules(m):
             emb = submodule_as_module(m, k)
@@ -409,15 +417,16 @@ def _is_map_into(f, k):
 def test_maps_into_a_submodule_of_a_non_free_module_span_its_hom_group(monkeypatch):
     """On every non-free seed-0 module of order <= 256, and every sum M (+) M
     and M (+) R of order <= 64, for every K: the maps that ``maps_into``
-    solves in M's coordinates are module maps into K, and they span the
-    same maps M -> M as the Hom solve into K presented as a module.  They
-    are found with no embedding and no Hom group: each module is a copy
-    with an analysis of its own, so nothing is read from a memo."""
+    solves, in M's coordinates or a recorded sum's leaves', are module maps
+    into K, and they span the same maps M -> M as the Hom solve into K
+    presented as a module.  They are found with no embedding and no Hom
+    group: each module is a copy with an analysis of its own, so nothing is
+    read from a memo."""
     modules = dict.fromkeys(i.module for i in generate_corpus(0, budget=110).instances
                             if i.module.order <= 256)
     sums = [direct_sum(m, x)[0] for m in modules for x in (m, regular_module(m.ring))
             if m.order * x.order <= 64]
-    non_free = [m for m in dict.fromkeys([*modules, *sums]) if m not in algebra._FREE]
+    non_free = [m for m in dict.fromkeys([*modules, *sums]) if not _free_by_record(m)]
     built = []
 
     def counted(owner, name):
