@@ -23,7 +23,6 @@ from finmod.algebra import (
 from finmod.harness import generate_corpus
 from finmod.homspace import _solved_hom_subgroup, end_ring, hom_group, maps_into
 from finmod.intlat import CanonicalSubgroup
-from finmod.oracle import BudgetExceeded, brute_hom_group
 from finmod.lattice import (
     Submodule,
     cyclic_submodule,
@@ -32,6 +31,7 @@ from finmod.lattice import (
     kernel,
     submodule_as_module,
 )
+from finmod.oracle import BudgetExceeded, brute_hom_group
 
 
 def z4_regular():
