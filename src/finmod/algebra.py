@@ -731,7 +731,16 @@ def direct_sum(a: FiniteModule, b: FiniteModule):
     """
     if a.ring is not b.ring and a.ring != b.ring:
         raise ValidationError("direct sum requires a common ring")
-    return _direct_sum(a, b)
+    built = total, _, projections = _direct_sum(a, b)
+    # written here, not in the memoized build: a summand that keeps its
+    # analysis past ``clear_analyses()`` answers from the memo
+    if a.order > 1 and b.order > 1 and total not in _SUMMANDS:
+        leaves = []
+        for p in projections:
+            record = _SUMMANDS.get(p.target)
+            leaves += [compose(q, p) for q in record[2]] if record else [p]
+        _SUMMANDS[total] = (a, b, tuple(leaves))
+    return built
 
 
 @memoized
@@ -786,10 +795,4 @@ def _direct_sum(a, b):
             for j in range(sb)
         ),
     )
-    if a.order > 1 and b.order > 1 and total not in _SUMMANDS:
-        leaves = []
-        for p in (proj_a, proj_b):
-            built = _SUMMANDS.get(p.target)
-            leaves += [compose(q, p) for q in built[2]] if built else [p]
-        _SUMMANDS[total] = (a, b, tuple(leaves))
     return total, (inj_a, inj_b), (proj_a, proj_b)

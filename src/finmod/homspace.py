@@ -102,7 +102,8 @@ def _maps_out(source, target, span):
     of N.  Out of the regular module, R itself with its ring, they are
     r -> r*v for v in ``span``.  Out of a recorded sum they are the maps out
     of each leaf after the projection onto it, since a direct sum is a
-    biproduct: Hom(A (+) B, K) = Hom(A, K) x Hom(B, K).  Out of any other M
+    biproduct: Hom(A (+) B, K) = Hom(A, K) x Hom(B, K), and a leaf that
+    recurs, as in M (+) M, is read once.  Out of any other M
     they are the nonzero T = H^T Y of the congruence solve, for H the rows
     ``span``.  Z2 over Z12 acts like the regular Z2 but is not it, so the
     whole module is compared, ring included."""
@@ -110,7 +111,11 @@ def _maps_out(source, target, span):
         return [scaling(source, target, v) for v in span]
     built = _SUMMANDS.get(source)
     if built:
-        return [compose(f, p) for p in built[2] for f in _maps_out(p.target, target, span)]
+        read = {}  # leaf -> its maps, read once however often it recurs
+        for p in built[2]:
+            if p.target not in read:
+                read[p.target] = _maps_out(p.target, target, span)
+        return [compose(f, p) for p in built[2] for f in read[p.target]]
     s, cols = source.ngens, list(zip(*span))
     maps = (Homomorphism.of(source, target, [[sum(map(mul, c, y[j::s])) for j in range(s)] for c in cols])
             for y in _solved_hom_subgroup(source, target, span).basis)

@@ -62,10 +62,11 @@ class _Tables:
         # row v sums, for each u in order, the weighted digits (v_j + u_j) % d_j;
         # mults[x][c] is c*x for c below the exponent, which kills every element
         exponent, self.add, self.mults = lcm(*orders), [], []
+        bases = [[t * wj for t in range(d)] for d, wj in zip(orders, w)]
         for v in elems:
             add, mults = [0], [0] * exponent
-            for c, d, wj in zip(v, orders, w):
-                digit = [(c + t) % d * wj for t in range(d)]
+            for c, d, wj, base in zip(v, orders, w, bases):
+                digit = base[c:] + base[:c]
                 add = [a + b for a in add for b in digit]
                 mults = [a + t * c % d * wj for t, a in enumerate(mults)]
             self.add.append(add)
@@ -102,25 +103,27 @@ class _Tables:
 
     def span(self, seed, mask: int = 1, group=None) -> int:
         """The subgroup generated by ``seed`` and the subgroup ``mask``
-        (whose members are ``group``), adjoining one element at a time:
-        H + <s> is the cosets H + c*s for c below the first c*s in H."""
+        (whose members are ``group``), adjoining one element at a time."""
         gens = list(self.gens[mask])
         for s in seed:
-            if mask >> s & 1:
-                continue
-            if group is None:
-                group = self.members(mask)
-            rows = []
-            for m in self.mults[s][1:]:
-                if mask >> m & 1:
-                    break
-                rows.append(self.add[m])
-            new = [row[h] for row in rows for h in group]
-            group = group + new
-            mask |= sum(map(self.bit.__getitem__, new))
-            gens.append(s)
+            if not mask >> s & 1:
+                if group is None:
+                    group = self.members(mask)
+                mask, group = self._adjoin(s, mask, group)
+                gens.append(s)
         self.gens.setdefault(mask, tuple(gens))
         return mask
+
+    def _adjoin(self, s: int, mask: int, group):
+        """(H + <s>, its members) for H the subgroup ``mask`` with members
+        ``group``: the cosets H + c*s for c below the first c*s in H."""
+        rows = []
+        for m in self.mults[s][1:]:
+            if mask >> m & 1:
+                break
+            rows.append(self.add[m])
+        new = [row[h] for row in rows for h in group]
+        return mask | sum(map(self.bit.__getitem__, new)), group + new
 
     def generators(self, mask: int) -> tuple[int, ...]:
         if mask not in self.gens:
@@ -134,13 +137,23 @@ class _Tables:
         return self.memo[key]
 
     def join(self, masks) -> int:
-        """The subgroup generated by the element sets ``masks``."""
-        return self.span(self.members(functools.reduce(operator.or_, masks, 1)))
+        """The subgroup generated by the element sets ``masks``: the span of
+        their union, adjoining only the least member the span so far lacks,
+        which is the next member of the union ``span`` would adjoin."""
+        union, mask, group, gens = functools.reduce(operator.or_, masks, 1), 1, [0], []
+        while lack := union & ~mask:
+            s = (lack & -lack).bit_length() - 1
+            mask, group = self._adjoin(s, mask, group)
+            gens.append(s)
+        self.gens.setdefault(mask, tuple(gens))
+        return mask
 
     def package(self, mask: int) -> Submodule:
-        return Submodule.from_subgroup_rows(
-            self.module, [self.elems[g] for g in self.generators(mask)]
-        )
+        key = ("package", mask)
+        if key not in self.memo:
+            self.memo[key] = Submodule.from_subgroup_rows(
+                self.module, [self.elems[g] for g in self.generators(mask)])
+        return self.memo[key]
 
     @functools.cached_property
     def cyclic(self) -> list[int]:
@@ -160,7 +173,8 @@ class _Tables:
         """Every map source -> this module with image in the subgroup k, as
         generator images in lexicographic order.  Generator j may map to any
         element of k killed by its order; b_i * g_j = sum_t a_i[t][j] g_t is
-        checked once the images it names are chosen.  After generator 0, each
+        checked once the images it names are chosen, unless it holds of every
+        map.  After generator 0, each
         level tries every generator left and keeps the one that leaves the
         fewest partial maps (README, "Design notes").  ``MAX_CANDIDATES``
         bounds each trial: the maps kept so far times the generator's pool."""
@@ -169,8 +183,14 @@ class _Tables:
             d, allowed = source.inv_factors, self.members(k)
             pools = [[y for y in allowed if self.mults[y][dj % len(self.mults[y])] == 0]
                      for dj in d]
-            checks = [(act, j, [(t, a[t][j]) for t in range(len(d)) if a[t][j]])
-                      for act, a in zip(self.act, source.actions) for j in range(len(d))]
+            # b_i * g_j = g_j holds of every map when b_i fixes g_j and every
+            # element of this module, so that relation is not checked
+            ident, checks = list(range(len(self.elems))), []
+            for act, a in zip(self.act, source.actions):
+                for j in range(len(d)):
+                    terms = [(t, a[t][j]) for t in range(len(d)) if a[t][j]]
+                    if terms != [(j, 1)] or act != ident:
+                        checks.append((act, j, terms))
             order, maps = [], [()]
             while len(order) < len(d):
                 rest = [g for g in range(len(d)) if g not in order] if order else [0]
@@ -188,6 +208,8 @@ class _Tables:
         pos = {g: p for p, g in enumerate(order)}
         level = [(act, pos[j], [(pos[t], c) for t, c in terms]) for act, j, terms in checks
                  if order[-1] in (names := {j, *(t for t, _ in terms)}) and names <= pos.keys()]
+        if not level:
+            return order, [pre + (y,) for pre in maps for y in pool]
         return order, [ys for pre in maps for y in pool if self._linear(ys := pre + (y,), level)]
 
     def _linear(self, ys, checks) -> bool:
@@ -248,6 +270,14 @@ class _Tables:
             products = (self.product(p, c) for p in states for c in cyclics)
             states = frozenset(products) - {1}
         return True
+
+    @functools.cached_property
+    def primes(self) -> list[int]:
+        """The proper fully invariant P such that N*K <= P forces N <= P or
+        K <= P over every fully invariant pair (``brute_primes``)."""
+        fi = self.fully_invariant()
+        return [p for p in fi if p != self.full and all(
+            _le(n, p) or _le(k, p) or not _le(self.product(n, k), p) for n in fi for k in fi)]
 
     def fully_invariant(self) -> list[int]:
         """Submodules S with f(g) in S for every endomorphism f and every
@@ -343,18 +373,19 @@ def brute_fully_invariant_submodules(module: FiniteModule):
     return [t.package(s) for s in t.fully_invariant()]
 
 
-def brute_prime_radical(module: FiniteModule) -> Submodule:
-    """Intersection of all prime submodules, fully definitionally: a proper
-    fully invariant P is prime when N*K <= P forces N <= P or K <= P.  N*K
-    is formed only for a pair with both factors outside some candidate P."""
+def brute_primes(module: FiniteModule) -> list[Submodule]:
+    """The prime submodules, fully definitionally: the proper fully
+    invariant P such that N*K <= P forces N <= P or K <= P over every fully
+    invariant pair.  N*K is formed only for a pair with both factors outside
+    some candidate P."""
     t = _tables_within(module)
-    fi = t.fully_invariant()
-    primes = [
-        p for p in fi
-        if p != t.full
-        and all(_le(n, p) or _le(k, p) or not _le(t.product(n, k), p) for n in fi for k in fi)
-    ]
-    return t.package(functools.reduce(operator.and_, primes)) if primes else Submodule.full(module)
+    return [t.package(p) for p in t.primes]
+
+
+def brute_prime_radical(module: FiniteModule) -> Submodule:
+    """The meet of ``brute_primes``, the module itself when there are none."""
+    t = _tables_within(module)
+    return t.package(functools.reduce(operator.and_, t.primes)) if t.primes else Submodule.full(module)
 
 
 def brute_ann_left(module: FiniteModule, sub: Submodule) -> Submodule:

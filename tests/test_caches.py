@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finmod import algebra, intlat
+from finmod import algebra, homspace, intlat
 from finmod.algebra import clear_analyses, direct_sum, regular_module, triangular_ring, zn_ring
 from finmod.harness import generate_corpus, run_suite
+from finmod.homspace import hom_group
 from finmod.intlat import (
     CACHE_SIZE,
     CanonicalSubgroup,
@@ -210,6 +211,22 @@ def test_regular_module_is_one_per_ring_until_clear_analyses():
     # the registry lives beside the ring: neither pickles a cached module
     assert not ring.__getstate__() and not fresh.__getstate__()
     assert b"FiniteModule" not in pickle.dumps(ring)
+
+
+def test_direct_sum_records_a_sum_again_after_clear_analyses(monkeypatch):
+    # reg keeps the analysis it carries, so direct_sum answers from its
+    # memo; the record of what the sum was built from is written again, and
+    # Hom out of the sum is read off its leaves without a congruence solve
+    clear_analyses()
+    reg = regular_module(zn_ring(4))
+    s = direct_sum(reg, reg)[0]
+    clear_analyses()
+    assert direct_sum(reg, reg)[0] is s
+    assert algebra._SUMMANDS[s][:2] == (reg, reg)
+    assert regular_module(zn_ring(4)) == reg  # Hom out of each leaf is read off again
+    solve, calls = homspace._solved_hom_subgroup, []
+    monkeypatch.setattr(homspace, "_solved_hom_subgroup", lambda *a: calls.append(a) or solve(*a))
+    assert hom_group(s, s).order == 4**4 and not calls
 
 
 def test_submodule_pickles_into_a_fresh_interpreter():

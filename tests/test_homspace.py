@@ -25,6 +25,7 @@ from finmod.homspace import _solved_hom_subgroup, end_ring, hom_group, maps_into
 from finmod.intlat import CanonicalSubgroup
 from finmod.lattice import (
     Submodule,
+    all_submodules,
     cyclic_submodule,
     fully_invariant_submodules,
     image,
@@ -214,6 +215,20 @@ def test_a_deep_sum_composes_each_map_once(monkeypatch):
     monkeypatch.setattr(homspace, "compose", lambda f, g: calls.append(f) or compose(f, g))
     maps = homspace._maps_out(cube, cube, Homomorphism.identity(cube).matrix)
     assert len(maps) == len(calls) == 3 * 9
+
+
+def test_a_leaf_that_recurs_is_solved_once(monkeypatch):
+    # Z2 over Z4 is no regular module, so the maps out of it are solved;
+    # M (+) M has two leaves onto M, and its maps into each K one solve
+    algebra.clear_analyses()  # so no maps_into answer is served from a memo
+    m = cyclic_module(zn_ring(4), 2)
+    total = direct_sum(m, m)[0]
+    solve, calls = homspace._solved_hom_subgroup, []
+    monkeypatch.setattr(homspace, "_solved_hom_subgroup", lambda *a: calls.append(a) or solve(*a))
+    for k in all_submodules(total):
+        calls.clear()
+        maps = maps_into(total, k)
+        assert len(calls) == 1 and len(maps) == 2 * len(homspace._maps_out(m, total, k.basis))
 
 
 def test_a_module_that_acts_like_a_regular_one_over_another_ring_is_solved():

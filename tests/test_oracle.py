@@ -3,6 +3,8 @@ instances.  The full corpus-wide equivalence run lives in the acceptance
 suite."""
 
 import functools
+import itertools
+import math
 import operator
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from finmod.algebra import (
     cyclic_module,
     direct_sum,
     module_from_actions,
+    product_ring,
     quotient_module,
     regular_module,
     triangular_ring,
@@ -51,9 +54,10 @@ from finmod.oracle import (
     brute_is_retractable,
     brute_product,
     brute_prime_radical,
+    brute_primes,
 )
 from finmod.product import is_locally_nilpotent, is_nil_submodule, nilpotency_index, product
-from finmod.radical import ann_left, ann_right, ell, prime_radical
+from finmod.radical import ann_left, ann_right, ell, is_semiprime_submodule, prime_radical
 from test_lattice import _rule_edge_cases
 
 
@@ -276,6 +280,20 @@ class TestBruteRadicals:
         for m in small_modules():
             assert brute_prime_radical(m) == prime_radical(m).prime_radical
 
+    def test_primes_leave_out_a_semiprime_that_is_not_prime(self):
+        # 2Z6 * 3Z6 = 0, so <0> is semiprime in Z6 but not prime
+        m = z6()
+        two, three, zero = cyclic_submodule(m, (2,)), cyclic_submodule(m, (3,)), Submodule.zero(m)
+        assert sorted(brute_primes(m), key=Submodule.sort_key) == [three, two]
+        assert is_semiprime_submodule(m, zero)[0] and zero not in brute_primes(m)
+        assert brute_primes(zero_mod := quotient_module(m, Submodule.full(m))[0]) == []
+        assert brute_prime_radical(zero_mod).order == 1
+
+    def test_primes_match_main_path(self):
+        for m in small_modules():
+            got = sorted(brute_primes(m), key=Submodule.sort_key)
+            assert got == sorted(prime_radical(m).primes, key=Submodule.sort_key), m.name
+
 
 def _corpus_modules(max_order):
     corpus = generate_corpus(0, budget=110)
@@ -316,6 +334,100 @@ class TestShortcutsMatchTheExhaustiveDefinitions:
                 le(n, p) or le(k, p) or not le(q, p) for (n, k), q in below.items())]
             want = t.package(functools.reduce(operator.and_, primes)) if primes else Submodule.full(m)
             assert brute_prime_radical(m) == want, m.name
+
+
+def _witness():
+    return parse_instance(str(Path(__file__).resolve().parent / "golden" / "d-plus-z3.ring"))[1]
+
+
+def _digit_sum(t, u, v):
+    return t.index([a + b for a, b in zip(t.elems[u], t.elems[v])])
+
+
+class TestSetAlgebra:
+    """The tables' set algebra against the rules it abbreviates."""
+
+    def test_join_adjoins_what_adjoining_every_member_adjoins(self):
+        # the reference adjoins every member of the union in index order,
+        # skipping those already spanned; join must reach the same mask
+        # through the same generators
+        compared = 0
+        for m in [*_corpus_modules(64), _witness()]:
+            t = oracle._Tables(m)
+            lattice = t.lattice
+            for a, b in itertools.product(lattice, repeat=2):
+                members, gens = {0}, []
+                for x in t.members(a | b):
+                    if x not in members:
+                        gens.append(x)
+                        frontier = members
+                        while frontier := {_digit_sum(t, h, x) for h in frontier} - members:
+                            members |= frontier
+                t.gens = {1: ()}
+                want = sum(1 << x for x in members)
+                assert t.join([a, b]) == want and t.gens[want] == tuple(gens), m.name
+                compared += 1
+        assert compared == 11143, compared
+
+    def test_addition_rows_follow_the_digits(self):
+        # rows built from rotated digits, on one, two and three factors
+        ring4 = zn_ring(4)
+        mods = [z4(), direct_sum(cyclic_module(ring4, 2), regular_module(ring4))[0],
+                regular_module(triangular_ring(2, 2)), _witness()]
+        assert [len(m.inv_factors) for m in mods] == [1, 2, 3, 3]
+        for m in mods:
+            t = oracle._Tables(m)
+            n = len(t.elems)
+            assert t.add == [[_digit_sum(t, u, v) for v in range(n)] for u in range(n)], m.name
+
+    def test_homs_list_what_checking_every_relation_keeps(self):
+        # every tuple of pool elements, filtered by every relation
+        # b_i * g_j = sum_t a_i[t][j] g_t computed on digits; the search
+        # skips the relations that hold of every map, so over Z/n all.
+        # Pairs whose pools multiply past 4,096 are left out: 22 of 361,
+        # all into submodules of the order-32 sum over T2(Z2)
+        t2 = triangular_ring(2, 2)
+        mods = [m for m in _corpus_modules(32) if m.ring.rank == 1 or m.ring == t2]
+        # a basis element that fixes one side but not the other keeps its
+        # relation: b_1 fixes R/<g0> over Z2 x Z6 but not R, and b_0 fixes
+        # R/<g0+g1, 2*g1> over Z4 x Z6 but not R, where dropping it would
+        # double Hom from 2 maps to 4 either way round
+        r26, r46 = (regular_module(product_ring([zn_ring(a), zn_ring(b)])) for a, b in ((2, 6), (4, 6)))
+        q26 = quotient_module(r26, Submodule.span(r26, [(1, 0)]))[0]
+        q46 = quotient_module(r46, Submodule.span(r46, [(1, 1), (0, 2)]))[0]
+        cross = [(q26, r26), (q46, r46), (r46, q46)]
+        pairs = [(m, m, k) for m in mods for k in oracle._Tables(m).lattice]
+        pairs += [(a, b, oracle._Tables(b).full) for a, b in cross]
+        compared = 0
+        for source, target, k in pairs:
+            t = oracle._Tables(target)
+            e, d = target.inv_factors, source.inv_factors
+            pools = [[y for y in t.members(k) if not any(dj * c % o for c, o in zip(t.elems[y], e))]
+                     for dj in d]
+            if math.prod(map(len, pools)) > 2**12:
+                continue
+
+            def times(mat, y):
+                return t.index([sum(map(operator.mul, row, t.elems[y])) for row in mat])
+
+            def relations_hold(ys):
+                for a, b in zip(source.actions, target.actions):
+                    for j in range(len(d)):
+                        lhs = 0
+                        for row, y in zip(a, ys):
+                            lhs = _digit_sum(t, lhs, t.index([row[j] * c for c in t.elems[y]]))
+                        if lhs != times(b, ys[j]):
+                            return False
+                return True
+
+            want = [ys for ys in itertools.product(*pools) if relations_hold(ys)]
+            assert t.homs(source, k) == want, (source.name, target.name, k)
+            compared += 1
+        assert compared == 339 + 3, compared
+        for (quot, reg), i in zip(cross, (1, 0)):
+            tq, t = oracle._Tables(quot), oracle._Tables(reg)
+            assert tq.act[i] == list(range(len(tq.elems))) and t.act[i] != list(range(len(t.elems)))
+        assert [len(oracle._Tables(b).homs(a, oracle._Tables(b).full)) for a, b in cross] == [6, 2, 2]
 
 
 def _s_square_quotients():
