@@ -106,11 +106,12 @@ class _Tables:
         (whose members are ``group``), adjoining one element at a time."""
         gens = list(self.gens[mask])
         for s in seed:
-            if not mask >> s & 1:
-                if group is None:
-                    group = self.members(mask)
-                mask, group = self._adjoin(s, mask, group)
-                gens.append(s)
+            if mask >> s & 1:
+                continue
+            if group is None:
+                group = self.members(mask)
+            mask, group = self._adjoin(s, mask, group)
+            gens.append(s)
         self.gens.setdefault(mask, tuple(gens))
         return mask
 
@@ -174,10 +175,10 @@ class _Tables:
         generator images in lexicographic order.  Generator j may map to any
         element of k killed by its order; b_i * g_j = sum_t a_i[t][j] g_t is
         checked once the images it names are chosen, unless it holds of every
-        map.  After generator 0, each
-        level tries every generator left and keeps the one that leaves the
-        fewest partial maps (README, "Design notes").  ``MAX_CANDIDATES``
-        bounds each trial: the maps kept so far times the generator's pool."""
+        map.  After generator 0, each level tries every generator left and
+        keeps the one that leaves the fewest partial maps (README, "Design
+        notes").  ``MAX_CANDIDATES`` bounds each trial: the maps kept so far
+        times the generator's pool."""
         key = ("homs", source, k)
         if key not in self.memo:
             d, allowed = source.inv_factors, self.members(k)
@@ -273,8 +274,7 @@ class _Tables:
 
     @functools.cached_property
     def primes(self) -> list[int]:
-        """The proper fully invariant P such that N*K <= P forces N <= P or
-        K <= P over every fully invariant pair (``brute_primes``)."""
+        """The masks of ``brute_primes``."""
         fi = self.fully_invariant()
         return [p for p in fi if p != self.full and all(
             _le(n, p) or _le(k, p) or not _le(self.product(n, k), p) for n in fi for k in fi)]

@@ -227,6 +227,9 @@ def test_direct_sum_records_a_sum_again_after_clear_analyses(monkeypatch):
     solve, calls = homspace._solved_hom_subgroup, []
     monkeypatch.setattr(homspace, "_solved_hom_subgroup", lambda *a: calls.append(a) or solve(*a))
     assert hom_group(s, s).order == 4**4 and not calls
+    # the record names reg, not the regular module registered since, so
+    # later tests start from empty tables
+    clear_analyses()
 
 
 def test_submodule_pickles_into_a_fresh_interpreter():
